@@ -585,7 +585,11 @@ def exact_outage_for_lambda(
                                 logs.append(total_log)
 
     if not logs:
-        return OutagePoint(user=l, snr_db=snr_db, value=1.0, method="exact")
+        # every success term underflowed: the form cannot resolve this
+        # point, which is not evidence of certain outage
+        raise NumericsError(
+            f"exact outage for user {l} at {snr_db} dB: every Phi term underflowed"
+        )
     shift = max(logs)
     success = exp(shift) * fsum(s * exp(lg - shift) for s, lg in zip(signs, logs))
     raw = 1.0 - success

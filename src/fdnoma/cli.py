@@ -98,48 +98,62 @@ def run_sweep(
 
     Per-point failures become rows with the error column set; the sweep
     continues.  Row order is fixed: grid order, then user, then method in
-    canonical order.
+    canonical order.  The simulation methods run as one Monte Carlo sweep
+    over the grid, on common random numbers from RngStream(spec.seed).
+    With timings, an analytic cell records its own call's wall time and a
+    simulation cell its grid point's equal share of the sweep's Monte
+    Carlo time.
     """
     quad = quad or analytic.QuadratureSpec()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     methods = tuple(m for m in _METHOD_ORDER if m in spec.methods)
     sim_methods = tuple(m for m in methods if m in _SIM_METHODS)
-    rows: list[CsvRow] = []
 
+    n = len(spec.grid)
+    cfgs, snrs, errors = [cfg] * n, [math.nan] * n, [""] * n
     for idx, value in enumerate(spec.grid):
-        t0 = time.perf_counter()
-        cell_error = ""
         try:
-            cfg_pt, snr = _apply_axis(cfg, spec.axis, value)
-            if snr is None:
-                snr = spec.snr_db
+            cfgs[idx], snr = _apply_axis(cfg, spec.axis, value)
+            snrs[idx] = spec.snr_db if snr is None else snr
         except FdnomaError as exc:
-            cfg_pt, snr, cell_error = cfg, math.nan, str(exc)
+            errors[idx] = str(exc)
 
-        sim_points = {}
-        if sim_methods and not cell_error:
-            try:
-                sim_points = mcsim.simulate_outage_all(
-                    cfg_pt,
-                    snr,
-                    spec.trials,
-                    rng=mcsim.RngStream(spec.seed, idx * 1000),
-                    workers=workers,
-                    methods=sim_methods,
-                    hd_rule=spec.hd_rule,
-                )
-            except FdnomaError as exc:
-                cell_error = str(exc)
+    sim_points: dict[int, dict] = {}
+    sim_ms = 0.0
+    todo = [idx for idx in range(n) if not errors[idx]]
+    if sim_methods and todo:
+        t0 = time.perf_counter()
+        results = mcsim.simulate_sweep(
+            [(cfgs[idx], snrs[idx]) for idx in todo],
+            spec.trials,
+            rng=mcsim.RngStream(spec.seed),
+            workers=workers,
+            methods=sim_methods,
+            hd_rule=spec.hd_rule,
+        )
+        for idx, res in zip(todo, results):
+            if isinstance(res, FdnomaError):
+                errors[idx] = str(res)
+            else:
+                sim_points[idx] = res
+        if sim_points:
+            sim_ms = (time.perf_counter() - t0) * 1000.0 / len(sim_points)
 
-        wall = int(round((time.perf_counter() - t0) * 1000.0))
+    rows: list[CsvRow] = []
+    for idx, value in enumerate(spec.grid):
         for user in spec.users:
             for method in methods:
+                t0 = time.perf_counter()
                 row = _one_cell(
-                    cfg_pt, snr, user, method, value, spec, quad, sim_points, cell_error
+                    cfgs[idx], snrs[idx], user, method, value, spec, quad,
+                    sim_points.get(idx, {}), errors[idx],
                 )
                 if timings:
-                    row = replace(row, wall_ms=wall)
+                    ms = (time.perf_counter() - t0) * 1000.0
+                    if method in _SIM_METHODS and idx in sim_points:
+                        ms += sim_ms
+                    row = replace(row, wall_ms=int(round(ms)))
                 rows.append(row)
                 writer.writerow(row.formatted())
     return rows
@@ -200,13 +214,18 @@ def validate(
 
     A point whose expected outage count is below ~25 cannot falsify the
     closed form, so it is reported as "insufficient trials" rather than a
-    failure.
+    failure.  conf is the level of the whole set of mc_agreement lines:
+    each line's Wilson interval is taken at 1 - (1 - conf) / n_lines
+    (Bonferroni), so a correct program fails any of them with probability
+    at most 1 - conf.
     """
     lines: list[ValidationLine] = []
     exact_vals: dict[tuple[float, int], float] = {}
+    line_conf = 1.0 - (1.0 - conf) / (len(snr_grid) * cfg.n_users)
     for idx, snr in enumerate(snr_grid):
         sim = mcsim.simulate_outage_all(
-            cfg, snr, trials, rng=mcsim.RngStream(seed, idx * 1000), workers=workers, conf=conf
+            cfg, snr, trials, rng=mcsim.RngStream(seed, idx * 1000), workers=workers,
+            conf=line_conf,
         )["monte_carlo"]
         for l in range(1, cfg.n_users + 1):
             exact = analytic.exact_outage(cfg, snr, l).value

@@ -1,11 +1,13 @@
 """Sweep CSV contract, presets, validation harness, CLI exit codes."""
 
 import io
+import time
 from dataclasses import replace
 
 import pytest
 
 import fdnoma.analytic as analytic
+import fdnoma.mcsim as mcsim
 from fdnoma.cli import main, run_sweep, validate
 from fdnoma.presets import PRESET_NAMES, SweepSpec, figure_preset
 from fdnoma.errors import ConfigError
@@ -72,6 +74,36 @@ class TestRunSweep:
         spec = SweepSpec(grid=(10.0,), methods=("exact",))
         lines = sweep_to_string(spec, BASE, timings=True).strip().splitlines()[1:]
         assert all(line.split(",")[7] != "" for line in lines)
+
+    def test_wall_ms_times_each_cell(self, monkeypatch):
+        def slow_for_user_2(cfg, snr_db, l, *args, **kwargs):
+            if l == 2:
+                time.sleep(0.05)
+            return analytic.OutagePoint(user=l, snr_db=snr_db, value=0.5, method="exact")
+
+        monkeypatch.setattr(analytic, "exact_outage", slow_for_user_2)
+        spec = SweepSpec(grid=(10.0,), methods=("exact", "monte_carlo"), trials=20_000)
+        for line in sweep_to_string(spec, BASE, timings=True).strip().splitlines()[1:]:
+            cells = line.split(",")
+            slow = cells[1] == "2" and cells[2] == "exact"
+            assert (int(cells[7]) >= 50) == slow, line
+
+    def test_one_pool_per_sweep(self, monkeypatch, recording_pool):
+        monkeypatch.setattr(mcsim, "CHUNK_TRIALS", 20_000)
+        spec = SweepSpec(axis="d_sr", grid=(0.3, 0.5, 0.7), methods=("monte_carlo",),
+                         trials=50_000, snr_db=15.0)
+        sweep_to_string(spec, BASE, workers=2)
+        assert recording_pool == [2]
+
+    def test_underflowing_exact_form_becomes_error_rows(self):
+        # every Phi term underflows at a vanishing SI power; the form must
+        # flag the point instead of printing certain outage (Monte Carlo
+        # gives about 0.21, 0.019, 0.0032 here)
+        cfg = replace(BASE, mu=0.0, alpha_si=1e-6)
+        spec = SweepSpec(grid=(15.0,), methods=("exact",))
+        for line in sweep_to_string(spec, cfg).strip().splitlines()[1:]:
+            cells = line.split(",")
+            assert cells[3] == "" and "underflowed" in cells[8]
 
     def test_partial_failure_becomes_error_row(self):
         # mu sweep reaching mu values whose feasibility is fine but whose
@@ -183,6 +215,18 @@ class TestValidate:
         lines, ok = validate(BASE, (25.0,), trials=50_000, seed=1)
         assert not ok
         assert any(l.check == "bound_ordering" and l.status == "fail" for l in lines)
+
+    def test_agreement_level_corrected_for_line_count(self, monkeypatch):
+        simulate = mcsim.simulate_outage_all
+        levels = []
+
+        def recording(*args, **kwargs):
+            levels.append(kwargs["conf"])
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(mcsim, "simulate_outage_all", recording)
+        validate(BASE, (5.0, 10.0), trials=20_000, seed=1, conf=0.99)
+        assert levels == [1.0 - 0.01 / 6] * 2  # two points, three users
 
     def test_slope_check_runs_on_wide_ideal_grid(self):
         lines, ok = validate(BASE, (25.0, 30.0, 35.0), trials=50_000, seed=3)

@@ -8,7 +8,8 @@ import pytest
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import kstest
 
-from fdnoma.errors import InfeasibleAllocationError
+import fdnoma.mcsim as mcsim
+from fdnoma.errors import ImpairmentError, InfeasibleAllocationError
 from fdnoma.mcsim import (
     ChannelDraw,
     RngStream,
@@ -19,9 +20,16 @@ from fdnoma.mcsim import (
     simulate_baseline,
     simulate_outage,
     simulate_outage_all,
+    simulate_sweep,
     wilson_interval,
 )
-from fdnoma.sysmodel import SystemConfig, compute_theta, derive_link_stats
+from fdnoma.sysmodel import (
+    SystemConfig,
+    compute_deltas,
+    compute_theta,
+    derive_link_stats,
+    map_baseline_thresholds,
+)
 
 BASE = SystemConfig()
 STATS = derive_link_stats(BASE, 10.0)
@@ -262,3 +270,111 @@ class TestBaselines:
         # power split cannot support; the equal mapping is the workable one
         with pytest.raises(InfeasibleAllocationError):
             simulate_baseline(BASE, 10.0, 1, "hd_noma", 50_000, hd_rule="squared")
+
+
+def _reference_counts(cfg, snr_db, trials, stream, methods, hd_rule="equal"):
+    """Per-point reference: one chunk drawn with rng.gamma at this point's
+    own scales and tested on whole arrays, with nothing shared or blocked."""
+    g = 10.0 ** (snr_db / 10.0)
+    stats = derive_link_stats(cfg, g)
+    lam = {"monte_carlo": compute_deltas(cfg, g).lambda_dag}
+    if "hd_noma" in methods:
+        thr = map_baseline_thresholds(cfg, "hd_noma", hd_rule)
+        lam["hd_noma"] = compute_deltas(replace(cfg, gamma_th=thr), g).lambda_dag
+    if "fd_oma" in methods:
+        lam["fd_oma"] = map_baseline_thresholds(cfg, "fd_oma")
+    rng = stream.generator()
+    first = rng.gamma(cfg.m_sr, stats.omega_hat_sr / cfg.m_sr, size=(trials, cfg.n_b))
+    a = np.partition(first, cfg.n_b - 2, axis=1)[:, -2:].sum(axis=1)
+    b = np.stack([
+        rng.gamma(cfg.m_ru[l] * cfg.n_r, stats.omega_hat_ru[l] / cfg.m_ru[l], size=trials)
+        for l in range(cfg.n_users)
+    ], axis=1)
+    b.sort(axis=1)
+    c = rng.gamma(cfg.m_rr, stats.omega_rr / cfg.m_rr, size=trials)
+    counts = {m: [] for m in methods}
+    for l in range(1, cfg.n_users + 1):
+        th = compute_theta(stats, g, l)
+        bl = b[:, l - 1]
+        lhs = g**2 / 2 * a * bl
+        d0_common = th.theta1 * g * a + th.theta2 * g * bl + th.theta5
+        d0_si = th.theta3 * g * c + th.theta4 * g**2 * bl * c
+        for m in methods:
+            d0 = d0_common if m == "hd_noma" else d0_common + d0_si
+            counts[m].append(int(np.count_nonzero(lhs <= lam[m][l - 1] * d0)))
+    return counts
+
+
+ALL_METHODS = ("monte_carlo", "hd_noma", "fd_oma")
+
+
+def _d_sr_points(cfg, grid=(0.2, 0.35, 0.5, 0.65, 0.8), snr_db=15.0):
+    return [(replace(cfg, d_sr=x, d_ru=(1.0 - x,) * cfg.n_users), snr_db) for x in grid]
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Chunks of 20k trials in blocks of 7k, so that a 50k-trial call spans
+    three chunks and ends each one with a partial block."""
+    monkeypatch.setattr(mcsim, "CHUNK_TRIALS", 20_000)
+    monkeypatch.setattr(mcsim, "BLOCK_TRIALS", 7_000)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("cfg, seed, trials, methods", [
+        (BASE, 13, 500_000, ("monte_carlo",)),
+        (replace(BASE, a=(0.761, 0.191, 0.048), gamma_th=(2.0, 2.5, 3.0), mu=0.0),
+         13, 500_000, ("monte_carlo",)),
+        (BASE, 19, 200_000, ("monte_carlo", "hd_noma")),
+        (BASE, 21, 400_000, ("fd_oma",)),
+        (replace(BASE, n_b=4, m_sr=2, m_ru=(1, 2, 3), sigma2_est_ru=(0.01, 0.02, 0.03)),
+         23, 200_000, ALL_METHODS),
+    ])
+    def test_one_point_counts_match_per_point_reference(self, cfg, seed, trials, methods):
+        res = simulate_outage_all(cfg, 15.0, trials, rng=seed, methods=methods)
+        ref = _reference_counts(cfg, 15.0, trials, RngStream(seed), methods)
+        for m in methods:
+            assert [round(p.value * trials) for p in res[m]] == ref[m]
+
+    @pytest.mark.parametrize("cfg", [BASE, replace(BASE, sigma2_est_ru=(0.01, 0.02, 0.03))],
+                             ids=["common_scales", "unequal_scales"])
+    def test_each_point_equals_one_point_call(self, small_chunks, cfg):
+        points = _d_sr_points(cfg)
+        stream = RngStream(29, 5)
+        swept = simulate_sweep(points, 50_000, rng=stream, methods=ALL_METHODS)
+        for (cfg_pt, snr), res in zip(points, swept):
+            assert res == simulate_outage_all(cfg_pt, snr, 50_000, rng=stream,
+                                              methods=ALL_METHODS)
+
+    def test_failing_point_does_not_stop_the_others(self, small_chunks):
+        points = _d_sr_points(BASE, grid=(0.3, 0.5, 0.7))
+        broken = (replace(points[1][0], sigma2_est_ru=(1e6,) * 3), 15.0)
+        points = [points[0], broken, points[2]]
+        swept = simulate_sweep(points, 50_000, rng=31)
+        assert isinstance(swept[1], ImpairmentError)
+        for i in (0, 2):
+            assert swept[i] == simulate_outage_all(*points[i], 50_000, rng=31)
+        with pytest.raises(ImpairmentError):
+            simulate_outage_all(*broken, 50_000, rng=31)
+
+    @pytest.mark.parametrize("change", [
+        dict(n_b=3), dict(n_r=2), dict(m_sr=2), dict(m_rr=2), dict(m_ru=(1, 1, 2)),
+        dict(n_users=2, a=(0.6, 0.4), gamma_th=(0.9, 1.5), m_ru=(1, 1), d_ru=(0.5, 0.5),
+             sigma2_est_ru=(0.0, 0.0), fd_tau_ru=(0.0, 0.0)),
+    ])
+    def test_points_must_share_shapes(self, change):
+        with pytest.raises(ValueError, match="must share"):
+            simulate_sweep([(BASE, 10.0), (replace(BASE, **change), 10.0)], 20_000)
+
+    def test_block_size_does_not_change_counts(self, monkeypatch):
+        points = _d_sr_points(replace(BASE, sigma2_est_ru=(0.01, 0.02, 0.03)), grid=(0.4, 0.6))
+        full = simulate_sweep(points, 50_000, rng=37, methods=ALL_METHODS)
+        monkeypatch.setattr(mcsim, "BLOCK_TRIALS", 999)
+        assert simulate_sweep(points, 50_000, rng=37, methods=ALL_METHODS) == full
+
+    def test_one_pool_per_sweep_sized_to_the_chunks(self, small_chunks, recording_pool):
+        serial = simulate_sweep(_d_sr_points(BASE), 50_000, rng=41)
+        assert recording_pool == []
+        pooled = simulate_sweep(_d_sr_points(BASE), 50_000, rng=41, workers=16)
+        assert recording_pool == [3]  # one pool, three chunks
+        assert pooled == serial
