@@ -7,17 +7,17 @@ term is assembled in log-magnitude with a sign tracker and the final
 reduction uses exact summation (math.fsum) after rescaling by the largest
 term.
 
-Two printed-formula ambiguities are resolved here and arbitrated against
-the Monte Carlo engine (see tests):
+Two printed-formula ambiguities are resolved here; the tests arbitrate
+them against the Monte Carlo engine with transcriptions of the printed
+forms:
 
-* ``variant="consistent"`` (default) carries the PFD rate s_t1 as an
-  overall factor of the Bessel argument, and ties the theta2/theta4 split
-  exponent to the inner binomial index.  This is the variant that agrees
-  with simulation; ``variant="as_printed"`` reproduces the inconsistent
-  typeset form and is kept only for the arbitration test.
+* The exact form carries the PFD rate s_t1 as an overall factor of the
+  Bessel argument, and ties the theta2/theta4 split exponent to the inner
+  binomial index.  This agrees with simulation; the typeset form is not
+  even a probability.
 * The lower bound's theta4' constant uses the grouping
   gamma_bar*sigma2/2 + 1, which provably keeps the bound below the exact
-  outage; ``variant="as_printed"`` uses gamma_bar^2*sigma2/2 + 1.
+  outage; the typeset gamma_bar^2*sigma2/2 + 1 does not.
 """
 
 from __future__ import annotations
@@ -69,10 +69,9 @@ __all__ = [
 # interval; anything worse indicates a real defect and raises.
 _CLAMP_TOL = 1e-6
 
-# Test hook: scales every kappa inside the W-CDF assembly.  The validate
-# harness's fault-injection test sets this != 1 to confirm the
-# bound-ordering detector fires.
-_KAPPA_FAULT_SCALE = 1.0
+# scipy quad limits of every semi-infinite quadrature
+_ABS_TOL = 1e-300
+_MAX_SUBDIVISIONS = 2000
 
 
 @dataclass(frozen=True)
@@ -98,17 +97,10 @@ class QuadratureSpec:
     """Accuracy contract for the semi-infinite quadratures."""
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-300
-    max_subdivisions: int = 2000
-    transform: str = "log_substitution"  # or "none"
 
     def __post_init__(self):
         if self.rel_tol < 1e-13:
             raise ValueError(f"rel_tol below 1e-13 is not attainable in double precision: {self.rel_tol}")
-        if self.max_subdivisions < 10 or self.max_subdivisions > 10000:
-            raise ValueError(f"max_subdivisions out of range: {self.max_subdivisions}")
-        if self.transform not in ("none", "log_substitution"):
-            raise ValueError(f"unknown transform {self.transform!r}")
 
 
 _DEFAULT_QUAD = QuadratureSpec()
@@ -157,32 +149,23 @@ def phi_integral_log(term: PhiTerm, spec: QuadratureSpec = _DEFAULT_QUAD) -> flo
     if shift == -math.inf:
         return -math.inf
 
-    if spec.transform == "log_substitution":
-        u0 = log(term.pi_shift)
+    # z = exp(u) - pi_shift: the log-substituted half-line
+    u0 = log(term.pi_shift)
 
-        def f(u: float) -> float:
-            if u > 690.0:  # exp would overflow; integrand is long dead there
-                return 0.0
-            z = exp(u) - term.pi_shift
-            if z <= 0.0:
-                z = 0.0
-            lg = _phi_log_integrand(term, z)
-            return exp(lg - shift + u) if lg > -math.inf else 0.0
+    def f(u: float) -> float:
+        if u > 690.0:  # exp would overflow; integrand is long dead there
+            return 0.0
+        z = exp(u) - term.pi_shift
+        if z <= 0.0:
+            z = 0.0
+        lg = _phi_log_integrand(term, z)
+        return exp(lg - shift + u) if lg > -math.inf else 0.0
 
-        result, abserr, info, *msg = quad(
-            f, u0, np.inf, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions, full_output=True,
-        )
-    else:
-        def f(z: float) -> float:
-            lg = _phi_log_integrand(term, z)
-            return exp(lg - shift) if lg > -math.inf else 0.0
-
-        result, abserr, info, *msg = quad(
-            f, 0.0, np.inf, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions, full_output=True,
-        )
-    if msg and abserr > 10.0 * spec.rel_tol * max(abs(result), spec.abs_tol):
+    result, abserr, info, *msg = quad(
+        f, u0, np.inf, epsabs=_ABS_TOL, epsrel=spec.rel_tol,
+        limit=_MAX_SUBDIVISIONS, full_output=True,
+    )
+    if msg and abserr > 10.0 * spec.rel_tol * max(abs(result), _ABS_TOL):
         raise NumericsError(
             f"phi quadrature failed for term {term.label or term}: {msg[0]} (abserr={abserr:g})"
         )
@@ -386,7 +369,6 @@ def sf_relay_ratio(
             for t2, kap in enumerate(row, start=1):
                 if kap == 0.0:
                     continue
-                kap = kap * _KAPPA_FAULT_SCALE
                 for t4 in range(t2):
                     common = (
                         cc
@@ -440,11 +422,10 @@ def exact_outage(
     snr_db: float,
     l: int,
     q: QuadratureSpec = _DEFAULT_QUAD,
-    variant: str = "consistent",
 ) -> OutagePoint:
     """Exact outage probability of user l from the nested-sum closed form."""
     lam_dag = compute_deltas(cfg, 10.0 ** (snr_db / 10.0)).lambda_dag[l - 1]
-    return exact_outage_for_lambda(cfg, snr_db, l, lam_dag, q, variant)
+    return exact_outage_for_lambda(cfg, snr_db, l, lam_dag, q)
 
 
 def exact_outage_for_lambda(
@@ -453,7 +434,6 @@ def exact_outage_for_lambda(
     l: int,
     lam_dag: float,
     q: QuadratureSpec = _DEFAULT_QUAD,
-    variant: str = "consistent",
 ) -> OutagePoint:
     """Exact outage with an explicit SNR-normalized threshold Lambda+.
 
@@ -461,8 +441,6 @@ def exact_outage_for_lambda(
     directly also covers the single-user-per-resource baseline, whose
     product-mapped threshold replaces the SIC maximum.
     """
-    if variant not in ("consistent", "as_printed"):
-        raise ValueError(f"unknown variant {variant!r}")
     m_sr, m_rr, m_ru = _require_analytic_config(cfg)
     snr_bar = 10.0 ** (snr_db / 10.0)
     stats = derive_link_stats(cfg, snr_bar)
@@ -541,24 +519,13 @@ def exact_outage_for_lambda(
                                 * (log(2 * dd * pole) - log(g * (1 + p) * lam_b))
                             )
                             decay = 2 * dd * th4 * g * pole + rate_c
-                            if variant == "consistent":
-                                bcoef = 2 * dd * (1 + p) * lam_b * pole * c1 / g
-                            else:
-                                c1_printed = th3 * g + 2 * th1 * th4 * g**2 * dd * pole
-                                bcoef = 2 * dd * (1 + p) * lam_b * c1_printed / g
+                            bcoef = 2 * dd * (1 + p) * lam_b * pole * c1 / g
                             for k2 in range(t3 + 1):
-                                if variant == "consistent":
-                                    log_k2 = (
-                                        log(comb(t3, k2))
-                                        + k2 * log(th4 * g**2)
-                                        + (t3 - k2) * log(th2 * g)
-                                    )
-                                else:
-                                    log_k2 = (
-                                        log(comb(t3, k2))
-                                        + t3 * log(th4 * g**2)
-                                        + (t3 - t2) * log(th2 / (th4 * g))
-                                    )
+                                log_k2 = (
+                                    log(comb(t3, k2))
+                                    + k2 * log(th4 * g**2)
+                                    + (t3 - k2) * log(th2 * g)
+                                )
                                 key = (k2, e_pi, nu, decay, bcoef)
                                 log_phi = phi_cache.get(key)
                                 if log_phi is None:
@@ -623,16 +590,12 @@ def _clamped_point(raw: float, l: int, snr_db: float, method: str, floor: bool =
 # Lower bound
 # --------------------------------------------------------------------------
 
-def lower_bound_outage(
-    cfg: SystemConfig, snr_db: float, l: int, variant: str = "consistent"
-) -> OutagePoint:
+def lower_bound_outage(cfg: SystemConfig, snr_db: float, l: int) -> OutagePoint:
     """Closed-form lower bound 1 - sf_W(2 delta+ gbar theta2') sf_B(2 delta+ theta1').
 
     No quadrature.  The ideal-case W = A/C branch is auto-selected when all
     impairments vanish.
     """
-    if variant not in ("consistent", "as_printed"):
-        raise ValueError(f"unknown variant {variant!r}")
     m_sr, m_rr, m_ru = _require_analytic_config(cfg)
     snr_bar = 10.0 ** (snr_db / 10.0)
     stats = derive_link_stats(cfg, snr_bar)
@@ -640,9 +603,6 @@ def lower_bound_outage(
     dd = compute_deltas(cfg, snr_bar).delta_dag[l - 1]
     lam_s = m_sr / stats.omega_hat_sr
     lam_b = m_ru / stats.omega_hat_ru[l - 1]
-    theta4p = theta.thetap4
-    if variant == "as_printed":
-        theta4p = snr_bar**2 / 2 * stats.sigma2_sr + 1.0
     sf_w = sf_relay_ratio(
         2 * dd * snr_bar * theta.thetap2,
         n_b=cfg.n_b,
@@ -651,8 +611,8 @@ def lower_bound_outage(
         m_rr=m_rr,
         omega_rr=stats.omega_rr,
         snr_bar=snr_bar,
-        theta4p=theta4p,
-        ideal=stats.ideal(),
+        theta4p=theta.thetap4,
+        ideal=cfg.ideal,
     )
     sf_b = float(sf_ordered_gain(2 * dd * theta.thetap1, l, cfg.n_users, m_ru * cfg.n_r, lam_b))
     # 1 - sf_w*sf_b evaluated as F_w + F_b - F_w*F_b to dodge cancellation
@@ -667,7 +627,7 @@ def lower_bound_outage(
 # --------------------------------------------------------------------------
 
 def _require_ideal(cfg: SystemConfig):
-    if cfg.sigma2_est_sr or cfg.fd_tau_sr or any(cfg.sigma2_est_ru) or any(cfg.fd_tau_ru):
+    if not cfg.ideal:
         raise ConfigError("ideal-conditions operation called with nonzero impairments")
 
 
@@ -791,7 +751,7 @@ def asymptotic_outage_practical(
     """
     m_sr, m_rr, m_ru = _require_analytic_config(cfg)
     stats = derive_link_stats(cfg, 1.0)  # SNR enters only omega_rr; mu=1 keeps it constant
-    if stats.ideal():
+    if cfg.ideal:
         raise ConfigError("no CEE/FBD error floor exists for an ideal configuration")
     lam_dag = compute_deltas(cfg, 1.0).lambda_dag[l - 1]
     rs2 = stats.rho_sr**2
@@ -818,8 +778,8 @@ def asymptotic_outage_practical(
             return fa_bar * fb
 
         val, abserr, info, *msg = quad(
-            integrand, 0.0, np.inf, epsabs=q.abs_tol, epsrel=max(q.rel_tol, 1e-10),
-            limit=q.max_subdivisions, full_output=True,
+            integrand, 0.0, np.inf, epsabs=_ABS_TOL, epsrel=max(q.rel_tol, 1e-10),
+            limit=_MAX_SUBDIVISIONS, full_output=True,
         )
         if msg and abserr > 1e-8 * max(abs(val), 1e-12):
             raise NumericsError(f"floor quadrature failed: {msg[0]}")
@@ -835,8 +795,8 @@ def asymptotic_outage_practical(
             return survive_given_c(z) * fc
 
         survive, abserr, info, *msg = quad(
-            outer, 0.0, np.inf, epsabs=q.abs_tol, epsrel=1e-8,
-            limit=q.max_subdivisions, full_output=True,
+            outer, 0.0, np.inf, epsabs=_ABS_TOL, epsrel=1e-8,
+            limit=_MAX_SUBDIVISIONS, full_output=True,
         )
         if msg and abserr > 1e-7 * max(abs(survive), 1e-12):
             raise NumericsError(f"floor quadrature failed: {msg[0]}")

@@ -19,22 +19,12 @@ from dataclasses import dataclass, replace
 
 from . import analytic, mcsim
 from .errors import ConfigError, FdnomaError, NumericsError
-from .presets import PRESET_NAMES, SweepSpec, figure_preset
-from .sysmodel import SystemConfig, dump_config, load_config, with_overrides
+from .presets import AXES, METHODS, PRESET_NAMES, SweepSpec, figure_preset, linear_grid, methods_of
+from .sysmodel import SystemConfig, dump_config, load_config
 
 __all__ = ["CsvRow", "run_sweep", "validate", "main"]
 
 _CSV_COLUMNS = ("axis_value", "user", "method", "op", "ci_low", "ci_high", "trials", "wall_ms", "error")
-_METHOD_ORDER = (
-    "exact",
-    "lower_bound",
-    "asymptotic_ideal",
-    "asymptotic_practical",
-    "monte_carlo",
-    "hd_noma",
-    "fd_oma",
-)
-_SIM_METHODS = ("monte_carlo", "hd_noma", "fd_oma")
 
 
 @dataclass(frozen=True)
@@ -71,19 +61,9 @@ class CsvRow:
 
 
 def _apply_axis(cfg: SystemConfig, axis: str, value: float) -> tuple[SystemConfig, float | None]:
-    """Config override and (possibly axis-supplied) SNR for one grid point."""
-    if axis == "snr_db":
-        return cfg, value
-    if axis == "mu":
-        return with_overrides(cfg, mu=value), None
-    if axis == "sigma2_est_sr":
-        return with_overrides(cfg, sigma2_est_sr=value), None
-    if axis == "sigma2_est_ru":
-        return with_overrides(cfg, sigma2_est_ru=(value,) * cfg.n_users), None
-    if axis == "d_sr":
-        # users sit on the far side of the relay: d_ru = 1 - d_sr
-        return with_overrides(cfg, d_sr=value, d_ru=(1.0 - value,) * cfg.n_users), None
-    raise ConfigError(f"unknown axis {axis!r}")
+    """Config and axis-supplied SNR (None off the snr_db axis) at one grid
+    point.  Only bench/make_reference.py calls it; sweeps use SweepSpec.point."""
+    return AXES[axis](cfg, value), value if axis == "snr_db" else None
 
 
 def run_sweep(
@@ -107,15 +87,14 @@ def run_sweep(
     quad = quad or analytic.QuadratureSpec()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    methods = tuple(m for m in _METHOD_ORDER if m in spec.methods)
-    sim_methods = tuple(m for m in methods if m in _SIM_METHODS)
+    methods = tuple(m for m in METHODS if m in spec.methods)
+    sim_methods = tuple(m for m in methods if METHODS[m].kind == "simulation")
 
     n = len(spec.grid)
     cfgs, snrs, errors = [cfg] * n, [math.nan] * n, [""] * n
     for idx, value in enumerate(spec.grid):
         try:
-            cfgs[idx], snr = _apply_axis(cfg, spec.axis, value)
-            snrs[idx] = spec.snr_db if snr is None else snr
+            cfgs[idx], snrs[idx] = spec.point(cfg, value)
         except FdnomaError as exc:
             errors[idx] = str(exc)
 
@@ -151,7 +130,7 @@ def run_sweep(
                 )
                 if timings:
                     ms = (time.perf_counter() - t0) * 1000.0
-                    if method in _SIM_METHODS and idx in sim_points:
+                    if method in sim_methods and idx in sim_points:
                         ms += sim_ms
                     row = replace(row, wall_ms=int(round(ms)))
                 rows.append(row)
@@ -162,20 +141,9 @@ def run_sweep(
 def _one_cell(cfg_pt, snr, user, method, value, spec, quad, sim_points, cell_error) -> CsvRow:
     if cell_error:
         return CsvRow(axis_value=value, user=user, method=method, op=None, error=cell_error)
-    try:
-        if method == "exact":
-            pt = analytic.exact_outage(cfg_pt, snr, user, quad)
-        elif method == "lower_bound":
-            pt = analytic.lower_bound_outage(cfg_pt, snr, user)
-        elif method == "asymptotic_ideal":
-            pt = analytic.asymptotic_outage_ideal(cfg_pt, snr, user)
-        elif method == "asymptotic_practical":
-            pt = analytic.asymptotic_outage_practical(cfg_pt, user, quad)
-        else:
-            pt = sim_points[method][user - 1]
-    except FdnomaError as exc:
-        return CsvRow(axis_value=value, user=user, method=method, op=None, error=str(exc))
-    if method in _SIM_METHODS:
+    call = METHODS[method].call
+    if call is None:
+        pt = sim_points[method][user - 1]
         return CsvRow(
             axis_value=value,
             user=user,
@@ -185,6 +153,10 @@ def _one_cell(cfg_pt, snr, user, method, value, spec, quad, sim_points, cell_err
             ci_high=pt.ci[1],
             trials=spec.trials,
         )
+    try:
+        pt = call(cfg_pt, snr, user, quad)
+    except FdnomaError as exc:
+        return CsvRow(axis_value=value, user=user, method=method, op=None, error=str(exc))
     return CsvRow(axis_value=value, user=user, method=method, op=pt.value)
 
 
@@ -252,10 +224,7 @@ def validate(
                         snr, l, "bound_ordering", "fail", f"lb={lb:.6g} > exact={exact:.6g}"
                     )
                 )
-    ideal = not (
-        cfg.sigma2_est_sr or cfg.fd_tau_sr or any(cfg.sigma2_est_ru) or any(cfg.fd_tau_ru)
-    )
-    if ideal and cfg.mu < 1.0 and len(snr_grid) >= 3 and max(snr_grid) >= 30.0:
+    if cfg.ideal and cfg.mu < 1.0 and len(snr_grid) >= 3 and max(snr_grid) >= 30.0:
         top = [s for s in snr_grid if s >= max(snr_grid) - 10.0]
         for l in range(1, cfg.n_users + 1):
             gdo = analytic.diversity_order(cfg, l)
@@ -290,18 +259,23 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
+def _grid_arg(text: str) -> tuple[float, ...]:
     try:
         start, stop, step = (float(tok) for tok in text.split(":"))
     except ValueError:
         raise ConfigError(f"--grid expects start:stop:step, got {text!r}") from None
-    if step <= 0 or stop < start:
-        raise ConfigError(f"--grid expects an increasing range, got {text!r}")
-    out, k = [], 0
-    while start + k * step <= stop + 1e-9:
-        out.append(round(start + k * step, 12))
-        k += 1
-    return tuple(out)
+    return linear_grid(start, stop, step)
+
+
+def _trials(text: str) -> int:
+    """argparse type of every --trials flag."""
+    try:
+        trials = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}") from None
+    if trials < mcsim.MIN_TRIALS:
+        raise argparse.ArgumentTypeError(f"must be >= {mcsim.MIN_TRIALS}, got {trials}")
+    return trials
 
 
 def _load_cfg(args) -> SystemConfig:
@@ -326,7 +300,7 @@ def _add_common(p, sim: bool):
     p.add_argument("--rel-tol", type=float, default=1e-10, help="quadrature relative tolerance")
     p.add_argument("--timings", action="store_true", help="record wall_ms (breaks byte-identity)")
     if sim:
-        p.add_argument("--trials", type=int, default=1_000_000)
+        p.add_argument("--trials", type=_trials, default=1_000_000)
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--workers", type=int, default=1)
 
@@ -334,7 +308,10 @@ def _add_common(p, sim: bool):
 def _users(args, cfg) -> tuple[int, ...]:
     if not args.users:
         return tuple(range(1, cfg.n_users + 1))
-    users = tuple(int(u) for u in args.users.split(","))
+    try:
+        users = tuple(int(u) for u in args.users.split(","))
+    except ValueError:
+        raise ConfigError(f"--users expects comma-separated integers, got {args.users!r}") from None
     for u in users:
         if not 1 <= u <= cfg.n_users:
             raise ConfigError(f"user index {u} out of range 1..{cfg.n_users}")
@@ -362,34 +339,33 @@ def main(argv=None) -> int:
     parser = _Parser(prog="fdnoma", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_methods(p, default, allowed):
+        p.add_argument("--methods", default=default, help=f"subset of {','.join(allowed)}")
+        p.set_defaults(allowed_methods=allowed)
+
     p = sub.add_parser("analyze", help="closed-form outage over an SNR grid")
     _add_common(p, sim=False)
     p.add_argument("--grid", default="0:40:5", help="SNR grid start:stop:step in dB")
-    p.add_argument(
-        "--methods", default="exact,lower_bound",
-        help="subset of exact,lower_bound,asymptotic_ideal,asymptotic_practical",
-    )
+    add_methods(p, "exact,lower_bound", methods_of("analytic"))
 
     p = sub.add_parser("simulate", help="Monte Carlo outage over an SNR grid")
     _add_common(p, sim=True)
     p.add_argument("--grid", default="0:40:5")
-    p.add_argument("--methods", default="monte_carlo",
-                   help="subset of monte_carlo,hd_noma,fd_oma")
+    add_methods(p, "monte_carlo", methods_of("simulation"))
     p.add_argument("--hd-rule", default="equal", choices=("equal", "squared"))
 
     p = sub.add_parser("sweep", help="general sweep over any supported axis")
     _add_common(p, sim=True)
-    p.add_argument("--axis", default="snr_db",
-                   choices=("snr_db", "mu", "sigma2_est_sr", "sigma2_est_ru", "d_sr"))
+    p.add_argument("--axis", default="snr_db", choices=tuple(AXES))
     p.add_argument("--grid", required=True)
-    p.add_argument("--methods", default="exact,monte_carlo")
+    add_methods(p, "exact,monte_carlo", tuple(METHODS))
     p.add_argument("--snr", type=float, help="fixed SNR in dB for non-SNR axes")
     p.add_argument("--hd-rule", default="equal", choices=("equal", "squared"))
 
     p = sub.add_parser("preset", help="run a figure preset (all variants)")
     p.add_argument("name", help=f"one of: {', '.join(PRESET_NAMES)}")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--trials", type=int, help="override preset trial count")
+    p.add_argument("--trials", type=_trials, help="override preset trial count")
     p.add_argument("--seed", type=int, help="override preset seed")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--rel-tol", type=float, default=1e-10)
@@ -418,10 +394,15 @@ def _dispatch(parser, args) -> int:
     if args.command in ("analyze", "simulate", "sweep"):
         cfg = _load_cfg(args)
         methods = tuple(args.methods.split(","))
-        axis = getattr(args, "axis", "snr_db")
+        bad = [m for m in methods if m not in args.allowed_methods]
+        if bad:
+            raise ConfigError(
+                f"{args.command} accepts the methods {', '.join(args.allowed_methods)}; "
+                f"got {', '.join(bad)}"
+            )
         spec = SweepSpec(
-            axis=axis,
-            grid=_parse_grid(args.grid),
+            axis=getattr(args, "axis", "snr_db"),
+            grid=_grid_arg(args.grid),
             methods=methods,
             users=_users(args, cfg),
             trials=getattr(args, "trials", 100_000),
@@ -438,7 +419,7 @@ def _dispatch(parser, args) -> int:
         quad = analytic.QuadratureSpec(rel_tol=args.rel_tol)
         for var in variants:
             spec = var.sweep
-            if args.trials:
+            if args.trials is not None:
                 spec = replace(spec, trials=args.trials)
             if args.seed is not None:
                 spec = replace(spec, seed=args.seed)
@@ -455,7 +436,7 @@ def _dispatch(parser, args) -> int:
         cfg = _load_cfg(args)
         lines, ok = validate(
             cfg,
-            _parse_grid(args.grid),
+            _grid_arg(args.grid),
             trials=args.trials,
             tolerance=args.tolerance,
             seed=args.seed,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -35,12 +35,13 @@ from .sysmodel import (
     compute_theta,
     derive_link_stats,
     map_baseline_thresholds,
-    with_overrides,
 )
 
 __all__ = [
     "CHUNK_TRIALS",
     "BLOCK_TRIALS",
+    "MIN_TRIALS",
+    "SIM_METHODS",
     "RngStream",
     "ChannelDraw",
     "SinrBreakdown",
@@ -63,7 +64,7 @@ CHUNK_TRIALS = 1_000_000
 BLOCK_TRIALS = 1 << 15
 MIN_TRIALS = 10_000
 
-_SIM_METHODS = ("monte_carlo", "hd_noma", "fd_oma")
+SIM_METHODS = ("monte_carlo", "hd_noma", "fd_oma")
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,7 @@ def _plan_point(
     lam = {"monte_carlo": compute_deltas(cfg, snr_bar).lambda_dag}
     if "hd_noma" in methods:
         thr = map_baseline_thresholds(cfg, "hd_noma", hd_rule)
-        lam["hd_noma"] = compute_deltas(with_overrides(cfg, gamma_th=thr), snr_bar).lambda_dag
+        lam["hd_noma"] = compute_deltas(replace(cfg, gamma_th=thr), snr_bar).lambda_dag
     if "fd_oma" in methods:
         lam["fd_oma"] = map_baseline_thresholds(cfg, "fd_oma")  # full power, empty interference sum
     g = snr_bar
@@ -339,7 +340,7 @@ def simulate_sweep(
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be >= {MIN_TRIALS}, got {trials}")
     for m in methods:
-        if m not in _SIM_METHODS:
+        if m not in SIM_METHODS:
             raise ValueError(f"unknown simulation method {m!r}")
     methods = tuple(methods)
     if not points:

@@ -5,27 +5,84 @@ Where a figure shows several curves sharing one axis (different mu, antenna
 counts, Nakagami shapes), the preset expands into one variant per curve
 family, each with its own SystemConfig.  Parameters not spelled out in a
 caption fall back to the baseline setup (n_b=2, n_r=1, m=1).
+
+METHODS, AXES and linear_grid() are the one definition of the methods, axes
+and grids of a sweep; the CLI and every sweep read them from here.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
+from . import analytic, mcsim
 from .errors import ConfigError
 from .sysmodel import SystemConfig
 
-__all__ = ["SweepSpec", "PresetVariant", "figure_preset", "PRESET_NAMES"]
+__all__ = [
+    "Method", "METHODS", "methods_of", "AXES", "linear_grid",
+    "SweepSpec", "PresetVariant", "figure_preset", "PRESET_NAMES",
+]
 
-_AXES = ("snr_db", "mu", "sigma2_est_sr", "sigma2_est_ru", "d_sr")
-_METHODS = (
-    "exact",
-    "lower_bound",
-    "asymptotic_ideal",
-    "asymptotic_practical",
-    "monte_carlo",
-    "hd_noma",
-    "fd_oma",
-)
+
+@dataclass(frozen=True)
+class Method:
+    """kind is "analytic" or "simulation".  call(cfg, snr_db, user, quad)
+    evaluates an analytic method; the simulation methods have none, since
+    a sweep runs them together as one Monte Carlo sweep."""
+
+    kind: str
+    call: Callable[..., analytic.OutagePoint] | None = None
+
+
+# Every method, in CSV order.  Each call looks its analytic function up when
+# it runs, so a patched or traced module attribute takes effect.
+METHODS = {
+    "exact": Method("analytic", lambda cfg, snr, l, q: analytic.exact_outage(cfg, snr, l, q)),
+    "lower_bound": Method(
+        "analytic", lambda cfg, snr, l, q: analytic.lower_bound_outage(cfg, snr, l)
+    ),
+    "asymptotic_ideal": Method(
+        "analytic", lambda cfg, snr, l, q: analytic.asymptotic_outage_ideal(cfg, snr, l)
+    ),
+    "asymptotic_practical": Method(
+        "analytic", lambda cfg, snr, l, q: analytic.asymptotic_outage_practical(cfg, l, q)
+    ),
+    **{name: Method("simulation") for name in mcsim.SIM_METHODS},
+}
+
+
+def methods_of(kind: str) -> tuple[str, ...]:
+    """Names of the methods of one kind, in CSV order."""
+    return tuple(name for name, m in METHODS.items() if m.kind == kind)
+
+
+# Sweep axis -> the config at one axis value.  The snr_db axis leaves the
+# config alone; its value is the SNR.
+AXES: dict[str, Callable[[SystemConfig, float], SystemConfig]] = {
+    "snr_db": lambda cfg, v: cfg,
+    "mu": lambda cfg, v: replace(cfg, mu=v),
+    "sigma2_est_sr": lambda cfg, v: replace(cfg, sigma2_est_sr=v),
+    "sigma2_est_ru": lambda cfg, v: replace(cfg, sigma2_est_ru=(v,) * cfg.n_users),
+    # users sit on the far side of the relay: d_ru = 1 - d_sr
+    "d_sr": lambda cfg, v: replace(cfg, d_sr=v, d_ru=(1.0 - v,) * cfg.n_users),
+}
+
+
+def linear_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
+    """start, start + step, ... up to stop (with 1e-9 slack), each rounded
+    to 12 decimals."""
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ConfigError(f"grid bounds must be finite, got {start}:{stop}:{step}")
+    if step <= 0 or stop < start:
+        raise ConfigError(f"grid must be an increasing range, got {start}:{stop}:{step}")
+    out = []
+    k = 0
+    while start + k * step <= stop + 1e-9:
+        out.append(round(start + k * step, 12))
+        k += 1
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -46,19 +103,24 @@ class SweepSpec:
     hd_rule: str = "equal"
 
     def __post_init__(self):
-        if self.axis not in _AXES:
-            raise ConfigError(f"unknown sweep axis {self.axis!r}; choose from {_AXES}")
+        if self.axis not in AXES:
+            raise ConfigError(f"unknown sweep axis {self.axis!r}; choose from {tuple(AXES)}")
         if not self.grid:
             raise ConfigError("sweep grid is empty")
         if any(self.grid[i] >= self.grid[i + 1] for i in range(len(self.grid) - 1)):
             raise ConfigError("sweep grid must be strictly increasing")
         for m in self.methods:
-            if m not in _METHODS:
-                raise ConfigError(f"unknown method {m!r}; choose from {_METHODS}")
+            if m not in METHODS:
+                raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
         if self.axis != "snr_db" and self.snr_db is None:
             raise ConfigError(f"axis {self.axis!r} needs a fixed snr_db")
         if not self.users:
             raise ConfigError("users list is empty")
+
+    def point(self, cfg: SystemConfig, value: float) -> tuple[SystemConfig, float]:
+        """The config and the SNR in dB at one axis value."""
+        snr_db = value if self.axis == "snr_db" else self.snr_db
+        return AXES[self.axis](cfg, value), snr_db
 
 
 @dataclass(frozen=True)
@@ -68,18 +130,6 @@ class PresetVariant:
     config: SystemConfig
 
 
-def _grid(start: float, stop: float, step: float) -> tuple[float, ...]:
-    out = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + 1e-9:
-            break
-        out.append(round(v, 12))
-        k += 1
-    return tuple(out)
-
-
 _BASE = SystemConfig()  # defaults: the baseline three-user setup
 _PRACTICAL = dict(
     sigma2_est_sr=0.01, sigma2_est_ru=(0.01,) * 3, fd_tau_sr=0.03, fd_tau_ru=(0.03,) * 3
@@ -87,7 +137,7 @@ _PRACTICAL = dict(
 
 
 def _fig3():
-    sweep = SweepSpec(grid=_grid(0, 50, 5), methods=("exact", "lower_bound", "monte_carlo"))
+    sweep = SweepSpec(grid=linear_grid(0, 50, 5), methods=("exact", "lower_bound", "monte_carlo"))
     return [
         PresetVariant(f"nb{nb}", sweep, replace(_BASE, n_b=nb, mu=1.0)) for nb in (2, 3)
     ]
@@ -95,7 +145,7 @@ def _fig3():
 
 def _fig4():
     sweep = SweepSpec(
-        grid=_grid(0, 40, 5), methods=("exact", "asymptotic_ideal", "monte_carlo")
+        grid=linear_grid(0, 40, 5), methods=("exact", "asymptotic_ideal", "monte_carlo")
     )
     out = []
     for mu in (0.0, 0.25, 0.5, 1.0):
@@ -104,13 +154,13 @@ def _fig4():
 
 
 def _fig5():
-    sweep = SweepSpec(grid=_grid(0, 40, 5), methods=("exact", "monte_carlo"))
+    sweep = SweepSpec(grid=linear_grid(0, 40, 5), methods=("exact", "monte_carlo"))
     return [PresetVariant(f"nb{nb}", sweep, replace(_BASE, n_b=nb)) for nb in (2, 3)]
 
 
 def _fig6():
     sweep = SweepSpec(
-        grid=_grid(0, 50, 5),
+        grid=linear_grid(0, 50, 5),
         methods=("exact", "asymptotic_practical", "monte_carlo"),
     )
     out = []
@@ -121,7 +171,7 @@ def _fig6():
 
 
 def _fig7():
-    sweep = SweepSpec(grid=_grid(0, 40, 5), methods=("exact", "monte_carlo"))
+    sweep = SweepSpec(grid=linear_grid(0, 40, 5), methods=("exact", "monte_carlo"))
     out = []
     for m in (2, 3):
         shapes = dict(m_sr=m, m_rr=m, m_ru=(m,) * 3)
@@ -146,14 +196,14 @@ def _fig8():
         sigma2_est_sr=0.048,
         sigma2_est_ru=(0.048,) * 3,
     )
-    sweep = SweepSpec(grid=_grid(0, 40, 5), methods=("monte_carlo",))
+    sweep = SweepSpec(grid=linear_grid(0, 40, 5), methods=("monte_carlo",))
     return [PresetVariant("testbed", sweep, cfg)]
 
 
 def _fig9():
     sweep = SweepSpec(
         axis="mu",
-        grid=_grid(0.0, 1.0, 0.1),
+        grid=linear_grid(0.0, 1.0, 0.1),
         methods=("monte_carlo", "hd_noma"),
         snr_db=15.0,
         hd_rule="equal",
@@ -173,7 +223,7 @@ def _fig10():
                 axis = "sigma2_est_ru"
             sweep = SweepSpec(
                 axis=axis,
-                grid=_grid(0.0, 0.25, 0.025),
+                grid=linear_grid(0.0, 0.25, 0.025),
                 methods=("exact", "monte_carlo", "fd_oma"),
                 snr_db=15.0,
             )
@@ -184,7 +234,7 @@ def _fig10():
 def _fig11():
     sweep = SweepSpec(
         axis="d_sr",
-        grid=_grid(0.1, 0.9, 0.05),
+        grid=linear_grid(0.1, 0.9, 0.05),
         methods=("exact", "monte_carlo", "fd_oma"),
         snr_db=15.0,
     )
@@ -197,7 +247,7 @@ def _fig11():
 def _fig12():
     sweep = SweepSpec(
         axis="d_sr",
-        grid=_grid(0.1, 0.9, 0.05),
+        grid=linear_grid(0.1, 0.9, 0.05),
         methods=("exact", "monte_carlo", "fd_oma"),
         snr_db=15.0,
     )

@@ -14,7 +14,7 @@ variable; the residual SI power scales as omega_RR = alpha * gamma_bar^(mu-1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 from scipy.special import j0
@@ -106,6 +106,13 @@ class SystemConfig:
         for k in range(1, L + 1):
             self.feasibility_margin(k)
 
+    @property
+    def ideal(self) -> bool:
+        """True when no link has channel estimation error or feedback delay."""
+        return not (
+            self.sigma2_est_sr or self.fd_tau_sr or any(self.sigma2_est_ru) or any(self.fd_tau_ru)
+        )
+
     def feasibility_margin(self, k: int) -> float:
         """a_k - gamma_th_k * sum_{t>k} a_t; must be positive for stage k."""
         margin = self.a[k - 1] - self.gamma_th[k - 1] * sum(self.a[k:])
@@ -128,17 +135,14 @@ class LinkStats:
     sigma2_sr: float                  # sigma2_est + (1 - rho^2) * omega_hat
     sigma2_ru: tuple[float, ...]
 
-    def ideal(self) -> bool:
-        return self.sigma2_sr == 0.0 and all(s == 0.0 for s in self.sigma2_ru)
-
 
 @dataclass(frozen=True)
 class ThetaSet:
     """The theta constants of the SINR and of the lower-bound reduction.
 
     All equal 1 under ideal conditions (no CEE, no FBD).  theta4p follows
-    the provable-bound grouping gamma_bar*sigma2_sr/2 + 1; see
-    lower_bound_outage for the as-printed alternative.
+    the provable-bound grouping gamma_bar*sigma2_sr/2 + 1; the printed
+    gamma_bar^2*sigma2_sr/2 + 1 lets the bound exceed the exact outage.
     """
 
     theta1: float
@@ -346,7 +350,3 @@ def dump_config(cfg: SystemConfig) -> str:
             lines.append(f"{key} = {_fmt(val)}")
     return "\n".join(lines) + "\n"
 
-
-def with_overrides(cfg: SystemConfig, **kwargs) -> SystemConfig:
-    """replace() wrapper kept here so callers avoid importing dataclasses."""
-    return replace(cfg, **kwargs)

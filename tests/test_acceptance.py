@@ -47,7 +47,7 @@ from fdnoma.analytic import (
 )
 from fdnoma.cli import run_sweep
 from fdnoma.mcsim import RngStream, simulate_outage_all
-from fdnoma.presets import SweepSpec, figure_preset
+from fdnoma.presets import AXES, SweepSpec, figure_preset
 from fdnoma.specfn import bessel_k_int, ln_gamma, lower_incomplete_gamma_reg, pfd_two_pole
 from fdnoma.sysmodel import (
     SystemConfig,
@@ -65,20 +65,6 @@ WORKERS = int(os.environ.get("FDNOMA_ACCEPT_WORKERS", "4"))
 def report(criterion: str, ok: bool, detail: str) -> bool:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
-
-
-def _apply_axis(cfg, axis, value):
-    if axis == "snr_db":
-        return cfg, value
-    if axis == "mu":
-        return replace(cfg, mu=value), None
-    if axis == "sigma2_est_sr":
-        return replace(cfg, sigma2_est_sr=value), None
-    if axis == "sigma2_est_ru":
-        return replace(cfg, sigma2_est_ru=(value,) * cfg.n_users), None
-    if axis == "d_sr":
-        return replace(cfg, d_sr=value, d_ru=(1.0 - value,) * cfg.n_users), None
-    raise ValueError(axis)
 
 
 def test_criterion_1_cross_engine_agreement():
@@ -122,9 +108,7 @@ def test_criterion_2_bound_ordering():
     for name in ("fig3", "fig4", "fig5", "fig6", "fig7", "fig9", "fig10", "fig11", "fig12"):
         for var in figure_preset(name):
             for value in var.sweep.grid:
-                cfg_pt, snr = _apply_axis(var.config, var.sweep.axis, value)
-                if snr is None:
-                    snr = var.sweep.snr_db
+                cfg_pt, snr = var.sweep.point(var.config, value)
                 for l in (1, 2, 3):
                     lb = lower_bound_outage(cfg_pt, snr, l).value
                     ex = exact_outage(cfg_pt, snr, l).value
@@ -251,7 +235,7 @@ def test_criterion_5_baseline_crossovers():
     misses = []
     worst = (0.0, "")
     for idx, mu in enumerate(mus):
-        cfg, _ = _apply_axis(var.config, "mu", mu)
+        cfg = AXES["mu"](var.config, mu)
         res = simulate_outage_all(
             cfg, snr, TRIALS, rng=RngStream(SEED, idx * 100),
             workers=WORKERS, methods=("monte_carlo", "hd_noma"), hd_rule=var.sweep.hd_rule,

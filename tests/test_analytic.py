@@ -4,12 +4,14 @@ printed-variant arbitration against the simulator."""
 
 import math
 from dataclasses import replace
+from math import comb, exp, fsum, lgamma, log
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 from scipy.special import kv
 
+from fdnoma import analytic
 from fdnoma.analytic import (
     PhiTerm,
     QuadratureSpec,
@@ -21,22 +23,114 @@ from fdnoma.analytic import (
     cdf_two_strongest_sum,
     diversity_order,
     exact_outage,
+    first_hop_mixture,
     lower_bound_outage,
     pdf_ordered_gain,
     pdf_two_strongest_sum,
     phi_integral,
+    phi_integral_log,
     sf_ordered_gain,
     sf_relay_ratio,
     sf_two_strongest_sum,
 )
 from fdnoma.errors import ConfigError, NumericsError
 from fdnoma.mcsim import simulate_outage
-from fdnoma.sysmodel import SystemConfig, derive_link_stats
+from fdnoma.specfn import poly_power_coeffs
+from fdnoma.sysmodel import SystemConfig, compute_deltas, compute_theta, derive_link_stats
 
 BASE = SystemConfig()
 PRACTICAL = replace(
     BASE, sigma2_est_sr=0.01, sigma2_est_ru=(0.01,) * 3, fd_tau_sr=0.03, fd_tau_ru=(0.03,) * 3
 )
+
+
+def _nested_sum_raw(cfg, snr_db, l, printed):
+    """1 - success sum of the exact form, transcribed term by term (integer
+    shapes, identical users).  printed=True follows the typeset formula: the
+    PFD rate s_t1 multiplies only the theta4 part of the Bessel argument,
+    and the theta2/theta4 split exponent uses t3 and t2 in place of k2."""
+    g = 10.0 ** (snr_db / 10.0)
+    stats = derive_link_stats(cfg, g)
+    th = compute_theta(stats, g, l)
+    dd = compute_deltas(cfg, g).delta_dag[l - 1]
+    m_sr, m_rr, m_ru = int(cfg.m_sr), int(cfg.m_rr), int(cfg.m_ru[0])
+    L, big_m = cfg.n_users, m_ru * cfg.n_r
+    lam_b = m_ru / stats.omega_hat_ru[l - 1]
+    rate_c = m_rr / stats.omega_rr
+    c1 = th.theta3 * g + 2 * th.theta1 * th.theta4 * g**2 * dd
+    c0 = 2 * th.theta1 * th.theta2 * g * dd + th.theta5
+    q_l = math.factorial(L) / (math.factorial(L - l) * math.factorial(l - 1))
+    # (sign, log-magnitude, p, t4) of the second-hop factor
+    second_hop = []
+    for k in range(L - l + 1):
+        for p in range(l + k):
+            beta = poly_power_coeffs(big_m, lam_b, p)
+            for k1 in range(p * (big_m - 1) + 1):
+                for t4 in range(big_m + k1):
+                    second_hop.append((
+                        (-1.0) ** (k + p),
+                        log(q_l * comb(L - l, k) * comb(l + k - 1, p) * beta[k1]
+                            * comb(big_m + k1 - 1, t4))
+                        - lgamma(big_m) + big_m * log(lam_b) - 2 * th.theta1 * dd * (1 + p) * lam_b
+                        + m_rr * log(rate_c) - lgamma(m_rr)
+                        + (big_m + k1 - t4 - 1) * log(2 * th.theta1 * dd),
+                        p,
+                        t4,
+                    ))
+    terms = []
+    for coef, form in first_hop_mixture(cfg.n_b, m_sr, m_sr / stats.omega_hat_sr):
+        for pole, row in zip(form.poles, form.kappa):
+            for t2, kap in enumerate(row, start=1):
+                for n1 in range(t2 if kap else 0):
+                    log_n1 = (log(abs(2 * coef * kap)) + n1 * log(2 * dd / g) - lgamma(n1 + 1)
+                              + (n1 - t2) * log(pole) - 2 * dd * pole * th.theta2)
+                    for sign_kp, log_sh, p, t4 in second_hop:
+                        for t3 in range(n1 + 1):
+                            nu = t3 + t4 - n1 + 1
+                            e_pi = (n1 - t3 + t4 + 1) / 2.0
+                            log_t3 = (log(comb(n1, t3)) + e_pi * log(c1)
+                                      + nu / 2.0 * log(2 * dd * pole / (g * (1 + p) * lam_b)))
+                            if printed:
+                                c1_b = th.theta3 * g + 2 * th.theta1 * th.theta4 * g**2 * dd * pole
+                            else:
+                                c1_b = pole * c1
+                            for k2 in range(t3 + 1):
+                                if printed:
+                                    log_k2 = (t3 * log(th.theta4 * g**2)
+                                              + (t3 - t2) * log(th.theta2 / (th.theta4 * g)))
+                                else:
+                                    log_k2 = (k2 * log(th.theta4 * g**2)
+                                              + (t3 - k2) * log(th.theta2 * g))
+                                log_phi = phi_integral_log(PhiTerm(
+                                    z_power=k2 + m_rr - 1, pi_power=e_pi, pi_shift=c0 / c1,
+                                    decay=2 * dd * th.theta4 * g * pole + rate_c,
+                                    bessel_coeff=2 * dd * (1 + p) * lam_b * c1_b / g, order=nu,
+                                ))
+                                sign = math.copysign(1.0, coef * kap) * sign_kp
+                                terms.append(sign * exp(
+                                    log_n1 + log_sh + log_t3 + log(comb(t3, k2)) + log_k2 + log_phi
+                                ))
+    return 1.0 - fsum(terms)
+
+
+def _lower_bound_raw(cfg, snr_db, l, printed):
+    """1 - sf_W(2 delta+ gbar theta2') sf_B(2 delta+ theta1') for an impaired
+    config.  printed=True takes the typeset theta4' = gbar^2 sigma2_sr/2 + 1
+    in place of gbar sigma2_sr/2 + 1."""
+    g = 10.0 ** (snr_db / 10.0)
+    stats = derive_link_stats(cfg, g)
+    th = compute_theta(stats, g, l)
+    dd = compute_deltas(cfg, g).delta_dag[l - 1]
+    m_sr, m_ru = int(cfg.m_sr), int(cfg.m_ru[0])
+    theta4p = g**2 / 2 * stats.sigma2_sr + 1.0 if printed else th.thetap4
+    sf_w = sf_relay_ratio(
+        2 * dd * g * th.thetap2, n_b=cfg.n_b, m_sr=m_sr, lam_sr=m_sr / stats.omega_hat_sr,
+        m_rr=int(cfg.m_rr), omega_rr=stats.omega_rr, snr_bar=g, theta4p=theta4p, ideal=False,
+    )
+    sf_b = float(sf_ordered_gain(2 * dd * th.thetap1, l, cfg.n_users, m_ru * cfg.n_r,
+                                 m_ru / stats.omega_hat_ru[l - 1]))
+    f_w, f_b = 1.0 - sf_w, 1.0 - sf_b
+    return f_w + f_b - f_w * f_b
 
 
 class TestPhiIntegral:
@@ -57,12 +151,6 @@ class TestPhiIntegral:
         z = np.linspace(0.0, 40.0 / term.decay, 1_000_001)
         oracle = np.trapezoid(self._direct(term, z), z)
         assert phi_integral(term) == pytest.approx(oracle, rel=1e-8)
-
-    def test_transforms_agree(self):
-        for spec in (QuadratureSpec(transform="none"), QuadratureSpec(transform="log_substitution")):
-            assert phi_integral(self.TERM, spec) == pytest.approx(
-                phi_integral(self.TERM), rel=1e-9
-            )
 
     def test_bessel_decay_monotone(self):
         vals = [
@@ -280,12 +368,14 @@ class TestExactOutage:
         # Monte Carlo uncertainty
         cfg, snr, l = replace(BASE, n_b=3), 10.0, 2
         mc = simulate_outage(cfg, snr, l, 200_000, rng=5)
-        consistent = exact_outage(cfg, snr, l, variant="consistent").value
+        consistent = exact_outage(cfg, snr, l).value
         sd = math.sqrt(mc.value * (1 - mc.value) / 200_000)
         assert abs(consistent - mc.value) < 5 * sd
+        # the transcription reproduces the engine when it follows it
+        assert _nested_sum_raw(cfg, snr, l, printed=False) == pytest.approx(consistent, abs=1e-10)
         with pytest.raises(NumericsError):
             # blows past the roundoff clamp budget: not a probability at all
-            exact_outage(cfg, snr, l, variant="as_printed")
+            analytic._clamped_point(_nested_sum_raw(cfg, snr, l, printed=True), l, snr, "exact")
 
     def test_quadrature_spec_respected(self):
         loose = QuadratureSpec(rel_tol=1e-6)
@@ -313,6 +403,9 @@ class TestLowerBound:
             PRACTICAL,
             replace(PRACTICAL, n_b=3),
             replace(BASE, n_b=3, m_sr=2, m_rr=2, m_ru=(2, 2, 2)),
+            # a Doppler product too small to move rho off 1: impaired, so
+            # the bound takes its practical W branch
+            replace(BASE, fd_tau_sr=1e-9),
         ],
     )
     def test_never_exceeds_exact(self, cfg):
@@ -342,7 +435,10 @@ class TestLowerBound:
         violated = False
         for snr in (10.0, 25.0, 40.0):
             for l in (1, 2, 3):
-                printed = lower_bound_outage(cfg, snr, l, variant="as_printed").value
+                rebuilt = _lower_bound_raw(cfg, snr, l, printed=False)
+                assert rebuilt == pytest.approx(lower_bound_outage(cfg, snr, l).value, abs=1e-15)
+                raw = _lower_bound_raw(cfg, snr, l, printed=True)
+                printed = analytic._clamped_point(raw, l, snr, "lower_bound").value
                 ex = exact_outage(cfg, snr, l).value
                 violated = violated or printed > ex + 1e-8
         assert violated
@@ -410,6 +506,21 @@ class TestAsymptotics:
     def test_practical_floor_rejects_ideal(self):
         with pytest.raises(ConfigError):
             asymptotic_outage_practical(BASE, 1)
+
+    def test_tiny_doppler_is_one_kind_of_config(self):
+        # j0(2 pi 1e-9) rounds to 1, so the link statistics show no
+        # impairment; the config has one, and exactly one of the two
+        # asymptotic forms must accept it
+        cfg = replace(BASE, fd_tau_sr=1e-9)
+        accepted = 0
+        for evaluate in (lambda: asymptotic_outage_ideal(cfg, 30.0, 2),
+                         lambda: asymptotic_outage_practical(cfg, 2)):
+            try:
+                evaluate()
+                accepted += 1
+            except ConfigError:
+                pass
+        assert accepted == 1
 
     def test_practical_floor_mu_one(self):
         cfg = replace(PRACTICAL, mu=1.0)

@@ -16,6 +16,14 @@ from fdnoma.sysmodel import SystemConfig, dump_config, loads_config
 BASE = SystemConfig()
 
 
+@pytest.fixture
+def corrupted_kappa(monkeypatch):
+    """Fault injection: every W-CDF term is linear in its kappa, so shrinking
+    the kappas by 5% scales the W survival function by 0.95."""
+    sf = analytic.sf_relay_ratio
+    monkeypatch.setattr(analytic, "sf_relay_ratio", lambda x, **kw: 0.95 * sf(x, **kw))
+
+
 def sweep_to_string(spec, cfg, **kw) -> str:
     buf = io.StringIO()
     run_sweep(spec, cfg, buf, **kw)
@@ -38,6 +46,17 @@ class TestRunSweep:
         first = lines[1].split(",")
         assert first[0] == "10" and first[1] == "1" and first[2] == "exact"
         assert lines[2].split(",")[2] == "monte_carlo"
+
+    def test_rows_follow_the_method_table(self):
+        scrambled = ("fd_oma", "asymptotic_practical", "monte_carlo", "exact", "hd_noma",
+                     "asymptotic_ideal", "lower_bound")
+        spec = SweepSpec(grid=(15.0,), methods=scrambled, trials=20_000)
+        lines = sweep_to_string(spec, BASE).strip().splitlines()[1:]
+        order = ("exact", "lower_bound", "asymptotic_ideal", "asymptotic_practical",
+                 "monte_carlo", "hd_noma", "fd_oma")
+        assert [line.split(",")[1:3] for line in lines] == [
+            [str(user), method] for user in (1, 2, 3) for method in order
+        ]
 
     def test_ci_fields_only_for_simulation(self):
         spec = SweepSpec(grid=(10.0,), methods=("exact", "monte_carlo"), trials=20_000)
@@ -208,10 +227,9 @@ class TestValidate:
         agreement = [l for l in lines if l.check == "mc_agreement" and l.user >= 2]
         assert any(l.status == "insufficient trials" for l in agreement)
 
-    def test_corrupted_kappa_detected(self, monkeypatch):
-        # fault injection: shrinking the W-CDF coefficients inflates the
-        # bound above the exact outage, which the harness must flag
-        monkeypatch.setattr(analytic, "_KAPPA_FAULT_SCALE", 0.95)
+    def test_corrupted_kappa_detected(self, corrupted_kappa):
+        # shrinking the W-CDF coefficients inflates the bound above the
+        # exact outage, which the harness must flag
         lines, ok = validate(BASE, (25.0,), trials=50_000, seed=1)
         assert not ok
         assert any(l.check == "bound_ordering" and l.status == "fail" for l in lines)
@@ -247,6 +265,45 @@ class TestMainExitCodes:
         bad.write_text("n_b = -3\n")
         assert main(["analyze", "--config", str(bad), "--grid", "0:10:5"]) == 2
 
+    @pytest.mark.parametrize("grid", ["0:inf:5", "-inf:0:5", "0:nan:5", "0:10:inf"])
+    def test_non_finite_grid_is_exit_2(self, grid, capsys):
+        assert main(["analyze", f"--grid={grid}"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_non_integer_users_is_exit_2(self, capsys):
+        assert main(["analyze", "--users", "x", "--grid", "10:10:5"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--trials", "100"],
+        ["sweep", "--grid", "10:10:5", "--trials", "9999"],
+        ["validate", "--trials", "100"],
+        ["preset", "fig4", "--out", "unused", "--trials", "0"],
+        ["simulate", "--trials", "many"],
+    ])
+    def test_bad_trials_value_is_exit_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "--trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,method,allowed", [
+        ("analyze", "monte_carlo", "exact, lower_bound, asymptotic_ideal, asymptotic_practical"),
+        ("simulate", "exact", "monte_carlo, hd_noma, fd_oma"),
+    ], ids=["analyze", "simulate"])
+    def test_method_of_the_other_kind_is_exit_2(self, command, method, allowed, capsys):
+        assert main([command, "--grid", "10:10:5", "--methods", method]) == 2
+        assert allowed in capsys.readouterr().err
+
+    def test_sweep_accepts_every_method(self, tmp_path):
+        out = tmp_path / "all.csv"
+        code = main([
+            "sweep", "--grid", "10:10:5", "--trials", "20000", "--users", "2", "--out", str(out),
+            "--methods", "exact,lower_bound,asymptotic_ideal,asymptotic_practical,"
+                         "monte_carlo,hd_noma,fd_oma",
+        ])
+        assert code == 0
+        assert len(out.read_text().strip().splitlines()) == 1 + 7
+
     def test_analyze_runs_to_csv(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
         code = main([
@@ -275,8 +332,7 @@ class TestMainExitCodes:
         cfg_files = sorted(p.name for p in tmp_path.glob("*.cfg"))
         assert cfg_files == ["fig4_mu0.25.cfg"]
 
-    def test_validate_failure_is_exit_4(self, monkeypatch, capsys):
-        monkeypatch.setattr(analytic, "_KAPPA_FAULT_SCALE", 0.95)
+    def test_validate_failure_is_exit_4(self, corrupted_kappa, capsys):
         code = main(["validate", "--grid", "25:25:5", "--trials", "50000"])
         assert code == 4
 
