@@ -48,6 +48,8 @@ __all__ = [
     "QuadratureSpec",
     "PhiTerm",
     "phi_integral",
+    "phi_integral_log",
+    "phi_integral_log_rows",
     "exact_outage",
     "lower_bound_outage",
     "asymptotic_outage_ideal",
@@ -69,9 +71,19 @@ __all__ = [
 # interval; anything worse indicates a real defect and raises.
 _CLAMP_TOL = 1e-6
 
-# scipy quad limits of every semi-infinite quadrature
+# scipy quad limits of the error-floor quadratures
 _ABS_TOL = 1e-300
 _MAX_SUBDIVISIONS = 2000
+
+# Phi integrals: exp-sinh trapezoid rule (Takahasi & Mori, Publ. RIMS 9,
+# 1974) on t in [-_DE_SPAN, _DE_SPAN], step _DE_STEP / 2**level.  Nodes with
+# v = log(1 + z/pi_shift) beyond _DE_V_MAX lie where exp(-decay*z) is long
+# dead (and expm1 would overflow); they count as zero.
+_DE_SPAN = 4.5
+_DE_STEP = 0.5
+_DE_MAX_LEVEL = 8
+_DE_V_MAX = 700.0
+_DE_NEGLIGIBLE = 750.0
 
 
 @dataclass(frozen=True)
@@ -99,8 +111,10 @@ class QuadratureSpec:
     rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.rel_tol < 1e-13:
-            raise ValueError(f"rel_tol below 1e-13 is not attainable in double precision: {self.rel_tol}")
+        # NaN fails the test too; below 1e-13 no two levels of the Phi rule
+        # can agree in double precision
+        if not 1e-13 <= self.rel_tol < 1.0:
+            raise ValueError(f"rel_tol must lie in [1e-13, 1), got {self.rel_tol}")
 
 
 _DEFAULT_QUAD = QuadratureSpec()
@@ -127,51 +141,102 @@ class PhiTerm:
             raise ValueError(f"PhiTerm rate parameters must be positive: {self}")
 
 
-def _phi_log_integrand(term: PhiTerm, z: float) -> float:
-    pi_z = z + term.pi_shift
-    val = term.pi_power * log(pi_z) - term.decay * z
-    if term.z_power != 0.0:
-        if z == 0.0:
-            return -math.inf
-        val += term.z_power * log(z)
-    val += ln_bessel_k_int(term.order, 2.0 * math.sqrt(term.bessel_coeff * pi_z))
-    return val
+@lru_cache(maxsize=_DE_MAX_LEVEL + 1)
+def _de_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pi/2 sinh t, log(pi/2 cosh t)) at the nodes one level of the
+    exp-sinh rule adds: all of [-_DE_SPAN, _DE_SPAN] at the level-0 step,
+    then the odd multiples of each halved step."""
+    step = _DE_STEP / 2**level
+    n = round(_DE_SPAN / step)
+    t = step * (np.arange(-n, n + 1) if level == 0 else np.arange(1 - n, n, 2))
+    return 0.5 * math.pi * np.sinh(t), np.log(0.5 * math.pi * np.cosh(t))
+
+
+def _de_log_integrand(
+    rows: np.ndarray, sinh_t: np.ndarray, log_cosh_t: np.ndarray, floor: np.ndarray
+) -> np.ndarray:
+    """log of each row's Phi integrand (times dz/dt) at each node; -inf
+    where it lies below the row's floor.
+
+    rows holds (z_power, pi_power, pi_shift, decay, bessel_coeff, order).
+    With v = log(1 + z/pi_shift) = v_c exp(pi/2 sinh t), centred at
+    z = max(1/decay, pi_shift): z + pi_shift = pi_shift e^v exactly, and
+    z = pi_shift expm1(v) keeps its relative accuracy near 0.
+    """
+    a, b, s, c, beta, nu = (rows[:, i:i + 1] for i in range(6))
+    log_s = np.log(s)
+    v_c = np.log1p(np.maximum(1.0 / c, s) / s)
+    v = v_c * np.exp(sinh_t)
+    em = np.expm1(np.minimum(v, _DE_V_MAX))
+    lg = (
+        a * (log_s + np.log(em))
+        + b * (log_s + v)
+        - c * s * em
+        + log_s + v  # dz/dv
+        + np.log(v_c) + sinh_t + log_cosh_t  # dv/dt
+    )
+    # K_nu falls with its argument, so its value at z = 0 bounds every node
+    x_min = 2.0 * np.sqrt(beta * s)
+    live = (v < _DE_V_MAX) & (lg + ln_bessel_k_int(nu, x_min) > floor)
+    out = np.full(lg.shape, -np.inf)
+    out[live] = lg[live] + ln_bessel_k_int(
+        np.broadcast_to(nu, lg.shape)[live], (x_min * np.exp(0.5 * v))[live]
+    )
+    return out
+
+
+def _log_sum_exp(lg: np.ndarray) -> np.ndarray:
+    top = lg.max(axis=1)
+    top = np.where(top > -np.inf, top, 0.0)
+    return top + np.log(np.sum(np.exp(lg - top[:, None]), axis=1))
+
+
+def phi_integral_log_rows(
+    rows: np.ndarray, spec: QuadratureSpec = _DEFAULT_QUAD, label=str
+) -> np.ndarray:
+    """log Phi of every row of a (n, 6) table, all rows in one pass.
+
+    Each row halves its step on its own, reusing the nodes it has, until
+    two levels agree to spec.rel_tol; the arithmetic of a row never
+    depends on the other rows.  label(i) names row i in errors.
+    """
+    out = np.empty(len(rows))
+    active = np.arange(len(rows))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lg = _de_log_integrand(rows, *_de_nodes(0), -np.inf)
+        prev = _log_sum_exp(lg) + log(_DE_STEP)
+        # a node this far below the row's level-0 peak adds exactly 0.0 to
+        # the rescaled sum, so it is not evaluated
+        floor = lg.max(axis=1, keepdims=True) - _DE_NEGLIGIBLE
+        for level in range(1, _DE_MAX_LEVEL + 1):
+            new = _de_log_integrand(rows[active], *_de_nodes(level), floor)
+            lg = np.concatenate([lg, new], axis=1)
+            cur = _log_sum_exp(lg) + log(_DE_STEP / 2**level)
+            done = (cur == prev) | (np.abs(np.expm1(prev - cur)) <= spec.rel_tol)
+            # the span must hold the integral: each end node carries less
+            # than rel_tol of it
+            ends = np.maximum(lg[:, 0], lg[:, len(_de_nodes(0)[0]) - 1])
+            cut = done & (ends - cur > log(spec.rel_tol))
+            if cut.any():
+                raise NumericsError(
+                    f"phi quadrature failed for term {label(active[cut][0])}: "
+                    "the integrand does not decay within the node span"
+                )
+            out[active[done]] = cur[done]
+            active, lg, prev, floor = active[~done], lg[~done], cur[~done], floor[~done]
+            if not len(active):
+                return out
+    raise NumericsError(
+        f"phi quadrature failed for term {label(active[0])}: no two levels agreed "
+        f"to {spec.rel_tol:g} by step {_DE_STEP / 2**_DE_MAX_LEVEL:g}"
+    )
 
 
 def phi_integral_log(term: PhiTerm, spec: QuadratureSpec = _DEFAULT_QUAD) -> float:
-    """log of the Phi integral, with the integrand rescaled by its peak."""
-    # Probe for the peak magnitude so the quadrature sees O(1) values.
-    probes = [term.pi_shift * f for f in (0.0, 0.5, 1.0)] if term.z_power else [0.0]
-    scale = max(1.0 / term.decay, term.pi_shift)
-    probes += list(np.geomspace(scale * 1e-3, scale * 60.0, 40))
-    logs = [_phi_log_integrand(term, z) for z in probes]
-    shift = max(logs)
-    if shift == -math.inf:
-        return -math.inf
-
-    # z = exp(u) - pi_shift: the log-substituted half-line
-    u0 = log(term.pi_shift)
-
-    def f(u: float) -> float:
-        if u > 690.0:  # exp would overflow; integrand is long dead there
-            return 0.0
-        z = exp(u) - term.pi_shift
-        if z <= 0.0:
-            z = 0.0
-        lg = _phi_log_integrand(term, z)
-        return exp(lg - shift + u) if lg > -math.inf else 0.0
-
-    result, abserr, info, *msg = quad(
-        f, u0, np.inf, epsabs=_ABS_TOL, epsrel=spec.rel_tol,
-        limit=_MAX_SUBDIVISIONS, full_output=True,
-    )
-    if msg and abserr > 10.0 * spec.rel_tol * max(abs(result), _ABS_TOL):
-        raise NumericsError(
-            f"phi quadrature failed for term {term.label or term}: {msg[0]} (abserr={abserr:g})"
-        )
-    if result <= 0.0:
-        return -math.inf
-    return shift + log(result)
+    """log of the Phi integral (-inf when the integrand underflows)."""
+    row = np.array([[term.z_power, term.pi_power, term.pi_shift, term.decay,
+                     term.bessel_coeff, term.order]], dtype=float)
+    return float(phi_integral_log_rows(row, spec, lambda i: term.label or term)[0])
 
 
 def phi_integral(term: PhiTerm, spec: QuadratureSpec = _DEFAULT_QUAD) -> float:
@@ -486,9 +551,15 @@ def exact_outage_for_lambda(
                     log_t4 = log(comb(big_m + k1 - 1, t4)) + (big_m + k1 - t4 - 1) * log_tb
                     second_hop.append((sign_kp, log_cb + log_b_k1 + log_t4, p, t4))
 
-    phi_cache: dict[tuple, float] = {}
+    # Pass 1: each term's sign, log-coefficient without Phi and Phi row;
+    # rows holds the unique Phi parameter rows, where the indices of each
+    # row's first term (for error messages).
+    phi_index: dict[tuple, int] = {}
+    rows: list[tuple[float, ...]] = []
+    where: list[tuple] = []
     signs: list[float] = []
-    logs: list[float] = []
+    coef_logs: list[float] = []
+    term_rows: list[int] = []
     for coef, form in first_hop_mixture(n_b, m_sr, lam_s):
         # one extra factor 2 relative to the PDF mixture comes from the
         # Bessel-closing integral
@@ -527,38 +598,34 @@ def exact_outage_for_lambda(
                                     + (t3 - k2) * log(th2 * g)
                                 )
                                 key = (k2, e_pi, nu, decay, bcoef)
-                                log_phi = phi_cache.get(key)
-                                if log_phi is None:
-                                    term = PhiTerm(
-                                        z_power=k2 + m_rr - 1,
-                                        pi_power=e_pi,
-                                        pi_shift=z0,
-                                        decay=decay,
-                                        bessel_coeff=bcoef,
-                                        order=nu,
-                                        label=(
-                                            f"l={l} snr={snr_db} pole={pole:g} "
-                                            f"t2={t2} n1={n1} t3={t3} t4={t4} k2={k2}"
-                                        ),
-                                    )
-                                    log_phi = phi_integral_log(term, q)
-                                    phi_cache[key] = log_phi
-                                total_log = (
-                                    log_ca + log_kap + log_n1 + log_sh + log_t3 + log_k2 + log_phi
-                                )
-                                if total_log == -math.inf:
-                                    continue
+                                idx = phi_index.get(key)
+                                if idx is None:
+                                    idx = phi_index[key] = len(rows)
+                                    rows.append((k2 + m_rr - 1, e_pi, z0, decay, bcoef, nu))
+                                    where.append((pole, t2, n1, t3, t4, k2))
                                 signs.append(sign_ca * sign_kap * sign_kp)
-                                logs.append(total_log)
+                                coef_logs.append(
+                                    log_ca + log_kap + log_n1 + log_sh + log_t3 + log_k2
+                                )
+                                term_rows.append(idx)
 
-    if not logs:
+    def label(i: int) -> str:
+        pole, t2, n1, t3, t4, k2 = where[i]
+        return f"l={l} snr={snr_db} pole={pole:g} t2={t2} n1={n1} t3={t3} t4={t4} k2={k2}"
+
+    # Pass 2: every Phi row at once, then the signed rescaled sum
+    log_phi = phi_integral_log_rows(np.array(rows, dtype=float), q, label)
+    logs = np.array(coef_logs) + log_phi[term_rows]
+    live = logs > -np.inf
+    if not live.any():
         # every success term underflowed: the form cannot resolve this
         # point, which is not evidence of certain outage
         raise NumericsError(
             f"exact outage for user {l} at {snr_db} dB: every Phi term underflowed"
         )
-    shift = max(logs)
-    success = exp(shift) * fsum(s * exp(lg - shift) for s, lg in zip(signs, logs))
+    logs = logs[live]
+    shift = logs.max()
+    success = exp(shift) * fsum(np.array(signs)[live] * np.exp(logs - shift))
     raw = 1.0 - success
     return _clamped_point(raw, l, snr_db, "exact")
 

@@ -267,15 +267,32 @@ def _grid_arg(text: str) -> tuple[float, ...]:
     return linear_grid(start, stop, step)
 
 
-def _trials(text: str) -> int:
-    """argparse type of every --trials flag."""
+def _int_at_least(low: int):
+    """argparse type of an integer flag with a lower bound."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+# argparse types of every --trials and every --seed flag
+_trials = _int_at_least(mcsim.MIN_TRIALS)
+_seed = _int_at_least(0)
+
+
+def _rel_tol(text: str) -> float:
+    """argparse type of every --rel-tol flag."""
     try:
-        trials = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}") from None
-    if trials < mcsim.MIN_TRIALS:
-        raise argparse.ArgumentTypeError(f"must be >= {mcsim.MIN_TRIALS}, got {trials}")
-    return trials
+        return analytic.QuadratureSpec(rel_tol=float(text)).rel_tol
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_cfg(args) -> SystemConfig:
@@ -297,11 +314,11 @@ def _add_common(p, sim: bool):
     p.add_argument("--preset", help="figure preset name, optionally NAME:VARIANT")
     p.add_argument("--users", default="", help="comma-separated user indices (default: all)")
     p.add_argument("--out", help="output CSV path (default: stdout)")
-    p.add_argument("--rel-tol", type=float, default=1e-10, help="quadrature relative tolerance")
+    p.add_argument("--rel-tol", type=_rel_tol, default=1e-10, help="quadrature relative tolerance")
     p.add_argument("--timings", action="store_true", help="record wall_ms (breaks byte-identity)")
     if sim:
         p.add_argument("--trials", type=_trials, default=1_000_000)
-        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--seed", type=_seed, default=1)
         p.add_argument("--workers", type=int, default=1)
 
 
@@ -366,9 +383,9 @@ def main(argv=None) -> int:
     p.add_argument("name", help=f"one of: {', '.join(PRESET_NAMES)}")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--trials", type=_trials, help="override preset trial count")
-    p.add_argument("--seed", type=int, help="override preset seed")
+    p.add_argument("--seed", type=_seed, help="override preset seed")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--rel-tol", type=float, default=1e-10)
+    p.add_argument("--rel-tol", type=_rel_tol, default=1e-10)
     p.add_argument("--timings", action="store_true")
 
     p = sub.add_parser("validate", help="cross-engine agreement harness")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 from scipy import special as _sp
 
 from .errors import NumericsError
@@ -57,23 +58,31 @@ def bessel_k_int(v: int, x: float) -> float:
     return float(_sp.kv(abs(int(v)), x))
 
 
-def ln_bessel_k_int(v: int, x: float) -> float:
+def ln_bessel_k_int(v, x):
     """log K_v(x) computed without underflow via the scaled Bessel kve.
 
-    Beyond kve's argument range the two-term large-x expansion
-    sqrt(pi/(2x)) e^{-x} (1 + (4v^2-1)/(8x)) is exact to double precision.
+    v (integer valued) and x may be arrays, broadcast together; a scalar
+    pair gives a float.  Beyond kve's argument range the two-term large-x
+    expansion sqrt(pi/(2x)) e^{-x} (1 + (4v^2-1)/(8x)) is exact to double
+    precision.
     """
-    if not x > 0:
-        raise ValueError(f"ln_bessel_k_int requires x > 0, got {x}")
-    v = abs(int(v))
-    if x > 1e8:
-        return 0.5 * (math.log(math.pi / 2.0) - math.log(x)) - x + math.log1p(
-            (4.0 * v * v - 1.0) / (8.0 * x)
+    scalar = np.ndim(v) == 0 and np.ndim(x) == 0
+    v, x = np.broadcast_arrays(np.abs(np.trunc(np.atleast_1d(v))),
+                               np.atleast_1d(np.asarray(x, dtype=float)))
+    if not np.all(x > 0):
+        raise ValueError(f"ln_bessel_k_int requires x > 0, got {x[~(x > 0)][0]}")
+    big = x > 1e8
+    scaled = _sp.kve(v, np.where(big, 1.0, x))
+    if not np.all(scaled > 0):
+        i = np.argmin(scaled > 0)
+        raise NumericsError(f"kve({v.flat[i]:g}, {x.flat[i]}) returned {scaled.flat[i]}")
+    out = np.log(scaled) - x
+    if big.any():
+        xb, vb = x[big], v[big]
+        out[big] = 0.5 * (math.log(math.pi / 2.0) - np.log(xb)) - xb + np.log1p(
+            (4.0 * vb * vb - 1.0) / (8.0 * xb)
         )
-    scaled = float(_sp.kve(v, x))
-    if scaled <= 0 or math.isnan(scaled):
-        raise NumericsError(f"kve({v}, {x}) returned {scaled}")
-    return math.log(scaled) - x
+    return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)

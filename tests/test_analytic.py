@@ -2,9 +2,11 @@
 building blocks, exact/lower-bound/asymptotic outage behavior, and the
 printed-variant arbitration against the simulator."""
 
+import json
 import math
 from dataclasses import replace
 from math import comb, exp, fsum, lgamma, log
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,8 +37,15 @@ from fdnoma.analytic import (
 )
 from fdnoma.errors import ConfigError, NumericsError
 from fdnoma.mcsim import simulate_outage
+from fdnoma.presets import figure_preset
 from fdnoma.specfn import poly_power_coeffs
-from fdnoma.sysmodel import SystemConfig, compute_deltas, compute_theta, derive_link_stats
+from fdnoma.sysmodel import (
+    SystemConfig,
+    compute_deltas,
+    compute_theta,
+    derive_link_stats,
+    map_baseline_thresholds,
+)
 
 BASE = SystemConfig()
 PRACTICAL = replace(
@@ -189,6 +198,66 @@ class TestPhiIntegral:
     def test_rel_tol_floor(self):
         with pytest.raises(ValueError):
             QuadratureSpec(rel_tol=1e-14)
+
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 1.0, 2.0])
+    def test_rel_tol_must_be_a_fraction(self, rel_tol):
+        with pytest.raises(ValueError):
+            QuadratureSpec(rel_tol=rel_tol)
+
+    # one term per regime: an m=1 fig11 term, a fig7 m=3 term, a
+    # near-singular shift, order 7, a large Bessel coefficient, and TERM
+    ORACLE_TERMS = [
+        PhiTerm(z_power=1.0, pi_power=0.5, pi_shift=0.031623, decay=15.585214,
+                bessel_coeff=0.329075, order=1),
+        PhiTerm(z_power=7.0, pi_power=2.5, pi_shift=1e-4, decay=3006.75,
+                bessel_coeff=0.0093656, order=5),
+        PhiTerm(z_power=0.0, pi_power=0.5, pi_shift=1e-8, decay=1.0, bessel_coeff=1.0, order=0),
+        PhiTerm(z_power=3.0, pi_power=4.0, pi_shift=0.2, decay=5.0, bessel_coeff=3.0, order=7),
+        PhiTerm(z_power=1.0, pi_power=1.5, pi_shift=0.8, decay=3.0, bessel_coeff=625.0, order=2),
+        TERM,
+    ]
+
+    @staticmethod
+    def _rows(terms):
+        return np.array([[t.z_power, t.pi_power, t.pi_shift, t.decay, t.bessel_coeff, t.order]
+                         for t in terms])
+
+    @pytest.mark.parametrize("term", ORACLE_TERMS, ids=range(len(ORACLE_TERMS)))
+    def test_mpmath_oracle(self, term):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            a, b, s, c, beta = (mp.mpf(x) for x in (term.z_power, term.pi_power, term.pi_shift,
+                                                    term.decay, term.bessel_coeff))
+
+            def f(z):
+                return z**a * (z + s) ** b * mp.exp(-c * z) * mp.besselk(term.order,
+                                                                          2 * mp.sqrt(beta * (z + s)))
+
+            # tanh-sinh split at the shift and the decay scale; degree 4 agrees
+            # with degree 5 and with a 45-digit run on more cuts to ~1e-13
+            scale = max(1 / c, s)
+            cuts = sorted({mp.mpf(0), s, scale, 30 * scale}) + [mp.inf]
+            oracle = mp.log(mp.quad(f, cuts, maxdegree=4))
+            rel_err = abs(mp.expm1(mp.mpf(phi_integral_log(term)) - oracle))
+        assert rel_err <= 1e-12
+
+    def test_row_is_bitwise_the_same_in_any_batch(self):
+        # the rows converge at different levels, so each batch below drops
+        # rows at different points; no row may see that
+        rows = self._rows(self.ORACLE_TERMS)
+        batch = analytic.phi_integral_log_rows(rows)
+        alone = [phi_integral_log(term) for term in self.ORACLE_TERMS]
+        assert list(batch) == alone
+        bigger = analytic.phi_integral_log_rows(np.concatenate([rows[::-1], rows, rows[2:4]]))
+        assert list(bigger[len(rows):2 * len(rows)]) == alone
+        assert list(bigger[:len(rows)]) == alone[::-1]
+
+    def test_unresolvable_term_is_named(self):
+        # a peak far below the node span's centre
+        term = PhiTerm(z_power=0.0, pi_power=0.5, pi_shift=1.0, decay=1e40, bessel_coeff=1.0,
+                       order=1, label="the probe term")
+        with pytest.raises(NumericsError, match="the probe term"):
+            phi_integral_log(term)
 
 
 def replace_term(term: PhiTerm, **kw) -> PhiTerm:
@@ -377,6 +446,12 @@ class TestExactOutage:
             # blows past the roundoff clamp budget: not a probability at all
             analytic._clamped_point(_nested_sum_raw(cfg, snr, l, printed=True), l, snr, "exact")
 
+    def test_every_phi_term_underflowing_raises(self, monkeypatch):
+        monkeypatch.setattr(analytic, "phi_integral_log_rows",
+                            lambda rows, spec, label: np.full(len(rows), -np.inf))
+        with pytest.raises(NumericsError, match="every Phi term underflowed"):
+            exact_outage(BASE, 15.0, 2)
+
     def test_quadrature_spec_respected(self):
         loose = QuadratureSpec(rel_tol=1e-6)
         tight = QuadratureSpec(rel_tol=1e-12)
@@ -533,3 +608,27 @@ class TestAsymptotics:
         floor = asymptotic_outage_practical(cfg, 1).value
         ex = exact_outage(cfg, 60.0, 1).value
         assert floor == pytest.approx(ex, rel=0.05)
+
+
+def test_benchmark_reference_values():
+    """Every exact and fd_oma value pinned in bench/reference.json (read
+    only), recomputed: the benchmark judges its cells against these."""
+    pinned = json.loads(
+        (Path(__file__).resolve().parent.parent / "bench" / "reference.json").read_text()
+    )["values"]
+    # (workload, variant label) -> the config and SNR at one axis value
+    points = {("validate_par", "default"): lambda x: (SystemConfig(), x)}
+    for workload, preset in (("fig7_exact", "fig7"), ("fig11_mc", "fig11")):
+        for v in figure_preset(preset):
+            points[(workload, v.label)] = lambda x, v=v: v.sweep.point(v.config, x)
+    for workload, values in pinned.items():
+        for key, ref in values.items():
+            label, x, user, event = key.split()
+            cfg, snr = points[(workload, label)](float(x))
+            l = int(user)
+            if event == "exact":
+                got = exact_outage(cfg, snr, l).value
+            else:
+                lam = map_baseline_thresholds(cfg, event)[l - 1]
+                got = analytic.exact_outage_for_lambda(cfg, snr, l, lam).value
+            assert abs(got - ref) <= 1e-12, (workload, key, got, ref)

@@ -114,15 +114,24 @@ class TestRunSweep:
         sweep_to_string(spec, BASE, workers=2)
         assert recording_pool == [2]
 
-    def test_underflowing_exact_form_becomes_error_rows(self):
-        # every Phi term underflows at a vanishing SI power; the form must
-        # flag the point instead of printing certain outage (Monte Carlo
-        # gives about 0.21, 0.019, 0.0032 here)
+    def test_small_si_power_resolves_to_the_no_si_outage(self):
+        # at mu=0 and alpha_si=1e-6 the SI term is negligible: the exact form
+        # gives the no-SI outage that Monte Carlo and the HD-NOMA quadrature
+        # of acceptance criterion 5 give (0.20887, 0.01900, 0.00318)
         cfg = replace(BASE, mu=0.0, alpha_si=1e-6)
+        spec = SweepSpec(grid=(15.0,), methods=("exact",))
+        ops = [float(line.split(",")[3])
+               for line in sweep_to_string(spec, cfg).strip().splitlines()[1:]]
+        assert ops == pytest.approx([0.208871, 0.019005, 0.003181], abs=1e-4)
+
+    def test_underflowing_exact_form_becomes_error_rows(self):
+        # at a vanishing SI power every Phi integrand peaks below the node
+        # span; the form must flag the point instead of printing a number
+        cfg = replace(BASE, mu=0.0, alpha_si=1e-20)
         spec = SweepSpec(grid=(15.0,), methods=("exact",))
         for line in sweep_to_string(spec, cfg).strip().splitlines()[1:]:
             cells = line.split(",")
-            assert cells[3] == "" and "underflowed" in cells[8]
+            assert cells[3] == "" and "phi quadrature failed" in cells[8]
 
     def test_partial_failure_becomes_error_row(self):
         # mu sweep reaching mu values whose feasibility is fine but whose
@@ -285,6 +294,33 @@ class TestMainExitCodes:
             main(argv)
         assert exc.value.code == 1
         assert "--trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1e-14", "nan", "1", "tight"])
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--grid", "10:10:5"],
+        ["simulate", "--grid", "10:10:5"],
+        ["sweep", "--grid", "10:10:5"],
+        ["validate", "--grid", "10:10:5"],
+        ["preset", "fig4", "--out", "unused"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_rel_tol_is_exit_1(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--rel-tol", value])
+        assert exc.value.code == 1
+        assert "--rel-tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "one"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--grid", "10:10:5"],
+        ["sweep", "--grid", "10:10:5"],
+        ["validate", "--grid", "10:10:5"],
+        ["preset", "fig4", "--out", "unused"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_seed_is_exit_1(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", value])
+        assert exc.value.code == 1
+        assert "--seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,method,allowed", [
         ("analyze", "monte_carlo", "exact, lower_bound, asymptotic_ideal, asymptotic_practical"),

@@ -145,6 +145,18 @@ class TestBesselK:
                 ref = float(mp.log(mp.besselk(v, mp.mpf(x))))
                 assert ln_bessel_k_int(v, x) == pytest.approx(ref, rel=1e-10)
 
+    def test_log_variant_on_arrays(self):
+        # orders down a column, arguments along a row, both branches
+        v = np.array([[0.0], [3.0], [-7.0]])
+        x = np.array([[1e-6, 0.3, 5.0, 800.0, 1e9]])
+        got = ln_bessel_k_int(v, x)
+        assert got.shape == (3, 5)
+        for i in range(3):
+            for j in range(5):
+                assert got[i, j] == ln_bessel_k_int(int(v[i, 0]), float(x[0, j]))
+        with pytest.raises(ValueError):
+            ln_bessel_k_int(v, np.array([[1.0, 0.0]]))
+
     def test_log_variant_asymptotic_branch(self):
         # continuity across the kve -> expansion switch at 1e8
         lo = ln_bessel_k_int(2, 0.999e8)
