@@ -2,10 +2,11 @@
 and high-SNR asymptotics.
 
 The exact outage probability is a 12-fold nested finite sum over one
-semi-infinite quadrature (phi_integral).  Terms alternate in sign, so every
-term is assembled in log-magnitude with a sign tracker and the final
-reduction uses exact summation (math.fsum) after rescaling by the largest
-term.
+semi-infinite quadrature (phi_integral).  Its terms are tabulated once per
+structure at unit rates (_sum_table); an evaluation adds a few scalars'
+logs to each term's log-magnitude in one array operation.  Terms alternate
+in sign, so the final reduction uses exact summation (math.fsum) after
+rescaling by the largest term.
 
 Two printed-formula ambiguities are resolved here; the tests arbitrate
 them against the Monte Carlo engine with transcriptions of the printed
@@ -493,6 +494,83 @@ def exact_outage(
     return exact_outage_for_lambda(cfg, snr_db, l, lam_dag, q)
 
 
+@dataclass(frozen=True)
+class _SumTable:
+    """The exact form's nested sum for one structure, at unit rates.
+
+    Term i is sign[i] * exp(const[i] + powers[i] @ x) * Phi(rows[row[i]]),
+    x being the eight per-evaluation scalars of exact_outage_for_lambda,
+    times the common factor rate_c^m_rr / Gamma(m_rr).  Each Phi row is
+    (k2, e_pi, nu, rho, p), rho the pole over lam_s.
+    """
+
+    sign: np.ndarray
+    const: np.ndarray
+    powers: np.ndarray
+    row: np.ndarray
+    rows: np.ndarray
+
+    def __post_init__(self):
+        # one cached table serves every caller
+        for column in (self.sign, self.const, self.powers, self.row, self.rows):
+            column.flags.writeable = False
+
+
+@lru_cache(maxsize=64)
+def _sum_table(n_b: int, m_sr: int, big_m: int, n_users: int, l: int) -> _SumTable:
+    """Terms of the success sum, built once per structure.
+
+    Each rate enters only as a power of itself (coef * kappa scales as
+    lam_s^t2, beta_p[k1] as lam_b^k1), so the terms are built at unit rates.
+    Terms that share every power and Phi row are merged first: the
+    first-hop factor over (mixture entry, t2) for each (rho, n1), the
+    second-hop factor over k for each (p, k1, t4), its binomial weight
+    summed exactly (it vanishes for some p).
+    """
+    first: dict[tuple[float, int], list[float]] = {}
+    for coef, form in first_hop_mixture(n_b, m_sr, 1.0):
+        # one extra factor 2 relative to the PDF mixture comes from the
+        # Bessel-closing integral
+        for rho, kappa in zip(form.poles, form.kappa):
+            for t2, kap in enumerate(kappa, start=1):
+                for n1 in range(t2):
+                    first.setdefault((rho, n1), []).append(
+                        2.0 * coef * kap * rho ** (n1 - t2) / math.factorial(n1))
+    # first-hop x (t3, k2) factor: (rho, n1, t3, k2, value)
+    ft = np.array([
+        (rho, n1, t3, k2, fsum(parts) * comb(n1, t3) * comb(t3, k2))
+        for (rho, n1), parts in first.items()
+        for t3 in range(n1 + 1)
+        for k2 in range(t3 + 1)
+    ])
+    q_l = math.factorial(n_users) // (math.factorial(n_users - l) * math.factorial(l - 1))
+    # second-hop factor: (p, k1, t4, value)
+    sh = []
+    for p in range(n_users):
+        w = q_l * sum((-1) ** (k + p) * comb(n_users - l, k) * comb(l + k - 1, p)
+                      for k in range(n_users - l + 1))
+        if w:
+            beta = poly_power_coeffs(big_m, 1.0, p)
+            sh += [(p, k1, t4, w * beta[k1] * comb(big_m + k1 - 1, t4) / math.factorial(big_m - 1))
+                   for k1 in range(len(beta)) for t4 in range(big_m + k1)]
+    # every term is one (first-hop, t3, k2) entry times one second-hop entry
+    rho, n1, t3, k2, f = (c[:, None] for c in ft.T)
+    p, k1, t4, s = np.array(sh).T
+    value = f * s
+    live = value != 0.0
+    nu = t3 + t4 - n1 + 1
+    e_pi = (n1 - t3 + t4 + 1) / 2.0
+    # exponents of 2 dd lam_s/g, lam_b, 2 th1 dd, c1, th4 g^2, th2 g,
+    # exp(-2 dd th2 lam_s) and exp(-2 th1 dd lam_b)
+    powers = np.stack(np.broadcast_arrays(
+        n1 + nu / 2, big_m + k1 - nu / 2, big_m + k1 - t4 - 1, e_pi, k2, t3 - k2, rho, 1 + p,
+    ), axis=-1)[live]
+    keys = np.stack(np.broadcast_arrays(k2, e_pi, nu, rho, p), axis=-1)[live]
+    rows, row = np.unique(keys, axis=0, return_inverse=True)
+    const = np.log(np.abs(value[live])) + (nu / 2 * (np.log(rho) - np.log(1 + p)))[live]
+    return _SumTable(np.sign(value[live]), const, powers, row.ravel(), rows)
+
+
 def exact_outage_for_lambda(
     cfg: SystemConfig,
     snr_db: float,
@@ -507,115 +585,36 @@ def exact_outage_for_lambda(
     product-mapped threshold replaces the SIC maximum.
     """
     m_sr, m_rr, m_ru = _require_analytic_config(cfg)
-    snr_bar = 10.0 ** (snr_db / 10.0)
-    stats = derive_link_stats(cfg, snr_bar)
-    theta = compute_theta(stats, snr_bar, l)
-    dd = lam_dag / snr_bar
-
-    n_b, n_r, L = cfg.n_b, cfg.n_r, cfg.n_users
+    g = 10.0 ** (snr_db / 10.0)
+    stats = derive_link_stats(cfg, g)
+    theta = compute_theta(stats, g, l)
+    th1, th2, th3, th4, th5 = theta.theta1, theta.theta2, theta.theta3, theta.theta4, theta.theta5
+    dd = lam_dag / g
     lam_s = m_sr / stats.omega_hat_sr
     lam_b = m_ru / stats.omega_hat_ru[l - 1]
-    big_m = m_ru * n_r
-    g = snr_bar
-    th1, th2, th3, th4, th5 = theta.theta1, theta.theta2, theta.theta3, theta.theta4, theta.theta5
     c1 = th3 * g + 2 * th1 * th4 * g**2 * dd
     c0 = 2 * th1 * th2 * g * dd + th5
-    z0 = c0 / c1
     rate_c = m_rr / stats.omega_rr
-    q_l = math.factorial(L) / (math.factorial(L - l) * math.factorial(l - 1))
+    table = _sum_table(cfg.n_b, m_sr, m_ru * cfg.n_r, cfg.n_users, l)
 
-    log_tb = log(2 * th1 * dd)
-    log_cc = m_rr * log(rate_c) - lgamma(m_rr)
-
-    # Second-hop factors (k, p, k1, t4) are independent of the first-hop
-    # indices; precompute them as (sign, log_magnitude, p, t4) tuples.
-    second_hop: list[tuple[float, float, int, int]] = []
-    for k in range(L - l + 1):
-        for p in range(l + k):
-            beta_p = poly_power_coeffs(big_m, lam_b, p)
-            log_cb = (
-                log(q_l)
-                + log(comb(L - l, k))
-                + log(comb(l + k - 1, p))
-                - lgamma(big_m)
-                + big_m * log(lam_b)
-                - 2 * th1 * dd * (1 + p) * lam_b
-                + log_cc
-            )
-            sign_kp = (-1.0) ** (k + p)
-            for k1 in range(p * (big_m - 1) + 1):
-                if beta_p[k1] <= 0:
-                    continue
-                log_b_k1 = log(beta_p[k1])
-                for t4 in range(big_m + k1):
-                    log_t4 = log(comb(big_m + k1 - 1, t4)) + (big_m + k1 - t4 - 1) * log_tb
-                    second_hop.append((sign_kp, log_cb + log_b_k1 + log_t4, p, t4))
-
-    # Pass 1: each term's sign, log-coefficient without Phi and Phi row;
-    # rows holds the unique Phi parameter rows, where the indices of each
-    # row's first term (for error messages).
-    phi_index: dict[tuple, int] = {}
-    rows: list[tuple[float, ...]] = []
-    where: list[tuple] = []
-    signs: list[float] = []
-    coef_logs: list[float] = []
-    term_rows: list[int] = []
-    for coef, form in first_hop_mixture(n_b, m_sr, lam_s):
-        # one extra factor 2 relative to the PDF mixture comes from the
-        # Bessel-closing integral
-        log_ca = log(abs(coef)) + log(2.0)
-        sign_ca = math.copysign(1.0, coef)
-        for pole, row in zip(form.poles, form.kappa):
-            log_s = log(pole)
-            for t2, kap in enumerate(row, start=1):
-                if kap == 0.0:
-                    continue
-                log_kap = log(abs(kap))
-                sign_kap = math.copysign(1.0, kap)
-                for n1 in range(t2):
-                    log_n1 = (
-                        n1 * (log(2 * dd) - log(g))
-                        - lgamma(n1 + 1)
-                        + (n1 - t2) * log_s
-                        - 2 * dd * pole * th2
-                    )
-                    for sign_kp, log_sh, p, t4 in second_hop:
-                        for t3 in range(n1 + 1):
-                            nu = t3 + t4 - n1 + 1
-                            e_pi = (n1 - t3 + t4 + 1) / 2.0
-                            log_t3 = (
-                                log(comb(n1, t3))
-                                + e_pi * log(c1)
-                                + (nu / 2.0)
-                                * (log(2 * dd * pole) - log(g * (1 + p) * lam_b))
-                            )
-                            decay = 2 * dd * th4 * g * pole + rate_c
-                            bcoef = 2 * dd * (1 + p) * lam_b * pole * c1 / g
-                            for k2 in range(t3 + 1):
-                                log_k2 = (
-                                    log(comb(t3, k2))
-                                    + k2 * log(th4 * g**2)
-                                    + (t3 - k2) * log(th2 * g)
-                                )
-                                key = (k2, e_pi, nu, decay, bcoef)
-                                idx = phi_index.get(key)
-                                if idx is None:
-                                    idx = phi_index[key] = len(rows)
-                                    rows.append((k2 + m_rr - 1, e_pi, z0, decay, bcoef, nu))
-                                    where.append((pole, t2, n1, t3, t4, k2))
-                                signs.append(sign_ca * sign_kap * sign_kp)
-                                coef_logs.append(
-                                    log_ca + log_kap + log_n1 + log_sh + log_t3 + log_k2
-                                )
-                                term_rows.append(idx)
+    k2, e_pi, nu, rho, p = table.rows.T
+    pole = lam_s * rho
+    rows = np.column_stack([
+        k2 + m_rr - 1, e_pi, np.full(len(k2), c0 / c1),
+        2 * dd * th4 * g * pole + rate_c, 2 * dd * (1 + p) * lam_b * pole * c1 / g, nu,
+    ])
 
     def label(i: int) -> str:
-        pole, t2, n1, t3, t4, k2 = where[i]
-        return f"l={l} snr={snr_db} pole={pole:g} t2={t2} n1={n1} t3={t3} t4={t4} k2={k2}"
+        return (f"l={l} snr={snr_db} pole={pole[i]:g} k2={k2[i]:g} e_pi={e_pi[i]:g} "
+                f"nu={nu[i]:g} p={p[i]:g}")
 
-    # Pass 2: every Phi row at once, then the signed rescaled sum
-    log_phi = phi_integral_log_rows(np.array(rows, dtype=float), q, label)
-    logs = np.array(coef_logs) + log_phi[term_rows]
+    # in the order of the table's powers
+    scalars = np.array([
+        log(2 * dd * lam_s / g), log(lam_b), log(2 * th1 * dd), log(c1),
+        log(th4 * g**2), log(th2 * g), -2 * dd * th2 * lam_s, -2 * th1 * dd * lam_b,
+    ])
+    log_phi = phi_integral_log_rows(rows, q, label)
+    logs = table.const + table.powers @ scalars + log_phi[table.row]
     live = logs > -np.inf
     if not live.any():
         # every success term underflowed: the form cannot resolve this
@@ -625,9 +624,9 @@ def exact_outage_for_lambda(
         )
     logs = logs[live]
     shift = logs.max()
-    success = exp(shift) * fsum(np.array(signs)[live] * np.exp(logs - shift))
-    raw = 1.0 - success
-    return _clamped_point(raw, l, snr_db, "exact")
+    log_cc = m_rr * log(rate_c) - lgamma(m_rr)
+    success = exp(shift + log_cc) * fsum(table.sign[live] * np.exp(logs - shift))
+    return _clamped_point(1.0 - success, l, snr_db, "exact")
 
 
 def _clamped_point(raw: float, l: int, snr_db: float, method: str, floor: bool = False) -> OutagePoint:
@@ -706,23 +705,13 @@ def diversity_order(cfg: SystemConfig, l: int) -> float:
     return min((1.0 - cfg.mu) * cfg.m_sr * cfg.n_b, cfg.m_ru[l - 1] * cfg.n_r * l)
 
 
-def _fw_asymptotic_bracket(cfg: SystemConfig, l: int, lam_dag: float) -> float:
-    """Coefficient of gbar^(-(1-mu) m_sr n_b) in the asymptotic W CDF."""
+def _fw_asymptotic_bracket(cfg: SystemConfig, lam_dag: float) -> float:
+    """Coefficient of gbar^(-(1-mu) m_sr n_b) in the asymptotic W CDF:
+    F_A's small-argument constant times E[C^k] (2 Lambda+ alpha_si)^k."""
     m, n_b, m_rr = int(cfg.m_sr), cfg.n_b, int(cfg.m_rr)
-    omega_sr = cfg.d_sr ** -cfg.eta
-    tsum = 0.0
-    for t in range(m):
-        tsum += exp(
-            lgamma(m * (n_b - 1) + t) - lgamma(t + 1)
-        ) * 2.0 ** (-(m * (n_b - 1) + t))
-    return (
-        n_b
-        * (n_b - 1)
-        * tsum
-        * exp(lgamma(m * n_b + m_rr) - lgamma(m) - (n_b - 2) * lgamma(m + 1)
-              - lgamma(m * n_b + 1) - lgamma(m_rr))
-        * (2.0 * lam_dag * m * cfg.alpha_si / (omega_sr * m_rr)) ** (m * n_b)
-    )
+    k = m * n_b
+    coeff = float(asymptotic_cdf_two_strongest_sum(1.0, n_b, m, cfg.d_sr ** -cfg.eta))
+    return coeff * exp(lgamma(k + m_rr) - lgamma(m_rr)) * (2.0 * lam_dag * cfg.alpha_si / m_rr) ** k
 
 
 def _fw_asymptotic_value(cfg: SystemConfig, lam_dag: float, snr_bar: float) -> float:
@@ -765,7 +754,7 @@ def array_gain(cfg: SystemConfig, l: int) -> float:
     g2 = m_ru * cfg.n_r * l
     big_m = m_ru * cfg.n_r
     omega_ru = cfg.d_ru[l - 1] ** -cfg.eta
-    xi1 = _fw_asymptotic_bracket(cfg, l, lam_dag) ** (-1.0 / g1)
+    xi1 = _fw_asymptotic_bracket(cfg, lam_dag) ** (-1.0 / g1)
     xi2 = (comb(cfg.n_users, l) / exp(l * lgamma(big_m + 1))) ** (-1.0 / (big_m * l)) * (
         omega_ru / (2.0 * lam_dag * m_ru)
     )

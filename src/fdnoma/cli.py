@@ -181,6 +181,7 @@ def validate(
     seed: int = 1,
     workers: int = 1,
     conf: float = 0.99,
+    quad: analytic.QuadratureSpec = analytic.QuadratureSpec(),
 ) -> tuple[list[ValidationLine], bool]:
     """Exact-vs-MC agreement, bound ordering, and (ideal, mu<1) slope checks.
 
@@ -200,7 +201,7 @@ def validate(
             conf=line_conf,
         )["monte_carlo"]
         for l in range(1, cfg.n_users + 1):
-            exact = analytic.exact_outage(cfg, snr, l).value
+            exact = analytic.exact_outage(cfg, snr, l, quad).value
             lb = analytic.lower_bound_outage(cfg, snr, l).value
             exact_vals[(snr, l)] = exact
             mc = sim[l - 1]
@@ -282,9 +283,10 @@ def _int_at_least(low: int):
     return parse
 
 
-# argparse types of every --trials and every --seed flag
+# argparse types of every --trials, --seed and --workers flag
 _trials = _int_at_least(mcsim.MIN_TRIALS)
 _seed = _int_at_least(0)
+_workers = _int_at_least(1)
 
 
 def _rel_tol(text: str) -> float:
@@ -319,7 +321,7 @@ def _add_common(p, sim: bool):
     if sim:
         p.add_argument("--trials", type=_trials, default=1_000_000)
         p.add_argument("--seed", type=_seed, default=1)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_workers, default=1)
 
 
 def _users(args, cfg) -> tuple[int, ...]:
@@ -384,7 +386,7 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--trials", type=_trials, help="override preset trial count")
     p.add_argument("--seed", type=_seed, help="override preset seed")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.add_argument("--rel-tol", type=_rel_tol, default=1e-10)
     p.add_argument("--timings", action="store_true")
 
@@ -458,6 +460,7 @@ def _dispatch(parser, args) -> int:
             tolerance=args.tolerance,
             seed=args.seed,
             workers=args.workers,
+            quad=analytic.QuadratureSpec(rel_tol=args.rel_tol),
         )
         out = _open_out(args.out)
         try:

@@ -24,7 +24,6 @@ __all__ = [
     "lower_incomplete_gamma_reg",
     "bessel_k_int",
     "ln_bessel_k_int",
-    "PolyCoeffs",
     "poly_power_coeffs",
     "PfdForm",
     "pfd_two_pole",
@@ -85,24 +84,6 @@ def ln_bessel_k_int(v, x):
     return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class PolyCoeffs:
-    """Coefficients of a polynomial in y, index n = power of y.
-
-    Represents the multinomial expansion
-        (sum_{k=0}^{m-1} (lam*y)^k / k!) ** r  =  sum_n coeffs[n] * y^n,
-    so coeffs[0] == 1 and len(coeffs) == r*(m-1) + 1.
-    """
-
-    coeffs: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __getitem__(self, n: int) -> float:
-        return self.coeffs[n]
-
-
 def _poly_power_exact(m: int, lam: Fraction, r: int) -> list[Fraction]:
     base = [lam**k / math.factorial(k) for k in range(m)]
     out = [Fraction(1)]
@@ -118,8 +99,12 @@ def _poly_power_exact(m: int, lam: Fraction, r: int) -> list[Fraction]:
 
 
 @lru_cache(maxsize=4096)
-def poly_power_coeffs(m: int, lam: float, r: int) -> PolyCoeffs:
-    """Expansion coefficients of the truncated-exponential polynomial power.
+def poly_power_coeffs(m: int, lam: float, r: int) -> tuple[float, ...]:
+    """Coefficients c of the truncated-exponential polynomial power
+
+        (sum_{k=0}^{m-1} (lam*y)^k / k!) ** r  =  sum_n c[n] * y^n,
+
+    so c[0] == 1 and len(c) == r*(m-1) + 1.
 
     Computed by iterated exact convolution (Fraction arithmetic), so the
     semigroup identity conv(r1+r2) == conv(r1) * conv(r2) holds exactly
@@ -130,7 +115,7 @@ def poly_power_coeffs(m: int, lam: float, r: int) -> PolyCoeffs:
     if not lam > 0:
         raise ValueError(f"poly_power_coeffs requires lam > 0, got {lam}")
     exact = _poly_power_exact(int(m), Fraction(lam), int(r))
-    return PolyCoeffs(tuple(float(c) for c in exact))
+    return tuple(float(c) for c in exact)
 
 
 @dataclass(frozen=True)

@@ -452,6 +452,28 @@ class TestExactOutage:
         with pytest.raises(NumericsError, match="every Phi term underflowed"):
             exact_outage(BASE, 15.0, 2)
 
+    @pytest.mark.parametrize("m,l,pinned", [
+        (3, 1, 0.016875176941),
+        (3, 2, 0.009597861291),
+        (3, 3, 0.007705378111),
+        (4, 3, 0.003067941965),
+    ])
+    def test_many_term_structures(self, m, l, pinned):
+        # n_b=3, n_r=2 at m=3 and 4 (up to ~1.5e6 terms before merging);
+        # the sum's own roundoff here is ~5e-11, a wrong power or index
+        # an O(1) error
+        cfg = replace(BASE, n_b=3, n_r=2, m_sr=m, m_rr=m, m_ru=(m,) * 3)
+        assert exact_outage(cfg, 10.0, l).value == pytest.approx(pinned, abs=1e-9)
+
+    def test_one_table_per_structure(self):
+        # SNR, distance, impairments and the SI shape change only the
+        # scalars and Phi rows of a call
+        analytic._sum_table.cache_clear()
+        for cfg, snr in ((BASE, 10.0), (BASE, 25.0), (replace(BASE, d_sr=0.3), 10.0),
+                         (PRACTICAL, 15.0), (replace(BASE, mu=0.75, m_rr=2), 20.0)):
+            exact_outage(cfg, snr, 2)
+        assert analytic._sum_table.cache_info().misses == 1
+
     def test_quadrature_spec_respected(self):
         loose = QuadratureSpec(rel_tol=1e-6)
         tight = QuadratureSpec(rel_tol=1e-12)

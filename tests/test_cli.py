@@ -255,6 +255,18 @@ class TestValidate:
         validate(BASE, (5.0, 10.0), trials=20_000, seed=1, conf=0.99)
         assert levels == [1.0 - 0.01 / 6] * 2  # two points, three users
 
+    def test_rel_tol_reaches_the_exact_form(self, monkeypatch, capsys):
+        exact = analytic.exact_outage
+        tolerances = []
+
+        def recording(cfg, snr_db, l, q=analytic.QuadratureSpec()):
+            tolerances.append(q.rel_tol)
+            return exact(cfg, snr_db, l, q)
+
+        monkeypatch.setattr(analytic, "exact_outage", recording)
+        main(["validate", "--grid", "10:10:5", "--trials", "20000", "--rel-tol", "1e-7"])
+        assert tolerances == [1e-7] * BASE.n_users
+
     def test_slope_check_runs_on_wide_ideal_grid(self):
         lines, ok = validate(BASE, (25.0, 30.0, 35.0), trials=50_000, seed=3)
         assert any(l.check == "high_snr_slope" for l in lines)
@@ -321,6 +333,19 @@ class TestMainExitCodes:
             main([*argv, "--seed", value])
         assert exc.value.code == 1
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--grid", "10:10:5"],
+        ["sweep", "--grid", "10:10:5"],
+        ["validate", "--grid", "10:10:5"],
+        ["preset", "fig4", "--out", "unused"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_workers_is_exit_1(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--workers", value])
+        assert exc.value.code == 1
+        assert "--workers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,method,allowed", [
         ("analyze", "monte_carlo", "exact, lower_bound, asymptotic_ideal, asymptotic_practical"),
