@@ -185,8 +185,9 @@ def validate(
 ) -> tuple[list[ValidationLine], bool]:
     """Exact-vs-MC agreement, bound ordering, and (ideal, mu<1) slope checks.
 
-    A point whose expected outage count is below ~25 cannot falsify the
-    closed form, so it is reported as "insufficient trials" rather than a
+    A point whose expected count of outages, or of successes, is below
+    ~25 in both the exact value and the estimate cannot falsify the closed
+    form, so it is reported as "insufficient trials" rather than a
     failure.  conf is the level of the whole set of mc_agreement lines:
     each line's Wilson interval is taken at 1 - (1 - conf) / n_lines
     (Bonferroni), so a correct program fails any of them with probability
@@ -204,16 +205,19 @@ def validate(
             exact = analytic.exact_outage(cfg, snr, l, quad).value
             lb = analytic.lower_bound_outage(cfg, snr, l).value
             exact_vals[(snr, l)] = exact
-            mc = sim[l - 1]
-            lo, hi = mc.ci
-            if trials * max(exact, mc.value) < 25:
+            mc = sim[l - 1].value
+            lo, hi = sim[l - 1].ci
+            shown = f"exact={exact:.10g} mc={mc:.10g}"
+            outages, successes = trials * max(exact, mc), trials * (1.0 - min(exact, mc))
+            if min(outages, successes) < 25:
+                rare, p = ("outages", exact) if outages <= successes else ("successes", 1.0 - exact)
                 status, detail = "insufficient trials", (
-                    f"expected outages {trials * exact:.1f} too few to resolve"
+                    f"expected {rare} {trials * p:.1f} too few to resolve ({shown})"
                 )
             elif lo <= exact <= hi:
-                status, detail = "ok", f"exact={exact:.6g} in [{lo:.6g}, {hi:.6g}]"
+                status, detail = "ok", f"{shown} in [{lo:.10g}, {hi:.10g}]"
             else:
-                status, detail = "fail", f"exact={exact:.6g} outside [{lo:.6g}, {hi:.6g}]"
+                status, detail = "fail", f"{shown} outside [{lo:.10g}, {hi:.10g}]"
             lines.append(ValidationLine(snr, l, "mc_agreement", status, detail))
             if lb <= exact + 1e-8:
                 lines.append(

@@ -57,10 +57,10 @@ __all__ = [
 ]
 
 CHUNK_TRIALS = 1_000_000
-# Trials per block of the outage test.  The block's seven float64
-# temporaries (7 x 256 KiB) fit a 2 MiB L2 cache; on a 2-core Xeon the
-# fig11 sweep kernel ran 10-30% faster than with 2**16 trials.
-# Counts do not depend on it.
+# Trials per block of the outage test and of the users' compare-exchange
+# sort.  The block's seven float64 temporaries (7 x 256 KiB) fit a 2 MiB
+# L2 cache; on a 2-core Xeon the fig11 sweep kernel ran 10-30% faster
+# than with 2**16 trials.  Counts do not depend on it.
 BLOCK_TRIALS = 1 << 15
 MIN_TRIALS = 10_000
 
@@ -122,14 +122,27 @@ def wilson_interval(successes: int, trials: int, conf: float = 0.95) -> tuple[fl
 
 
 def _top2_standard(cfg: SystemConfig, rng: np.random.Generator, size: int) -> np.ndarray:
-    """The two largest of n_b i.i.d. standard Gamma(m_sr, 1) draws, (2, size).
+    """The two largest of n_b i.i.d. standard Gamma(m_sr, 1) draws, (2, size),
+    as [second largest, largest].
 
     A common positive scale does not change which two are largest, so the
-    reduction happens before any rescaling.
+    reduction happens before any rescaling.  It keeps a running (second,
+    largest) pair over the columns of the (size, n_b) draw; with x the next
+    column, second <- min(largest, max(second, x)) and largest <-
+    max(largest, x).  min and max select, so the values are bitwise those a
+    partition would give.
     """
     g = rng.standard_gamma(cfg.m_sr, size=(size, cfg.n_b))
-    g.partition(cfg.n_b - 2, axis=1)
-    return np.ascontiguousarray(g[:, -2:].T)
+    top = np.empty((2, size))
+    second, largest = top
+    np.minimum(g[:, 0], g[:, 1], out=second)
+    np.maximum(g[:, 0], g[:, 1], out=largest)
+    for j in range(2, cfg.n_b):
+        x = g[:, j]
+        np.maximum(second, x, out=second)
+        np.minimum(second, largest, out=second)
+        np.maximum(largest, x, out=largest)
+    return top
 
 
 def _users_standard(cfg: SystemConfig, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -138,6 +151,24 @@ def _users_standard(cfg: SystemConfig, rng: np.random.Generator, size: int) -> n
     for l in range(cfg.n_users):
         rng.standard_gamma(cfg.m_ru[l] * cfg.n_r, out=out[l])
     return out
+
+
+def _sort_rows(x: np.ndarray, tmp: np.ndarray) -> None:
+    """Sort the columns of x (n, k) in place, so that x[i] <= x[i + 1].
+
+    Insertion by compare-exchange (a fixed sorting network; Knuth, TAOCP
+    vol. 3, 5.3.4): row i's value is carried in tmp (length k) past the
+    sorted rows above it, each step moving the larger value one row down.
+    min and max select, so over NaN-free input the result is bitwise
+    np.sort(x, axis=0), without numpy's one small strided sort per column.
+    """
+    for i in range(1, x.shape[0]):
+        np.minimum(x[i - 1], x[i], out=tmp)
+        np.maximum(x[i - 1], x[i], out=x[i])
+        for j in range(i - 2, -1, -1):
+            np.maximum(x[j], tmp, out=x[j + 1])
+            np.minimum(x[j], tmp, out=tmp)
+        x[0] = tmp
 
 
 def _ru_scales(cfg: SystemConfig, stats: LinkStats) -> tuple[float, ...]:
@@ -153,9 +184,10 @@ def sample_first_hop(cfg: SystemConfig, stats: LinkStats, rng: np.random.Generat
 
 def sample_second_hop(cfg: SystemConfig, stats: LinkStats, rng: np.random.Generator, size: int = 1):
     """Per-user combined gains (n_r branches each), sorted ascending."""
-    b = _users_standard(cfg, rng, size).T * np.array(_ru_scales(cfg, stats))
-    b.sort(axis=1)
-    return b
+    b = _users_standard(cfg, rng, size)
+    b *= np.reshape(_ru_scales(cfg, stats), (-1, 1))
+    _sort_rows(b, np.empty(size))
+    return b.T
 
 
 def sample_si_gain(cfg: SystemConfig, stats: LinkStats, rng: np.random.Generator, size: int = 1):
@@ -250,16 +282,16 @@ def _sweep_chunk(
     outage iff (gbar^2/2) A B_l <= Lambda_l^+ * D0, with D0 the
     theta-weighted denominator terms shared by all stages (hd_noma drops
     the SI terms).  The test runs in blocks of BLOCK_TRIALS so that its
-    temporaries stay in cache; each comparison is elementwise, so the
-    counts do not depend on the block size.
+    temporaries stay in cache.  The users' order statistics are taken
+    per block too, by compare-exchange (_sort_rows) into one of the block
+    temporaries: once per block when every point scales all users alike
+    (sort_once), else per point after the rescale.  Each comparison is
+    elementwise, so the counts do not depend on the block size.
     """
     rng = stream.generator()
     top = _top2_standard(cfg, rng, size)
     users = _users_standard(cfg, rng, size)
     si = rng.standard_gamma(cfg.m_rr, size=size)
-    if sort_once:
-        # every point scales all users alike, so the order is fixed here
-        users.sort(axis=0)
 
     n_users = cfg.n_users
     hd = [j for j, m in enumerate(methods) if m == "hd_noma"]
@@ -273,6 +305,9 @@ def _sweep_chunk(
         n = hi - lo
         if n < block:
             a, c, bl, lhs, d, s, t, mask = (x[:n] for x in (a, c, bl, lhs, d, s, t, mask))
+        if sort_once:
+            # every point scales all users alike, so the order is fixed here
+            _sort_rows(users[:, lo:hi], t)
         for p, plan in enumerate(plans):
             np.multiply(top[0, lo:hi], plan.scale_sr, out=a)
             np.multiply(top[1, lo:hi], plan.scale_sr, out=t)
@@ -280,7 +315,7 @@ def _sweep_chunk(
             np.multiply(si[lo:hi], plan.scale_rr, out=c)
             if not sort_once:
                 scaled = users[:, lo:hi] * np.reshape(plan.scale_ru, (-1, 1))
-                scaled.sort(axis=0)
+                _sort_rows(scaled, t)
             for l in range(n_users):
                 k1, k2, k5, k3, k4 = plan.coef[l]
                 if sort_once:

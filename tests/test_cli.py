@@ -8,6 +8,7 @@ import pytest
 
 import fdnoma.analytic as analytic
 import fdnoma.mcsim as mcsim
+from fdnoma.analytic import OutagePoint
 from fdnoma.cli import main, run_sweep, validate
 from fdnoma.presets import PRESET_NAMES, SweepSpec, figure_preset
 from fdnoma.errors import ConfigError
@@ -254,6 +255,49 @@ class TestValidate:
         monkeypatch.setattr(mcsim, "simulate_outage_all", recording)
         validate(BASE, (5.0, 10.0), trials=20_000, seed=1, conf=0.99)
         assert levels == [1.0 - 0.01 / 6] * 2  # two points, three users
+
+    @staticmethod
+    def _fake_simulation(monkeypatch, outages):
+        """Replace the Monte Carlo estimate of user l by outages[l] outages
+        out of the trials validate asks for."""
+
+        def fake(cfg, snr_db, trials, rng=0, workers=1, conf=0.95, **kw):
+            return {"monte_carlo": [
+                OutagePoint(l, snr_db, k / trials, "monte_carlo",
+                            ci=mcsim.wilson_interval(k, trials, conf))
+                for l, k in sorted(outages.items())
+            ]}
+
+        monkeypatch.setattr(mcsim, "simulate_outage_all", fake)
+
+    def test_thin_success_tail_is_insufficient_not_failed(self, monkeypatch):
+        # default config at 0 dB: user 1's exact OP is 0.99999981, so 4e6
+        # trials expect ~0.76 successes; 4 seen is Poisson noise, not a fault
+        trials = 4_000_000
+        exact = {l: analytic.exact_outage(BASE, 0.0, l).value for l in (1, 2, 3)}
+        assert trials * (1.0 - exact[1]) < 1.0
+        self._fake_simulation(monkeypatch, {1: trials - 4, 2: round(trials * exact[2]),
+                                            3: round(trials * exact[3])})
+        lines, ok = validate(BASE, (0.0,), trials=trials)
+        agreement = {l.user: l for l in lines if l.check == "mc_agreement"}
+        assert agreement[1].status == "insufficient trials"
+        assert "expected successes 0.8" in agreement[1].detail
+        assert "exact=0.99999981" in agreement[1].detail and "mc=0.999999)" in agreement[1].detail
+        assert [agreement[l].status for l in (2, 3)] == ["ok", "ok"]
+        assert ok
+
+    def test_thick_line_outside_its_interval_still_fails(self, monkeypatch):
+        trials = 4_000_000
+        exact = {l: analytic.exact_outage(BASE, 0.0, l).value for l in (1, 2, 3)}
+        # user 3 expects ~4,550 successes; a 1% shift of the estimate is ~15 sigma
+        self._fake_simulation(monkeypatch, {1: trials, 2: round(trials * exact[2]),
+                                            3: round(trials * (exact[3] - 0.01))})
+        lines, ok = validate(BASE, (0.0,), trials=trials)
+        agreement = {l.user: l for l in lines if l.check == "mc_agreement"}
+        assert agreement[3].status == "fail"
+        assert f"exact={exact[3]:.10g}" in agreement[3].detail
+        assert agreement[1].status == "insufficient trials"
+        assert not ok
 
     def test_rel_tol_reaches_the_exact_form(self, monkeypatch, capsys):
         exact = analytic.exact_outage

@@ -5,6 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import kstest
 
@@ -98,11 +101,64 @@ class TestSamplers:
         b = sample_second_hop(BASE, STATS, rng, 1000)
         assert np.all(b[:, 0] <= b[:, 1]) and np.all(b[:, 1] <= b[:, 2])
 
+    def test_second_hop_equals_scaled_full_sort(self):
+        cfg = replace(BASE, m_ru=(1, 2, 3), sigma2_est_ru=(0.01, 0.02, 0.03))
+        stats = derive_link_stats(cfg, 10.0)
+        b = sample_second_hop(cfg, stats, RngStream(8).generator(), 50_000)
+        rng = RngStream(8).generator()
+        ref = np.stack([rng.standard_gamma(m * cfg.n_r, size=50_000) for m in cfg.m_ru], axis=1)
+        ref = ref * np.array([om / m for om, m in zip(stats.omega_hat_ru, cfg.m_ru)])
+        ref.sort(axis=1)
+        assert b.shape == (50_000, 3)
+        assert np.array_equal(b, ref)
+
     def test_si_gain_marginal(self):
         rng = RngStream(7).generator()
         c = sample_si_gain(BASE, STATS, rng, 400_000)
         res = kstest(c, gamma_dist(a=BASE.m_rr, scale=STATS.omega_rr / BASE.m_rr).cdf)
         assert res.pvalue > 0.01
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+# nonnegative and NaN-free, like every gain; a few fixed values force ties
+_gains = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2e-308, 1.0, 1.5]),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False, allow_subnormal=True),
+)
+
+
+class TestOrderStatisticKernels:
+    @settings(deadline=None)
+    @given(st.integers(1, 8).flatmap(
+        lambda n: arrays(np.float64, st.tuples(st.just(n), st.integers(1, 40)), elements=_gains)))
+    def test_sort_rows_equals_np_sort(self, x):
+        ref = np.sort(x, axis=0)
+        mcsim._sort_rows(x, np.empty(x.shape[1]))
+        assert np.array_equal(_bits(x), _bits(ref))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_sort_rows_on_block_views(self, n):
+        block = mcsim.BLOCK_TRIALS
+        x = np.round(RngStream(9).generator().standard_gamma(1.0, size=(n, 2 * block + 123)), 2)
+        ref = np.sort(x, axis=0)
+        tmp = np.empty(block)
+        for lo in range(0, x.shape[1], block):
+            view = x[:, lo:lo + block]
+            mcsim._sort_rows(view, tmp[:view.shape[1]])
+        assert np.array_equal(_bits(x), _bits(ref))
+
+    @pytest.mark.parametrize("m_sr", [0.5, 1, 2.5])
+    @pytest.mark.parametrize("n_b", [2, 3, 4, 5, 6])
+    def test_top2_equals_partition_reference(self, n_b, m_sr):
+        cfg = replace(BASE, n_b=n_b, m_sr=m_sr)
+        top = mcsim._top2_standard(cfg, RngStream(10, n_b).generator(), 20_000)
+        g = RngStream(10, n_b).generator().standard_gamma(m_sr, size=(20_000, n_b))
+        g.partition(n_b - 2, axis=1)
+        assert top.shape == (2, 20_000)
+        assert np.array_equal(top[0], g[:, -2]) and np.array_equal(top[1], g[:, -1])
 
 
 class TestEvaluateSinr:
@@ -365,6 +421,25 @@ class TestSweep:
     def test_points_must_share_shapes(self, change):
         with pytest.raises(ValueError, match="must share"):
             simulate_sweep([(BASE, 10.0), (replace(BASE, **change), 10.0)], 20_000)
+
+    @pytest.mark.parametrize("cfg, sort_once, expected", [
+        (replace(BASE, n_b=4, m_sr=2), True,
+         [[[23221, 4662, 320], [22951, 4518, 304], [18307, 2739, 145]],
+          [[4789, 1220, 1038], [2736, 58, 1], [2838, 385, 322]]]),
+        (replace(BASE, n_b=4, m_sr=2, m_ru=(1, 2, 3), sigma2_est_ru=(0.01, 0.02, 0.03)), False,
+         [[[15430, 2031, 97], [15106, 1920, 92], [10789, 808, 25]],
+          [[2697, 1105, 1029], [1136, 1, 0], [1438, 403, 388]]]),
+    ], ids=["sort_once", "unequal_scales"])
+    def test_pinned_counts(self, small_chunks, cfg, sort_once, expected):
+        # integer counts (point, method, user) as np.sort/np.partition order
+        # statistics give them; compare-exchange must reproduce them exactly
+        points = _d_sr_points(cfg, grid=(0.35, 0.65))
+        plans = [mcsim._plan_point(c, snr, ALL_METHODS, "equal") for c, snr in points]
+        assert all(len(set(p.scale_ru)) == 1 for p in plans) == sort_once
+        swept = simulate_sweep(points, 50_000, rng=RngStream(43, 2), methods=ALL_METHODS)
+        counts = [[[round(p.value * 50_000) for p in res[m]] for m in ALL_METHODS]
+                  for res in swept]
+        assert counts == expected
 
     def test_block_size_does_not_change_counts(self, monkeypatch):
         points = _d_sr_points(replace(BASE, sigma2_est_ru=(0.01, 0.02, 0.03)), grid=(0.4, 0.6))
