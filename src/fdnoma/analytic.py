@@ -2,9 +2,10 @@
 and high-SNR asymptotics.
 
 The exact outage probability is a 12-fold nested finite sum over one
-semi-infinite quadrature (phi_integral).  Its terms are tabulated once per
-structure at unit rates (_sum_table); an evaluation adds a few scalars'
-logs to each term's log-magnitude in one array operation.  Terms alternate
+semi-infinite quadrature (the Phi integral, integrated in log form by
+phi_integral_log_rows).  Its terms are tabulated once per structure at
+unit rates (_sum_table); an evaluation adds a few scalars' logs to each
+term's log-magnitude in one array operation.  Terms alternate
 in sign, so the final reduction uses exact summation (math.fsum) after
 rescaling by the largest term.
 
@@ -48,7 +49,6 @@ __all__ = [
     "OutagePoint",
     "QuadratureSpec",
     "PhiTerm",
-    "phi_integral",
     "phi_integral_log",
     "phi_integral_log_rows",
     "exact_outage",
@@ -59,10 +59,8 @@ __all__ = [
     "array_gain",
     "first_hop_mixture",
     "pdf_two_strongest_sum",
-    "cdf_two_strongest_sum",
     "sf_two_strongest_sum",
     "pdf_ordered_gain",
-    "cdf_ordered_gain",
     "sf_ordered_gain",
     "sf_relay_ratio",
     "asymptotic_cdf_two_strongest_sum",
@@ -240,12 +238,6 @@ def phi_integral_log(term: PhiTerm, spec: QuadratureSpec = _DEFAULT_QUAD) -> flo
     return float(phi_integral_log_rows(row, spec, lambda i: term.label or term)[0])
 
 
-def phi_integral(term: PhiTerm, spec: QuadratureSpec = _DEFAULT_QUAD) -> float:
-    """The Phi integral itself (nonnegative)."""
-    lg = phi_integral_log(term, spec)
-    return 0.0 if lg == -math.inf else exp(lg)
-
-
 # --------------------------------------------------------------------------
 # First-hop statistics: A = sum of the two largest of n_b i.i.d. Gamma gains
 # --------------------------------------------------------------------------
@@ -302,26 +294,17 @@ def pdf_two_strongest_sum(x, n_b: int, m: int, lam: float):
     return total
 
 
-def _cdf_two_strongest_sum(x, n_b, m, lam, upper: bool):
+def sf_two_strongest_sum(x, n_b: int, m: int, lam: float):
+    """Complementary CDF of A; accurate where the survival mass is small."""
     x = np.asarray(x, dtype=float)
     total = np.zeros_like(x)
-    reg = _sp.gammaincc if upper else _sp.gammainc
     for coef, form in first_hop_mixture(n_b, m, lam):
         for pole, row in zip(form.poles, form.kappa):
             for t2, kap in enumerate(row, start=1):
                 if kap == 0.0:
                     continue
-                total += coef * kap * pole ** (-t2) * reg(t2, pole * x)
+                total += coef * kap * pole ** (-t2) * _sp.gammaincc(t2, pole * x)
     return total
-
-
-def cdf_two_strongest_sum(x, n_b: int, m: int, lam: float):
-    return _cdf_two_strongest_sum(x, n_b, m, lam, upper=False)
-
-
-def sf_two_strongest_sum(x, n_b: int, m: int, lam: float):
-    """Complementary CDF of A; accurate where the survival mass is small."""
-    return _cdf_two_strongest_sum(x, n_b, m, lam, upper=True)
 
 
 def asymptotic_cdf_two_strongest_sum(x, n_b: int, m: int, omega: float):
@@ -399,10 +382,6 @@ def sf_ordered_gain(x, l: int, n_users: int, m_total: int, lam: float):
                     * ex
                 )
     return total
-
-
-def cdf_ordered_gain(x, l: int, n_users: int, m_total: int, lam: float):
-    return 1.0 - sf_ordered_gain(x, l, n_users, m_total, lam)
 
 
 # --------------------------------------------------------------------------

@@ -219,16 +219,11 @@ def validate(
             else:
                 status, detail = "fail", f"{shown} outside [{lo:.10g}, {hi:.10g}]"
             lines.append(ValidationLine(snr, l, "mc_agreement", status, detail))
-            if lb <= exact + 1e-8:
-                lines.append(
-                    ValidationLine(snr, l, "bound_ordering", "ok", f"lb={lb:.6g} <= exact={exact:.6g}")
-                )
-            else:
-                lines.append(
-                    ValidationLine(
-                        snr, l, "bound_ordering", "fail", f"lb={lb:.6g} > exact={exact:.6g}"
-                    )
-                )
+            ordered = lb <= exact + 1e-8
+            lines.append(ValidationLine(
+                snr, l, "bound_ordering", "ok" if ordered else "fail",
+                f"lb={lb:.10g} {'<=' if ordered else '>'} exact={exact:.10g}",
+            ))
     if cfg.ideal and cfg.mu < 1.0 and len(snr_grid) >= 3 and max(snr_grid) >= 30.0:
         top = [s for s in snr_grid if s >= max(snr_grid) - 10.0]
         for l in range(1, cfg.n_users + 1):
@@ -315,13 +310,16 @@ def _load_cfg(args) -> SystemConfig:
     return SystemConfig()
 
 
-def _add_common(p, sim: bool):
+def _add_common(p, sim: bool, sweep: bool = True):
+    """Flags shared by the grid commands; sweep adds --users and --timings,
+    which only a CSV sweep reads."""
     p.add_argument("--config", help="system config file (flat key = value format)")
     p.add_argument("--preset", help="figure preset name, optionally NAME:VARIANT")
-    p.add_argument("--users", default="", help="comma-separated user indices (default: all)")
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.add_argument("--rel-tol", type=_rel_tol, default=1e-10, help="quadrature relative tolerance")
-    p.add_argument("--timings", action="store_true", help="record wall_ms (breaks byte-identity)")
+    if sweep:
+        p.add_argument("--users", default="", help="comma-separated user indices (default: all)")
+        p.add_argument("--timings", action="store_true", help="record wall_ms (breaks byte-identity)")
     if sim:
         p.add_argument("--trials", type=_trials, default=1_000_000)
         p.add_argument("--seed", type=_seed, default=1)
@@ -395,7 +393,7 @@ def main(argv=None) -> int:
     p.add_argument("--timings", action="store_true")
 
     p = sub.add_parser("validate", help="cross-engine agreement harness")
-    _add_common(p, sim=True)
+    _add_common(p, sim=True, sweep=False)
     p.add_argument("--grid", default="0:30:5")
     p.add_argument("--tolerance", type=float, default=0.10, help="slope tolerance")
 

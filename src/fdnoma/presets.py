@@ -89,8 +89,9 @@ def linear_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
 class SweepSpec:
     """Axis, grid and output protocol of one sweep.
 
-    snr_db fixes the operating point when the axis is not snr_db; hd_rule
-    picks the HD-NOMA threshold mapping for the hd_noma method.
+    snr_db fixes the operating point when the axis is not snr_db, and must
+    be None on the snr_db axis; hd_rule picks the HD-NOMA threshold mapping
+    for the hd_noma method.
     """
 
     axis: str = "snr_db"
@@ -114,6 +115,8 @@ class SweepSpec:
                 raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
         if self.axis != "snr_db" and self.snr_db is None:
             raise ConfigError(f"axis {self.axis!r} needs a fixed snr_db")
+        if self.axis == "snr_db" and self.snr_db is not None:
+            raise ConfigError(f"the snr_db axis takes the SNR from its grid; got snr_db={self.snr_db}")
         if not self.users:
             raise ConfigError("users list is empty")
 

@@ -1,10 +1,11 @@
 """Special functions and combinatorial kernels used by the closed-form engine.
 
-Everything here is pure and stateless.  The gamma/Bessel evaluations are
-delegated to scipy.special, which meets the accuracy targets with large
-margin; the polynomial-power coefficients and the partial fraction
-decomposition are implemented locally because they are the load-bearing
-combinatorial pieces of the outage formulas.
+Everything here is pure and stateless.  The log-Bessel evaluation
+delegates to scipy.special's scaled kve, which meets the accuracy targets
+with large margin; the engine calls math.lgamma and the scipy.special
+incomplete gamma functions directly.  The polynomial-power coefficients
+and the partial fraction decomposition are implemented locally because
+they are the load-bearing combinatorial pieces of the outage formulas.
 """
 
 from __future__ import annotations
@@ -20,41 +21,11 @@ from scipy import special as _sp
 from .errors import NumericsError
 
 __all__ = [
-    "ln_gamma",
-    "lower_incomplete_gamma_reg",
-    "bessel_k_int",
     "ln_bessel_k_int",
     "poly_power_coeffs",
     "PfdForm",
     "pfd_two_pole",
 ]
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    if not x > 0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def lower_incomplete_gamma_reg(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0."""
-    if not a > 0:
-        raise ValueError(f"lower_incomplete_gamma_reg requires a > 0, got a={a}")
-    if not x >= 0:
-        raise ValueError(f"lower_incomplete_gamma_reg requires x >= 0, got x={x}")
-    return float(_sp.gammainc(a, x))
-
-
-def bessel_k_int(v: int, x: float) -> float:
-    """Modified Bessel function of the second kind K_v(x), integer order.
-
-    K_{-v} = K_v is applied for negative orders.  Underflow to 0.0 for
-    large x is allowed (K_v decays like exp(-x)).
-    """
-    if not x > 0:
-        raise ValueError(f"bessel_k_int requires x > 0, got {x}")
-    return float(_sp.kv(abs(int(v)), x))
 
 
 def ln_bessel_k_int(v, x):
@@ -130,10 +101,6 @@ class PfdForm:
     poles: tuple[float, ...]
     multiplicities: tuple[int, ...]
     kappa: tuple[tuple[float, ...], ...]
-
-    @property
-    def pole_count(self) -> int:
-        return len(self.poles)
 
     def reconstruct(self, s: float) -> float:
         """Evaluate the decomposition at a point (used for self-checks)."""

@@ -26,6 +26,7 @@ config:
   user and no crossover exists.
 """
 
+import io
 import math
 import os
 from dataclasses import replace
@@ -37,18 +38,18 @@ from scipy.integrate import quad
 from fdnoma.analytic import (
     asymptotic_outage_ideal,
     asymptotic_outage_practical,
-    cdf_ordered_gain,
-    cdf_two_strongest_sum,
     diversity_order,
     exact_outage,
     lower_bound_outage,
     pdf_ordered_gain,
     pdf_two_strongest_sum,
+    sf_ordered_gain,
+    sf_two_strongest_sum,
 )
 from fdnoma.cli import run_sweep
-from fdnoma.mcsim import RngStream, simulate_outage_all
-from fdnoma.presets import AXES, SweepSpec, figure_preset
-from fdnoma.specfn import bessel_k_int, ln_gamma, lower_incomplete_gamma_reg, pfd_two_pole
+from fdnoma.mcsim import RngStream, wilson_interval
+from fdnoma.presets import figure_preset
+from fdnoma.specfn import ln_bessel_k_int, pfd_two_pole
 from fdnoma.sysmodel import (
     SystemConfig,
     compute_deltas,
@@ -67,26 +68,44 @@ def report(criterion: str, ok: bool, detail: str) -> bool:
     return ok
 
 
+def _sweep_cells(spec, cfg) -> dict:
+    """op of every (axis value, user, method) row that run_sweep prints for
+    one curve; a row with its error column set fails the criterion."""
+    rows = run_sweep(spec, cfg, io.StringIO(), workers=WORKERS)
+    failed = [r for r in rows if r.error]
+    assert not failed, f"error rows: {failed[:3]}"
+    return {(r.axis_value, r.user, r.method): r.op for r in rows}
+
+
 def test_criterion_1_cross_engine_agreement():
     """Exact outage inside the 99% Wilson CI of the simulator at 1e7 trials
-    for every Fig. 4 / Fig. 5 curve, SNR in {0,5,...,30}, every user."""
+    for every Fig. 4 / Fig. 5 curve, SNR in {0,5,...,30}, every user.
+
+    Both values are the rows run_sweep prints for the curve, one sweep per
+    curve on the stream RngStream(SEED): the CSV rows of the fig4/fig5
+    presets at this trial count and seed, since a sub-grid prints the same
+    Monte Carlo rows as the full grid (tests/test_cli.py).
+    """
     misses = []
     worst = (0.0, "")
     checked = 0
     for name in ("fig4", "fig5"):
         for var in figure_preset(name):
-            cfg = var.config
-            for idx, snr in enumerate(s for s in var.sweep.grid if s <= 30.0):
-                sim = simulate_outage_all(
-                    cfg, snr, TRIALS, rng=RngStream(SEED, idx * 100), workers=WORKERS,
-                    conf=0.99,
-                )["monte_carlo"]
-                for l in (1, 2, 3):
-                    exact = exact_outage(cfg, snr, l).value
-                    lo, hi = sim[l - 1].ci
+            spec = replace(
+                var.sweep, grid=tuple(s for s in var.sweep.grid if s <= 30.0),
+                methods=("exact", "monte_carlo"), trials=TRIALS, seed=SEED,
+            )
+            cells = _sweep_cells(spec, var.config)
+            for snr in spec.grid:
+                for l in spec.users:
+                    exact = cells[snr, l, "exact"]
+                    op = cells[snr, l, "monte_carlo"]
+                    count = round(op * TRIALS)
+                    assert count / TRIALS == op
+                    lo, hi = wilson_interval(count, TRIALS, 0.99)
                     checked += 1
-                    sd = math.sqrt(max(sim[l - 1].value * (1 - sim[l - 1].value), 1e-12) / TRIALS)
-                    z = abs(exact - sim[l - 1].value) / sd
+                    sd = math.sqrt(max(op * (1 - op), 1e-12) / TRIALS)
+                    z = abs(exact - op) / sd
                     if z > worst[0]:
                         worst = (z, f"{name}:{var.label} snr={snr} l={l}")
                     if not lo <= exact <= hi:
@@ -200,11 +219,11 @@ def _hd_noma_outage(cfg, snr_db, l, hd_rule):
         limit = lam * (th.theta1 * g * x + th.theta5) / (g * g * x / 2.0 - lam * th.theta2 * g)
         return float(
             pdf_two_strongest_sum(x, cfg.n_b, m_sr, lam_a)
-            * cdf_ordered_gain(limit, l, cfg.n_users, m_ru * cfg.n_r, lam_b)
+            * (1.0 - sf_ordered_gain(limit, l, cfg.n_users, m_ru * cfg.n_r, lam_b))
         )
 
     tail, _ = quad(integrand, x0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400)
-    return float(cdf_two_strongest_sum(x0, cfg.n_b, m_sr, lam_a)) + tail
+    return 1.0 - float(sf_two_strongest_sum(x0, cfg.n_b, m_sr, lam_a)) + tail
 
 
 def _crossover(mus, fd, hd):
@@ -221,32 +240,35 @@ def test_criterion_5_baseline_crossovers():
     """Fig. 9 protocol at 1e7 trials: FD-NOMA against the no-SI HD-NOMA
     baseline over mu at 15 dB, common draws.
 
-    For each user, whether the Monte Carlo FD and HD curves cross in mu,
-    and where, must match the closed-form prediction (FD: exact_outage;
-    HD: _hd_noma_outage) to within 0.1 in mu, and every Monte Carlo value
-    must lie within 4.5 standard errors of its closed form.  The paper's
-    crossover claims are reported but not asserted: the module docstring
-    shows why this SIC model cannot reach them.
+    One run_sweep call over the fig9 grid gives the exact, Monte Carlo FD
+    and Monte Carlo HD rows, on the stream RngStream(SEED).  For each user,
+    whether the Monte Carlo FD and HD curves cross in mu, and where, must
+    match the closed-form prediction (FD: the exact row; HD:
+    _hd_noma_outage) to within 0.1 in mu, and every Monte Carlo value must
+    lie within 4.5 standard errors of its closed form.  HD has no SI term,
+    and the mu axis changes only the SI power, so on common draws the HD
+    estimate is the same at every mu.  The paper's crossover claims are
+    reported but not asserted: the module docstring shows why this SIC
+    model cannot reach them.
     """
     (var,) = figure_preset("fig9")
-    mus = var.sweep.grid
-    snr = var.sweep.snr_db
-    curves = {k: {l: [] for l in (1, 2, 3)} for k in ("fd", "hd", "fd_cf", "hd_cf")}
+    spec = replace(
+        var.sweep, methods=("exact", "monte_carlo", "hd_noma"), trials=TRIALS, seed=SEED
+    )
+    mus = spec.grid
+    cells = _sweep_cells(spec, var.config)
+    curves = {k: {l: [] for l in spec.users} for k in ("fd", "hd", "fd_cf", "hd_cf")}
     misses = []
     worst = (0.0, "")
-    for idx, mu in enumerate(mus):
-        cfg = AXES["mu"](var.config, mu)
-        res = simulate_outage_all(
-            cfg, snr, TRIALS, rng=RngStream(SEED, idx * 100),
-            workers=WORKERS, methods=("monte_carlo", "hd_noma"), hd_rule=var.sweep.hd_rule,
-        )
-        for l in (1, 2, 3):
+    for mu in mus:
+        cfg, snr = spec.point(var.config, mu)
+        for l in spec.users:
             refs = (
-                ("fd", "monte_carlo", exact_outage(cfg, snr, l).value),
-                ("hd", "hd_noma", _hd_noma_outage(cfg, snr, l, var.sweep.hd_rule)),
+                ("fd", "monte_carlo", cells[mu, l, "exact"]),
+                ("hd", "hd_noma", _hd_noma_outage(cfg, snr, l, spec.hd_rule)),
             )
             for key, method, ref in refs:
-                est = res[method][l - 1].value
+                est = cells[mu, l, method]
                 curves[key][l].append(est)
                 curves[key + "_cf"][l].append(ref)
                 sd = math.sqrt(max(est * (1 - est), 1e-12) / TRIALS)
@@ -338,7 +360,7 @@ def test_criterion_7_distributional_correctness():
     details.append(f"selection-sum L1 {l1:.4f}")
 
     samples.sort()
-    cdf_vals = cdf_two_strongest_sum(samples, n_b, m_sr, lam_a)
+    cdf_vals = 1.0 - sf_two_strongest_sum(samples, n_b, m_sr, lam_a)
     i = np.arange(1, draws + 1)
     ks = float(np.max(np.maximum(i / draws - cdf_vals, cdf_vals - (i - 1) / draws)))
     ks_crit = 1.6276 / math.sqrt(draws)  # 1% level
@@ -357,7 +379,7 @@ def test_criterion_7_distributional_correctness():
         l1 = float(np.trapezoid(np.abs(hist - pdf_ordered_gain(mid, l, L, big_m, lam_b)), mid))
         ok = ok and l1 < 0.01
         col.sort()
-        cdf_vals = cdf_ordered_gain(col, l, L, big_m, lam_b)
+        cdf_vals = 1.0 - sf_ordered_gain(col, l, L, big_m, lam_b)
         ks = float(np.max(np.maximum(i / draws - cdf_vals, cdf_vals - (i - 1) / draws)))
         ok = ok and ks < ks_crit
         details.append(f"order-{l} mass err {abs(mass-1):.0e}, L1 {l1:.4f}, KS {ks:.2e}")
@@ -367,14 +389,14 @@ def test_criterion_7_distributional_correctness():
 def test_criterion_8_special_functions():
     """Identity, recurrence, oracle and reconstruction checks at the stated
     tolerances (details in test_specfn; headline assertions repeated here)."""
-    ok = True
-    ok = ok and abs(ln_gamma(5.0) - math.log(24.0)) < 1e-12
-    ok = ok and abs(lower_incomplete_gamma_reg(1.0, math.log(2.0)) - 0.5) < 1e-12
-    # K_2 recurrence identity across the working range
+    # K_2 = K_0 + 2/x K_1 across the working range, in ratio form from the
+    # log-Bessel function the Phi rule calls
+    rec = 0.0
     for x in (0.01, 1.0, 30.0, 300.0):
-        lhs = bessel_k_int(2, x)
-        rhs = bessel_k_int(0, x) + 2.0 / x * bessel_k_int(1, x)
-        ok = ok and (lhs == 0.0 or abs(lhs - rhs) / lhs < 1e-10)
+        k2 = ln_bessel_k_int(2, x)
+        ratio = math.exp(ln_bessel_k_int(0, x) - k2) + 2.0 / x * math.exp(ln_bessel_k_int(1, x) - k2)
+        rec = max(rec, abs(ratio - 1.0))
+    ok = rec < 1e-10
     # PFD reconstruction at relative 1e-10 (extended-precision evaluation)
     mp = pytest.importorskip("mpmath")
     form = pfd_two_pole(1.0, 2, 3.0, 2)
@@ -389,13 +411,14 @@ def test_criterion_8_special_functions():
             src = (mp.mpf(float(s)) + 1) ** -2 * (mp.mpf(float(s)) + 3) ** -2
             worst = max(worst, float(abs(recon - src) / src))
     ok = ok and worst < 1e-10
-    assert report("8 special-functions", ok, f"PFD reconstruction worst {worst:.1e}")
+    assert report(
+        "8 special-functions", ok,
+        f"K recurrence worst {rec:.1e}; PFD reconstruction worst {worst:.1e}",
+    )
 
 
 def test_criterion_9_deterministic_csv():
     """Byte-identical CSV for repeated runs and for 1, 4 and 16 workers."""
-    import io
-
     (var,) = figure_preset("fig4:mu0.25")
     spec = replace(
         var.sweep, grid=(10.0, 20.0), methods=("exact", "monte_carlo"),

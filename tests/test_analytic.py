@@ -21,15 +21,12 @@ from fdnoma.analytic import (
     asymptotic_outage_ideal,
     asymptotic_outage_practical,
     array_gain,
-    cdf_ordered_gain,
-    cdf_two_strongest_sum,
     diversity_order,
     exact_outage,
     first_hop_mixture,
     lower_bound_outage,
     pdf_ordered_gain,
     pdf_two_strongest_sum,
-    phi_integral,
     phi_integral_log,
     sf_ordered_gain,
     sf_relay_ratio,
@@ -142,6 +139,11 @@ def _lower_bound_raw(cfg, snr_db, l, printed):
     return f_w + f_b - f_w * f_b
 
 
+def _phi(term):
+    """The Phi integral itself, from the log form the exact outage uses."""
+    return math.exp(phi_integral_log(term))
+
+
 class TestPhiIntegral:
     TERM = PhiTerm(z_power=1.0, pi_power=1.5, pi_shift=0.8, decay=3.0, bessel_coeff=2.0, order=2)
 
@@ -159,11 +161,11 @@ class TestPhiIntegral:
         term = self.TERM
         z = np.linspace(0.0, 40.0 / term.decay, 1_000_001)
         oracle = np.trapezoid(self._direct(term, z), z)
-        assert phi_integral(term) == pytest.approx(oracle, rel=1e-8)
+        assert _phi(term) == pytest.approx(oracle, rel=1e-8)
 
     def test_bessel_decay_monotone(self):
         vals = [
-            phi_integral(replace_term(self.TERM, bessel_coeff=b))
+            _phi(replace_term(self.TERM, bessel_coeff=b))
             for b in (1.0, 5.0, 25.0, 125.0, 625.0)
         ]
         assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -181,7 +183,7 @@ class TestPhiIntegral:
             order=term.order,
         )
         factor = 2.0 ** (term.z_power + term.pi_power + 1.0)
-        assert phi_integral(term) == pytest.approx(factor * phi_integral(half), rel=1e-9)
+        assert _phi(term) == pytest.approx(factor * _phi(half), rel=1e-9)
 
     def test_near_singular_shift(self):
         # tiny pi_shift with order 0 produces the log-edge behavior
@@ -189,7 +191,7 @@ class TestPhiIntegral:
                        bessel_coeff=1.0, order=0)
         z = np.geomspace(1e-12, 40.0, 4_000_001)
         oracle = np.trapezoid(self._direct(term, z), z)
-        assert phi_integral(term) == pytest.approx(oracle, rel=1e-6)
+        assert _phi(term) == pytest.approx(oracle, rel=1e-6)
 
     def test_invalid_rates(self):
         with pytest.raises(ValueError):
@@ -274,17 +276,11 @@ class TestFirstHopDistribution:
                       limit=300)
         assert val == pytest.approx(1.0, abs=1e-8)
 
-    def test_cdf_sf_complement(self):
-        for x in (0.5, 5.0, 40.0):
-            f = cdf_two_strongest_sum(x, 3, 2, 0.125)
-            s = sf_two_strongest_sum(x, 3, 2, 0.125)
-            assert f + s == pytest.approx(1.0, abs=1e-12)
-
     def test_cdf_matches_pdf_integral(self):
         for x in (2.0, 10.0, 30.0):
             val, _ = quad(lambda u: float(pdf_two_strongest_sum(u, 3, 2, 0.125)), 0.0, x,
                           limit=300)
-            assert cdf_two_strongest_sum(x, 3, 2, 0.125) == pytest.approx(val, abs=1e-10)
+            assert 1.0 - sf_two_strongest_sum(x, 3, 2, 0.125) == pytest.approx(val, abs=1e-10)
 
     def test_histogram_match(self):
         rng = np.random.default_rng(7)
@@ -334,7 +330,7 @@ class TestOrderedGainDistribution:
     def test_cdf_matches_pdf_integral(self, l):
         for x in (1.0, 8.0, 30.0):
             val, _ = quad(lambda u: float(pdf_ordered_gain(u, l, 3, 2, 0.125)), 0.0, x, limit=300)
-            assert cdf_ordered_gain(x, l, 3, 2, 0.125) == pytest.approx(val, abs=1e-10)
+            assert 1.0 - sf_ordered_gain(x, l, 3, 2, 0.125) == pytest.approx(val, abs=1e-10)
 
     def test_empirical_match(self):
         rng = np.random.default_rng(11)
@@ -344,14 +340,14 @@ class TestOrderedGainDistribution:
         for l in (1, 2, 3):
             for x in (4.0, 12.0, 30.0):
                 emp = float(np.mean(g[:, l - 1] <= x))
-                ana = float(cdf_ordered_gain(x, l, L, m_total, lam))
+                ana = 1.0 - float(sf_ordered_gain(x, l, L, m_total, lam))
                 assert ana == pytest.approx(emp, abs=4e-3)
 
     def test_min_of_three_exponentials(self):
         # L=3, m_total=1: the smallest gain is Exp with tripled rate
         lam = 1.0 / 16.0
         for x in (2.0, 10.0):
-            assert float(cdf_ordered_gain(x, 1, 3, 1, lam)) == pytest.approx(
+            assert 1.0 - float(sf_ordered_gain(x, 1, 3, 1, lam)) == pytest.approx(
                 1.0 - math.exp(-3 * lam * x), rel=1e-12
             )
 

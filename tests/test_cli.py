@@ -146,6 +146,21 @@ class TestRunSweep:
         err_cells = by_method["asymptotic_ideal"].split(",")
         assert err_cells[3] == "" and "impairments" in err_cells[8]
 
+    @pytest.mark.parametrize("var", figure_preset("fig4") + figure_preset("fig5"),
+                             ids=lambda var: var.label)
+    def test_sub_grid_prints_the_full_grid_monte_carlo_rows(self, var, monkeypatch):
+        # acceptance criterion 1 sweeps each fig4/fig5 curve up to 30 dB;
+        # every point rescales the same draws, so its rows are the preset's
+        # (three chunks here, the last one partial)
+        monkeypatch.setattr(mcsim, "CHUNK_TRIALS", 10_000)
+        full = replace(var.sweep, methods=("monte_carlo",), trials=25_000)
+        sub = replace(full, grid=tuple(s for s in full.grid if s <= 30.0))
+        assert len(sub.grid) < len(full.grid)
+        rows = run_sweep(full, var.config, io.StringIO())
+        assert run_sweep(sub, var.config, io.StringIO()) == [
+            r for r in rows if r.axis_value in sub.grid
+        ]
+
     def test_d_sr_axis_mirrors_user_distance(self):
         spec = SweepSpec(axis="d_sr", grid=(0.3, 0.5), methods=("exact",), snr_db=15.0)
         text = sweep_to_string(spec, BASE)
@@ -311,6 +326,17 @@ class TestValidate:
         main(["validate", "--grid", "10:10:5", "--trials", "20000", "--rel-tol", "1e-7"])
         assert tolerances == [1e-7] * BASE.n_users
 
+    def test_bound_ordering_detail_resolves_a_value_near_one(self):
+        # default config, 0 dB: user 1's exact OP is 0.99999981, which six
+        # significant digits would print as 1
+        lines, _ = validate(BASE, (0.0,), trials=mcsim.MIN_TRIALS)
+        exact = analytic.exact_outage(BASE, 0.0, 1).value
+        lb = analytic.lower_bound_outage(BASE, 0.0, 1).value
+        (line,) = [l for l in lines if l.check == "bound_ordering" and l.user == 1]
+        assert line.status == "ok"
+        assert line.detail == f"lb={lb:.10g} <= exact={exact:.10g}"
+        assert "exact=0.9999998106" in line.detail
+
     def test_slope_check_runs_on_wide_ideal_grid(self):
         lines, ok = validate(BASE, (25.0, 30.0, 35.0), trials=50_000, seed=3)
         assert any(l.check == "high_snr_slope" for l in lines)
@@ -334,6 +360,19 @@ class TestMainExitCodes:
     def test_non_finite_grid_is_exit_2(self, grid, capsys):
         assert main(["analyze", f"--grid={grid}"]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--users", "1"], ["--timings"]], ids=["users", "timings"])
+    def test_validate_rejects_the_sweep_only_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--grid", "10:10:5", "--trials", "10000", *flag])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    def test_fixed_snr_on_the_snr_axis_is_exit_2(self, capsys):
+        argv = ["sweep", "--grid", "10:10:5", "--snr", "30", "--methods", "exact", "--users", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "snr_db axis" in captured.err
 
     def test_non_integer_users_is_exit_2(self, capsys):
         assert main(["analyze", "--users", "x", "--grid", "10:10:5"]) == 2
