@@ -77,12 +77,11 @@ def run_symbol_chain(
     blocks: int,
     rng: RngStream | int = 0,
     constellation: np.ndarray = QPSK,
-    noise: bool = True,
 ) -> ChainOutput:
     """Run the encode -> relay -> combine chain for a number of Alamouti blocks.
 
-    snr_db = None (or noise=False) disables thermal noise while keeping the
-    rest of the chain; the SI stream stays only if si_gain > 0.
+    snr_db = None turns off thermal noise (at unit transmit power) while
+    keeping the rest of the chain; the SI stream stays only if si_gain > 0.
     """
     energy = float(np.mean(np.abs(constellation) ** 2))
     if abs(energy - 1.0) > 1e-12:
@@ -91,7 +90,7 @@ def run_symbol_chain(
         raise ConfigError("h_ru must have shape (n_users, n_r)")
 
     power = 10.0 ** (snr_db / 10.0) if snr_db is not None else 1.0
-    noise_var = 1.0 if (noise and snr_db is not None) else 0.0
+    noise_var = 1.0 if snr_db is not None else 0.0
     stats = derive_link_stats(cfg, power)
     gen = (rng if isinstance(rng, RngStream) else RngStream(int(rng))).generator()
 

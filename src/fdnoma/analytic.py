@@ -32,7 +32,6 @@ from math import comb, exp, fsum, lgamma, log
 
 import numpy as np
 from scipy import special as _sp
-from scipy.integrate import quad
 
 from .errors import ConfigError, NumericsError
 from .specfn import PfdForm, ln_bessel_k_int, pfd_two_pole, poly_power_coeffs
@@ -70,14 +69,11 @@ __all__ = [
 # interval; anything worse indicates a real defect and raises.
 _CLAMP_TOL = 1e-6
 
-# scipy quad limits of the error-floor quadratures
-_ABS_TOL = 1e-300
-_MAX_SUBDIVISIONS = 2000
-
-# Phi integrals: exp-sinh trapezoid rule (Takahasi & Mori, Publ. RIMS 9,
-# 1974) on t in [-_DE_SPAN, _DE_SPAN], step _DE_STEP / 2**level.  Nodes with
-# v = log(1 + z/pi_shift) beyond _DE_V_MAX lie where exp(-decay*z) is long
-# dead (and expm1 would overflow); they count as zero.
+# Phi integrals and the CEE/FBD error floor: exp-sinh trapezoid rule
+# (Takahasi & Mori, Publ. RIMS 9, 1974) on t in [-_DE_SPAN, _DE_SPAN], step
+# _DE_STEP / 2**level.  Phi nodes with v = log(1 + z/pi_shift) beyond
+# _DE_V_MAX lie where exp(-decay*z) is long dead (and expm1 would
+# overflow); they count as zero.
 _DE_SPAN = 4.5
 _DE_STEP = 0.5
 _DE_MAX_LEVEL = 8
@@ -151,7 +147,7 @@ def _de_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * math.pi * np.sinh(t), np.log(0.5 * math.pi * np.cosh(t))
 
 
-def _de_log_integrand(
+def _phi_log_integrand(
     rows: np.ndarray, sinh_t: np.ndarray, log_cosh_t: np.ndarray, floor: np.ndarray
 ) -> np.ndarray:
     """log of each row's Phi integrand (times dz/dt) at each node; -inf
@@ -184,31 +180,37 @@ def _de_log_integrand(
     return out
 
 
+def _log_positive(x) -> np.ndarray:
+    """log x, and -inf where x rounds to <= 0 (or is NaN)."""
+    return np.log(np.where(x > 0, x, 0.0))
+
+
 def _log_sum_exp(lg: np.ndarray) -> np.ndarray:
     top = lg.max(axis=1)
     top = np.where(top > -np.inf, top, 0.0)
     return top + np.log(np.sum(np.exp(lg - top[:, None]), axis=1))
 
 
-def phi_integral_log_rows(
-    rows: np.ndarray, spec: QuadratureSpec = _DEFAULT_QUAD, label=str
-) -> np.ndarray:
-    """log Phi of every row of a (n, 6) table, all rows in one pass.
+def _de_log_integrals(n: int, log_integrand, spec: QuadratureSpec, failed) -> np.ndarray:
+    """log of n integrals on the exp-sinh nodes, all rows in one pass.
 
-    Each row halves its step on its own, reusing the nodes it has, until
-    two levels agree to spec.rel_tol; the arithmetic of a row never
-    depends on the other rows.  label(i) names row i in errors.
+    log_integrand(idx, sinh_t, log_cosh_t, floor) gives the log of rows
+    idx's integrands times their Jacobian in t at the nodes of one level;
+    it may give -inf at a node below the row's floor, since such a node
+    adds exactly 0.0.  Each row halves its step on its own, reusing the
+    nodes it has, until two levels agree to spec.rel_tol; the arithmetic of
+    a row never depends on the other rows.  failed(i) opens row i's errors.
     """
-    out = np.empty(len(rows))
-    active = np.arange(len(rows))
+    out = np.empty(n)
+    active = np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lg = _de_log_integrand(rows, *_de_nodes(0), -np.inf)
+        lg = log_integrand(active, *_de_nodes(0), -np.inf)
         prev = _log_sum_exp(lg) + log(_DE_STEP)
         # a node this far below the row's level-0 peak adds exactly 0.0 to
         # the rescaled sum, so it is not evaluated
         floor = lg.max(axis=1, keepdims=True) - _DE_NEGLIGIBLE
         for level in range(1, _DE_MAX_LEVEL + 1):
-            new = _de_log_integrand(rows[active], *_de_nodes(level), floor)
+            new = log_integrand(active, *_de_nodes(level), floor)
             lg = np.concatenate([lg, new], axis=1)
             cur = _log_sum_exp(lg) + log(_DE_STEP / 2**level)
             done = (cur == prev) | (np.abs(np.expm1(prev - cur)) <= spec.rel_tol)
@@ -218,17 +220,25 @@ def phi_integral_log_rows(
             cut = done & (ends - cur > log(spec.rel_tol))
             if cut.any():
                 raise NumericsError(
-                    f"phi quadrature failed for term {label(active[cut][0])}: "
-                    "the integrand does not decay within the node span"
+                    f"{failed(active[cut][0])}: the integrand does not decay within the node span"
                 )
             out[active[done]] = cur[done]
             active, lg, prev, floor = active[~done], lg[~done], cur[~done], floor[~done]
             if not len(active):
                 return out
     raise NumericsError(
-        f"phi quadrature failed for term {label(active[0])}: no two levels agreed "
+        f"{failed(active[0])}: no two levels agreed "
         f"to {spec.rel_tol:g} by step {_DE_STEP / 2**_DE_MAX_LEVEL:g}"
     )
+
+
+def phi_integral_log_rows(
+    rows: np.ndarray, spec: QuadratureSpec = _DEFAULT_QUAD, label=str
+) -> np.ndarray:
+    """log Phi of every row of a (n, 6) table, all rows in one pass
+    (_de_log_integrals).  label(i) names row i in errors."""
+    return _de_log_integrals(len(rows), lambda idx, *nodes: _phi_log_integrand(rows[idx], *nodes),
+                             spec, lambda i: f"phi quadrature failed for term {label(i)}")
 
 
 def phi_integral_log(term: PhiTerm, spec: QuadratureSpec = _DEFAULT_QUAD) -> float:
@@ -396,50 +406,29 @@ def sf_relay_ratio(
     lam_sr: float,
     m_rr: int,
     omega_rr: float,
-    snr_bar: float,
-    theta4p: float,
-    ideal: bool,
+    offset: float,
 ) -> float:
-    """Complementary CDF of W.
+    """Complementary CDF of W = A / (C + offset).
 
-    Practical: W = snr_bar*A / (snr_bar*C + theta4p).  Ideal: W = A/C
-    (theta4p ignored).  Assembled from the first-hop mixture and the
-    Gamma SI statistic; terms collected with exact summation.
+    Practical conditions: W = snr_bar*A / (snr_bar*C + theta4p), so offset
+    = theta4p/snr_bar.  Ideal: W = A/C, offset 0.  Assembled from the
+    first-hop mixture and the Gamma SI statistic; terms collected with
+    exact summation.
     """
     rate_c = m_rr / omega_rr
     terms = []
     for coef, form in first_hop_mixture(n_b, m_sr, lam_sr):
         cc = coef * rate_c**m_rr / exp(lgamma(m_rr))
         for pole, row in zip(form.poles, form.kappa):
+            damp = exp(-pole * x * offset)
             for t2, kap in enumerate(row, start=1):
                 if kap == 0.0:
                     continue
                 for t4 in range(t2):
-                    common = (
-                        cc
-                        * kap
-                        * pole ** (t4 - t2)
-                        * x**t4
-                        / math.factorial(t4)
-                    )
-                    if ideal:
-                        terms.append(
-                            common
-                            * exp(lgamma(t4 + m_rr))
-                            * (pole * x + rate_c) ** (-t4 - m_rr)
-                        )
-                    else:
-                        scale = theta4p / snr_bar
-                        damp = exp(-pole * x * scale)
-                        for t5 in range(t4 + 1):
-                            terms.append(
-                                common
-                                * comb(t4, t5)
-                                * scale ** (t4 - t5)
-                                * damp
-                                * exp(lgamma(t5 + m_rr))
-                                * (pole * x + rate_c) ** (-t5 - m_rr)
-                            )
+                    common = cc * kap * pole ** (t4 - t2) * x**t4 / math.factorial(t4)
+                    terms += [common * comb(t4, t5) * offset ** (t4 - t5) * damp
+                              * exp(lgamma(t5 + m_rr)) * (pole * x + rate_c) ** (-t5 - m_rr)
+                              for t5 in range(t4 + 1)]
     return fsum(terms)
 
 
@@ -638,8 +627,8 @@ def _clamped_point(raw: float, l: int, snr_db: float, method: str, floor: bool =
 def lower_bound_outage(cfg: SystemConfig, snr_db: float, l: int) -> OutagePoint:
     """Closed-form lower bound 1 - sf_W(2 delta+ gbar theta2') sf_B(2 delta+ theta1').
 
-    No quadrature.  The ideal-case W = A/C branch is auto-selected when all
-    impairments vanish.
+    No quadrature.  W = A/C (offset 0) is taken when all impairments
+    vanish.
     """
     m_sr, m_rr, m_ru = _require_analytic_config(cfg)
     snr_bar = 10.0 ** (snr_db / 10.0)
@@ -649,15 +638,8 @@ def lower_bound_outage(cfg: SystemConfig, snr_db: float, l: int) -> OutagePoint:
     lam_s = m_sr / stats.omega_hat_sr
     lam_b = m_ru / stats.omega_hat_ru[l - 1]
     sf_w = sf_relay_ratio(
-        2 * dd * snr_bar * theta.thetap2,
-        n_b=cfg.n_b,
-        m_sr=m_sr,
-        lam_sr=lam_s,
-        m_rr=m_rr,
-        omega_rr=stats.omega_rr,
-        snr_bar=snr_bar,
-        theta4p=theta.thetap4,
-        ideal=cfg.ideal,
+        2 * dd * snr_bar * theta.thetap2, n_b=cfg.n_b, m_sr=m_sr, lam_sr=lam_s, m_rr=m_rr,
+        omega_rr=stats.omega_rr, offset=0.0 if cfg.ideal else theta.thetap4 / snr_bar,
     )
     sf_b = float(sf_ordered_gain(2 * dd * theta.thetap1, l, cfg.n_users, m_ru * cfg.n_r, lam_b))
     # 1 - sf_w*sf_b evaluated as F_w + F_b - F_w*F_b to dodge cancellation
@@ -757,17 +739,8 @@ def asymptotic_outage_ideal(cfg: SystemConfig, snr_db: float, l: int) -> OutageP
     lam_dag = compute_deltas(cfg, snr_bar).lambda_dag[l - 1]
     if cfg.mu == 1.0:
         stats = derive_link_stats(cfg, snr_bar)
-        sf_w = sf_relay_ratio(
-            2.0 * lam_dag,
-            n_b=cfg.n_b,
-            m_sr=m_sr,
-            lam_sr=m_sr / stats.omega_hat_sr,
-            m_rr=m_rr,
-            omega_rr=stats.omega_rr,
-            snr_bar=snr_bar,
-            theta4p=1.0,
-            ideal=True,
-        )
+        sf_w = sf_relay_ratio(2.0 * lam_dag, n_b=cfg.n_b, m_sr=m_sr, m_rr=m_rr, offset=0.0,
+                              lam_sr=m_sr / stats.omega_hat_sr, omega_rr=stats.omega_rr)
         return _clamped_point(1.0 - sf_w, l, snr_db, "asymptotic_ideal", floor=True)
     val = _fw_asymptotic_value(cfg, lam_dag, snr_bar)
     val += _fb_asymptotic(cfg, l, lam_dag, snr_bar)
@@ -782,7 +755,8 @@ def asymptotic_outage_practical(
     With the high-SNR theta replacements the outage event collapses to an
     SNR-free comparison; for mu < 1 the SI gain concentrates at zero and a
     single quadrature over the ordered gain remains, for mu = 1 the SI
-    average is kept as an outer quadrature.
+    average is kept as an outer quadrature.  Both are exp-sinh rules, as
+    for Phi, converged to q.rel_tol.
     """
     m_sr, m_rr, m_ru = _require_analytic_config(cfg)
     stats = derive_link_stats(cfg, 1.0)  # SNR enters only omega_rr; mu=1 keeps it constant
@@ -804,35 +778,44 @@ def asymptotic_outage_practical(
     big_m = m_ru * cfg.n_r
     n_b, L = cfg.n_b, cfg.n_users
 
-    def survive_given_c(z: float) -> float:
-        def integrand(u: float) -> float:
-            y = u + tau_b
-            arg = 2.0 * lam_dag * (th2_t * y + th3_t * z + th4 * y * z + th5_t) / u
-            fa_bar = float(sf_two_strongest_sum(arg, n_b, m_sr, lam_s))
-            fb = float(pdf_ordered_gain(y, l, L, big_m, lam_b))
-            return fa_bar * fb
+    u_c = max(big_m / lam_b, tau_b)
 
-        val, abserr, info, *msg = quad(
-            integrand, 0.0, np.inf, epsabs=_ABS_TOL, epsrel=max(q.rel_tol, 1e-10),
-            limit=_MAX_SUBDIVISIONS, full_output=True,
-        )
-        if msg and abserr > 1e-8 * max(abs(val), 1e-12):
-            raise NumericsError(f"floor quadrature failed: {msg[0]}")
-        return val
+    def log_survive(z: np.ndarray) -> np.ndarray:
+        """log of int_0^inf sf_A(arg(u, z)) f_B(u + tau_b) du per SI gain z,
+        in u = u_c exp(pi/2 sinh t)."""
+
+        def log_integrand(idx, sinh_t, log_cosh_t, floor):
+            u = u_c * np.exp(sinh_t)
+            y = u + tau_b
+            zz = z[idx, None]
+            arg = 2.0 * lam_dag * (th2_t * y + th3_t * zz + th4 * y * zz + th5_t) / u
+            # both factors are nonnegative: one that rounds to <= 0 is zero
+            return (_log_positive(sf_two_strongest_sum(arg, n_b, m_sr, lam_s))
+                    + _log_positive(pdf_ordered_gain(y, l, L, big_m, lam_b))
+                    + log(u_c) + sinh_t + log_cosh_t)
+
+        return _de_log_integrals(len(z), log_integrand, q,
+                                 lambda i: f"floor quadrature failed for SI gain {z[i]:g}")
 
     if cfg.mu < 1.0:
-        survive = survive_given_c(0.0)
+        survive = exp(log_survive(np.zeros(1))[0])
     else:
+        # the SI average in z = omega_rr exp(pi/2 sinh t), centred at its mean
         rate_c = m_rr / stats.omega_rr
 
-        def outer(z: float) -> float:
-            fc = rate_c**m_rr * z ** (m_rr - 1) * exp(-rate_c * z) / exp(lgamma(m_rr))
-            return survive_given_c(z) * fc
+        def log_outer(idx, sinh_t, log_cosh_t, floor):
+            z = stats.omega_rr * np.exp(sinh_t)
+            lg = (m_rr * (log(m_rr) + sinh_t) - rate_c * z - lgamma(m_rr) + log_cosh_t)[None]
+            # arg >= 2 lam_dag (th2 + th4 z) at every u, so the Gamma density
+            # times sf_A there bounds each node; a node whose bound rounds
+            # to zero counts as zero
+            bound = lg + _log_positive(
+                sf_two_strongest_sum(2.0 * lam_dag * (th2_t + th4 * z), n_b, m_sr, lam_s))
+            live = (bound > floor) & (np.exp(bound) > 0.0)
+            out = np.full(lg.shape, -np.inf)
+            out[live] = lg[live] + log_survive(z[live[0]])
+            return out
 
-        survive, abserr, info, *msg = quad(
-            outer, 0.0, np.inf, epsabs=_ABS_TOL, epsrel=1e-8,
-            limit=_MAX_SUBDIVISIONS, full_output=True,
-        )
-        if msg and abserr > 1e-7 * max(abs(survive), 1e-12):
-            raise NumericsError(f"floor quadrature failed: {msg[0]}")
+        survive = exp(_de_log_integrals(1, log_outer, q,
+                                        lambda i: "floor quadrature failed for the SI average")[0])
     return _clamped_point(1.0 - survive, l, math.inf, "asymptotic_practical", floor=True)

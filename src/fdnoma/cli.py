@@ -310,13 +310,17 @@ def _load_cfg(args) -> SystemConfig:
     return SystemConfig()
 
 
-def _add_common(p, sim: bool, sweep: bool = True):
-    """Flags shared by the grid commands; sweep adds --users and --timings,
-    which only a CSV sweep reads."""
+def _add_common(p, sim: bool, closed_form: bool = True, sweep: bool = True,
+                out: str = "output CSV path (default: stdout)"):
+    """Flags shared by the grid commands; closed_form adds --rel-tol, which
+    only the closed forms read, and sweep adds --users and --timings, which
+    only a CSV sweep reads."""
     p.add_argument("--config", help="system config file (flat key = value format)")
     p.add_argument("--preset", help="figure preset name, optionally NAME:VARIANT")
-    p.add_argument("--out", help="output CSV path (default: stdout)")
-    p.add_argument("--rel-tol", type=_rel_tol, default=1e-10, help="quadrature relative tolerance")
+    p.add_argument("--out", help=out)
+    if closed_form:
+        p.add_argument("--rel-tol", type=_rel_tol, default=1e-10,
+                       help="quadrature relative tolerance")
     if sweep:
         p.add_argument("--users", default="", help="comma-separated user indices (default: all)")
         p.add_argument("--timings", action="store_true", help="record wall_ms (breaks byte-identity)")
@@ -346,7 +350,7 @@ def _open_out(path):
 
 
 def _run_spec(args, spec: SweepSpec, cfg: SystemConfig) -> None:
-    quad = analytic.QuadratureSpec(rel_tol=args.rel_tol)
+    quad = analytic.QuadratureSpec(rel_tol=args.rel_tol) if "rel_tol" in args else None
     out = _open_out(args.out)
     try:
         run_sweep(spec, cfg, out, quad=quad, workers=getattr(args, "workers", 1),
@@ -370,7 +374,7 @@ def main(argv=None) -> int:
     add_methods(p, "exact,lower_bound", methods_of("analytic"))
 
     p = sub.add_parser("simulate", help="Monte Carlo outage over an SNR grid")
-    _add_common(p, sim=True)
+    _add_common(p, sim=True, closed_form=False)
     p.add_argument("--grid", default="0:40:5")
     add_methods(p, "monte_carlo", methods_of("simulation"))
     p.add_argument("--hd-rule", default="equal", choices=("equal", "squared"))
@@ -393,7 +397,8 @@ def main(argv=None) -> int:
     p.add_argument("--timings", action="store_true")
 
     p = sub.add_parser("validate", help="cross-engine agreement harness")
-    _add_common(p, sim=True, sweep=False)
+    _add_common(p, sim=True, sweep=False,
+                out="output path of the check lines and the PASS/FAIL verdict (default: stdout)")
     p.add_argument("--grid", default="0:30:5")
     p.add_argument("--tolerance", type=float, default=0.10, help="slope tolerance")
 

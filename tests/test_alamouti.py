@@ -43,7 +43,7 @@ class TestLoopback:
             sigma2_est_ru=(0.0,), fd_tau_ru=(0.0,),
         )
         ch = FixedChannels(h_sr=(0.8 + 0.3j, -0.4 + 1.1j), h_ru=((1.2 - 0.7j,),), si_gain=0.0)
-        out = run_symbol_chain(cfg, ch, snr_db=None, blocks=500, rng=0, noise=False)
+        out = run_symbol_chain(cfg, ch, snr_db=None, blocks=500, rng=0)
         decoded = out.combined[0] / (out.mean_gain[0] * np.sqrt(cfg.a[0] / 2.0))
         # hard decisions against the constellation
         idx = np.argmin(np.abs(decoded[..., None] - QPSK[None, None, :]), axis=-1)

@@ -4,6 +4,9 @@ printed-variant arbitration against the simulator."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from math import comb, exp, fsum, lgamma, log
 from pathlib import Path
@@ -131,7 +134,7 @@ def _lower_bound_raw(cfg, snr_db, l, printed):
     theta4p = g**2 / 2 * stats.sigma2_sr + 1.0 if printed else th.thetap4
     sf_w = sf_relay_ratio(
         2 * dd * g * th.thetap2, n_b=cfg.n_b, m_sr=m_sr, lam_sr=m_sr / stats.omega_hat_sr,
-        m_rr=int(cfg.m_rr), omega_rr=stats.omega_rr, snr_bar=g, theta4p=theta4p, ideal=False,
+        m_rr=int(cfg.m_rr), omega_rr=stats.omega_rr, offset=theta4p / g,
     )
     sf_b = float(sf_ordered_gain(2 * dd * th.thetap1, l, cfg.n_users, m_ru * cfg.n_r,
                                  m_ru / stats.omega_hat_ru[l - 1]))
@@ -368,8 +371,7 @@ class TestRelayRatioCdf:
             emp = float(np.mean(w > x))
             ana = sf_relay_ratio(
                 x, n_b=PRACTICAL.n_b, m_sr=1, lam_sr=1.0 / stats.omega_hat_sr,
-                m_rr=1, omega_rr=stats.omega_rr, snr_bar=snr_bar,
-                theta4p=theta4p, ideal=False,
+                m_rr=1, omega_rr=stats.omega_rr, offset=theta4p / snr_bar,
             )
             assert ana == pytest.approx(emp, abs=4e-3)
 
@@ -385,7 +387,7 @@ class TestRelayRatioCdf:
             emp = float(np.mean(a / c > x))
             ana = sf_relay_ratio(
                 x, n_b=2, m_sr=1, lam_sr=1.0 / stats.omega_hat_sr, m_rr=1,
-                omega_rr=stats.omega_rr, snr_bar=snr_bar, theta4p=1.0, ideal=True,
+                omega_rr=stats.omega_rr, offset=0.0,
             )
             assert ana == pytest.approx(emp, abs=4e-3)
 
@@ -626,6 +628,78 @@ class TestAsymptotics:
         floor = asymptotic_outage_practical(cfg, 1).value
         ex = exact_outage(cfg, 60.0, 1).value
         assert floor == pytest.approx(ex, rel=0.05)
+
+
+def _floor_oracle(cfg, l):
+    """The CEE/FBD error floor by scipy's quad at epsrel 1e-13, split at the
+    mean of the ordered gain.  At SI gain C the outage argument is a + b*C;
+    at mu = 1 the SI average is taken in closed form, since
+    E_C[sf_A(a + b*C)] = P(A/(C + a/b) > b) = sf_relay_ratio(b, offset=a/b)."""
+    stats = derive_link_stats(cfg, 1.0)
+    lam_dag = compute_deltas(cfg, 1.0).lambda_dag[l - 1]
+    rs2, rr2 = stats.rho_sr**2, stats.rho_ru[l - 1] ** 2
+    s2s, s2r = stats.sigma2_sr, stats.sigma2_ru[l - 1]
+    m_sr, m_ru, m_rr = int(cfg.m_sr), int(cfg.m_ru[0]), int(cfg.m_rr)
+    lam_s, lam_b = m_sr / stats.omega_hat_sr, m_ru / stats.omega_hat_ru[l - 1]
+    big_m = m_ru * cfg.n_r
+    tau_b = lam_dag * s2r / rr2
+
+    def integrand(u):
+        y = u + tau_b
+        a = lam_dag * (s2s * y + s2s * s2r / rr2) / (rs2 * u)
+        b = 2.0 * lam_dag * (s2r / rr2 + y) / (rs2 * u)
+        if cfg.mu < 1.0:
+            sf = float(sf_two_strongest_sum(a, cfg.n_b, m_sr, lam_s))
+        else:
+            sf = sf_relay_ratio(b, n_b=cfg.n_b, m_sr=m_sr, lam_sr=lam_s, m_rr=m_rr,
+                                omega_rr=stats.omega_rr, offset=a / b)
+        return sf * float(pdf_ordered_gain(y, l, cfg.n_users, big_m, lam_b))
+
+    mean = big_m / lam_b
+    return 1.0 - sum(quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+                     for lo, hi in ((0.0, mean), (mean, np.inf)))
+
+
+_FIG6 = {v.label: v.config for v in figure_preset("fig6")}
+_FLOOR_CASES = {
+    **{f"fig6_{label}_u{l}": (cfg, l) for label, cfg in _FIG6.items() for l in (1, 2, 3)},
+    "fig6_nb2_nr1_mu1_u2": (replace(_FIG6["nb2_nr1"], mu=1.0), 2),
+    **{f"first_hop_cee_u{l}": (replace(BASE, sigma2_est_sr=0.02), l) for l in (1, 2, 3)},
+}
+
+
+class TestPracticalFloorQuadrature:
+    @pytest.mark.parametrize("case", list(_FLOOR_CASES))
+    def test_quad_oracle(self, case):
+        cfg, l = _FLOOR_CASES[case]
+        assert asymptotic_outage_practical(cfg, l).value == pytest.approx(
+            _floor_oracle(cfg, l), abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["fig6_nb3_nr2_u3", "fig6_nb2_nr1_mu1_u2"])
+    def test_rel_tol_reaches_the_floor(self, case, monkeypatch):
+        cfg, l = _FLOOR_CASES[case]
+        tolerances = []
+        driver = analytic._de_log_integrals
+
+        def recording(n, log_integrand, spec, failed):
+            tolerances.append(spec.rel_tol)
+            return driver(n, log_integrand, spec, failed)
+
+        monkeypatch.setattr(analytic, "_de_log_integrals", recording)
+        loose = asymptotic_outage_practical(cfg, l, QuadratureSpec(rel_tol=1e-6)).value
+        assert set(tolerances) == {1e-6}
+        tight = asymptotic_outage_practical(cfg, l, QuadratureSpec(rel_tol=1e-12)).value
+        assert loose == pytest.approx(tight, abs=1e-6)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    """The package integrates with its own rule: importing it must not pull
+    in scipy's QUADPACK."""
+    src = Path(analytic.__file__).resolve().parents[1]
+    code = "import sys, fdnoma; print(any(m.startswith('scipy.integrate') for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
 
 
 def test_benchmark_reference_values():

@@ -368,6 +368,21 @@ class TestMainExitCodes:
         assert exc.value.code == 1
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
+    def test_simulate_rejects_rel_tol(self, capsys):
+        # no simulation method reads a quadrature tolerance
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--grid", "10:10:5", "--trials", "10000", "--rel-tol", "1e-3"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --rel-tol 1e-3" in capsys.readouterr().err
+
+    def test_validate_help_describes_its_text_output(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--out OUT output path of the check lines and the PASS/FAIL verdict" in text
+        assert "CSV" not in text
+
     def test_fixed_snr_on_the_snr_axis_is_exit_2(self, capsys):
         argv = ["sweep", "--grid", "10:10:5", "--snr", "30", "--methods", "exact", "--users", "1"]
         assert main(argv) == 2
