@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, exp, fsum, lgamma, log
@@ -33,7 +34,7 @@ from math import comb, exp, fsum, lgamma, log
 import numpy as np
 from scipy import special as _sp
 
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, FdnomaError, NumericsError
 from .specfn import PfdForm, ln_bessel_k_int, pfd_two_pole, poly_power_coeffs
 from .sysmodel import (
     SystemConfig,
@@ -51,6 +52,7 @@ __all__ = [
     "phi_integral_log",
     "phi_integral_log_rows",
     "exact_outage",
+    "exact_outage_sweep",
     "lower_bound_outage",
     "asymptotic_outage_ideal",
     "asymptotic_outage_practical",
@@ -147,37 +149,67 @@ def _de_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * math.pi * np.sinh(t), np.log(0.5 * math.pi * np.cosh(t))
 
 
-def _phi_log_integrand(
-    rows: np.ndarray, sinh_t: np.ndarray, log_cosh_t: np.ndarray, floor: np.ndarray
-) -> np.ndarray:
-    """log of each row's Phi integrand (times dz/dt) at each node; -inf
-    where it lies below the row's floor.
+def _phi_log_integrand(rows: np.ndarray):
+    """log_integrand of _de_log_integrals for a (n, 6) table of Phi rows:
+    the log of each row's integrand (times dz/dt) at the nodes of one
+    level, -inf where it lies below the row's floor.
 
     rows holds (z_power, pi_power, pi_shift, decay, bessel_coeff, order).
     With v = log(1 + z/pi_shift) = v_c exp(pi/2 sinh t), centred at
     z = max(1/decay, pi_shift): z + pi_shift = pi_shift e^v exactly, and
     z = pi_shift expm1(v) keeps its relative accuracy near 0.
+
+    The rows of one group (the same pi_shift, decay and bessel_coeff)
+    share the nodes v and the Bessel argument, so these are computed once
+    per group; the rows of one series (group and order) share the Bessel
+    values, taken once at the nodes live for any of its rows.  Each row's
+    value comes from the same elementwise operations, in the same order,
+    as for the row alone.
     """
-    a, b, s, c, beta, nu = (rows[:, i:i + 1] for i in range(6))
-    log_s = np.log(s)
-    v_c = np.log1p(np.maximum(1.0 / c, s) / s)
-    v = v_c * np.exp(sinh_t)
-    em = np.expm1(np.minimum(v, _DE_V_MAX))
-    lg = (
-        a * (log_s + np.log(em))
-        + b * (log_s + v)
-        - c * s * em
-        + log_s + v  # dz/dv
-        + np.log(v_c) + sinh_t + log_cosh_t  # dv/dt
-    )
-    # K_nu falls with its argument, so its value at z = 0 bounds every node
-    x_min = 2.0 * np.sqrt(beta * s)
-    live = (v < _DE_V_MAX) & (lg + ln_bessel_k_int(nu, x_min) > floor)
-    out = np.full(lg.shape, -np.inf)
-    out[live] = lg[live] + ln_bessel_k_int(
-        np.broadcast_to(nu, lg.shape)[live], (x_min * np.exp(0.5 * v))[live]
-    )
-    return out
+    params, group = np.unique(rows[:, 2:5], axis=0, return_inverse=True)
+    keys, series = np.unique(np.column_stack([group.ravel(), rows[:, 5]]), axis=0,
+                             return_inverse=True)
+    group, series = group.ravel(), series.ravel()
+    series_group, series_order = keys[:, 0].astype(np.intp), keys[:, 1:2]
+
+    def log_integrand(idx, sinh_t, log_cosh_t, floor):
+        gids, g = np.unique(group[idx], return_inverse=True)
+        sids, sr = np.unique(series[idx], return_inverse=True)
+        s, c, beta = (params[gids, i:i + 1] for i in range(3))
+        log_s = np.log(s)
+        v_c = np.log1p(np.maximum(1.0 / c, s) / s)
+        v = v_c * np.exp(sinh_t)
+        em = np.expm1(np.minimum(v, _DE_V_MAX))
+        # lg is built in place, with t for the gathered group terms; a*x and
+        # x*a are the same product
+        lg = np.take(log_s + np.log(em), g, axis=0)
+        lg *= rows[idx, 0:1]
+        t = np.take(log_s + v, g, axis=0)
+        t *= rows[idx, 1:2]
+        lg += t
+        lg -= np.take(c * s * em, g, axis=0, out=t)
+        lg += log_s[g]
+        lg += np.take(v, g, axis=0, out=t)  # dz/dv
+        lg += np.log(v_c)[g]  # dv/dt
+        lg += sinh_t
+        lg += log_cosh_t
+        # K_nu falls with its argument, so its value at z = 0 bounds every node
+        x_min = 2.0 * np.sqrt(beta * s)
+        sg = np.searchsorted(gids, series_group[sids])
+        nu = series_order[sids]
+        live = np.add(lg, ln_bessel_k_int(nu, x_min[sg])[sr], out=t) > floor
+        live &= (v < _DE_V_MAX)[g]
+        by_series = np.argsort(sr, kind="stable")
+        starts = np.flatnonzero(np.diff(sr[by_series], prepend=-1))
+        live_s = np.logical_or.reduceat(live[by_series], starts, axis=0)
+        k = np.zeros(live_s.shape)
+        k[live_s] = ln_bessel_k_int(np.broadcast_to(nu, live_s.shape)[live_s],
+                                    (x_min * np.exp(0.5 * v))[sg][live_s])
+        lg += np.take(k, sr, axis=0, out=t)
+        lg[~live] = -np.inf
+        return lg
+
+    return log_integrand
 
 
 def _log_positive(x) -> np.ndarray:
@@ -188,7 +220,20 @@ def _log_positive(x) -> np.ndarray:
 def _log_sum_exp(lg: np.ndarray) -> np.ndarray:
     top = lg.max(axis=1)
     top = np.where(top > -np.inf, top, 0.0)
-    return top + np.log(np.sum(np.exp(lg - top[:, None]), axis=1))
+    e = lg - top[:, None]
+    return top + np.log(np.sum(np.exp(e, out=e), axis=1))
+
+
+class _FailedRows(NumericsError):
+    """Rows of a _de_log_integrals pass that failed, raised once every row
+    is done.  logs holds every row's value (NaN where the row failed);
+    failures holds (level, row, message) per failed row.  The error's
+    message is that of the first failure, the one a pass over fewer rows
+    would have stopped at."""
+
+    def __init__(self, logs: np.ndarray, failures: list[tuple[int, int, str]]):
+        super().__init__(min(failures)[2])
+        self.logs, self.failures = logs, failures
 
 
 def _de_log_integrals(n: int, log_integrand, spec: QuadratureSpec, failed) -> np.ndarray:
@@ -199,9 +244,12 @@ def _de_log_integrals(n: int, log_integrand, spec: QuadratureSpec, failed) -> np
     it may give -inf at a node below the row's floor, since such a node
     adds exactly 0.0.  Each row halves its step on its own, reusing the
     nodes it has, until two levels agree to spec.rel_tol; the arithmetic of
-    a row never depends on the other rows.  failed(i) opens row i's errors.
+    a row never depends on the other rows.  A row that fails leaves the
+    pass, and the others go on; if any failed, _FailedRows is raised at
+    the end.  failed(i) opens row i's message.
     """
     out = np.empty(n)
+    failures: list[tuple[int, int, str]] = []
     active = np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lg = log_integrand(active, *_de_nodes(0), -np.inf)
@@ -210,6 +258,8 @@ def _de_log_integrals(n: int, log_integrand, spec: QuadratureSpec, failed) -> np
         # the rescaled sum, so it is not evaluated
         floor = lg.max(axis=1, keepdims=True) - _DE_NEGLIGIBLE
         for level in range(1, _DE_MAX_LEVEL + 1):
+            if not len(active):
+                break
             new = log_integrand(active, *_de_nodes(level), floor)
             lg = np.concatenate([lg, new], axis=1)
             cur = _log_sum_exp(lg) + log(_DE_STEP / 2**level)
@@ -218,27 +268,28 @@ def _de_log_integrals(n: int, log_integrand, spec: QuadratureSpec, failed) -> np
             # than rel_tol of it
             ends = np.maximum(lg[:, 0], lg[:, len(_de_nodes(0)[0]) - 1])
             cut = done & (ends - cur > log(spec.rel_tol))
-            if cut.any():
-                raise NumericsError(
-                    f"{failed(active[cut][0])}: the integrand does not decay within the node span"
-                )
-            out[active[done]] = cur[done]
+            failures += [(level, i, f"{failed(i)}: the integrand does not decay within the node span")
+                         for i in active[cut]]
+            out[active[cut]] = np.nan
+            ok = done & ~cut
+            out[active[ok]] = cur[ok]
             active, lg, prev, floor = active[~done], lg[~done], cur[~done], floor[~done]
-            if not len(active):
-                return out
-    raise NumericsError(
-        f"{failed(active[0])}: no two levels agreed "
-        f"to {spec.rel_tol:g} by step {_DE_STEP / 2**_DE_MAX_LEVEL:g}"
-    )
+    failures += [(_DE_MAX_LEVEL + 1, i, f"{failed(i)}: no two levels agreed to {spec.rel_tol:g} "
+                  f"by step {_DE_STEP / 2**_DE_MAX_LEVEL:g}") for i in active]
+    if failures:
+        out[active] = np.nan
+        raise _FailedRows(out, failures)
+    return out
 
 
 def phi_integral_log_rows(
     rows: np.ndarray, spec: QuadratureSpec = _DEFAULT_QUAD, label=str
 ) -> np.ndarray:
     """log Phi of every row of a (n, 6) table, all rows in one pass
-    (_de_log_integrals).  label(i) names row i in errors."""
-    return _de_log_integrals(len(rows), lambda idx, *nodes: _phi_log_integrand(rows[idx], *nodes),
-                             spec, lambda i: f"phi quadrature failed for term {label(i)}")
+    (_de_log_integrals, _phi_log_integrand).  label(i) names row i in
+    errors; when rows fail, _FailedRows carries every row's value."""
+    return _de_log_integrals(len(rows), _phi_log_integrand(rows), spec,
+                             lambda i: f"phi quadrature failed for term {label(i)}")
 
 
 def phi_integral_log(term: PhiTerm, spec: QuadratureSpec = _DEFAULT_QUAD) -> float:
@@ -451,17 +502,6 @@ def _require_analytic_config(cfg: SystemConfig) -> tuple[int, int, int]:
     return m_sr, m_rr, m_ru0
 
 
-def exact_outage(
-    cfg: SystemConfig,
-    snr_db: float,
-    l: int,
-    q: QuadratureSpec = _DEFAULT_QUAD,
-) -> OutagePoint:
-    """Exact outage probability of user l from the nested-sum closed form."""
-    lam_dag = compute_deltas(cfg, 10.0 ** (snr_db / 10.0)).lambda_dag[l - 1]
-    return exact_outage_for_lambda(cfg, snr_db, l, lam_dag, q)
-
-
 @dataclass(frozen=True)
 class _SumTable:
     """The exact form's nested sum for one structure, at unit rates.
@@ -539,21 +579,41 @@ def _sum_table(n_b: int, m_sr: int, big_m: int, n_users: int, l: int) -> _SumTab
     return _SumTable(np.sign(value[live]), const, powers, row.ravel(), rows)
 
 
-def exact_outage_for_lambda(
-    cfg: SystemConfig,
-    snr_db: float,
-    l: int,
-    lam_dag: float,
-    q: QuadratureSpec = _DEFAULT_QUAD,
-) -> OutagePoint:
-    """Exact outage with an explicit SNR-normalized threshold Lambda+.
+# Phi rows per phi_integral_log_rows call of exact_outage_sweep.  A call
+# keeps every node of each row it holds, so its memory grows with its
+# rows; taken in group order, the rows of a call share Bessel values about
+# as well as in one uncapped call.  On a 2-core VM: the fig7 exact values
+# 0.64 s at 62 MB peak RSS (1024 rows: 0.62 s, 76 MB), and the m=4, n_b=3,
+# n_r=2 sweep over 10:40:10 dB 2.8 s at 105 MB (1024 rows: 3.0 s, 122 MB).
+# Values do not depend on it.
+_PHI_ROW_CAP = 256
 
-    The joint SIC event reduces to one threshold per user; supplying it
-    directly also covers the single-user-per-resource baseline, whose
-    product-mapped threshold replaces the SIC maximum.
-    """
-    m_sr, m_rr, m_ru = _require_analytic_config(cfg)
+
+@dataclass(frozen=True)
+class _ExactPlan:
+    """One exact evaluation up to its Phi values: the table, the Phi rows
+    at this point's rates, the eight scalars and the log of the common
+    factor rate_c^m_rr / Gamma(m_rr)."""
+
+    l: int
+    snr_db: float
+    table: _SumTable
+    pole: np.ndarray
+    rows: np.ndarray
+    scalars: np.ndarray
+    log_cc: float
+
+    def label(self, i: int) -> str:
+        k2, e_pi, nu, _, p = self.table.rows[i]
+        return (f"l={self.l} snr={self.snr_db} pole={self.pole[i]:g} k2={k2:g} e_pi={e_pi:g} "
+                f"nu={nu:g} p={p:g}")
+
+
+def _exact_plan(cfg: SystemConfig, snr_db: float, l: int, lam_dag: float | None) -> _ExactPlan:
     g = 10.0 ** (snr_db / 10.0)
+    if lam_dag is None:
+        lam_dag = compute_deltas(cfg, g).lambda_dag[l - 1]
+    m_sr, m_rr, m_ru = _require_analytic_config(cfg)
     stats = derive_link_stats(cfg, g)
     theta = compute_theta(stats, g, l)
     th1, th2, th3, th4, th5 = theta.theta1, theta.theta2, theta.theta3, theta.theta4, theta.theta5
@@ -571,30 +631,127 @@ def exact_outage_for_lambda(
         k2 + m_rr - 1, e_pi, np.full(len(k2), c0 / c1),
         2 * dd * th4 * g * pole + rate_c, 2 * dd * (1 + p) * lam_b * pole * c1 / g, nu,
     ])
-
-    def label(i: int) -> str:
-        return (f"l={l} snr={snr_db} pole={pole[i]:g} k2={k2[i]:g} e_pi={e_pi[i]:g} "
-                f"nu={nu[i]:g} p={p[i]:g}")
-
     # in the order of the table's powers
     scalars = np.array([
         log(2 * dd * lam_s / g), log(lam_b), log(2 * th1 * dd), log(c1),
         log(th4 * g**2), log(th2 * g), -2 * dd * th2 * lam_s, -2 * th1 * dd * lam_b,
     ])
-    log_phi = phi_integral_log_rows(rows, q, label)
-    logs = table.const + table.powers @ scalars + log_phi[table.row]
+    return _ExactPlan(l, snr_db, table, pole, rows, scalars, m_rr * log(rate_c) - lgamma(m_rr))
+
+
+def _exact_finish(plan: _ExactPlan, log_phi: np.ndarray) -> OutagePoint:
+    table = plan.table
+    logs = table.const + table.powers @ plan.scalars + log_phi[table.row]
     live = logs > -np.inf
     if not live.any():
         # every success term underflowed: the form cannot resolve this
         # point, which is not evidence of certain outage
         raise NumericsError(
-            f"exact outage for user {l} at {snr_db} dB: every Phi term underflowed"
+            f"exact outage for user {plan.l} at {plan.snr_db} dB: every Phi term underflowed"
         )
     logs = logs[live]
     shift = logs.max()
-    log_cc = m_rr * log(rate_c) - lgamma(m_rr)
-    success = exp(shift + log_cc) * fsum(table.sign[live] * np.exp(logs - shift))
-    return _clamped_point(1.0 - success, l, snr_db, "exact")
+    success = exp(shift + plan.log_cc) * fsum(table.sign[live] * np.exp(logs - shift))
+    return _clamped_point(1.0 - success, plan.l, plan.snr_db, "exact")
+
+
+def exact_outage_sweep(
+    entries: Sequence[tuple[SystemConfig, float, int, float | None]],
+    q: QuadratureSpec = _DEFAULT_QUAD,
+) -> list[OutagePoint | FdnomaError]:
+    """Exact outage of every (cfg, snr_db, l, lam_dag) entry.
+
+    lam_dag is the SNR-normalized threshold Lambda+; None takes user l's
+    SIC threshold at snr_db.  The Phi rows of all entries run together,
+    in phi_integral_log_rows calls of at most _PHI_ROW_CAP rows.  A row's
+    value does not depend on the rows beside it, so each entry's value
+    equals, bitwise, a one-entry call.
+
+    Returns one result per entry: its OutagePoint, or the FdnomaError its
+    evaluation raised.  A Phi row that fails fails only its own entry; an
+    error of a whole call (a Bessel evaluation) fails every entry with
+    rows in it.
+    """
+    plans: list[_ExactPlan | FdnomaError] = []
+    for cfg, snr_db, l, lam_dag in entries:
+        try:
+            plans.append(_exact_plan(cfg, snr_db, l, lam_dag))
+        except FdnomaError as exc:
+            plans.append(exc)
+    live = [plan for plan in plans if isinstance(plan, _ExactPlan)]
+    sizes = [len(plan.rows) for plan in live]
+    ends = np.cumsum(sizes, dtype=np.intp)
+    starts = ends - sizes
+    rows = np.concatenate([plan.rows for plan in live]) if live else np.empty((0, 6))
+
+    def label(i: int) -> str:
+        j = int(np.searchsorted(ends, i, side="right"))
+        return live[j].label(i - starts[j])
+
+    # in group and order sequence, a call holds whole groups and series
+    # where it can, and shares their nodes and Bessel values
+    # (_phi_log_integrand)
+    order = np.lexsort(rows[:, 5:1:-1].T)
+    log_phi = np.empty(len(rows))
+    failures: list[tuple[int, int, str]] = []  # (level, row, message) of failed rows
+    errors: dict[int, FdnomaError] = {}  # live entry -> its error
+    for lo in range(0, len(rows), _PHI_ROW_CAP):
+        batch = order[lo:lo + _PHI_ROW_CAP]
+        try:
+            log_phi[batch] = phi_integral_log_rows(rows[batch], q,
+                                                   lambda i, batch=batch: label(batch[i]))
+        except _FailedRows as exc:
+            log_phi[batch] = exc.logs
+            failures += [(level, batch[i], message) for level, i, message in exc.failures]
+        except FdnomaError as exc:
+            for j in np.searchsorted(ends, batch, side="right").tolist():
+                errors.setdefault(j, exc)
+    # an entry's first failed row is the one a call of its own stops at
+    for _, i, message in sorted(failures):
+        errors.setdefault(int(np.searchsorted(ends, i, side="right")), NumericsError(message))
+
+    done: list[OutagePoint | FdnomaError] = []
+    for j, plan in enumerate(live):
+        try:
+            done.append(errors.get(j) or _exact_finish(plan, log_phi[starts[j]:ends[j]]))
+        except FdnomaError as exc:
+            done.append(exc)
+    results = iter(done)
+    return [plan if isinstance(plan, FdnomaError) else next(results) for plan in plans]
+
+
+def _one_result(results: list[OutagePoint | FdnomaError]) -> OutagePoint:
+    (res,) = results
+    if isinstance(res, FdnomaError):
+        raise res
+    return res
+
+
+def exact_outage(
+    cfg: SystemConfig,
+    snr_db: float,
+    l: int,
+    q: QuadratureSpec = _DEFAULT_QUAD,
+) -> OutagePoint:
+    """Exact outage probability of user l from the nested-sum closed form:
+    a one-entry exact_outage_sweep."""
+    return _one_result(exact_outage_sweep([(cfg, snr_db, l, None)], q))
+
+
+def exact_outage_for_lambda(
+    cfg: SystemConfig,
+    snr_db: float,
+    l: int,
+    lam_dag: float,
+    q: QuadratureSpec = _DEFAULT_QUAD,
+) -> OutagePoint:
+    """Exact outage with an explicit SNR-normalized threshold Lambda+.
+
+    The joint SIC event reduces to one threshold per user; supplying it
+    directly also covers the single-user-per-resource baseline, whose
+    product-mapped threshold replaces the SIC maximum.
+    """
+    return _one_result(exact_outage_sweep([(cfg, snr_db, l, lam_dag)], q))
 
 
 def _clamped_point(raw: float, l: int, snr_db: float, method: str, floor: bool = False) -> OutagePoint:

@@ -80,9 +80,11 @@ def run_sweep(
     continues.  Row order is fixed: grid order, then user, then method in
     canonical order.  The simulation methods run as one Monte Carlo sweep
     over the grid, on common random numbers from RngStream(spec.seed).
-    With timings, an analytic cell records its own call's wall time and a
-    simulation cell its grid point's equal share of the sweep's Monte
-    Carlo time.
+    The exact cells of the grid run as one analytic.exact_outage_sweep,
+    looked up when the sweep runs.  With timings, an exact cell records an
+    equal share of that batch's wall time, another analytic cell its own
+    call's, and a simulation cell its grid point's equal share of the
+    sweep's Monte Carlo time.
     """
     quad = quad or analytic.QuadratureSpec()
     writer = csv.writer(out, lineterminator="\n")
@@ -119,45 +121,55 @@ def run_sweep(
         if sim_points:
             sim_ms = (time.perf_counter() - t0) * 1000.0 / len(sim_points)
 
+    exact: dict[tuple[int, int], analytic.OutagePoint | FdnomaError] = {}
+    exact_ms = 0.0
+    cells = [(idx, user) for idx in range(n) if not errors[idx] for user in spec.users]
+    if "exact" in methods and cells:
+        t0 = time.perf_counter()
+        results = analytic.exact_outage_sweep(
+            [(cfgs[idx], snrs[idx], user, None) for idx, user in cells], quad
+        )
+        exact = dict(zip(cells, results))
+        exact_ms = (time.perf_counter() - t0) * 1000.0 / len(cells)
+
     rows: list[CsvRow] = []
     for idx, value in enumerate(spec.grid):
         for user in spec.users:
             for method in methods:
                 t0 = time.perf_counter()
-                row = _one_cell(
-                    cfgs[idx], snrs[idx], user, method, value, spec, quad,
-                    sim_points.get(idx, {}), errors[idx],
-                )
+                if errors[idx]:
+                    result = errors[idx]
+                elif method == "exact":
+                    result = exact[idx, user]
+                elif method in sim_methods:
+                    result = sim_points[idx][method][user - 1]
+                else:
+                    try:
+                        result = METHODS[method].call(cfgs[idx], snrs[idx], user, quad)
+                    except FdnomaError as exc:
+                        result = exc
+                row = _cell(value, user, method, result, spec.trials)
                 if timings:
                     ms = (time.perf_counter() - t0) * 1000.0
                     if method in sim_methods and idx in sim_points:
                         ms += sim_ms
+                    if method == "exact" and (idx, user) in exact:
+                        ms += exact_ms
                     row = replace(row, wall_ms=int(round(ms)))
                 rows.append(row)
                 writer.writerow(row.formatted())
     return rows
 
 
-def _one_cell(cfg_pt, snr, user, method, value, spec, quad, sim_points, cell_error) -> CsvRow:
-    if cell_error:
-        return CsvRow(axis_value=value, user=user, method=method, op=None, error=cell_error)
-    call = METHODS[method].call
-    if call is None:
-        pt = sim_points[method][user - 1]
-        return CsvRow(
-            axis_value=value,
-            user=user,
-            method=method,
-            op=pt.value,
-            ci_low=pt.ci[0],
-            ci_high=pt.ci[1],
-            trials=spec.trials,
-        )
-    try:
-        pt = call(cfg_pt, snr, user, quad)
-    except FdnomaError as exc:
-        return CsvRow(axis_value=value, user=user, method=method, op=None, error=str(exc))
-    return CsvRow(axis_value=value, user=user, method=method, op=pt.value)
+def _cell(value, user, method, result, trials) -> CsvRow:
+    """The CSV row of one cell from its OutagePoint, or from the error
+    (or its text) that took its place."""
+    if not isinstance(result, analytic.OutagePoint):
+        return CsvRow(axis_value=value, user=user, method=method, op=None, error=str(result))
+    if result.ci is None:
+        return CsvRow(axis_value=value, user=user, method=method, op=result.value)
+    return CsvRow(axis_value=value, user=user, method=method, op=result.value,
+                  ci_low=result.ci[0], ci_high=result.ci[1], trials=trials)
 
 
 # --------------------------------------------------------------------------

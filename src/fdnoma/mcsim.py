@@ -130,18 +130,22 @@ def _top2_standard(cfg: SystemConfig, rng: np.random.Generator, size: int) -> np
     largest) pair over the columns of the (size, n_b) draw; with x the next
     column, second <- min(largest, max(second, x)) and largest <-
     max(largest, x).  min and max select, so the values are bitwise those a
-    partition would give.
+    partition would give.  The passes run over blocks of BLOCK_TRIALS rows,
+    so that each block of the draw is read from cache, not memory, once
+    per column.
     """
     g = rng.standard_gamma(cfg.m_sr, size=(size, cfg.n_b))
     top = np.empty((2, size))
-    second, largest = top
-    np.minimum(g[:, 0], g[:, 1], out=second)
-    np.maximum(g[:, 0], g[:, 1], out=largest)
-    for j in range(2, cfg.n_b):
-        x = g[:, j]
-        np.maximum(second, x, out=second)
-        np.minimum(second, largest, out=second)
-        np.maximum(largest, x, out=largest)
+    for lo in range(0, size, BLOCK_TRIALS):
+        block = g[lo:lo + BLOCK_TRIALS]
+        second, largest = top[:, lo:lo + BLOCK_TRIALS]
+        np.minimum(block[:, 0], block[:, 1], out=second)
+        np.maximum(block[:, 0], block[:, 1], out=largest)
+        for j in range(2, cfg.n_b):
+            x = block[:, j]
+            np.maximum(second, x, out=second)
+            np.minimum(second, largest, out=second)
+            np.maximum(largest, x, out=largest)
     return top
 
 

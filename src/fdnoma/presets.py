@@ -29,8 +29,10 @@ __all__ = [
 @dataclass(frozen=True)
 class Method:
     """kind is "analytic" or "simulation".  call(cfg, snr_db, user, quad)
-    evaluates an analytic method; the simulation methods have none, since
-    a sweep runs them together as one Monte Carlo sweep."""
+    evaluates an analytic method per cell.  exact and the simulation
+    methods have none: a sweep runs every exact cell of its grid as one
+    analytic.exact_outage_sweep, and the simulation methods together as
+    one Monte Carlo sweep."""
 
     kind: str
     call: Callable[..., analytic.OutagePoint] | None = None
@@ -39,7 +41,7 @@ class Method:
 # Every method, in CSV order.  Each call looks its analytic function up when
 # it runs, so a patched or traced module attribute takes effect.
 METHODS = {
-    "exact": Method("analytic", lambda cfg, snr, l, q: analytic.exact_outage(cfg, snr, l, q)),
+    "exact": Method("analytic"),
     "lower_bound": Method(
         "analytic", lambda cfg, snr, l, q: analytic.lower_bound_outage(cfg, snr, l)
     ),

@@ -40,6 +40,7 @@ from fdnoma.analytic import (
     asymptotic_outage_practical,
     diversity_order,
     exact_outage,
+    exact_outage_sweep,
     lower_bound_outage,
     pdf_ordered_gain,
     pdf_two_strongest_sum,
@@ -119,29 +120,39 @@ def test_criterion_1_cross_engine_agreement():
     )
 
 
+def _exact_values(points) -> list[float]:
+    """Exact OP at every (config, snr_db, user) point, from one
+    exact_outage_sweep (each value bitwise that of exact_outage)."""
+    results = exact_outage_sweep([(cfg, snr, l, None) for cfg, snr, l in points])
+    for res in results:
+        if isinstance(res, Exception):
+            raise res
+    return [res.value for res in results]
+
+
 def test_criterion_2_bound_ordering():
     """lower_bound <= exact (1e-8 absolute) at every grid point of every
-    closed-form-applicable preset; gap < 5% above 30 dB on the Fig. 3 curves."""
+    closed-form-applicable preset; gap < 5% above 30 dB on the Fig. 3 curves.
+    The exact values of each curve come from one exact_outage_sweep."""
     violations = []
     points = 0
     for name in ("fig3", "fig4", "fig5", "fig6", "fig7", "fig9", "fig10", "fig11", "fig12"):
         for var in figure_preset(name):
-            for value in var.sweep.grid:
-                cfg_pt, snr = var.sweep.point(var.config, value)
-                for l in (1, 2, 3):
-                    lb = lower_bound_outage(cfg_pt, snr, l).value
-                    ex = exact_outage(cfg_pt, snr, l).value
-                    points += 1
-                    if lb > ex + 1e-8:
-                        violations.append(f"{name}:{var.label} {value} l={l}: {lb} > {ex}")
+            cells = [(value, *var.sweep.point(var.config, value), l)
+                     for value in var.sweep.grid for l in (1, 2, 3)]
+            exact = _exact_values([cell[1:] for cell in cells])
+            for (value, cfg_pt, snr, l), ex in zip(cells, exact):
+                lb = lower_bound_outage(cfg_pt, snr, l).value
+                points += 1
+                if lb > ex + 1e-8:
+                    violations.append(f"{name}:{var.label} {value} l={l}: {lb} > {ex}")
     gap_fail = []
     for var in figure_preset("fig3"):
-        for snr in (s for s in var.sweep.grid if s > 30.0):
-            for l in (1, 2, 3):
-                lb = lower_bound_outage(var.config, snr, l).value
-                ex = exact_outage(var.config, snr, l).value
-                if (ex - lb) / ex >= 0.05:
-                    gap_fail.append(f"{var.label} snr={snr} l={l}: gap {(ex-lb)/ex:.3%}")
+        cells = [(var.config, snr, l) for snr in var.sweep.grid if snr > 30.0 for l in (1, 2, 3)]
+        for (cfg, snr, l), ex in zip(cells, _exact_values(cells)):
+            lb = lower_bound_outage(cfg, snr, l).value
+            if (ex - lb) / ex >= 0.05:
+                gap_fail.append(f"{var.label} snr={snr} l={l}: gap {(ex-lb)/ex:.3%}")
     ok = not violations and not gap_fail
     assert report(
         "2 bound-ordering",

@@ -257,6 +257,30 @@ class TestPhiIntegral:
         assert list(bigger[len(rows):2 * len(rows)]) == alone
         assert list(bigger[:len(rows)]) == alone[::-1]
 
+    def test_rows_of_one_group_are_bitwise_their_own(self):
+        # rows that share (pi_shift, decay, bessel_coeff) share their nodes
+        # and, per order, their Bessel values; none may see that
+        base, other = self.ORACLE_TERMS[0], self.ORACLE_TERMS[3]
+        terms = [base, replace_term(base, z_power=3.0), replace_term(base, pi_power=2.5),
+                 replace_term(base, order=4), other, replace_term(base, z_power=0.0, order=0),
+                 replace_term(other, order=1), replace_term(other, z_power=0.0),
+                 # a heavy tail: nodes live for this row lie below the others' floors
+                 replace_term(base, z_power=60.0)]
+        alone = [phi_integral_log(term) for term in terms]
+        assert list(analytic.phi_integral_log_rows(self._rows(terms))) == alone
+        assert list(analytic.phi_integral_log_rows(self._rows(terms[::-1]))) == alone[::-1]
+
+    def test_failed_row_leaves_the_others(self):
+        bad = PhiTerm(z_power=0.0, pi_power=0.5, pi_shift=1.0, decay=1e40, bessel_coeff=1.0,
+                      order=1)
+        terms = [self.ORACLE_TERMS[0], bad, self.ORACLE_TERMS[1]]
+        with pytest.raises(NumericsError, match="failed for term row 1: ") as exc:
+            analytic.phi_integral_log_rows(self._rows(terms), label=lambda i: f"row {i}")
+        assert [row for _, row, _ in exc.value.failures] == [1]
+        logs = exc.value.logs
+        assert np.isnan(logs[1])
+        assert [logs[0], logs[2]] == [phi_integral_log(terms[0]), phi_integral_log(terms[2])]
+
     def test_unresolvable_term_is_named(self):
         # a peak far below the node span's centre
         term = PhiTerm(z_power=0.0, pi_power=0.5, pi_shift=1.0, decay=1e40, bessel_coeff=1.0,
@@ -462,6 +486,34 @@ class TestExactOutage:
         # an O(1) error
         cfg = replace(BASE, n_b=3, n_r=2, m_sr=m, m_rr=m, m_ru=(m,) * 3)
         assert exact_outage(cfg, 10.0, l).value == pytest.approx(pinned, abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["fig7", "fig11"])
+    def test_sweep_is_bitwise_the_per_point_call(self, name, monkeypatch):
+        # every variant's grid points and users in one sweep
+        entries = [
+            (*v.sweep.point(v.config, x), l, None)
+            for v in figure_preset(name) for x in v.sweep.grid for l in v.sweep.users
+        ]
+        alone = [exact_outage(cfg, snr, l).value for cfg, snr, l, _ in entries]
+        assert [pt.value for pt in analytic.exact_outage_sweep(entries)] == alone
+        # a cap that splits entries, groups and series across calls
+        monkeypatch.setattr(analytic, "_PHI_ROW_CAP", 37)
+        assert [pt.value for pt in analytic.exact_outage_sweep(entries)] == alone
+
+    def test_sweep_returns_each_entry_its_own_error(self):
+        good = (BASE, 15.0, 2, None)
+        results = analytic.exact_outage_sweep([
+            good, (replace(BASE, m_sr=0.98, m_rr=0.98, m_ru=(0.98,) * 3), 10.0, 1, None),
+            (replace(BASE, mu=0.0, alpha_si=1e-20), 15.0, 1, None), good,
+        ])
+        assert results[0] == results[3] == exact_outage(BASE, 15.0, 2)
+        assert isinstance(results[1], ConfigError)
+        # the message is that of the entry's first failed row in table order,
+        # the one a quadrature of its rows alone stops at
+        plan = analytic._exact_plan(replace(BASE, mu=0.0, alpha_si=1e-20), 15.0, 1, None)
+        with pytest.raises(NumericsError) as alone:
+            analytic.phi_integral_log_rows(plan.rows, QuadratureSpec(), plan.label)
+        assert isinstance(results[2], NumericsError) and str(results[2]) == str(alone.value)
 
     def test_one_table_per_structure(self):
         # SNR, distance, impairments and the SI shape change only the

@@ -96,17 +96,43 @@ class TestRunSweep:
         assert all(line.split(",")[7] != "" for line in lines)
 
     def test_wall_ms_times_each_cell(self, monkeypatch):
-        def slow_for_user_2(cfg, snr_db, l, *args, **kwargs):
+        def slow_for_user_2(cfg, snr_db, l):
             if l == 2:
                 time.sleep(0.05)
-            return analytic.OutagePoint(user=l, snr_db=snr_db, value=0.5, method="exact")
+            return analytic.OutagePoint(user=l, snr_db=snr_db, value=0.5, method="lower_bound")
 
-        monkeypatch.setattr(analytic, "exact_outage", slow_for_user_2)
-        spec = SweepSpec(grid=(10.0,), methods=("exact", "monte_carlo"), trials=20_000)
+        monkeypatch.setattr(analytic, "lower_bound_outage", slow_for_user_2)
+        spec = SweepSpec(grid=(10.0,), methods=("lower_bound", "monte_carlo"), trials=20_000)
         for line in sweep_to_string(spec, BASE, timings=True).strip().splitlines()[1:]:
             cells = line.split(",")
-            slow = cells[1] == "2" and cells[2] == "exact"
+            slow = cells[1] == "2" and cells[2] == "lower_bound"
             assert (int(cells[7]) >= 50) == slow, line
+
+    def test_wall_ms_shares_the_exact_batch(self, monkeypatch):
+        # every exact cell of the grid is one batch; each records an equal
+        # share of it
+        def slow_sweep(entries, q):
+            time.sleep(0.05 * len(entries))
+            return [analytic.OutagePoint(user=l, snr_db=snr, value=0.5, method="exact")
+                    for _, snr, l, _ in entries]
+
+        monkeypatch.setattr(analytic, "exact_outage_sweep", slow_sweep)
+        spec = SweepSpec(grid=(10.0, 15.0), methods=("exact", "lower_bound"))
+        lines = sweep_to_string(spec, BASE, timings=True).strip().splitlines()[1:]
+        exact = [int(line.split(",")[7]) for line in lines if line.split(",")[2] == "exact"]
+        assert len(exact) == 6 and min(exact) >= 50 and max(exact) - min(exact) <= 1
+
+    def test_failing_point_leaves_the_other_exact_cells(self, monkeypatch):
+        # at alpha_si = 1e-20 and 15 dB every Phi integrand at mu = 0.5
+        # peaks below the node span; mu = 0.75 and 1 resolve
+        cfg = replace(BASE, alpha_si=1e-20)
+        spec = SweepSpec(axis="mu", grid=(0.5, 0.75, 1.0), methods=("exact",), snr_db=15.0)
+        alone = [line for x in spec.grid
+                 for line in sweep_to_string(replace(spec, grid=(x,)), cfg).splitlines()[1:]]
+        assert [bool(line.split(",")[8]) for line in alone] == [True] * 3 + [False] * 6
+        assert sweep_to_string(spec, cfg).splitlines()[1:] == alone
+        monkeypatch.setattr(analytic, "_PHI_ROW_CAP", 5)
+        assert sweep_to_string(spec, cfg).splitlines()[1:] == alone
 
     def test_one_pool_per_sweep(self, monkeypatch, recording_pool):
         monkeypatch.setattr(mcsim, "CHUNK_TRIALS", 20_000)
@@ -408,7 +434,6 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("value", ["1e-14", "nan", "1", "tight"])
     @pytest.mark.parametrize("argv", [
         ["analyze", "--grid", "10:10:5"],
-        ["simulate", "--grid", "10:10:5"],
         ["sweep", "--grid", "10:10:5"],
         ["validate", "--grid", "10:10:5"],
         ["preset", "fig4", "--out", "unused"],

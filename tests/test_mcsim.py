@@ -161,6 +161,16 @@ class TestOrderStatisticKernels:
         assert np.array_equal(top[0], g[:, -2]) and np.array_equal(top[1], g[:, -1])
 
 
+    @pytest.mark.parametrize("n_b", [2, 3, 4, 6])
+    def test_top2_equals_sorted_reference_across_blocks(self, n_b):
+        # the passes run per block of BLOCK_TRIALS rows; the last block is short
+        size = 2 * mcsim.BLOCK_TRIALS + 123
+        cfg = replace(BASE, n_b=n_b, m_sr=2.5)
+        top = mcsim._top2_standard(cfg, RngStream(11, n_b).generator(), size)
+        g = RngStream(11, n_b).generator().standard_gamma(2.5, size=(size, n_b))
+        assert np.array_equal(_bits(top), _bits(np.sort(g, axis=1)[:, -2:].T))
+
+
 class TestEvaluateSinr:
     def test_hand_computed_single_user(self):
         # ideal, A=B=1, C=0, snr 2: denominator = 2 + 2 + 0 + 0 + 1
