@@ -1,13 +1,20 @@
 """Closed-form outage engine: exact single-integral form, lower bounds,
 and high-SNR asymptotics.
 
+Every form is built from two laws: A, the sum of the two strongest
+first-hop gains, and B_(l), the l-th ordered second-hop gain.  Each is
+tabulated once per structure at unit rate as a signed mixture of Gamma
+kernels (_two_strongest_law, _ordered_gain_law).  Their pdf and sf, the
+relay ratio W = A/(C + offset) of the lower bound and the CEE/FBD error
+floor are array expressions over these tables.
+
 The exact outage probability is a 12-fold nested finite sum over one
 semi-infinite quadrature (the Phi integral, integrated in log form by
 phi_integral_log_rows).  Its terms are tabulated once per structure at
-unit rates (_sum_table); an evaluation adds a few scalars' logs to each
-term's log-magnitude in one array operation.  Terms alternate
-in sign, so the final reduction uses exact summation (math.fsum) after
-rescaling by the largest term.
+unit rates (_sum_table, its first-hop factor read from A's table); an
+evaluation adds a few scalars' logs to each term's log-magnitude in one
+array operation.  Terms alternate in sign, so the final reduction uses
+exact summation (math.fsum) after rescaling by the largest term.
 
 Two printed-formula ambiguities are resolved here; the tests arbitrate
 them against the Monte Carlo engine with transcriptions of the printed
@@ -30,6 +37,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, exp, fsum, lgamma, log
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special as _sp
@@ -341,31 +349,52 @@ def first_hop_mixture(n_b: int, m: int, lam: float) -> tuple[tuple[float, PfdFor
     return tuple(out)
 
 
+class _GammaMixture(NamedTuple):
+    """A law at unit rate as a signed mixture of Gamma kernels: row i adds
+    coef[i] (s + rate[i])^-shape[i] to the MGF, so coef[i] y^(shape[i]-1)
+    e^(-rate[i] y) / Gamma(shape[i]) to the pdf and coef[i] rate[i]^-shape[i]
+    Q(shape[i], rate[i] y) to the sf.  Both laws here scale with their rate:
+    pdf(x; lam) = lam pdf(lam x; 1) and sf(x; lam) = sf(lam x; 1)."""
+
+    coef: np.ndarray
+    rate: np.ndarray
+    shape: np.ndarray
+
+    @classmethod
+    def of(cls, rows) -> _GammaMixture:
+        table = np.array(list(rows), dtype=float)
+        table.flags.writeable = False  # one cached table serves every caller
+        return cls(*table.T)
+
+    def pdf(self, x, lam: float):
+        y = lam * np.asarray(x, dtype=float)[..., None]
+        return lam * (self.coef * y ** (self.shape - 1) * np.exp(-self.rate * y)
+                      / _sp.gamma(self.shape)).sum(axis=-1)
+
+    def sf(self, x, lam: float):
+        y = lam * np.asarray(x, dtype=float)[..., None]
+        return (self.coef * self.rate ** -self.shape
+                * _sp.gammaincc(self.shape, self.rate * y)).sum(axis=-1)
+
+
+@lru_cache(maxsize=64)
+def _two_strongest_law(n_b: int, m: int) -> _GammaMixture:
+    """A's law: a row (coef * kappa, pole, t2) per nonzero coefficient of
+    the unit-rate first-hop mixture."""
+    return _GammaMixture.of(
+        (coef * kap, pole, t2) for coef, form in first_hop_mixture(n_b, m, 1.0)
+        for pole, kappa in zip(form.poles, form.kappa)
+        for t2, kap in enumerate(kappa, start=1) if kap)
+
+
 def pdf_two_strongest_sum(x, n_b: int, m: int, lam: float):
     """PDF of A (vectorized in x)."""
-    x = np.asarray(x, dtype=float)
-    total = np.zeros_like(x)
-    for coef, form in first_hop_mixture(n_b, m, lam):
-        for pole, row in zip(form.poles, form.kappa):
-            ex = np.exp(-pole * x)
-            for t2, kap in enumerate(row, start=1):
-                if kap == 0.0:
-                    continue
-                total += coef * kap * x ** (t2 - 1) * ex / exp(lgamma(t2))
-    return total
+    return _two_strongest_law(n_b, m).pdf(x, lam)
 
 
 def sf_two_strongest_sum(x, n_b: int, m: int, lam: float):
     """Complementary CDF of A; accurate where the survival mass is small."""
-    x = np.asarray(x, dtype=float)
-    total = np.zeros_like(x)
-    for coef, form in first_hop_mixture(n_b, m, lam):
-        for pole, row in zip(form.poles, form.kappa):
-            for t2, kap in enumerate(row, start=1):
-                if kap == 0.0:
-                    continue
-                total += coef * kap * pole ** (-t2) * _sp.gammaincc(t2, pole * x)
-    return total
+    return _two_strongest_law(n_b, m).sf(x, lam)
 
 
 def asymptotic_cdf_two_strongest_sum(x, n_b: int, m: int, omega: float):
@@ -392,95 +421,57 @@ def asymptotic_cdf_two_strongest_sum(x, n_b: int, m: int, omega: float):
 # Second-hop order statistics: B_l = l-th smallest of L i.i.d. Gamma(M) gains
 # --------------------------------------------------------------------------
 
+def _order_weights(l: int, n_users: int) -> list[tuple[int, int]]:
+    """(p, w_p) for each nonzero w_p: the l-th of L i.i.d. gains has pdf
+    f sum_p w_p S^p, f and S one gain's pdf and sf (David & Nagaraja, Order
+    Statistics, 2003, sec. 2.1); w_p is summed exactly over k."""
+    q_l = math.factorial(n_users) // (math.factorial(n_users - l) * math.factorial(l - 1))
+    weights = ((p, q_l * sum((-1) ** (k + p) * comb(n_users - l, k) * comb(l + k - 1, p)
+                             for k in range(n_users - l + 1))) for p in range(n_users))
+    return [(p, w) for p, w in weights if w]
+
+
+@lru_cache(maxsize=64)
+def _ordered_gain_law(l: int, n_users: int, m_total: int) -> _GammaMixture:
+    """B_(l)'s law: f S^p = sum_k1 beta_p[k1] y^(M+k1-1) e^(-(1+p) y) / Gamma(M)
+    at unit rate gives the rows (w_p beta_p[k1] Gamma(M+k1)/Gamma(M), 1+p, M+k1)."""
+    return _GammaMixture.of(
+        (w * b * math.prod(range(m_total, m_total + k1)), 1 + p, m_total + k1)
+        for p, w in _order_weights(l, n_users)
+        for k1, b in enumerate(poly_power_coeffs(m_total, 1.0, p)))
+
+
 def pdf_ordered_gain(x, l: int, n_users: int, m_total: int, lam: float):
     """PDF of the l-th order statistic of the per-user combined gain."""
-    x = np.asarray(x, dtype=float)
-    L, M = n_users, m_total
-    q_l = math.factorial(L) / (math.factorial(L - l) * math.factorial(l - 1))
-    total = np.zeros_like(x)
-    for k in range(L - l + 1):
-        for p in range(l + k):
-            beta = poly_power_coeffs(M, lam, p)
-            ex = np.exp(-x * (1 + p) * lam)
-            for k1 in range(p * (M - 1) + 1):
-                total += (
-                    q_l
-                    * comb(L - l, k)
-                    * comb(l + k - 1, p)
-                    * (-1.0) ** (k + p)
-                    / exp(lgamma(M))
-                    * lam**M
-                    * beta[k1]
-                    * x ** (M + k1 - 1)
-                    * ex
-                )
-    return total
+    return _ordered_gain_law(l, n_users, m_total).pdf(x, lam)
 
 
 def sf_ordered_gain(x, l: int, n_users: int, m_total: int, lam: float):
-    """Complementary CDF of the l-th order statistic.
-
-    The per-term exponential decays at rate p*lam (the binomial-power index),
-    not lam; the two coincide only for p = 1.
-    """
-    x = np.asarray(x, dtype=float)
-    L, M = n_users, m_total
-    q_l = math.factorial(L) / (math.factorial(L - l) * math.factorial(l - 1))
-    total = np.zeros_like(x)
-    for k in range(L - l + 1):
-        for p in range(1, l + k + 1):
-            beta = poly_power_coeffs(M, lam, p)
-            ex = np.exp(-x * p * lam)
-            for k1 in range(p * (M - 1) + 1):
-                total += (
-                    q_l
-                    * comb(L - l, k)
-                    * comb(l + k, p)
-                    * (-1.0) ** (k + p - 1)
-                    / (l + k)
-                    * beta[k1]
-                    * x**k1
-                    * ex
-                )
-    return total
+    """Complementary CDF of the l-th order statistic."""
+    return _ordered_gain_law(l, n_users, m_total).sf(x, lam)
 
 
 # --------------------------------------------------------------------------
 # First-hop-over-SI ratio W
 # --------------------------------------------------------------------------
 
-def sf_relay_ratio(
-    x: float,
-    *,
-    n_b: int,
-    m_sr: int,
-    lam_sr: float,
-    m_rr: int,
-    omega_rr: float,
-    offset: float,
-) -> float:
+def sf_relay_ratio(x: float, *, n_b: int, m_sr: int, lam_sr: float, m_rr: int,
+                   omega_rr: float, offset: float) -> float:
     """Complementary CDF of W = A / (C + offset).
 
     Practical conditions: W = snr_bar*A / (snr_bar*C + theta4p), so offset
-    = theta4p/snr_bar.  Ideal: W = A/C, offset 0.  Assembled from the
-    first-hop mixture and the Gamma SI statistic; terms collected with
-    exact summation.
+    = theta4p/snr_bar.  Ideal: W = A/C, offset 0.  A's table closed against
+    the Gamma(m_rr) SI law: Q(t2, z) = e^-z sum_{t4<t2} z^t4/t4! with
+    (C + o)^t4 expanded, in the rate-free y = lam_sr*x/rate_c and
+    o = offset*rate_c; terms collected with exact summation.
     """
     rate_c = m_rr / omega_rr
-    terms = []
-    for coef, form in first_hop_mixture(n_b, m_sr, lam_sr):
-        cc = coef * rate_c**m_rr / exp(lgamma(m_rr))
-        for pole, row in zip(form.poles, form.kappa):
-            damp = exp(-pole * x * offset)
-            for t2, kap in enumerate(row, start=1):
-                if kap == 0.0:
-                    continue
-                for t4 in range(t2):
-                    common = cc * kap * pole ** (t4 - t2) * x**t4 / math.factorial(t4)
-                    terms += [common * comb(t4, t5) * offset ** (t4 - t5) * damp
-                              * exp(lgamma(t5 + m_rr)) * (pole * x + rate_c) ** (-t5 - m_rr)
-                              for t5 in range(t4 + 1)]
-    return fsum(terms)
+    y, o = lam_sr * x / rate_c, offset * rate_c
+    return fsum(coef * pole ** (t4 - t2) * comb(t4, t5) * math.prod(range(m_rr, m_rr + t5))
+                / math.factorial(t4) * y**t4 * o ** (t4 - t5) * exp(-pole * lam_sr * x * offset)
+                * (pole * y + 1.0) ** (-t5 - m_rr)
+                for coef, pole, t2 in zip(*(c.tolist() for c in _two_strongest_law(n_b, m_sr)))
+                for t4 in range(int(t2)) for t5 in range(t4 + 1))
 
 
 # --------------------------------------------------------------------------
@@ -531,19 +522,15 @@ def _sum_table(n_b: int, m_sr: int, big_m: int, n_users: int, l: int) -> _SumTab
     Each rate enters only as a power of itself (coef * kappa scales as
     lam_s^t2, beta_p[k1] as lam_b^k1), so the terms are built at unit rates.
     Terms that share every power and Phi row are merged first: the
-    first-hop factor over (mixture entry, t2) for each (rho, n1), the
-    second-hop factor over k for each (p, k1, t4), its binomial weight
-    summed exactly (it vanishes for some p).
+    first-hop factor over A's table rows for each (rho, n1), the second-hop
+    factor over k for each (p, k1, t4) (_order_weights).
     """
     first: dict[tuple[float, int], list[float]] = {}
-    for coef, form in first_hop_mixture(n_b, m_sr, 1.0):
-        # one extra factor 2 relative to the PDF mixture comes from the
-        # Bessel-closing integral
-        for rho, kappa in zip(form.poles, form.kappa):
-            for t2, kap in enumerate(kappa, start=1):
-                for n1 in range(t2):
-                    first.setdefault((rho, n1), []).append(
-                        2.0 * coef * kap * rho ** (n1 - t2) / math.factorial(n1))
+    for coef, rho, t2 in zip(*(c.tolist() for c in _two_strongest_law(n_b, m_sr))):
+        # the Bessel-closing integral adds a factor 2 to A's pdf
+        for n1 in range(int(t2)):
+            first.setdefault((rho, n1), []).append(
+                2.0 * coef * rho ** (n1 - t2) / math.factorial(n1))
     # first-hop x (t3, k2) factor: (rho, n1, t3, k2, value)
     ft = np.array([
         (rho, n1, t3, k2, fsum(parts) * comb(n1, t3) * comb(t3, k2))
@@ -551,16 +538,12 @@ def _sum_table(n_b: int, m_sr: int, big_m: int, n_users: int, l: int) -> _SumTab
         for t3 in range(n1 + 1)
         for k2 in range(t3 + 1)
     ])
-    q_l = math.factorial(n_users) // (math.factorial(n_users - l) * math.factorial(l - 1))
     # second-hop factor: (p, k1, t4, value)
     sh = []
-    for p in range(n_users):
-        w = q_l * sum((-1) ** (k + p) * comb(n_users - l, k) * comb(l + k - 1, p)
-                      for k in range(n_users - l + 1))
-        if w:
-            beta = poly_power_coeffs(big_m, 1.0, p)
-            sh += [(p, k1, t4, w * beta[k1] * comb(big_m + k1 - 1, t4) / math.factorial(big_m - 1))
-                   for k1 in range(len(beta)) for t4 in range(big_m + k1)]
+    for p, w in _order_weights(l, n_users):
+        beta = poly_power_coeffs(big_m, 1.0, p)
+        sh += [(p, k1, t4, w * beta[k1] * comb(big_m + k1 - 1, t4) / math.factorial(big_m - 1))
+               for k1 in range(len(beta)) for t4 in range(big_m + k1)]
     # every term is one (first-hop, t3, k2) entry times one second-hop entry
     rho, n1, t3, k2, f = (c[:, None] for c in ft.T)
     p, k1, t4, s = np.array(sh).T
@@ -755,25 +738,14 @@ def exact_outage_for_lambda(
 
 
 def _clamped_point(raw: float, l: int, snr_db: float, method: str, floor: bool = False) -> OutagePoint:
-    residual = 0.0
-    value = raw
-    if raw < 0.0:
-        residual = raw
-        if raw < -_CLAMP_TOL:
-            raise NumericsError(
-                f"{method} outage for user {l} at {snr_db} dB is {raw}, below the roundoff budget"
-            )
-        log_.debug("%s outage clamped to 0 (residual %.3e)", method, raw)
-        value = 0.0
-    elif raw > 1.0:
-        residual = raw - 1.0
-        if residual > _CLAMP_TOL:
-            raise NumericsError(
-                f"{method} outage for user {l} at {snr_db} dB is {raw}, above the roundoff budget"
-            )
-        log_.debug("%s outage clamped to 1 (residual %.3e)", method, residual)
-        value = 1.0
-    return OutagePoint(user=l, snr_db=snr_db, value=value, method=method,
+    """raw clamped to the unit interval; an overshoot beyond _CLAMP_TOL raises."""
+    residual = raw - 1.0 if raw > 1.0 else min(0.0, raw)
+    if abs(residual) > _CLAMP_TOL:
+        raise NumericsError(f"{method} outage for user {l} at {snr_db} dB is {raw}, "
+                            f"{'below' if residual < 0 else 'above'} the roundoff budget")
+    if residual:
+        log_.debug("%s outage clamped to [0, 1] (residual %.3e)", method, residual)
+    return OutagePoint(user=l, snr_db=snr_db, value=min(max(raw, 0.0), 1.0), method=method,
                        residual=residual, floor=floor)
 
 

@@ -308,6 +308,17 @@ def _rel_tol(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of validate's --tolerance: a finite value > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a number, got {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    return value
+
+
 def _load_cfg(args) -> SystemConfig:
     if getattr(args, "config", None):
         return load_config(args.config)
@@ -412,7 +423,8 @@ def main(argv=None) -> int:
     _add_common(p, sim=True, sweep=False,
                 out="output path of the check lines and the PASS/FAIL verdict (default: stdout)")
     p.add_argument("--grid", default="0:30:5")
-    p.add_argument("--tolerance", type=float, default=0.10, help="slope tolerance")
+    p.add_argument("--tolerance", type=_tolerance, default=0.10,
+                   help="relative slope tolerance (finite, > 0)")
 
     args = parser.parse_args(argv)
     try:

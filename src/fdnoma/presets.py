@@ -119,8 +119,12 @@ class SweepSpec:
             raise ConfigError(f"axis {self.axis!r} needs a fixed snr_db")
         if self.axis == "snr_db" and self.snr_db is not None:
             raise ConfigError(f"the snr_db axis takes the SNR from its grid; got snr_db={self.snr_db}")
+        if self.snr_db is not None and not math.isfinite(self.snr_db):
+            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
         if not self.users:
             raise ConfigError("users list is empty")
+        if len(set(self.users)) < len(self.users):
+            raise ConfigError(f"users list repeats a user: {self.users}")
 
     def point(self, cfg: SystemConfig, value: float) -> tuple[SystemConfig, float]:
         """The config and the SNR in dB at one axis value."""

@@ -2,6 +2,7 @@
 building blocks, exact/lower-bound/asymptotic outage behavior, and the
 printed-variant arbitration against the simulator."""
 
+import itertools
 import json
 import math
 import os
@@ -304,10 +305,11 @@ class TestFirstHopDistribution:
         assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_cdf_matches_pdf_integral(self):
-        for x in (2.0, 10.0, 30.0):
-            val, _ = quad(lambda u: float(pdf_two_strongest_sum(u, 3, 2, 0.125)), 0.0, x,
+        for (n_b, m), x in itertools.product([(3, 2), (4, 3)], (2.0, 10.0, 30.0)):
+            lam = m / 16.0
+            val, _ = quad(lambda u: float(pdf_two_strongest_sum(u, n_b, m, lam)), 0.0, x,
                           limit=300)
-            assert 1.0 - sf_two_strongest_sum(x, 3, 2, 0.125) == pytest.approx(val, abs=1e-10)
+            assert 1.0 - sf_two_strongest_sum(x, n_b, m, lam) == pytest.approx(val, abs=1e-10)
 
     def test_histogram_match(self):
         rng = np.random.default_rng(7)
@@ -347,17 +349,23 @@ def lambda_min(x, t):
 
 
 class TestOrderedGainDistribution:
-    @pytest.mark.parametrize("l", [1, 2, 3])
-    def test_unit_mass(self, l):
-        val, _ = quad(lambda x: float(pdf_ordered_gain(x, l, 3, 2, 0.125)), 0.0, np.inf,
-                      limit=300)
-        assert val == pytest.approx(1.0, abs=1e-8)
+    @staticmethod
+    def _structures(l):
+        """The (L, M) structures that have a user l."""
+        return [(L, M) for L, M in ((3, 2), (4, 4)) if l <= L]
 
-    @pytest.mark.parametrize("l", [1, 2, 3])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_unit_mass(self, l):
+        for L, M in self._structures(l):
+            val, _ = quad(lambda x: float(pdf_ordered_gain(x, l, L, M, 0.125)), 0.0, np.inf,
+                          limit=300)
+            assert val == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
     def test_cdf_matches_pdf_integral(self, l):
-        for x in (1.0, 8.0, 30.0):
-            val, _ = quad(lambda u: float(pdf_ordered_gain(u, l, 3, 2, 0.125)), 0.0, x, limit=300)
-            assert 1.0 - sf_ordered_gain(x, l, 3, 2, 0.125) == pytest.approx(val, abs=1e-10)
+        for (L, M), x in itertools.product(self._structures(l), (1.0, 8.0, 30.0)):
+            val, _ = quad(lambda u: float(pdf_ordered_gain(u, l, L, M, 0.125)), 0.0, x, limit=300)
+            assert 1.0 - sf_ordered_gain(x, l, L, M, 0.125) == pytest.approx(val, abs=1e-10)
 
     def test_empirical_match(self):
         rng = np.random.default_rng(11)

@@ -415,6 +415,17 @@ class TestMainExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "snr_db axis" in captured.err
 
+    @pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
+    def test_non_finite_fixed_snr_is_exit_2(self, snr, capsys):
+        assert main(["sweep", "--axis", "mu", "--grid", "0:1:0.5", f"--snr={snr}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "snr_db must be finite" in captured.err
+
+    def test_repeated_users_is_exit_2(self, capsys):
+        assert main(["analyze", "--users", "1,1", "--grid", "10:10:5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "repeats a user" in captured.err
+
     def test_non_integer_users_is_exit_2(self, capsys):
         assert main(["analyze", "--users", "x", "--grid", "10:10:5"]) == 2
 
@@ -443,6 +454,15 @@ class TestMainExitCodes:
             main([*argv, "--rel-tol", value])
         assert exc.value.code == 1
         assert "--rel-tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "loose"])
+    def test_bad_tolerance_is_exit_1(self, value, capsys):
+        # a slope tolerance <= 0 or NaN would fail every slope line of a
+        # correct program
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--grid", "0:30:10", "--tolerance", value])
+        assert exc.value.code == 1
+        assert "--tolerance" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["-1", "one"])
     @pytest.mark.parametrize("argv", [
