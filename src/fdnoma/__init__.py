@@ -11,7 +11,6 @@ validator.  The `fdnoma` CLI reproduces the reference figure datasets.
 
 from .analytic import (
     OutagePoint,
-    QuadratureSpec,
     asymptotic_outage_ideal,
     asymptotic_outage_practical,
     diversity_order,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "SystemConfig",
     "OutagePoint",
-    "QuadratureSpec",
     "SweepSpec",
     "RngStream",
     "exact_outage",

@@ -10,7 +10,9 @@ floor are array expressions over these tables.
 
 The exact outage probability is a 12-fold nested finite sum over one
 semi-infinite quadrature (the Phi integral, integrated in log form by
-phi_integral_log_rows).  Its terms are tabulated once per structure at
+phi_integral_log_rows).  It and the CEE/FBD error floor share one
+exp-sinh rule, converged to the fixed relative tolerance _DE_REL_TOL.
+Its terms are tabulated once per structure at
 unit rates (_sum_table, its first-hop factor read from A's table); an
 evaluation adds a few scalars' logs to each term's log-magnitude in one
 array operation.  Terms alternate in sign, so the final reduction uses
@@ -55,7 +57,6 @@ log_ = logging.getLogger(__name__)
 
 __all__ = [
     "OutagePoint",
-    "QuadratureSpec",
     "PhiTerm",
     "phi_integral_log",
     "phi_integral_log_rows",
@@ -81,12 +82,13 @@ _CLAMP_TOL = 1e-6
 
 # Phi integrals and the CEE/FBD error floor: exp-sinh trapezoid rule
 # (Takahasi & Mori, Publ. RIMS 9, 1974) on t in [-_DE_SPAN, _DE_SPAN], step
-# _DE_STEP / 2**level.  Phi nodes with v = log(1 + z/pi_shift) beyond
-# _DE_V_MAX lie where exp(-decay*z) is long dead (and expm1 would
-# overflow); they count as zero.
+# _DE_STEP / 2**level, until two levels agree to _DE_REL_TOL.  Phi nodes
+# with v = log(1 + z/pi_shift) beyond _DE_V_MAX lie where exp(-decay*z) is
+# long dead (and expm1 would overflow); they count as zero.
 _DE_SPAN = 4.5
 _DE_STEP = 0.5
 _DE_MAX_LEVEL = 8
+_DE_REL_TOL = 1e-10
 _DE_V_MAX = 700.0
 _DE_NEGLIGIBLE = 750.0
 
@@ -107,22 +109,6 @@ class OutagePoint:
     ci: tuple[float, float] | None = None
     residual: float = 0.0
     floor: bool = False
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Accuracy contract for the semi-infinite quadratures."""
-
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        # NaN fails the test too; below 1e-13 no two levels of the Phi rule
-        # can agree in double precision
-        if not 1e-13 <= self.rel_tol < 1.0:
-            raise ValueError(f"rel_tol must lie in [1e-13, 1), got {self.rel_tol}")
-
-
-_DEFAULT_QUAD = QuadratureSpec()
 
 
 @dataclass(frozen=True)
@@ -244,14 +230,14 @@ class _FailedRows(NumericsError):
         self.logs, self.failures = logs, failures
 
 
-def _de_log_integrals(n: int, log_integrand, spec: QuadratureSpec, failed) -> np.ndarray:
+def _de_log_integrals(n: int, log_integrand, failed) -> np.ndarray:
     """log of n integrals on the exp-sinh nodes, all rows in one pass.
 
     log_integrand(idx, sinh_t, log_cosh_t, floor) gives the log of rows
     idx's integrands times their Jacobian in t at the nodes of one level;
     it may give -inf at a node below the row's floor, since such a node
     adds exactly 0.0.  Each row halves its step on its own, reusing the
-    nodes it has, until two levels agree to spec.rel_tol; the arithmetic of
+    nodes it has, until two levels agree to _DE_REL_TOL; the arithmetic of
     a row never depends on the other rows.  A row that fails leaves the
     pass, and the others go on; if any failed, _FailedRows is raised at
     the end.  failed(i) opens row i's message.
@@ -271,18 +257,18 @@ def _de_log_integrals(n: int, log_integrand, spec: QuadratureSpec, failed) -> np
             new = log_integrand(active, *_de_nodes(level), floor)
             lg = np.concatenate([lg, new], axis=1)
             cur = _log_sum_exp(lg) + log(_DE_STEP / 2**level)
-            done = (cur == prev) | (np.abs(np.expm1(prev - cur)) <= spec.rel_tol)
+            done = (cur == prev) | (np.abs(np.expm1(prev - cur)) <= _DE_REL_TOL)
             # the span must hold the integral: each end node carries less
-            # than rel_tol of it
+            # than _DE_REL_TOL of it
             ends = np.maximum(lg[:, 0], lg[:, len(_de_nodes(0)[0]) - 1])
-            cut = done & (ends - cur > log(spec.rel_tol))
+            cut = done & (ends - cur > log(_DE_REL_TOL))
             failures += [(level, i, f"{failed(i)}: the integrand does not decay within the node span")
                          for i in active[cut]]
             out[active[cut]] = np.nan
             ok = done & ~cut
             out[active[ok]] = cur[ok]
             active, lg, prev, floor = active[~done], lg[~done], cur[~done], floor[~done]
-    failures += [(_DE_MAX_LEVEL + 1, i, f"{failed(i)}: no two levels agreed to {spec.rel_tol:g} "
+    failures += [(_DE_MAX_LEVEL + 1, i, f"{failed(i)}: no two levels agreed to {_DE_REL_TOL:g} "
                   f"by step {_DE_STEP / 2**_DE_MAX_LEVEL:g}") for i in active]
     if failures:
         out[active] = np.nan
@@ -290,21 +276,19 @@ def _de_log_integrals(n: int, log_integrand, spec: QuadratureSpec, failed) -> np
     return out
 
 
-def phi_integral_log_rows(
-    rows: np.ndarray, spec: QuadratureSpec = _DEFAULT_QUAD, label=str
-) -> np.ndarray:
+def phi_integral_log_rows(rows: np.ndarray, label=str) -> np.ndarray:
     """log Phi of every row of a (n, 6) table, all rows in one pass
     (_de_log_integrals, _phi_log_integrand).  label(i) names row i in
     errors; when rows fail, _FailedRows carries every row's value."""
-    return _de_log_integrals(len(rows), _phi_log_integrand(rows), spec,
+    return _de_log_integrals(len(rows), _phi_log_integrand(rows),
                              lambda i: f"phi quadrature failed for term {label(i)}")
 
 
-def phi_integral_log(term: PhiTerm, spec: QuadratureSpec = _DEFAULT_QUAD) -> float:
+def phi_integral_log(term: PhiTerm) -> float:
     """log of the Phi integral (-inf when the integrand underflows)."""
     row = np.array([[term.z_power, term.pi_power, term.pi_shift, term.decay,
                      term.bessel_coeff, term.order]], dtype=float)
-    return float(phi_integral_log_rows(row, spec, lambda i: term.label or term)[0])
+    return float(phi_integral_log_rows(row, lambda i: term.label or term)[0])
 
 
 # --------------------------------------------------------------------------
@@ -640,7 +624,6 @@ def _exact_finish(plan: _ExactPlan, log_phi: np.ndarray) -> OutagePoint:
 
 def exact_outage_sweep(
     entries: Sequence[tuple[SystemConfig, float, int, float | None]],
-    q: QuadratureSpec = _DEFAULT_QUAD,
 ) -> list[OutagePoint | FdnomaError]:
     """Exact outage of every (cfg, snr_db, l, lam_dag) entry.
 
@@ -681,7 +664,7 @@ def exact_outage_sweep(
     for lo in range(0, len(rows), _PHI_ROW_CAP):
         batch = order[lo:lo + _PHI_ROW_CAP]
         try:
-            log_phi[batch] = phi_integral_log_rows(rows[batch], q,
+            log_phi[batch] = phi_integral_log_rows(rows[batch],
                                                    lambda i, batch=batch: label(batch[i]))
         except _FailedRows as exc:
             log_phi[batch] = exc.logs
@@ -714,11 +697,10 @@ def exact_outage(
     cfg: SystemConfig,
     snr_db: float,
     l: int,
-    q: QuadratureSpec = _DEFAULT_QUAD,
 ) -> OutagePoint:
     """Exact outage probability of user l from the nested-sum closed form:
     a one-entry exact_outage_sweep."""
-    return _one_result(exact_outage_sweep([(cfg, snr_db, l, None)], q))
+    return _one_result(exact_outage_sweep([(cfg, snr_db, l, None)]))
 
 
 def exact_outage_for_lambda(
@@ -726,7 +708,6 @@ def exact_outage_for_lambda(
     snr_db: float,
     l: int,
     lam_dag: float,
-    q: QuadratureSpec = _DEFAULT_QUAD,
 ) -> OutagePoint:
     """Exact outage with an explicit SNR-normalized threshold Lambda+.
 
@@ -734,7 +715,7 @@ def exact_outage_for_lambda(
     directly also covers the single-user-per-resource baseline, whose
     product-mapped threshold replaces the SIC maximum.
     """
-    return _one_result(exact_outage_sweep([(cfg, snr_db, l, lam_dag)], q))
+    return _one_result(exact_outage_sweep([(cfg, snr_db, l, lam_dag)]))
 
 
 def _clamped_point(raw: float, l: int, snr_db: float, method: str, floor: bool = False) -> OutagePoint:
@@ -876,16 +857,14 @@ def asymptotic_outage_ideal(cfg: SystemConfig, snr_db: float, l: int) -> OutageP
     return OutagePoint(user=l, snr_db=snr_db, value=min(val, 1.0), method="asymptotic_ideal")
 
 
-def asymptotic_outage_practical(
-    cfg: SystemConfig, l: int, q: QuadratureSpec = _DEFAULT_QUAD
-) -> OutagePoint:
+def asymptotic_outage_practical(cfg: SystemConfig, l: int) -> OutagePoint:
     """Error floor under CEE/FBD: the gbar -> infinity limit of the exact form.
 
     With the high-SNR theta replacements the outage event collapses to an
     SNR-free comparison; for mu < 1 the SI gain concentrates at zero and a
     single quadrature over the ordered gain remains, for mu = 1 the SI
     average is kept as an outer quadrature.  Both are exp-sinh rules, as
-    for Phi, converged to q.rel_tol.
+    for Phi, converged to _DE_REL_TOL.
     """
     m_sr, m_rr, m_ru = _require_analytic_config(cfg)
     stats = derive_link_stats(cfg, 1.0)  # SNR enters only omega_rr; mu=1 keeps it constant
@@ -923,7 +902,7 @@ def asymptotic_outage_practical(
                     + _log_positive(pdf_ordered_gain(y, l, L, big_m, lam_b))
                     + log(u_c) + sinh_t + log_cosh_t)
 
-        return _de_log_integrals(len(z), log_integrand, q,
+        return _de_log_integrals(len(z), log_integrand,
                                  lambda i: f"floor quadrature failed for SI gain {z[i]:g}")
 
     if cfg.mu < 1.0:
@@ -945,6 +924,6 @@ def asymptotic_outage_practical(
             out[live] = lg[live] + log_survive(z[live[0]])
             return out
 
-        survive = exp(_de_log_integrals(1, log_outer, q,
+        survive = exp(_de_log_integrals(1, log_outer,
                                         lambda i: "floor quadrature failed for the SI average")[0])
     return _clamped_point(1.0 - survive, l, math.inf, "asymptotic_practical", floor=True)

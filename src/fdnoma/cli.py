@@ -70,7 +70,6 @@ def run_sweep(
     spec: SweepSpec,
     cfg: SystemConfig,
     out,
-    quad: analytic.QuadratureSpec | None = None,
     workers: int = 1,
     timings: bool = False,
 ) -> list[CsvRow]:
@@ -86,7 +85,6 @@ def run_sweep(
     call's, and a simulation cell its grid point's equal share of the
     sweep's Monte Carlo time.
     """
-    quad = quad or analytic.QuadratureSpec()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     methods = tuple(m for m in METHODS if m in spec.methods)
@@ -127,7 +125,7 @@ def run_sweep(
     if "exact" in methods and cells:
         t0 = time.perf_counter()
         results = analytic.exact_outage_sweep(
-            [(cfgs[idx], snrs[idx], user, None) for idx, user in cells], quad
+            [(cfgs[idx], snrs[idx], user, None) for idx, user in cells]
         )
         exact = dict(zip(cells, results))
         exact_ms = (time.perf_counter() - t0) * 1000.0 / len(cells)
@@ -145,7 +143,7 @@ def run_sweep(
                     result = sim_points[idx][method][user - 1]
                 else:
                     try:
-                        result = METHODS[method].call(cfgs[idx], snrs[idx], user, quad)
+                        result = METHODS[method].call(cfgs[idx], snrs[idx], user)
                     except FdnomaError as exc:
                         result = exc
                 row = _cell(value, user, method, result, spec.trials)
@@ -193,7 +191,6 @@ def validate(
     seed: int = 1,
     workers: int = 1,
     conf: float = 0.99,
-    quad: analytic.QuadratureSpec = analytic.QuadratureSpec(),
 ) -> tuple[list[ValidationLine], bool]:
     """Exact-vs-MC agreement, bound ordering, and (ideal, mu<1) slope checks.
 
@@ -214,7 +211,7 @@ def validate(
             conf=line_conf,
         )["monte_carlo"]
         for l in range(1, cfg.n_users + 1):
-            exact = analytic.exact_outage(cfg, snr, l, quad).value
+            exact = analytic.exact_outage(cfg, snr, l).value
             lb = analytic.lower_bound_outage(cfg, snr, l).value
             exact_vals[(snr, l)] = exact
             mc = sim[l - 1].value
@@ -236,8 +233,9 @@ def validate(
                 snr, l, "bound_ordering", "ok" if ordered else "fail",
                 f"lb={lb:.10g} {'<=' if ordered else '>'} exact={exact:.10g}",
             ))
-    if cfg.ideal and cfg.mu < 1.0 and len(snr_grid) >= 3 and max(snr_grid) >= 30.0:
-        top = [s for s in snr_grid if s >= max(snr_grid) - 10.0]
+    # the slope is fitted to the points within 10 dB of the top; it needs two
+    top = [s for s in snr_grid if s >= max(snr_grid) - 10.0]
+    if cfg.ideal and cfg.mu < 1.0 and len(snr_grid) >= 3 and max(snr_grid) >= 30.0 and len(top) >= 2:
         for l in range(1, cfg.n_users + 1):
             gdo = analytic.diversity_order(cfg, l)
             ys = [math.log10(max(exact_vals[(s, l)], 1e-300)) for s in top]
@@ -300,14 +298,6 @@ _seed = _int_at_least(0)
 _workers = _int_at_least(1)
 
 
-def _rel_tol(text: str) -> float:
-    """argparse type of every --rel-tol flag."""
-    try:
-        return analytic.QuadratureSpec(rel_tol=float(text)).rel_tol
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _tolerance(text: str) -> float:
     """argparse type of validate's --tolerance: a finite value > 0."""
     try:
@@ -320,9 +310,9 @@ def _tolerance(text: str) -> float:
 
 
 def _load_cfg(args) -> SystemConfig:
-    if getattr(args, "config", None):
+    if args.config:
         return load_config(args.config)
-    if getattr(args, "preset", None):
+    if args.preset:
         variants = figure_preset(args.preset)
         if len(variants) > 1:
             labels = ", ".join(v.label for v in variants)
@@ -333,17 +323,13 @@ def _load_cfg(args) -> SystemConfig:
     return SystemConfig()
 
 
-def _add_common(p, sim: bool, closed_form: bool = True, sweep: bool = True,
-                out: str = "output CSV path (default: stdout)"):
-    """Flags shared by the grid commands; closed_form adds --rel-tol, which
-    only the closed forms read, and sweep adds --users and --timings, which
-    only a CSV sweep reads."""
-    p.add_argument("--config", help="system config file (flat key = value format)")
-    p.add_argument("--preset", help="figure preset name, optionally NAME:VARIANT")
+def _add_common(p, sim: bool, sweep: bool = True, out: str = "output CSV path (default: stdout)"):
+    """Flags shared by the grid commands; sweep adds --users and --timings,
+    which only a CSV sweep reads."""
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--config", help="system config file (flat key = value format)")
+    source.add_argument("--preset", help="figure preset name, optionally NAME:VARIANT")
     p.add_argument("--out", help=out)
-    if closed_form:
-        p.add_argument("--rel-tol", type=_rel_tol, default=1e-10,
-                       help="quadrature relative tolerance")
     if sweep:
         p.add_argument("--users", default="", help="comma-separated user indices (default: all)")
         p.add_argument("--timings", action="store_true", help="record wall_ms (breaks byte-identity)")
@@ -373,10 +359,9 @@ def _open_out(path):
 
 
 def _run_spec(args, spec: SweepSpec, cfg: SystemConfig) -> None:
-    quad = analytic.QuadratureSpec(rel_tol=args.rel_tol) if "rel_tol" in args else None
     out = _open_out(args.out)
     try:
-        run_sweep(spec, cfg, out, quad=quad, workers=getattr(args, "workers", 1),
+        run_sweep(spec, cfg, out, workers=getattr(args, "workers", 1),
                   timings=args.timings)
     finally:
         if out is not sys.stdout:
@@ -397,7 +382,7 @@ def main(argv=None) -> int:
     add_methods(p, "exact,lower_bound", methods_of("analytic"))
 
     p = sub.add_parser("simulate", help="Monte Carlo outage over an SNR grid")
-    _add_common(p, sim=True, closed_form=False)
+    _add_common(p, sim=True)
     p.add_argument("--grid", default="0:40:5")
     add_methods(p, "monte_carlo", methods_of("simulation"))
     p.add_argument("--hd-rule", default="equal", choices=("equal", "squared"))
@@ -416,7 +401,6 @@ def main(argv=None) -> int:
     p.add_argument("--trials", type=_trials, help="override preset trial count")
     p.add_argument("--seed", type=_seed, help="override preset seed")
     p.add_argument("--workers", type=_workers, default=1)
-    p.add_argument("--rel-tol", type=_rel_tol, default=1e-10)
     p.add_argument("--timings", action="store_true")
 
     p = sub.add_parser("validate", help="cross-engine agreement harness")
@@ -466,7 +450,6 @@ def _dispatch(parser, args) -> int:
     if args.command == "preset":
         variants = figure_preset(args.name)
         os.makedirs(args.out, exist_ok=True)
-        quad = analytic.QuadratureSpec(rel_tol=args.rel_tol)
         for var in variants:
             spec = var.sweep
             if args.trials is not None:
@@ -475,8 +458,7 @@ def _dispatch(parser, args) -> int:
                 spec = replace(spec, seed=args.seed)
             path = os.path.join(args.out, f"{args.name.split(':')[0]}_{var.label}.csv")
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                run_sweep(spec, var.config, fh, quad=quad, workers=args.workers,
-                          timings=args.timings)
+                run_sweep(spec, var.config, fh, workers=args.workers, timings=args.timings)
             cfg_path = os.path.join(args.out, f"{args.name.split(':')[0]}_{var.label}.cfg")
             with open(cfg_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(dump_config(var.config))
@@ -491,7 +473,6 @@ def _dispatch(parser, args) -> int:
             tolerance=args.tolerance,
             seed=args.seed,
             workers=args.workers,
-            quad=analytic.QuadratureSpec(rel_tol=args.rel_tol),
         )
         out = _open_out(args.out)
         try:

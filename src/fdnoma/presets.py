@@ -28,7 +28,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Method:
-    """kind is "analytic" or "simulation".  call(cfg, snr_db, user, quad)
+    """kind is "analytic" or "simulation".  call(cfg, snr_db, user)
     evaluates an analytic method per cell.  exact and the simulation
     methods have none: a sweep runs every exact cell of its grid as one
     analytic.exact_outage_sweep, and the simulation methods together as
@@ -43,13 +43,13 @@ class Method:
 METHODS = {
     "exact": Method("analytic"),
     "lower_bound": Method(
-        "analytic", lambda cfg, snr, l, q: analytic.lower_bound_outage(cfg, snr, l)
+        "analytic", lambda cfg, snr, l: analytic.lower_bound_outage(cfg, snr, l)
     ),
     "asymptotic_ideal": Method(
-        "analytic", lambda cfg, snr, l, q: analytic.asymptotic_outage_ideal(cfg, snr, l)
+        "analytic", lambda cfg, snr, l: analytic.asymptotic_outage_ideal(cfg, snr, l)
     ),
     "asymptotic_practical": Method(
-        "analytic", lambda cfg, snr, l, q: analytic.asymptotic_outage_practical(cfg, l, q)
+        "analytic", lambda cfg, snr, l: analytic.asymptotic_outage_practical(cfg, l)
     ),
     **{name: Method("simulation") for name in mcsim.SIM_METHODS},
 }

@@ -20,7 +20,6 @@ from scipy.special import kv
 from fdnoma import analytic
 from fdnoma.analytic import (
     PhiTerm,
-    QuadratureSpec,
     asymptotic_cdf_two_strongest_sum,
     asymptotic_outage_ideal,
     asymptotic_outage_practical,
@@ -200,15 +199,6 @@ class TestPhiIntegral:
     def test_invalid_rates(self):
         with pytest.raises(ValueError):
             PhiTerm(z_power=0, pi_power=1, pi_shift=0.0, decay=1.0, bessel_coeff=1.0, order=1)
-
-    def test_rel_tol_floor(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=1e-14)
-
-    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 1.0, 2.0])
-    def test_rel_tol_must_be_a_fraction(self, rel_tol):
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=rel_tol)
 
     # one term per regime: an m=1 fig11 term, a fig7 m=3 term, a
     # near-singular shift, order 7, a large Bessel coefficient, and TERM
@@ -478,7 +468,7 @@ class TestExactOutage:
 
     def test_every_phi_term_underflowing_raises(self, monkeypatch):
         monkeypatch.setattr(analytic, "phi_integral_log_rows",
-                            lambda rows, spec, label: np.full(len(rows), -np.inf))
+                            lambda rows, label: np.full(len(rows), -np.inf))
         with pytest.raises(NumericsError, match="every Phi term underflowed"):
             exact_outage(BASE, 15.0, 2)
 
@@ -520,7 +510,7 @@ class TestExactOutage:
         # the one a quadrature of its rows alone stops at
         plan = analytic._exact_plan(replace(BASE, mu=0.0, alpha_si=1e-20), 15.0, 1, None)
         with pytest.raises(NumericsError) as alone:
-            analytic.phi_integral_log_rows(plan.rows, QuadratureSpec(), plan.label)
+            analytic.phi_integral_log_rows(plan.rows, plan.label)
         assert isinstance(results[2], NumericsError) and str(results[2]) == str(alone.value)
 
     def test_one_table_per_structure(self):
@@ -532,11 +522,11 @@ class TestExactOutage:
             exact_outage(cfg, snr, 2)
         assert analytic._sum_table.cache_info().misses == 1
 
-    def test_quadrature_spec_respected(self):
-        loose = QuadratureSpec(rel_tol=1e-6)
-        tight = QuadratureSpec(rel_tol=1e-12)
-        a = exact_outage(BASE, 15.0, 2, loose).value
-        b = exact_outage(BASE, 15.0, 2, tight).value
+    def test_quadrature_spec_respected(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_DE_REL_TOL", 1e-6)
+        a = exact_outage(BASE, 15.0, 2).value
+        monkeypatch.setattr(analytic, "_DE_REL_TOL", 1e-12)
+        b = exact_outage(BASE, 15.0, 2).value
         assert a == pytest.approx(b, rel=1e-5)
 
     def test_non_integer_shape_rejected(self):
@@ -738,17 +728,10 @@ class TestPracticalFloorQuadrature:
     @pytest.mark.parametrize("case", ["fig6_nb3_nr2_u3", "fig6_nb2_nr1_mu1_u2"])
     def test_rel_tol_reaches_the_floor(self, case, monkeypatch):
         cfg, l = _FLOOR_CASES[case]
-        tolerances = []
-        driver = analytic._de_log_integrals
-
-        def recording(n, log_integrand, spec, failed):
-            tolerances.append(spec.rel_tol)
-            return driver(n, log_integrand, spec, failed)
-
-        monkeypatch.setattr(analytic, "_de_log_integrals", recording)
-        loose = asymptotic_outage_practical(cfg, l, QuadratureSpec(rel_tol=1e-6)).value
-        assert set(tolerances) == {1e-6}
-        tight = asymptotic_outage_practical(cfg, l, QuadratureSpec(rel_tol=1e-12)).value
+        monkeypatch.setattr(analytic, "_DE_REL_TOL", 1e-6)
+        loose = asymptotic_outage_practical(cfg, l).value
+        monkeypatch.setattr(analytic, "_DE_REL_TOL", 1e-12)
+        tight = asymptotic_outage_practical(cfg, l).value
         assert loose == pytest.approx(tight, abs=1e-6)
 
 

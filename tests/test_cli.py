@@ -111,7 +111,7 @@ class TestRunSweep:
     def test_wall_ms_shares_the_exact_batch(self, monkeypatch):
         # every exact cell of the grid is one batch; each records an equal
         # share of it
-        def slow_sweep(entries, q):
+        def slow_sweep(entries):
             time.sleep(0.05 * len(entries))
             return [analytic.OutagePoint(user=l, snr_db=snr, value=0.5, method="exact")
                     for _, snr, l, _ in entries]
@@ -340,18 +340,6 @@ class TestValidate:
         assert agreement[1].status == "insufficient trials"
         assert not ok
 
-    def test_rel_tol_reaches_the_exact_form(self, monkeypatch, capsys):
-        exact = analytic.exact_outage
-        tolerances = []
-
-        def recording(cfg, snr_db, l, q=analytic.QuadratureSpec()):
-            tolerances.append(q.rel_tol)
-            return exact(cfg, snr_db, l, q)
-
-        monkeypatch.setattr(analytic, "exact_outage", recording)
-        main(["validate", "--grid", "10:10:5", "--trials", "20000", "--rel-tol", "1e-7"])
-        assert tolerances == [1e-7] * BASE.n_users
-
     def test_bound_ordering_detail_resolves_a_value_near_one(self):
         # default config, 0 dB: user 1's exact OP is 0.99999981, which six
         # significant digits would print as 1
@@ -366,6 +354,9 @@ class TestValidate:
     def test_slope_check_runs_on_wide_ideal_grid(self):
         lines, ok = validate(BASE, (25.0, 30.0, 35.0), trials=50_000, seed=3)
         assert any(l.check == "high_snr_slope" for l in lines)
+        # one point within 10 dB of the top: no slope can be fitted
+        lines, ok = validate(BASE, (0.0, 15.0, 30.0), trials=10_000, seed=3)
+        assert not any(l.check == "high_snr_slope" for l in lines)
 
 
 class TestMainExitCodes:
@@ -394,12 +385,28 @@ class TestMainExitCodes:
         assert exc.value.code == 1
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
-    def test_simulate_rejects_rel_tol(self, capsys):
-        # no simulation method reads a quadrature tolerance
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--grid", "10:10:5"],
+        ["simulate", "--grid", "10:10:5", "--trials", "10000"],
+        ["sweep", "--grid", "10:10:5"],
+        ["validate", "--grid", "10:10:5"],
+        ["preset", "fig4", "--out", "unused"],
+    ], ids=lambda argv: argv[0])
+    def test_rel_tol_is_unrecognized(self, argv, capsys):
+        # the quadrature tolerance is a constant of the closed forms
         with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--grid", "10:10:5", "--trials", "10000", "--rel-tol", "1e-3"])
+            main([*argv, "--rel-tol", "1e-3"])
         assert exc.value.code == 1
         assert "unrecognized arguments: --rel-tol 1e-3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "sweep", "validate"])
+    def test_config_and_preset_are_exclusive(self, command, tmp_path, capsys):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(dump_config(BASE))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--grid", "10:10:5", "--config", str(cfg), "--preset", "fig3:nb3"])
+        assert exc.value.code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_validate_help_describes_its_text_output(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -441,19 +448,6 @@ class TestMainExitCodes:
             main(argv)
         assert exc.value.code == 1
         assert "--trials" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["1e-14", "nan", "1", "tight"])
-    @pytest.mark.parametrize("argv", [
-        ["analyze", "--grid", "10:10:5"],
-        ["sweep", "--grid", "10:10:5"],
-        ["validate", "--grid", "10:10:5"],
-        ["preset", "fig4", "--out", "unused"],
-    ], ids=lambda argv: argv[0])
-    def test_bad_rel_tol_is_exit_1(self, argv, value, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--rel-tol", value])
-        assert exc.value.code == 1
-        assert "--rel-tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "loose"])
     def test_bad_tolerance_is_exit_1(self, value, capsys):
