@@ -385,19 +385,27 @@ class TestMainExitCodes:
         assert exc.value.code == 1
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
+    def test_simulate_rejects_rel_tol(self, capsys):
+        # no simulation method reads a quadrature tolerance
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--grid", "10:10:5", "--trials", "10000", "--rel-tol", "1e-3"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --rel-tol 1e-3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1e-14", "nan", "1", "tight"])
     @pytest.mark.parametrize("argv", [
         ["analyze", "--grid", "10:10:5"],
-        ["simulate", "--grid", "10:10:5", "--trials", "10000"],
         ["sweep", "--grid", "10:10:5"],
         ["validate", "--grid", "10:10:5"],
         ["preset", "fig4", "--out", "unused"],
     ], ids=lambda argv: argv[0])
-    def test_rel_tol_is_unrecognized(self, argv, capsys):
-        # the quadrature tolerance is a constant of the closed forms
+    def test_bad_rel_tol_is_exit_1(self, argv, value, capsys):
+        # the quadrature tolerance is a constant of the closed forms, so
+        # --rel-tol is unrecognized whatever its value
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--rel-tol", "1e-3"])
+            main([*argv, "--rel-tol", value])
         assert exc.value.code == 1
-        assert "unrecognized arguments: --rel-tol 1e-3" in capsys.readouterr().err
+        assert f"unrecognized arguments: --rel-tol {value}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["analyze", "simulate", "sweep", "validate"])
     def test_config_and_preset_are_exclusive(self, command, tmp_path, capsys):
