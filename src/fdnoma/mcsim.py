@@ -5,18 +5,22 @@ ordered exactly as the selection/feedback protocol orders them, and the
 per-stage SINR events are evaluated from the SINR expression directly.
 
 Reproducibility: trials are partitioned into fixed chunks of CHUNK_TRIALS;
-chunk i draws from the stream (seed, base_stream + i).  Chunk counts are
-integers and merge by addition, so the totals are identical for any worker
-count and any execution order.
+chunk i spawns n_users + 2 child streams of (seed, base_stream + i), one per
+variable: the first hop, users 1..L, then the SI gain.  Each child is read
+block after block, so a variable's draws do not depend on the block size.
+Chunk counts are integers and merge by addition, so the totals are
+identical for any worker count and any execution order.
 
 A sweep draws each chunk once: the grid axes change only Gamma scales,
 theta coefficients and thresholds, so every grid point rescales the same
-standard Gamma draws (common random numbers).
+standard Gamma draws (common random numbers).  The draws of one block of
+BLOCK_TRIALS trials stay in cache while every point tests them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -57,10 +61,12 @@ __all__ = [
 ]
 
 CHUNK_TRIALS = 1_000_000
-# Trials per block of the outage test and of the users' compare-exchange
-# sort.  The block's seven float64 temporaries (7 x 256 KiB) fit a 2 MiB
-# L2 cache; on a 2-core Xeon the fig11 sweep kernel ran 10-30% faster
-# than with 2**16 trials.  Counts do not depend on it.
+# Trials per block of the draws, the outage test and the users'
+# compare-exchange sort.  The block's float64 rows are 256 KiB each; the
+# seven temporaries of the test fit a 2 MiB L2 cache, and on a 2-core Xeon
+# the fig11 sweep kernel ran 10-30% faster than with 2**16 trials.  A
+# chunk holds (n_b + 2 + 2 n_users + 8) such rows, ~5 MB at n_b = 4 and
+# three users, whatever its size.  Counts do not depend on it.
 BLOCK_TRIALS = 1 << 15
 MIN_TRIALS = 10_000
 
@@ -79,6 +85,11 @@ class RngStream:
 
     def child(self, offset: int) -> "RngStream":
         return RngStream(self.seed, self.stream_id + offset)
+
+    def spawn(self, n: int) -> list[np.random.Generator]:
+        """n independent generators, the children of this stream's seed."""
+        seq = np.random.SeedSequence((self.seed, self.stream_id))
+        return [np.random.default_rng(child) for child in seq.spawn(n)]
 
 
 @dataclass(frozen=True)
@@ -109,10 +120,16 @@ class SinrBreakdown:
     gammas: tuple[float, ...]
 
 
+def _check_conf(conf: float) -> None:
+    if not 0.0 < conf < 1.0:
+        raise ValueError(f"confidence level must lie in (0, 1), got {conf!r}")
+
+
 def wilson_interval(successes: int, trials: int, conf: float = 0.95) -> tuple[float, float]:
     """Wilson score interval; preferred over Wald for small-probability tails."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    _check_conf(conf)
     z = float(ndtri(0.5 + conf / 2.0))
     phat = successes / trials
     denom = 1.0 + z * z / trials
@@ -121,40 +138,52 @@ def wilson_interval(successes: int, trials: int, conf: float = 0.95) -> tuple[fl
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _top2_standard(cfg: SystemConfig, rng: np.random.Generator, size: int) -> np.ndarray:
-    """The two largest of n_b i.i.d. standard Gamma(m_sr, 1) draws, (2, size),
-    as [second largest, largest].
+def _standard_gamma(rng: np.random.Generator, shape: float, out: np.ndarray) -> np.ndarray:
+    """Fill out with standard Gamma(shape, 1) draws and return it.
 
-    A common positive scale does not change which two are largest, so the
-    reduction happens before any rescaling.  It keeps a running (second,
-    largest) pair over the columns of the (size, n_b) draw; with x the next
+    At shape 1 numpy's standard_gamma calls the exponential sampler once
+    per element, so standard_exponential gives the same values and leaves
+    the generator in the same state, in less time.
+    """
+    if shape == 1:
+        return rng.standard_exponential(out=out)
+    return rng.standard_gamma(shape, out=out)
+
+
+def _top2(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The two largest of each row of g (n, n_b) into out (2, n), as
+    [second largest, largest].
+
+    A running (second, largest) pair over the columns; with x the next
     column, second <- min(largest, max(second, x)) and largest <-
     max(largest, x).  min and max select, so the values are bitwise those a
-    partition would give.  The passes run over blocks of BLOCK_TRIALS rows,
-    so that each block of the draw is read from cache, not memory, once
-    per column.
+    partition would give.
     """
-    g = rng.standard_gamma(cfg.m_sr, size=(size, cfg.n_b))
-    top = np.empty((2, size))
-    for lo in range(0, size, BLOCK_TRIALS):
-        block = g[lo:lo + BLOCK_TRIALS]
-        second, largest = top[:, lo:lo + BLOCK_TRIALS]
-        np.minimum(block[:, 0], block[:, 1], out=second)
-        np.maximum(block[:, 0], block[:, 1], out=largest)
-        for j in range(2, cfg.n_b):
-            x = block[:, j]
-            np.maximum(second, x, out=second)
-            np.minimum(second, largest, out=second)
-            np.maximum(largest, x, out=largest)
-    return top
-
-
-def _users_standard(cfg: SystemConfig, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Unsorted standard Gamma(m_ru n_r, 1) second-hop draws, (n_users, size)."""
-    out = np.empty((cfg.n_users, size))
-    for l in range(cfg.n_users):
-        rng.standard_gamma(cfg.m_ru[l] * cfg.n_r, out=out[l])
+    second, largest = out
+    np.minimum(g[:, 0], g[:, 1], out=second)
+    np.maximum(g[:, 0], g[:, 1], out=largest)
+    for j in range(2, g.shape[1]):
+        x = g[:, j]
+        np.maximum(second, x, out=second)
+        np.minimum(second, largest, out=second)
+        np.maximum(largest, x, out=largest)
     return out
+
+
+def _top2_standard(cfg: SystemConfig, rng: np.random.Generator, size: int) -> np.ndarray:
+    """The two largest of n_b i.i.d. standard Gamma(m_sr, 1) draws, (2, size).
+
+    A common positive scale does not change which two are largest, so the
+    reduction happens before any rescaling.  The (size, n_b) draw is made
+    row-major, one block of BLOCK_TRIALS rows at a time, and each block is
+    reduced while it is in cache.
+    """
+    top = np.empty((2, size))
+    g = np.empty((min(BLOCK_TRIALS, size), cfg.n_b))
+    for lo in range(0, size, BLOCK_TRIALS):
+        n = min(BLOCK_TRIALS, size - lo)
+        _top2(_standard_gamma(rng, cfg.m_sr, g[:n]), top[:, lo:lo + n])
+    return top
 
 
 def _sort_rows(x: np.ndarray, tmp: np.ndarray) -> None:
@@ -188,14 +217,16 @@ def sample_first_hop(cfg: SystemConfig, stats: LinkStats, rng: np.random.Generat
 
 def sample_second_hop(cfg: SystemConfig, stats: LinkStats, rng: np.random.Generator, size: int = 1):
     """Per-user combined gains (n_r branches each), sorted ascending."""
-    b = _users_standard(cfg, rng, size)
+    b = np.empty((cfg.n_users, size))
+    for l in range(cfg.n_users):
+        _standard_gamma(rng, cfg.m_ru[l] * cfg.n_r, b[l])
     b *= np.reshape(_ru_scales(cfg, stats), (-1, 1))
     _sort_rows(b, np.empty(size))
     return b.T
 
 
 def sample_si_gain(cfg: SystemConfig, stats: LinkStats, rng: np.random.Generator, size: int = 1):
-    return stats.omega_rr / cfg.m_rr * rng.standard_gamma(cfg.m_rr, size=size)
+    return stats.omega_rr / cfg.m_rr * _standard_gamma(rng, cfg.m_rr, np.empty(size))
 
 
 def evaluate_sinr(
@@ -281,49 +312,56 @@ def _sweep_chunk(
 ) -> np.ndarray:
     """Outage counts (point, method, user) of one chunk of trials.
 
-    The chunk's standard draws are made once and rescaled at every point.
-    The joint stage event collapses to a single comparison: user l is in
+    The chunk's variables come from stream.spawn(n_users + 2): child 0
+    draws the first hop row-major (size, n_b), children 1..L users 1..L
+    and child L+1 the SI gain.  Each block of BLOCK_TRIALS trials draws its
+    standard variates into buffers that stay in cache, reduces the first
+    hop to its top two, and every point rescales the same draws.  The
+    joint stage event collapses to a single comparison: user l is in
     outage iff (gbar^2/2) A B_l <= Lambda_l^+ * D0, with D0 the
     theta-weighted denominator terms shared by all stages (hd_noma drops
-    the SI terms).  The test runs in blocks of BLOCK_TRIALS so that its
-    temporaries stay in cache.  The users' order statistics are taken
-    per block too, by compare-exchange (_sort_rows) into one of the block
-    temporaries: once per block when every point scales all users alike
-    (sort_once), else per point after the rescale.  Each comparison is
-    elementwise, so the counts do not depend on the block size.
+    the SI terms).  The users' order statistics are taken by
+    compare-exchange (_sort_rows): once per block when every point scales
+    all users alike (sort_once), else per point after the rescale.  Each
+    child is read in order and each comparison is elementwise, so the
+    counts do not depend on the block size.
     """
-    rng = stream.generator()
-    top = _top2_standard(cfg, rng, size)
-    users = _users_standard(cfg, rng, size)
-    si = rng.standard_gamma(cfg.m_rr, size=size)
-
     n_users = cfg.n_users
+    first, *user_rngs, si_rng = stream.spawn(n_users + 2)
+    user_shapes = [m * cfg.n_r for m in cfg.m_ru]
     hd = [j for j, m in enumerate(methods) if m == "hd_noma"]
     with_si = [j for j, m in enumerate(methods) if m != "hd_noma"]
     counts = np.zeros((len(plans), len(methods), n_users), dtype=np.int64)
     block = min(BLOCK_TRIALS, size)
-    a, c, bl, lhs, d, s, t = np.empty((7, block))
+    g = np.empty((block, cfg.n_b))
+    top = np.empty((2, block))
+    users, scaled = np.empty((2, n_users, block))
+    si, a, c, bl, lhs, d, s, t = np.empty((8, block))
     mask = np.empty(block, dtype=bool)
     for lo in range(0, size, block):
-        hi = min(lo + block, size)
-        n = hi - lo
+        n = min(block, size - lo)
         if n < block:
-            a, c, bl, lhs, d, s, t, mask = (x[:n] for x in (a, c, bl, lhs, d, s, t, mask))
+            g, top, users, scaled = g[:n], top[:, :n], users[:, :n], scaled[:, :n]
+            si, a, c, bl, lhs, d, s, t, mask = (x[:n] for x in (si, a, c, bl, lhs, d, s, t, mask))
+        _top2(_standard_gamma(first, cfg.m_sr, g), top)
+        for rng, shape, row in zip(user_rngs, user_shapes, users):
+            _standard_gamma(rng, shape, row)
+        _standard_gamma(si_rng, cfg.m_rr, si)
         if sort_once:
             # every point scales all users alike, so the order is fixed here
-            _sort_rows(users[:, lo:hi], t)
+            _sort_rows(users, t)
         for p, plan in enumerate(plans):
-            np.multiply(top[0, lo:hi], plan.scale_sr, out=a)
-            np.multiply(top[1, lo:hi], plan.scale_sr, out=t)
+            np.multiply(top[0], plan.scale_sr, out=a)
+            np.multiply(top[1], plan.scale_sr, out=t)
             a += t
-            np.multiply(si[lo:hi], plan.scale_rr, out=c)
+            np.multiply(si, plan.scale_rr, out=c)
             if not sort_once:
-                scaled = users[:, lo:hi] * np.reshape(plan.scale_ru, (-1, 1))
+                np.multiply(users, np.reshape(plan.scale_ru, (-1, 1)), out=scaled)
                 _sort_rows(scaled, t)
             for l in range(n_users):
                 k1, k2, k5, k3, k4 = plan.coef[l]
                 if sort_once:
-                    b = np.multiply(users[l, lo:hi], plan.scale_ru[l], out=bl)
+                    b = np.multiply(users[l], plan.scale_ru[l], out=bl)
                 else:
                     b = scaled[l]
                 np.multiply(a, plan.half_g2, out=lhs)
@@ -365,19 +403,26 @@ def simulate_sweep(
     """Estimated OP of every user at every (config, snr_db) point of a sweep.
 
     Common random numbers: chunk i of the trials draws its standard Gamma
-    variates once, from rng.child(i), and every point rescales the same
-    draws, so each point's estimate equals, bitwise, a one-point call on
-    the same stream.  The points may differ only in what rescales the draws
+    variates once, from the children of rng.child(i), and every point
+    rescales the same draws, so each point's estimate equals, bitwise, a
+    one-point call on the same stream.  The points may differ only in what rescales the draws
     (SNR, distances, estimation and delay impairments, SI parameters, power
     split, thresholds); antenna counts, user count and Nakagami shapes must
     agree, or ValueError is raised.  All methods share the draws too, so
     method differences at one point are paired.
 
     Returns one entry per point: what simulate_outage_all returns for it,
-    or the FdnomaError raised while deriving that point's scalars.
+    or the FdnomaError raised while deriving that point's scalars.  trials
+    must be an integer >= MIN_TRIALS and conf lie in (0, 1); both are
+    checked before any chunk is drawn.
     """
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise TypeError(f"trials must be an integer >= {MIN_TRIALS}, got {trials!r}") from None
     if trials < MIN_TRIALS:
-        raise ValueError(f"trials must be >= {MIN_TRIALS}, got {trials}")
+        raise ValueError(f"trials must be an integer >= {MIN_TRIALS}, got {trials}")
+    _check_conf(conf)
     for m in methods:
         if m not in SIM_METHODS:
             raise ValueError(f"unknown simulation method {m!r}")

@@ -1,6 +1,7 @@
 """Sampler marginals, SINR evaluation, reproducibility and baselines."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -48,6 +49,18 @@ class TestRngStream:
         a = RngStream(7, 3).generator().standard_normal(5)
         b = RngStream(7, 4).generator().standard_normal(5)
         assert not np.array_equal(a, b)
+
+
+class TestStandardGamma:
+    @pytest.mark.parametrize("shape", [1, 1.0, 0.5, 2.5])
+    def test_draws_and_state_equal_standard_gamma(self, shape):
+        # at shape 1 the helper calls standard_exponential(out=), which
+        # numpy's standard_gamma(1.0) calls per element
+        ours, ref = RngStream(12).generator(), RngStream(12).generator()
+        x = mcsim._standard_gamma(ours, shape, np.empty(10_001))
+        y = ref.standard_gamma(shape, size=10_001)
+        assert np.array_equal(_bits(x), _bits(y))
+        assert ours.bit_generator.state == ref.bit_generator.state
 
 
 class TestSamplers:
@@ -215,6 +228,11 @@ class TestWilson:
         lo, hi = wilson_interval(0, 10_000, conf=0.99)
         assert lo == 0.0 and 0.0 < hi < 1e-3
 
+    @pytest.mark.parametrize("conf", [1.0, 1.5, -1.0, 0.0, float("nan")])
+    def test_confidence_outside_unit_interval_rejected(self, conf):
+        with pytest.raises(ValueError, match="confidence level"):
+            wilson_interval(5, 10, conf)
+
     def test_calibration(self):
         # coverage of the 95% interval at a point with known exact outage;
         # the band [93%, 97%] is about +-1.3 binomial sigmas wide at 200
@@ -248,6 +266,15 @@ class TestSimulateOutage:
             for w in (1, 2, 4)
         ]
         assert res[0] == res[1] == res[2]
+
+    @pytest.mark.parametrize("trials", [1e5, 100000.5])
+    def test_float_trials_rejected(self, trials):
+        with pytest.raises(TypeError, match="trials must be an integer >= 10000"):
+            simulate_outage_all(BASE, 10.0, trials)
+
+    def test_numpy_integer_trials_accepted(self):
+        a = simulate_outage_all(BASE, 10.0, np.int64(20_000), rng=11)
+        assert a == simulate_outage_all(BASE, 10.0, 20_000, rng=11)
 
     def test_repeatable(self):
         a = simulate_outage(BASE, 10.0, 2, 50_000, rng=11)
@@ -340,7 +367,9 @@ class TestBaselines:
 
 def _reference_counts(cfg, snr_db, trials, stream, methods, hd_rule="equal"):
     """Per-point reference: one chunk drawn with rng.gamma at this point's
-    own scales and tested on whole arrays, with nothing shared or blocked."""
+    own scales and tested on whole arrays, with nothing shared or blocked.
+    The chunk's variables come from the children of its seed sequence:
+    the first hop, users 1..L, then the SI gain."""
     g = 10.0 ** (snr_db / 10.0)
     stats = derive_link_stats(cfg, g)
     lam = {"monte_carlo": compute_deltas(cfg, g).lambda_dag}
@@ -349,15 +378,16 @@ def _reference_counts(cfg, snr_db, trials, stream, methods, hd_rule="equal"):
         lam["hd_noma"] = compute_deltas(replace(cfg, gamma_th=thr), g).lambda_dag
     if "fd_oma" in methods:
         lam["fd_oma"] = map_baseline_thresholds(cfg, "fd_oma")
-    rng = stream.generator()
-    first = rng.gamma(cfg.m_sr, stats.omega_hat_sr / cfg.m_sr, size=(trials, cfg.n_b))
-    a = np.partition(first, cfg.n_b - 2, axis=1)[:, -2:].sum(axis=1)
+    seq = np.random.SeedSequence((stream.seed, stream.stream_id))
+    first, *users, si = (np.random.default_rng(s) for s in seq.spawn(cfg.n_users + 2))
+    a = first.gamma(cfg.m_sr, stats.omega_hat_sr / cfg.m_sr, size=(trials, cfg.n_b))
+    a = np.partition(a, cfg.n_b - 2, axis=1)[:, -2:].sum(axis=1)
     b = np.stack([
         rng.gamma(cfg.m_ru[l] * cfg.n_r, stats.omega_hat_ru[l] / cfg.m_ru[l], size=trials)
-        for l in range(cfg.n_users)
+        for l, rng in enumerate(users)
     ], axis=1)
     b.sort(axis=1)
-    c = rng.gamma(cfg.m_rr, stats.omega_rr / cfg.m_rr, size=trials)
+    c = si.gamma(cfg.m_rr, stats.omega_rr / cfg.m_rr, size=trials)
     counts = {m: [] for m in methods}
     for l in range(1, cfg.n_users + 1):
         th = compute_theta(stats, g, l)
@@ -434,15 +464,16 @@ class TestSweep:
 
     @pytest.mark.parametrize("cfg, sort_once, expected", [
         (replace(BASE, n_b=4, m_sr=2), True,
-         [[[23221, 4662, 320], [22951, 4518, 304], [18307, 2739, 145]],
-          [[4789, 1220, 1038], [2736, 58, 1], [2838, 385, 322]]]),
+         [[[23254, 4669, 323], [22969, 4528, 309], [18352, 2773, 121]],
+          [[4684, 1134, 943], [2677, 43, 0], [2772, 372, 299]]]),
         (replace(BASE, n_b=4, m_sr=2, m_ru=(1, 2, 3), sigma2_est_ru=(0.01, 0.02, 0.03)), False,
-         [[[15430, 2031, 97], [15106, 1920, 92], [10789, 808, 25]],
-          [[2697, 1105, 1029], [1136, 1, 0], [1438, 403, 388]]]),
+         [[[15513, 2064, 119], [15216, 1957, 109], [10983, 821, 21]],
+          [[2611, 1017, 961], [1098, 2, 0], [1368, 323, 301]]]),
     ], ids=["sort_once", "unequal_scales"])
     def test_pinned_counts(self, small_chunks, cfg, sort_once, expected):
         # integer counts (point, method, user) as np.sort/np.partition order
-        # statistics give them; compare-exchange must reproduce them exactly
+        # statistics give them (the sum of _reference_counts over the three
+        # chunks); compare-exchange must reproduce them exactly
         points = _d_sr_points(cfg, grid=(0.35, 0.65))
         plans = [mcsim._plan_point(c, snr, ALL_METHODS, "equal") for c, snr in points]
         assert all(len(set(p.scale_ru)) == 1 for p in plans) == sort_once
@@ -450,6 +481,27 @@ class TestSweep:
         counts = [[[round(p.value * 50_000) for p in res[m]] for m in ALL_METHODS]
                   for res in swept]
         assert counts == expected
+
+    @pytest.mark.parametrize("conf", [1.0, 1.5, -1.0, 0.0, float("nan")])
+    def test_confidence_checked_before_any_chunk(self, monkeypatch, conf):
+        def no_chunk(*args):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(mcsim, "_sweep_chunk", no_chunk)
+        with pytest.raises(ValueError, match="confidence level"):
+            simulate_sweep(_d_sr_points(BASE), 20_000, conf=conf)
+
+    def test_chunk_memory_stays_within_blocks(self):
+        # every variate is drawn per block, so a 1e6-trial chunk never holds
+        # a whole-chunk array (its draws alone would take ~48 MB)
+        cfg = replace(BASE, n_b=4)
+        tracemalloc.start()
+        try:
+            simulate_outage_all(cfg, 15.0, 1_000_000, rng=47, methods=ALL_METHODS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_block_size_does_not_change_counts(self, monkeypatch):
         points = _d_sr_points(replace(BASE, sigma2_est_ru=(0.01, 0.02, 0.03)), grid=(0.4, 0.6))
