@@ -296,6 +296,11 @@ def _int_at_least(low: int):
 _trials = _int_at_least(mcsim.MIN_TRIALS)
 _seed = _int_at_least(0)
 _workers = _int_at_least(1)
+_WORKERS_HELP = (
+    f"processes for the Monte Carlo trials (default: 1); the trials run in chunks of "
+    f"{mcsim.CHUNK_TRIALS:,}, one chunk per process at a time, so a run of fewer than "
+    f"{2 * mcsim.CHUNK_TRIALS:,} trials uses one core"
+)
 
 
 def _tolerance(text: str) -> float:
@@ -336,7 +341,7 @@ def _add_common(p, sim: bool, sweep: bool = True, out: str = "output CSV path (d
     if sim:
         p.add_argument("--trials", type=_trials, default=1_000_000)
         p.add_argument("--seed", type=_seed, default=1)
-        p.add_argument("--workers", type=_workers, default=1)
+        p.add_argument("--workers", type=_workers, default=1, help=_WORKERS_HELP)
 
 
 def _users(args, cfg) -> tuple[int, ...]:
@@ -400,7 +405,7 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--trials", type=_trials, help="override preset trial count")
     p.add_argument("--seed", type=_seed, help="override preset seed")
-    p.add_argument("--workers", type=_workers, default=1)
+    p.add_argument("--workers", type=_workers, default=1, help=_WORKERS_HELP)
     p.add_argument("--timings", action="store_true")
 
     p = sub.add_parser("validate", help="cross-engine agreement harness")

@@ -1,8 +1,9 @@
 """Monte Carlo outage engine.
 
 Independent of the closed-form path: channels are sampled as Gamma powers,
-ordered exactly as the selection/feedback protocol orders them, and the
-per-stage SINR events are evaluated from the SINR expression directly.
+ordered exactly as the selection/feedback protocol orders them, and each
+user's joint SIC stage event is tested from the SINR expression directly,
+as one linear inequality in five per-trial statistics (see _PointPlan).
 
 Reproducibility: trials are partitioned into fixed chunks of CHUNK_TRIALS;
 chunk i spawns n_users + 2 child streams of (seed, base_stream + i), one per
@@ -12,9 +13,10 @@ Chunk counts are integers and merge by addition, so the totals are
 identical for any worker count and any execution order.
 
 A sweep draws each chunk once: the grid axes change only Gamma scales,
-theta coefficients and thresholds, so every grid point rescales the same
-standard Gamma draws (common random numbers).  The draws of one block of
-BLOCK_TRIALS trials stay in cache while every point tests them.
+theta coefficients and thresholds, so every grid point reweights the same
+standard Gamma draws (common random numbers).  In each block of
+BLOCK_TRIALS trials one user's statistics stay in cache while every point
+tests them, by one (methods, 5) by (5, block) matrix product.
 """
 
 from __future__ import annotations
@@ -62,12 +64,14 @@ __all__ = [
 
 CHUNK_TRIALS = 1_000_000
 # Trials per block of the draws, the outage test and the users'
-# compare-exchange sort.  The block's float64 rows are 256 KiB each; the
-# seven temporaries of the test fit a 2 MiB L2 cache, and on a 2-core Xeon
-# the fig11 sweep kernel ran 10-30% faster than with 2**16 trials.  A
-# chunk holds (n_b + 2 + 2 n_users + 8) such rows, ~5 MB at n_b = 4 and
-# three users, whatever its size.  Counts do not depend on it.
-BLOCK_TRIALS = 1 << 15
+# compare-exchange sort.  The block's float64 rows are 128 KiB each; the
+# statistics and the product of the test (5 + methods rows) stay in L2 while
+# every point reads them.  On a 2-core Xeon (4 MiB L2 per core) the fig11
+# sweep took 15% less time than with 2**15 and 33% less than with 2**16.
+# A chunk holds (n_b + 8 + 2 n_users + methods) such rows, ~2.6 MB at n_b = 4,
+# three users and three methods, whatever its size.  Counts do not depend on
+# it, but for the rounding noted in simulate_sweep.
+BLOCK_TRIALS = 1 << 14
 MIN_TRIALS = 10_000
 
 SIM_METHODS = ("monte_carlo", "hd_noma", "fd_oma")
@@ -123,6 +127,16 @@ class SinrBreakdown:
 def _check_conf(conf: float) -> None:
     if not 0.0 < conf < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {conf!r}")
+
+
+def _integer_at_least(value, low: int, name: str) -> int:
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer >= {low}, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value}")
+    return value
 
 
 def wilson_interval(successes: int, trials: int, conf: float = 0.95) -> tuple[float, float]:
@@ -256,20 +270,31 @@ def evaluate_sinr(
 
 @dataclass(frozen=True)
 class _PointPlan:
-    """Scalars of one grid point, derived in the parent before any draw.
+    """Outage-test weights of one grid point, derived before any draw.
 
-    scale_*: the Gamma scales that turn standard draws into gains.
-    coef[l-1]: user l's SINR coefficients (gbar theta1, gbar theta2,
-    theta5, gbar theta3, gbar^2 theta4).  lam[j][l-1]: Lambda+ of the j-th
-    requested method for user l.
+    A block is tested on five standard statistics per user, X = [A0 B, A0,
+    B, C0, B C0]: A0 = T0 + T1 sums the two largest standard first-hop
+    draws, C0 is the standard SI gain and B the user's sorted gain.  With
+    a = s_sr A0, b = s_b B and c = s_rr C0, user l is in outage iff
+    (gbar^2/2) a b <= Lambda+ (gbar theta1 a + gbar theta2 b + gbar theta3 c
+    + gbar^2 theta4 b c + theta5), without the SI terms for hd_noma: that is
+    w[l-1, j] . X <= rhs[l-1, j] for the j-th method, w (n_users, methods,
+    5) holding the scales, theta coefficients and Lambda+, rhs = Lambda+
+    theta5.
+
+    scale_ru: the users' Gamma scales.  When they are equal the standard
+    draws sort like the gains, so B is the standard order statistic and s_b
+    that scale; otherwise (sorts) B is the gain, scaled and sorted per
+    point, and s_b = 1.
     """
 
-    scale_sr: float
     scale_ru: tuple[float, ...]
-    scale_rr: float
-    half_g2: float
-    coef: tuple[tuple[float, float, float, float, float], ...]
-    lam: tuple[tuple[float, ...], ...]
+    w: np.ndarray
+    rhs: np.ndarray
+
+    @property
+    def sorts(self) -> bool:
+        return len(set(self.scale_ru)) > 1
 
 
 def _plan_point(
@@ -284,18 +309,22 @@ def _plan_point(
     if "fd_oma" in methods:
         lam["fd_oma"] = map_baseline_thresholds(cfg, "fd_oma")  # full power, empty interference sum
     g = snr_bar
-    coef = []
-    for l in range(1, cfg.n_users + 1):
-        th = compute_theta(stats, snr_bar, l)
-        coef.append((th.theta1 * g, th.theta2 * g, th.theta5, th.theta3 * g, th.theta4 * g**2))
-    return _PointPlan(
-        scale_sr=stats.omega_hat_sr / cfg.m_sr,
-        scale_ru=_ru_scales(cfg, stats),
-        scale_rr=stats.omega_rr / cfg.m_rr,
-        half_g2=g**2 / 2,
-        coef=tuple(coef),
-        lam=tuple(tuple(lam[m]) for m in methods),
-    )
+    s_sr = stats.omega_hat_sr / cfg.m_sr
+    s_rr = stats.omega_rr / cfg.m_rr
+    scale_ru = _ru_scales(cfg, stats)
+    s_b = 1.0 if len(set(scale_ru)) > 1 else scale_ru[0]
+    w = np.empty((cfg.n_users, len(methods), 5))
+    rhs = np.empty((cfg.n_users, len(methods), 1))
+    for l in range(cfg.n_users):
+        th = compute_theta(stats, snr_bar, l + 1)
+        d = np.array([th.theta1 * g * s_sr, th.theta2 * g * s_b,
+                      th.theta3 * g * s_rr, th.theta4 * g**2 * s_rr * s_b])
+        for j, m in enumerate(methods):
+            w[l, j] = (g**2 / 2 * s_sr * s_b, *(-lam[m][l] * d))
+            if m == "hd_noma":
+                w[l, j, 3:] = 0.0
+            rhs[l, j] = lam[m][l] * th.theta5
+    return _PointPlan(scale_ru=scale_ru, w=w, rhs=rhs)
 
 
 def _shapes(cfg: SystemConfig) -> tuple:
@@ -305,8 +334,6 @@ def _shapes(cfg: SystemConfig) -> tuple:
 def _sweep_chunk(
     cfg: SystemConfig,
     plans: list[_PointPlan],
-    methods: tuple[str, ...],
-    sort_once: bool,
     size: int,
     stream: RngStream,
 ) -> np.ndarray:
@@ -315,75 +342,55 @@ def _sweep_chunk(
     The chunk's variables come from stream.spawn(n_users + 2): child 0
     draws the first hop row-major (size, n_b), children 1..L users 1..L
     and child L+1 the SI gain.  Each block of BLOCK_TRIALS trials draws its
-    standard variates into buffers that stay in cache, reduces the first
-    hop to its top two, and every point rescales the same draws.  The
-    joint stage event collapses to a single comparison: user l is in
-    outage iff (gbar^2/2) A B_l <= Lambda_l^+ * D0, with D0 the
-    theta-weighted denominator terms shared by all stages (hd_noma drops
-    the SI terms).  The users' order statistics are taken by
-    compare-exchange (_sort_rows): once per block when every point scales
-    all users alike (sort_once), else per point after the rescale.  Each
-    child is read in order and each comparison is elementwise, so the
-    counts do not depend on the block size.
+    standard variates into buffers that stay in cache and reduces the first
+    hop to its top two.  The users' order statistics are taken by
+    compare-exchange (_sort_rows): once per block for the points that scale
+    all users alike, and per point, after the rescale, for the others.
+    Each user's statistics x (see _PointPlan) are loaded once per block for
+    the first kind of point and once per point for the second.  Each
+    (point, user) pair is then one matrix product w x, (methods, 5) by
+    (5, block), compared with rhs and counted per method.  Each child is
+    read in order, so the draws do not depend on the block size.
     """
     n_users = cfg.n_users
     first, *user_rngs, si_rng = stream.spawn(n_users + 2)
     user_shapes = [m * cfg.n_r for m in cfg.m_ru]
-    hd = [j for j, m in enumerate(methods) if m == "hd_noma"]
-    with_si = [j for j, m in enumerate(methods) if m != "hd_noma"]
-    counts = np.zeros((len(plans), len(methods), n_users), dtype=np.int64)
+    # the points that share B rows: each point whose users' scales differ
+    # alone, then the others together, last, as they sort the draws in place
+    groups = [[p] for p, plan in enumerate(plans) if plan.sorts]
+    common = [p for p, plan in enumerate(plans) if not plan.sorts]
+    groups += [common] if common else []
+    n_methods = plans[0].w.shape[1]
+    counts = np.zeros((len(plans), n_methods, n_users), dtype=np.int64)
     block = min(BLOCK_TRIALS, size)
     g = np.empty((block, cfg.n_b))
-    top = np.empty((2, block))
+    x, top, t = np.empty((5, block)), np.empty((2, block)), np.empty(block)
     users, scaled = np.empty((2, n_users, block))
-    si, a, c, bl, lhs, d, s, t = np.empty((8, block))
-    mask = np.empty(block, dtype=bool)
+    wx, mask = np.empty((n_methods, block)), np.empty((n_methods, block), dtype=bool)
     for lo in range(0, size, block):
         n = min(block, size - lo)
         if n < block:
-            g, top, users, scaled = g[:n], top[:, :n], users[:, :n], scaled[:, :n]
-            si, a, c, bl, lhs, d, s, t, mask = (x[:n] for x in (si, a, c, bl, lhs, d, s, t, mask))
+            g, x, wx, top, t, mask = g[:n], x[:, :n], wx[:, :n], top[:, :n], t[:n], mask[:, :n]
+            users, scaled = users[:, :n], scaled[:, :n]
         _top2(_standard_gamma(first, cfg.m_sr, g), top)
+        np.add(top[0], top[1], out=x[1])
         for rng, shape, row in zip(user_rngs, user_shapes, users):
             _standard_gamma(rng, shape, row)
-        _standard_gamma(si_rng, cfg.m_rr, si)
-        if sort_once:
-            # every point scales all users alike, so the order is fixed here
-            _sort_rows(users, t)
-        for p, plan in enumerate(plans):
-            np.multiply(top[0], plan.scale_sr, out=a)
-            np.multiply(top[1], plan.scale_sr, out=t)
-            a += t
-            np.multiply(si, plan.scale_rr, out=c)
-            if not sort_once:
-                np.multiply(users, np.reshape(plan.scale_ru, (-1, 1)), out=scaled)
-                _sort_rows(scaled, t)
+        _standard_gamma(si_rng, cfg.m_rr, x[3])
+        for group in groups:
+            b = users
+            if plans[group[0]].sorts:
+                b = np.multiply(users, np.reshape(plans[group[0]].scale_ru, (-1, 1)), out=scaled)
+            _sort_rows(b, t)
             for l in range(n_users):
-                k1, k2, k5, k3, k4 = plan.coef[l]
-                if sort_once:
-                    b = np.multiply(users[l], plan.scale_ru[l], out=bl)
-                else:
-                    b = scaled[l]
-                np.multiply(a, plan.half_g2, out=lhs)
-                lhs *= b
-                np.multiply(a, k1, out=d)
-                np.multiply(b, k2, out=t)
-                d += t
-                d += k5
-                for j in hd:
-                    np.multiply(d, plan.lam[j][l], out=t)
-                    np.less_equal(lhs, t, out=mask)
-                    counts[p, j, l] += np.count_nonzero(mask)
-                if with_si:
-                    np.multiply(c, k3, out=s)
-                    np.multiply(b, k4, out=t)
-                    t *= c
-                    s += t
-                    d += s
-                    for j in with_si:
-                        np.multiply(d, plan.lam[j][l], out=t)
-                        np.less_equal(lhs, t, out=mask)
-                        counts[p, j, l] += np.count_nonzero(mask)
+                np.multiply(x[1], b[l], out=x[0])
+                x[2] = b[l]
+                np.multiply(b[l], x[3], out=x[4])
+                for p in group:
+                    np.matmul(plans[p].w[l], x, out=wx)
+                    np.less_equal(wx, plans[p].rhs[l], out=mask)
+                    for j, row in enumerate(mask):
+                        counts[p, j, l] += np.count_nonzero(row)
     return counts
 
 
@@ -404,24 +411,30 @@ def simulate_sweep(
 
     Common random numbers: chunk i of the trials draws its standard Gamma
     variates once, from the children of rng.child(i), and every point
-    rescales the same draws, so each point's estimate equals, bitwise, a
-    one-point call on the same stream.  The points may differ only in what rescales the draws
-    (SNR, distances, estimation and delay impairments, SI parameters, power
-    split, thresholds); antenna counts, user count and Nakagami shapes must
-    agree, or ValueError is raised.  All methods share the draws too, so
-    method differences at one point are paired.
+    reweights the same draws, so each point's estimate equals, bitwise, a
+    one-point call on the same stream, and counts are bitwise the same at
+    any worker count.  The points may differ only in what rescales the
+    draws (SNR, distances, estimation and delay impairments, SI parameters,
+    power split, thresholds); antenna counts, user count and Nakagami shapes
+    must agree, or ValueError is raised.  All methods share the draws too,
+    so method differences at one point are paired.  The outage test is a
+    BLAS product, so another method set (gemv for one method, gemm for
+    more), block size or BLAS kernel may change a count, but only by a
+    trial within a few ulps of the outage boundary.
 
     Returns one entry per point: what simulate_outage_all returns for it,
     or the FdnomaError raised while deriving that point's scalars.  trials
-    must be an integer >= MIN_TRIALS and conf lie in (0, 1); both are
-    checked before any chunk is drawn.
+    must be an integer >= MIN_TRIALS, workers >= 1, rng an RngStream or
+    seed of nonnegative integers and conf lie in (0, 1); all are checked
+    before any chunk is drawn.
     """
-    try:
-        trials = operator.index(trials)
-    except TypeError:
-        raise TypeError(f"trials must be an integer >= {MIN_TRIALS}, got {trials!r}") from None
-    if trials < MIN_TRIALS:
-        raise ValueError(f"trials must be an integer >= {MIN_TRIALS}, got {trials}")
+    trials = _integer_at_least(trials, MIN_TRIALS, "trials")
+    workers = _integer_at_least(workers, 1, "workers")
+    if isinstance(rng, RngStream):
+        _integer_at_least(rng.seed, 0, "the rng seed")
+        _integer_at_least(rng.stream_id, 0, "the rng stream_id")
+    else:
+        rng = RngStream(_integer_at_least(rng, 0, "rng"))
     _check_conf(conf)
     for m in methods:
         if m not in SIM_METHODS:
@@ -445,11 +458,9 @@ def simulate_sweep(
     live = [p for p in plans if isinstance(p, _PointPlan)]
     total = np.zeros((len(live), len(methods), cfg.n_users), dtype=np.int64)
     if live:
-        sort_once = all(len(set(p.scale_ru)) == 1 for p in live)
-        base = rng if isinstance(rng, RngStream) else RngStream(int(rng))
         n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
         sizes = [CHUNK_TRIALS] * (n_chunks - 1) + [trials - CHUNK_TRIALS * (n_chunks - 1)]
-        jobs = [(cfg, live, methods, sort_once, sizes[i], base.child(i)) for i in range(n_chunks)]
+        jobs = [(cfg, live, sizes[i], rng.child(i)) for i in range(n_chunks)]
         if workers > 1 and n_chunks > 1:
             with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
                 for counts in pool.map(_sweep_chunk_star, jobs):

@@ -424,6 +424,15 @@ class TestMainExitCodes:
         assert "--out OUT output path of the check lines and the PASS/FAIL verdict" in text
         assert "CSV" not in text
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "preset", "validate"])
+    def test_workers_help_names_the_chunk_size(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--workers WORKERS processes for the Monte Carlo trials (default: 1)" in text
+        assert "chunks of 1,000,000" in text and "fewer than 2,000,000 trials" in text
+
     def test_fixed_snr_on_the_snr_axis_is_exit_2(self, capsys):
         argv = ["sweep", "--grid", "10:10:5", "--snr", "30", "--methods", "exact", "--users", "1"]
         assert main(argv) == 2

@@ -1,19 +1,20 @@
 """Sampler marginals, SINR evaluation, reproducibility and baselines."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import kstest
 
 import fdnoma.mcsim as mcsim
-from fdnoma.errors import ImpairmentError, InfeasibleAllocationError
+from fdnoma.errors import FdnomaError, ImpairmentError, InfeasibleAllocationError
 from fdnoma.mcsim import (
     ChannelDraw,
     RngStream,
@@ -515,3 +516,94 @@ class TestSweep:
         pooled = simulate_sweep(_d_sr_points(BASE), 50_000, rng=41, workers=16)
         assert recording_pool == [3]  # one pool, three chunks
         assert pooled == serial
+
+    @pytest.mark.parametrize("kwargs, error, message", [
+        (dict(rng=1.7), TypeError, "rng must be an integer >= 0, got 1.7"),
+        (dict(rng=-3), ValueError, "rng must be an integer >= 0, got -3"),
+        (dict(rng=RngStream(-3)), ValueError, "the rng seed must be an integer >= 0, got -3"),
+        (dict(rng=RngStream(3, -1)), ValueError,
+         "the rng stream_id must be an integer >= 0, got -1"),
+        (dict(workers=0), ValueError, "workers must be an integer >= 1, got 0"),
+        (dict(workers=-5), ValueError, "workers must be an integer >= 1, got -5"),
+        (dict(workers=1.5), TypeError, "workers must be an integer >= 1, got 1.5"),
+    ], ids=["float_rng", "negative_rng", "negative_stream_seed", "negative_stream_id",
+            "zero_workers", "negative_workers", "float_workers"])
+    def test_rng_and_workers_checked_before_any_chunk(self, monkeypatch, kwargs, error, message):
+        def no_chunk(*args):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(mcsim, "_sweep_chunk", no_chunk)
+        with pytest.raises(error, match=re.escape(message)):
+            simulate_sweep(_d_sr_points(BASE), 20_000, **kwargs)
+
+    def test_numpy_integer_rng_and_workers_accepted(self):
+        a = simulate_outage_all(BASE, 10.0, 20_000, rng=np.int64(11), workers=np.int64(2))
+        assert a == simulate_outage_all(BASE, 10.0, 20_000, rng=11)
+
+    @pytest.mark.parametrize("snr_db", [0.0, 30.0, 45.0, 60.0])
+    @pytest.mark.parametrize("cfg", [
+        BASE,
+        replace(BASE, n_b=4, m_sr=2, m_ru=(1, 2, 3), sigma2_est_ru=(0.01, 0.02, 0.03)),
+        replace(BASE, mu=1.0, sigma2_est_sr=0.01, sigma2_est_ru=(0.01,) * 3, fd_tau_sr=0.03,
+                fd_tau_ru=(0.03,) * 3),
+    ], ids=["base", "unequal_scales", "practical_mu1"])
+    def test_one_point_counts_match_reference_across_snr(self, cfg, snr_db):
+        res = simulate_outage_all(cfg, snr_db, 300_000, rng=59, methods=ALL_METHODS)
+        ref = _reference_counts(cfg, snr_db, 300_000, RngStream(59), ALL_METHODS)
+        for m in ALL_METHODS:
+            assert [round(p.value * 300_000) for p in res[m]] == ref[m]
+
+
+_shape = st.sampled_from([0.5, 1, 1.5, 2, 3])
+_impairment = st.sampled_from([0.0, 0.01, 0.05])
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A random system, grid point and method subset for the outage kernel."""
+    n_users = draw(st.integers(1, 3))
+
+    def per_user(strategy):
+        return tuple(draw(st.lists(strategy, min_size=n_users, max_size=n_users)))
+
+    ratio = draw(st.floats(0.1, 0.6))
+    powers = [ratio**k for k in range(n_users)]
+    d_sr = draw(st.floats(0.2, 0.8))
+    try:
+        cfg = SystemConfig(
+            n_b=draw(st.integers(2, 5)),
+            n_r=draw(st.integers(1, 3)),
+            n_users=n_users,
+            m_sr=draw(_shape),
+            m_rr=draw(_shape),
+            m_ru=per_user(_shape),
+            d_sr=d_sr,
+            d_ru=(1.0 - d_sr,) * n_users if draw(st.booleans()) else per_user(st.floats(0.2, 0.8)),
+            a=tuple(p / sum(powers) for p in powers),
+            gamma_th=per_user(st.floats(0.05, 2.0)),
+            mu=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+            sigma2_est_sr=draw(_impairment),
+            sigma2_est_ru=per_user(_impairment),
+            fd_tau_sr=draw(_impairment),
+            fd_tau_ru=per_user(_impairment),
+        )
+    except FdnomaError:
+        assume(False)
+    methods = tuple(draw(st.lists(st.sampled_from(ALL_METHODS), min_size=1, max_size=3,
+                                  unique=True)))
+    return (cfg, draw(st.floats(-5.0, 60.0)), methods, draw(st.sampled_from(["equal", "squared"])),
+            draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(_kernel_cases())
+def test_outage_kernel_counts_equal_elementwise_reference(case):
+    cfg, snr_db, methods, hd_rule, seed = case
+    try:
+        res = simulate_outage_all(cfg, snr_db, 20_000, rng=seed, methods=methods,
+                                  hd_rule=hd_rule)
+    except FdnomaError:
+        assume(False)
+    ref = _reference_counts(cfg, snr_db, 20_000, RngStream(seed), methods, hd_rule)
+    for m in methods:
+        assert [round(p.value * 20_000) for p in res[m]] == ref[m]
