@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import analytic, mcsim
@@ -76,7 +77,10 @@ def run_sweep(
     """Evaluate every (axis point, user, method) cell and stream CSV rows.
 
     Per-point failures become rows with the error column set; the sweep
-    continues.  Row order is fixed: grid order, then user, then method in
+    continues.  A cell shows only its own method's error: a simulation
+    method whose threshold mapping fails at a point fills only its own
+    cells there, and the exact cells come from every point the axis
+    accepts.  Row order is fixed: grid order, then user, then method in
     canonical order.  The simulation methods run as one Monte Carlo sweep
     over the grid, on common random numbers from RngStream(spec.seed).
     The exact cells of the grid run as one analytic.exact_outage_sweep,
@@ -98,7 +102,9 @@ def run_sweep(
         except FdnomaError as exc:
             errors[idx] = str(exc)
 
-    sim_points: dict[int, dict] = {}
+    # (point, simulation method) -> the users' OutagePoints, or the error of
+    # the point or of that method's threshold mapping
+    sim: dict[tuple[int, str], list[analytic.OutagePoint] | FdnomaError] = {}
     sim_ms = 0.0
     todo = [idx for idx in range(n) if not errors[idx]]
     if sim_methods and todo:
@@ -111,13 +117,12 @@ def run_sweep(
             methods=sim_methods,
             hd_rule=spec.hd_rule,
         )
+        live = [res for res in results if not isinstance(res, FdnomaError)]
         for idx, res in zip(todo, results):
-            if isinstance(res, FdnomaError):
-                errors[idx] = str(res)
-            else:
-                sim_points[idx] = res
-        if sim_points:
-            sim_ms = (time.perf_counter() - t0) * 1000.0 / len(sim_points)
+            for method in sim_methods:
+                sim[idx, method] = res if isinstance(res, FdnomaError) else res[method]
+        if live:
+            sim_ms = (time.perf_counter() - t0) * 1000.0 / len(live)
 
     exact: dict[tuple[int, int], analytic.OutagePoint | FdnomaError] = {}
     exact_ms = 0.0
@@ -140,7 +145,9 @@ def run_sweep(
                 elif method == "exact":
                     result = exact[idx, user]
                 elif method in sim_methods:
-                    result = sim_points[idx][method][user - 1]
+                    result = sim[idx, method]
+                    if isinstance(result, list):
+                        result = result[user - 1]
                 else:
                     try:
                         result = METHODS[method].call(cfgs[idx], snrs[idx], user)
@@ -149,7 +156,7 @@ def run_sweep(
                 row = _cell(value, user, method, result, spec.trials)
                 if timings:
                     ms = (time.perf_counter() - t0) * 1000.0
-                    if method in sim_methods and idx in sim_points:
+                    if isinstance(sim.get((idx, method)), list):
                         ms += sim_ms
                     if method == "exact" and (idx, user) in exact:
                         ms += exact_ms
@@ -201,18 +208,35 @@ def validate(
     each line's Wilson interval is taken at 1 - (1 - conf) / n_lines
     (Bonferroni), so a correct program fails any of them with probability
     at most 1 - conf.
+
+    The grid points run on min(workers, len(snr_grid)) threads, and each
+    point's Monte Carlo trials on the one thread that runs the point (numpy
+    releases the GIL in the draws and the outage test).  Point idx draws
+    from RngStream(seed, idx * 1000) and the lines are built afterwards in
+    grid order, so every value and every line is the same at any workers.
+    When points raise, validate raises the error of the first of them in
+    grid order.
     """
+    users = range(1, cfg.n_users + 1)
+    line_conf = 1.0 - (1.0 - conf) / (len(snr_grid) * cfg.n_users)
+
+    def evaluate(idx: int, snr: float):
+        sim = mcsim.simulate_outage_all(
+            cfg, snr, trials, rng=mcsim.RngStream(seed, idx * 1000), conf=line_conf,
+        )["monte_carlo"]
+        return sim, [(analytic.exact_outage(cfg, snr, l).value,
+                      analytic.lower_bound_outage(cfg, snr, l).value) for l in users]
+
+    pool = ThreadPoolExecutor(max_workers=min(workers, len(snr_grid)))
+    try:
+        points = list(pool.map(evaluate, range(len(snr_grid)), snr_grid))
+    finally:  # after a failure, the points not yet started are not run
+        pool.shutdown(cancel_futures=True)
+
     lines: list[ValidationLine] = []
     exact_vals: dict[tuple[float, int], float] = {}
-    line_conf = 1.0 - (1.0 - conf) / (len(snr_grid) * cfg.n_users)
-    for idx, snr in enumerate(snr_grid):
-        sim = mcsim.simulate_outage_all(
-            cfg, snr, trials, rng=mcsim.RngStream(seed, idx * 1000), workers=workers,
-            conf=line_conf,
-        )["monte_carlo"]
-        for l in range(1, cfg.n_users + 1):
-            exact = analytic.exact_outage(cfg, snr, l).value
-            lb = analytic.lower_bound_outage(cfg, snr, l).value
+    for snr, (sim, values) in zip(snr_grid, points):
+        for l, (exact, lb) in zip(users, values):
             exact_vals[(snr, l)] = exact
             mc = sim[l - 1].value
             lo, hi = sim[l - 1].ci
@@ -328,7 +352,8 @@ def _load_cfg(args) -> SystemConfig:
     return SystemConfig()
 
 
-def _add_common(p, sim: bool, sweep: bool = True, out: str = "output CSV path (default: stdout)"):
+def _add_common(p, sim: bool, sweep: bool = True, out: str = "output CSV path (default: stdout)",
+                workers: str = _WORKERS_HELP):
     """Flags shared by the grid commands; sweep adds --users and --timings,
     which only a CSV sweep reads."""
     source = p.add_mutually_exclusive_group()
@@ -341,7 +366,7 @@ def _add_common(p, sim: bool, sweep: bool = True, out: str = "output CSV path (d
     if sim:
         p.add_argument("--trials", type=_trials, default=1_000_000)
         p.add_argument("--seed", type=_seed, default=1)
-        p.add_argument("--workers", type=_workers, default=1, help=_WORKERS_HELP)
+        p.add_argument("--workers", type=_workers, default=1, help=workers)
 
 
 def _users(args, cfg) -> tuple[int, ...]:
@@ -410,7 +435,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("validate", help="cross-engine agreement harness")
     _add_common(p, sim=True, sweep=False,
-                out="output path of the check lines and the PASS/FAIL verdict (default: stdout)")
+                out="output path of the check lines and the PASS/FAIL verdict (default: stdout)",
+                workers="grid points run on that many threads (default: 1); each point's "
+                        "Monte Carlo trials run on one thread")
     p.add_argument("--grid", default="0:30:5")
     p.add_argument("--tolerance", type=_tolerance, default=0.10,
                    help="relative slope tolerance (finite, > 0)")

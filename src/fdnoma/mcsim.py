@@ -286,11 +286,16 @@ class _PointPlan:
     draws sort like the gains, so B is the standard order statistic and s_b
     that scale; otherwise (sorts) B is the gain, scaled and sorted per
     point, and s_b = 1.
+
+    failed: the methods whose threshold mapping raised, with the error.
+    Their rows of w and rhs stay zero: they keep the product's shape, so
+    the other methods' counts do not change, and their counts are discarded.
     """
 
     scale_ru: tuple[float, ...]
     w: np.ndarray
     rhs: np.ndarray
+    failed: dict[str, FdnomaError]
 
     @property
     def sorts(self) -> bool:
@@ -303,9 +308,13 @@ def _plan_point(
     snr_bar = 10.0 ** (snr_db / 10.0)
     stats = derive_link_stats(cfg, snr_bar)
     lam = {"monte_carlo": compute_deltas(cfg, snr_bar).lambda_dag}
+    failed: dict[str, FdnomaError] = {}
     if "hd_noma" in methods:
         thr = map_baseline_thresholds(cfg, "hd_noma", hd_rule)
-        lam["hd_noma"] = compute_deltas(replace(cfg, gamma_th=thr), snr_bar).lambda_dag
+        try:
+            lam["hd_noma"] = compute_deltas(replace(cfg, gamma_th=thr), snr_bar).lambda_dag
+        except FdnomaError as exc:  # e.g. the squared rule's infeasible stage
+            failed["hd_noma"] = exc
     if "fd_oma" in methods:
         lam["fd_oma"] = map_baseline_thresholds(cfg, "fd_oma")  # full power, empty interference sum
     g = snr_bar
@@ -313,18 +322,20 @@ def _plan_point(
     s_rr = stats.omega_rr / cfg.m_rr
     scale_ru = _ru_scales(cfg, stats)
     s_b = 1.0 if len(set(scale_ru)) > 1 else scale_ru[0]
-    w = np.empty((cfg.n_users, len(methods), 5))
-    rhs = np.empty((cfg.n_users, len(methods), 1))
+    w = np.zeros((cfg.n_users, len(methods), 5))
+    rhs = np.zeros((cfg.n_users, len(methods), 1))
     for l in range(cfg.n_users):
         th = compute_theta(stats, snr_bar, l + 1)
         d = np.array([th.theta1 * g * s_sr, th.theta2 * g * s_b,
                       th.theta3 * g * s_rr, th.theta4 * g**2 * s_rr * s_b])
         for j, m in enumerate(methods):
+            if m in failed:
+                continue
             w[l, j] = (g**2 / 2 * s_sr * s_b, *(-lam[m][l] * d))
             if m == "hd_noma":
                 w[l, j, 3:] = 0.0
             rhs[l, j] = lam[m][l] * th.theta5
-    return _PointPlan(scale_ru=scale_ru, w=w, rhs=rhs)
+    return _PointPlan(scale_ru=scale_ru, w=w, rhs=rhs, failed=failed)
 
 
 def _shapes(cfg: SystemConfig) -> tuple:
@@ -406,7 +417,7 @@ def simulate_sweep(
     methods: tuple[str, ...] = ("monte_carlo",),
     hd_rule: HdRule = "equal",
     conf: float = 0.95,
-) -> list[dict[str, list[OutagePoint]] | FdnomaError]:
+) -> list[dict[str, list[OutagePoint] | FdnomaError] | FdnomaError]:
     """Estimated OP of every user at every (config, snr_db) point of a sweep.
 
     Common random numbers: chunk i of the trials draws its standard Gamma
@@ -422,8 +433,10 @@ def simulate_sweep(
     more), block size or BLAS kernel may change a count, but only by a
     trial within a few ulps of the outage boundary.
 
-    Returns one entry per point: what simulate_outage_all returns for it,
-    or the FdnomaError raised while deriving that point's scalars.  trials
+    Returns one entry per point: a dict from each method to its users'
+    OutagePoints, or to the FdnomaError its threshold mapping raised there
+    (the point's other methods keep their counts on the same draws); or the
+    FdnomaError raised while deriving the point's common scalars.  trials
     must be an integer >= MIN_TRIALS, workers >= 1, rng an RngStream or
     seed of nonnegative integers and conf lie in (0, 1); all are checked
     before any chunk is drawn.
@@ -469,7 +482,7 @@ def simulate_sweep(
             for job in jobs:
                 total += _sweep_chunk(*job)
 
-    out: list[dict[str, list[OutagePoint]] | FdnomaError] = []
+    out: list[dict[str, list[OutagePoint] | FdnomaError] | FdnomaError] = []
     live_counts = iter(total)
     for plan, (cfg_pt, snr_db) in zip(plans, points):
         if not isinstance(plan, _PointPlan):
@@ -477,7 +490,7 @@ def simulate_sweep(
             continue
         counts = next(live_counts)
         out.append({
-            m: [
+            m: plan.failed[m] if m in plan.failed else [
                 OutagePoint(
                     user=l,
                     snr_db=snr_db,
@@ -503,10 +516,14 @@ def simulate_outage_all(
     conf: float = 0.95,
 ) -> dict[str, list[OutagePoint]]:
     """Estimated OP for every user, for each requested simulation method:
-    a one-point simulate_sweep."""
+    a one-point simulate_sweep.  Raises the error of the point, or of the
+    first requested method whose threshold mapping failed."""
     (res,) = simulate_sweep([(cfg, snr_db)], trials, rng, workers, methods, hd_rule, conf)
     if isinstance(res, FdnomaError):
         raise res
+    for value in res.values():
+        if isinstance(value, FdnomaError):
+            raise value
     return res
 
 

@@ -1,6 +1,7 @@
 """Sweep CSV contract, presets, validation harness, CLI exit codes."""
 
 import io
+import sys
 import time
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ import fdnoma.mcsim as mcsim
 from fdnoma.analytic import OutagePoint
 from fdnoma.cli import main, run_sweep, validate
 from fdnoma.presets import PRESET_NAMES, SweepSpec, figure_preset
-from fdnoma.errors import ConfigError
+from fdnoma.errors import ConfigError, NumericsError
 from fdnoma.sysmodel import SystemConfig, dump_config, loads_config
 
 BASE = SystemConfig()
@@ -133,6 +134,24 @@ class TestRunSweep:
         assert sweep_to_string(spec, cfg).splitlines()[1:] == alone
         monkeypatch.setattr(analytic, "_PHI_ROW_CAP", 5)
         assert sweep_to_string(spec, cfg).splitlines()[1:] == alone
+
+    def test_cell_shows_only_its_own_methods_error(self, tmp_path):
+        # the squared HD rule is infeasible for the default power split
+        def cells(*argv, hd_rule="squared"):
+            out = tmp_path / "out.csv"
+            assert main(["sweep", "--grid", "10:10:5", "--trials", "10000", "--out", str(out),
+                         "--hd-rule", hd_rule, *argv]) == 0
+            rows = out.read_text(encoding="utf-8").splitlines()[1:]
+            return {m: [r for r in rows if r.split(",")[2] == m]
+                    for m in ("exact", "monte_carlo", "hd_noma")}
+
+        mixed = cells("--methods", "exact,monte_carlo,hd_noma")
+        assert mixed["exact"] == cells("--methods", "exact")["exact"]
+        assert mixed["monte_carlo"] == cells("--methods", "exact,monte_carlo,hd_noma",
+                                             hd_rule="equal")["monte_carlo"]
+        assert len(mixed["hd_noma"]) == BASE.n_users
+        for row in mixed["hd_noma"]:
+            assert row.split(",")[3] == "" and "-0.805 <= 0" in row
 
     def test_one_pool_per_sweep(self, monkeypatch, recording_pool):
         monkeypatch.setattr(mcsim, "CHUNK_TRIALS", 20_000)
@@ -351,6 +370,54 @@ class TestValidate:
         assert line.detail == f"lb={lb:.10g} <= exact={exact:.10g}"
         assert "exact=0.9999998106" in line.detail
 
+    def test_lines_do_not_depend_on_workers(self):
+        # each run starts on empty closed-form caches, so that threads miss
+        # them together, and switches threads often
+        def run(workers):
+            for name in dir(analytic):
+                getattr(getattr(analytic, name), "cache_clear", lambda: None)()
+            return validate(BASE, (0.0, 10.0, 20.0, 30.0), trials=20_000, seed=5,
+                            workers=workers)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = [run(w) for w in (1, 2, 3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_workers_start_no_process(self, monkeypatch):
+        # with two chunks per point, a process pool per point would be built
+        # if the workers reached the simulator
+        def no_pool(*args, **kwargs):
+            raise AssertionError("validate started a process pool")
+
+        monkeypatch.setattr(mcsim, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(mcsim, "CHUNK_TRIALS", 10_000)
+        lines, ok = validate(BASE, (5.0, 10.0), trials=20_000, seed=1, workers=2)
+        assert ok and len(lines) == 2 * 2 * BASE.n_users
+
+    def test_failing_point_raises_the_same_error_at_any_workers(self, monkeypatch, capsys):
+        # points 10 and 20 dB both fail; the first in grid order is reported
+        exact = analytic.exact_outage
+
+        def failing(cfg, snr_db, l, *args, **kwargs):
+            if snr_db >= 10.0:
+                raise NumericsError(f"no value at {snr_db} dB")
+            return exact(cfg, snr_db, l, *args, **kwargs)
+
+        monkeypatch.setattr(analytic, "exact_outage", failing)
+        seen = []
+        for workers in ("1", "2"):
+            code = main(["validate", "--grid", "0:20:10", "--trials", "10000",
+                         "--workers", workers])
+            seen.append((code, capsys.readouterr()))
+        assert seen[0] == seen[1]
+        code, captured = seen[0]
+        assert code == 3 and captured.out == ""
+        assert captured.err == "fdnoma: numeric failure: no value at 10.0 dB\n"
+
     def test_slope_check_runs_on_wide_ideal_grid(self):
         lines, ok = validate(BASE, (25.0, 30.0, 35.0), trials=50_000, seed=3)
         assert any(l.check == "high_snr_slope" for l in lines)
@@ -424,7 +491,7 @@ class TestMainExitCodes:
         assert "--out OUT output path of the check lines and the PASS/FAIL verdict" in text
         assert "CSV" not in text
 
-    @pytest.mark.parametrize("command", ["simulate", "sweep", "preset", "validate"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "preset"])
     def test_workers_help_names_the_chunk_size(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
@@ -432,6 +499,15 @@ class TestMainExitCodes:
         text = " ".join(capsys.readouterr().out.split())
         assert "--workers WORKERS processes for the Monte Carlo trials (default: 1)" in text
         assert "chunks of 1,000,000" in text and "fewer than 2,000,000 trials" in text
+
+    def test_validate_workers_help_names_the_threads(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("--workers WORKERS grid points run on that many threads (default: 1); "
+                "each point's Monte Carlo trials run on one thread") in text
+        assert "processes" not in text
 
     def test_fixed_snr_on_the_snr_axis_is_exit_2(self, capsys):
         argv = ["sweep", "--grid", "10:10:5", "--snr", "30", "--methods", "exact", "--users", "1"]

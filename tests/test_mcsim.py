@@ -454,6 +454,18 @@ class TestSweep:
         with pytest.raises(ImpairmentError):
             simulate_outage_all(*broken, 50_000, rng=31)
 
+    def test_failing_mapping_fails_only_its_method(self):
+        # the squared HD rule is infeasible for the default power split
+        methods = ("monte_carlo", "hd_noma", "fd_oma")
+        (squared,) = simulate_sweep([(BASE, 10.0)], 20_000, rng=7, methods=methods,
+                                    hd_rule="squared")
+        (equal,) = simulate_sweep([(BASE, 10.0)], 20_000, rng=7, methods=methods)
+        assert isinstance(squared["hd_noma"], InfeasibleAllocationError)
+        assert squared["monte_carlo"] == equal["monte_carlo"]
+        assert squared["fd_oma"] == equal["fd_oma"]
+        with pytest.raises(InfeasibleAllocationError):
+            simulate_outage_all(BASE, 10.0, 20_000, rng=7, methods=methods, hd_rule="squared")
+
     @pytest.mark.parametrize("change", [
         dict(n_b=3), dict(n_r=2), dict(m_sr=2), dict(m_rr=2), dict(m_ru=(1, 1, 2)),
         dict(n_users=2, a=(0.6, 0.4), gamma_th=(0.9, 1.5), m_ru=(1, 1), d_ru=(0.5, 0.5),
