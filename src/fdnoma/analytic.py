@@ -3,10 +3,13 @@ and high-SNR asymptotics.
 
 Every form is built from two laws: A, the sum of the two strongest
 first-hop gains, and B_(l), the l-th ordered second-hop gain.  Each is
-tabulated once per structure at unit rate as a signed mixture of Gamma
-kernels (_two_strongest_law, _ordered_gain_law).  Their pdf and sf, the
-relay ratio W = A/(C + offset) of the lower bound and the CEE/FBD error
-floor are array expressions over these tables.
+tabulated once per structure at unit rate as an exponential polynomial,
+pdf = sum_r e^(-r y) sum_j c[r][j] y^j, in exact rationals; its sf is
+derived exactly, and each coefficient is rounded to float once
+(first_hop_mixture, _ordered_gain_law).  Their pdf and sf take one exp
+per rate and a Horner pass in y.  The relay ratio W = A/(C + offset) of
+the lower bound, the CEE/FBD error floor and the exact sum's first-hop
+factor read these tables.
 
 The exact outage probability is a 12-fold nested finite sum over one
 semi-infinite quadrature (the Phi integral, integrated in log form by
@@ -22,10 +25,10 @@ Two printed-formula ambiguities are resolved here; the tests arbitrate
 them against the Monte Carlo engine with transcriptions of the printed
 forms:
 
-* The exact form carries the PFD rate s_t1 as an overall factor of the
-  Bessel argument, and ties the theta2/theta4 split exponent to the inner
-  binomial index.  This agrees with simulation; the typeset form is not
-  even a probability.
+* The exact form carries the paper's partial-fraction rate s_t1 (a rate
+  of A's table) as an overall factor of the Bessel argument, and ties the
+  theta2/theta4 split exponent to the inner binomial index.  This agrees
+  with simulation; the typeset form is not even a probability.
 * The lower bound's theta4' constant uses the grouping
   gamma_bar*sigma2/2 + 1, which provably keeps the bound below the exact
   outage; the typeset gamma_bar^2*sigma2/2 + 1 does not.
@@ -37,15 +40,15 @@ import logging
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, exp, fsum, lgamma, log
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import ConfigError, FdnomaError, NumericsError
-from .specfn import PfdForm, ln_bessel_k_int, pfd_two_pole, poly_power_coeffs
+from .specfn import _poly_power_exact, ln_bessel_k_int, poly_power_coeffs
 from .sysmodel import (
     SystemConfig,
     compute_deltas,
@@ -301,84 +304,113 @@ def _require_integer_shape(value: float, name: str) -> int:
     return int(round(value))
 
 
-@lru_cache(maxsize=128)
-def first_hop_mixture(n_b: int, m: int, lam: float) -> tuple[tuple[float, PfdForm], ...]:
-    """Laplace-domain mixture for the two-strongest-sum statistic A.
+# Past this unit-rate argument e^(-y) is 0.0 in double precision, and so
+# is every term of a law, whose rates are all >= 1; clamping there keeps
+# the polynomial factors finite.
+_Y_DEAD = 746.0
 
-    Returns (coefficient, PfdForm) pairs such that the MGF of A is
-    sum_i coef_i * prod_t (s + s_t)^(-alpha_t).  Pole data: a single pole
-    at lam with multiplicity n + 2m when the selection index r is 0,
-    otherwise the pair {lam: m - t, (2+r)*lam/2: t + n + m}.
+_Rows = tuple[tuple[Fraction, tuple[Fraction, ...]], ...]
+
+
+class _ExpPoly(NamedTuple):
+    """A law at unit rate as an exponential polynomial: its pdf is
+    sum_r e^(-r y) sum_j c[r][j] y^j, and its sf likewise.
+
+    pdf and sf hold the exact (rate, coefficients) pairs, lowest power
+    first; pdf_rows and sf_rows the same pairs with each number rounded to
+    float once.  Both laws here scale with their rate:
+    pdf(x; lam) = lam pdf(lam x; 1) and sf(x; lam) = sf(lam x; 1).
     """
-    out = []
-    base = n_b * (n_b - 1) * lam ** (2 * m) / exp(lgamma(m))
-    for r in range(n_b - 1):
-        beta = poly_power_coeffs(m, lam, r)
-        for n in range(r * (m - 1) + 1):
-            for t in range(m):
-                coef = (
-                    base
-                    * comb(n_b - 2, r)
-                    * (-1.0) ** r
-                    / math.factorial(t)
-                    * 2.0 ** (-t - n - m)
-                    * beta[n]
-                    * exp(lgamma(m + n + t))
-                )
-                if r == 0:
-                    form = pfd_two_pole(lam, n + 2 * m)
-                else:
-                    form = pfd_two_pole(lam, m - t, (2 + r) * lam / 2.0, t + n + m)
-                out.append((coef, form))
-    return tuple(out)
 
-
-class _GammaMixture(NamedTuple):
-    """A law at unit rate as a signed mixture of Gamma kernels: row i adds
-    coef[i] (s + rate[i])^-shape[i] to the MGF, so coef[i] y^(shape[i]-1)
-    e^(-rate[i] y) / Gamma(shape[i]) to the pdf and coef[i] rate[i]^-shape[i]
-    Q(shape[i], rate[i] y) to the sf.  Both laws here scale with their rate:
-    pdf(x; lam) = lam pdf(lam x; 1) and sf(x; lam) = sf(lam x; 1)."""
-
-    coef: np.ndarray
-    rate: np.ndarray
-    shape: np.ndarray
+    pdf: _Rows
+    sf: _Rows
+    pdf_rows: tuple[tuple[float, tuple[float, ...]], ...]
+    sf_rows: tuple[tuple[float, tuple[float, ...]], ...]
 
     @classmethod
-    def of(cls, rows) -> _GammaMixture:
-        table = np.array(list(rows), dtype=float)
-        table.flags.writeable = False  # one cached table serves every caller
-        return cls(*table.T)
+    def of(cls, pdf: dict[Fraction, dict[int, Fraction]]) -> _ExpPoly:
+        """The law whose pdf has coefficient pdf[r][j] at e^(-r y) y^j.  Its
+        sf is the tail integral: int_y^inf u^j e^(-r u) du
+        = e^(-r y) sum_{k<=j} j!/(k! r^(j-k+1)) y^k."""
+        rows = tuple((r, tuple(cs.get(j, Fraction(0)) for j in range(max(cs) + 1)))
+                     for r, cs in sorted(pdf.items()))
+        sf = tuple((r, tuple(sum(c * math.factorial(j) / (math.factorial(k) * r ** (j - k + 1))
+                                 for j, c in enumerate(row[k:], start=k))
+                             for k in range(len(row))))
+                   for r, row in rows)
+        return cls(rows, sf, _rounded(rows), _rounded(sf))
 
-    def pdf(self, x, lam: float):
-        y = lam * np.asarray(x, dtype=float)[..., None]
-        return lam * (self.coef * y ** (self.shape - 1) * np.exp(-self.rate * y)
-                      / _sp.gamma(self.shape)).sum(axis=-1)
+    def pdf_at(self, x, lam: float):
+        return lam * _exp_poly(self.pdf_rows, lam * np.asarray(x, dtype=float))
 
-    def sf(self, x, lam: float):
-        y = lam * np.asarray(x, dtype=float)[..., None]
-        return (self.coef * self.rate ** -self.shape
-                * _sp.gammaincc(self.shape, self.rate * y)).sum(axis=-1)
+    def sf_at(self, x, lam: float):
+        return _exp_poly(self.sf_rows, lam * np.asarray(x, dtype=float))
+
+
+def _rounded(rows: _Rows) -> tuple[tuple[float, tuple[float, ...]], ...]:
+    return tuple((float(r), tuple(float(c) for c in row)) for r, row in rows)
+
+
+def _exp_poly(rows, y):
+    """sum_r e^(-r y) P_r(y): one exp per rate, each P_r by Horner in y,
+    in place; a scalar y gives a scalar."""
+    y = np.minimum(y, _Y_DEAD)
+    out, acc, e = np.zeros_like(y), np.empty_like(y), np.empty_like(y)
+    for r, row in rows:
+        acc.fill(row[-1])
+        for c in row[-2::-1]:
+            acc *= y
+            acc += c
+        acc *= np.exp(np.multiply(y, -r, out=e), out=e)
+        out += acc
+    return out[()]
 
 
 @lru_cache(maxsize=64)
-def _two_strongest_law(n_b: int, m: int) -> _GammaMixture:
-    """A's law: a row (coef * kappa, pole, t2) per nonzero coefficient of
-    the unit-rate first-hop mixture."""
-    return _GammaMixture.of(
-        (coef * kap, pole, t2) for coef, form in first_hop_mixture(n_b, m, 1.0)
-        for pole, kappa in zip(form.poles, form.kappa)
-        for t2, kap in enumerate(kappa, start=1) if kap)
+def first_hop_mixture(n_b: int, m: int) -> _ExpPoly:
+    """A's law at unit rate: the sum of the two strongest of n_b i.i.d.
+    Gamma(m, 1) gains.
+
+    Its MGF sums, over the selection index r < n_b - 1, n and t < m, the
+    products coef (s + 1)^-(m - t) (s + q)^-(t + n + m), q = (2 + r)/2, or
+    coef (s + 1)^-(n + 2m) when r = 0.  Each product is split into partial
+    fractions by the repeated-pole residue formula, in exact rationals, and
+    a kernel (s + rho)^-k adds y^(k-1) e^(-rho y)/(k-1)! to the pdf.
+    """
+    one = Fraction(1)
+    pdf: dict[Fraction, dict[int, Fraction]] = {}
+
+    def add(rho: Fraction, k: int, w: Fraction):
+        row = pdf.setdefault(rho, {})
+        row[k - 1] = row.get(k - 1, 0) + w / math.factorial(k - 1)
+
+    for r in range(n_b - 1):
+        q = Fraction(2 + r, 2)
+        for n, beta in enumerate(_poly_power_exact(m, one, r)):
+            for t in range(m):
+                coef = (beta * n_b * (n_b - 1) * comb(n_b - 2, r) * (-1) ** r
+                        * math.factorial(m + n + t - 1)
+                        / (math.factorial(m - 1) * math.factorial(t) * 2 ** (t + n + m)))
+                if r == 0:
+                    add(one, n + 2 * m, coef)
+                    continue
+                # in (s + a)^-i (s + b)^-o, (s + a)^-k has the coefficient
+                # (-1)^j C(o + j - 1, j) (b - a)^-(o + j), j = i - k
+                for a, i, b, o in ((one, m - t, q, t + n + m), (q, t + n + m, one, m - t)):
+                    for k in range(1, i + 1):
+                        j = i - k
+                        add(a, k, coef * (-1) ** j * comb(o + j - 1, j) / (b - a) ** (o + j))
+    return _ExpPoly.of(pdf)
 
 
 def pdf_two_strongest_sum(x, n_b: int, m: int, lam: float):
     """PDF of A (vectorized in x)."""
-    return _two_strongest_law(n_b, m).pdf(x, lam)
+    return first_hop_mixture(n_b, m).pdf_at(x, lam)
 
 
 def sf_two_strongest_sum(x, n_b: int, m: int, lam: float):
     """Complementary CDF of A; accurate where the survival mass is small."""
-    return _two_strongest_law(n_b, m).sf(x, lam)
+    return first_hop_mixture(n_b, m).sf_at(x, lam)
 
 
 def asymptotic_cdf_two_strongest_sum(x, n_b: int, m: int, omega: float):
@@ -416,23 +448,24 @@ def _order_weights(l: int, n_users: int) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=64)
-def _ordered_gain_law(l: int, n_users: int, m_total: int) -> _GammaMixture:
-    """B_(l)'s law: f S^p = sum_k1 beta_p[k1] y^(M+k1-1) e^(-(1+p) y) / Gamma(M)
-    at unit rate gives the rows (w_p beta_p[k1] Gamma(M+k1)/Gamma(M), 1+p, M+k1)."""
-    return _GammaMixture.of(
-        (w * b * math.prod(range(m_total, m_total + k1)), 1 + p, m_total + k1)
-        for p, w in _order_weights(l, n_users)
-        for k1, b in enumerate(poly_power_coeffs(m_total, 1.0, p)))
+def _ordered_gain_law(l: int, n_users: int, m_total: int) -> _ExpPoly:
+    """B_(l)'s law at unit rate: with f = y^(M-1) e^-y / (M-1)! and
+    S = e^-y sum_{k<M} y^k/k!, f S^p = e^(-(1+p) y) sum_k1 beta_p[k1]
+    y^(M-1+k1) / (M-1)!, beta_p the exact coefficients of the p-th power."""
+    return _ExpPoly.of({
+        Fraction(1 + p): {m_total - 1 + k1: w * b / math.factorial(m_total - 1)
+                          for k1, b in enumerate(_poly_power_exact(m_total, Fraction(1), p))}
+        for p, w in _order_weights(l, n_users)})
 
 
 def pdf_ordered_gain(x, l: int, n_users: int, m_total: int, lam: float):
     """PDF of the l-th order statistic of the per-user combined gain."""
-    return _ordered_gain_law(l, n_users, m_total).pdf(x, lam)
+    return _ordered_gain_law(l, n_users, m_total).pdf_at(x, lam)
 
 
 def sf_ordered_gain(x, l: int, n_users: int, m_total: int, lam: float):
     """Complementary CDF of the l-th order statistic."""
-    return _ordered_gain_law(l, n_users, m_total).sf(x, lam)
+    return _ordered_gain_law(l, n_users, m_total).sf_at(x, lam)
 
 
 # --------------------------------------------------------------------------
@@ -444,18 +477,17 @@ def sf_relay_ratio(x: float, *, n_b: int, m_sr: int, lam_sr: float, m_rr: int,
     """Complementary CDF of W = A / (C + offset).
 
     Practical conditions: W = snr_bar*A / (snr_bar*C + theta4p), so offset
-    = theta4p/snr_bar.  Ideal: W = A/C, offset 0.  A's table closed against
-    the Gamma(m_rr) SI law: Q(t2, z) = e^-z sum_{t4<t2} z^t4/t4! with
-    (C + o)^t4 expanded, in the rate-free y = lam_sr*x/rate_c and
+    = theta4p/snr_bar.  Ideal: W = A/C, offset 0.  A's sf table closed
+    against the Gamma(m_rr) SI law: each term d y^k e^(-rho y) of it, with
+    (C + o)^k expanded, in the rate-free y = lam_sr*x/rate_c and
     o = offset*rate_c; terms collected with exact summation.
     """
     rate_c = m_rr / omega_rr
     y, o = lam_sr * x / rate_c, offset * rate_c
-    return fsum(coef * pole ** (t4 - t2) * comb(t4, t5) * math.prod(range(m_rr, m_rr + t5))
-                / math.factorial(t4) * y**t4 * o ** (t4 - t5) * exp(-pole * lam_sr * x * offset)
-                * (pole * y + 1.0) ** (-t5 - m_rr)
-                for coef, pole, t2 in zip(*(c.tolist() for c in _two_strongest_law(n_b, m_sr)))
-                for t4 in range(int(t2)) for t5 in range(t4 + 1))
+    return fsum(d * comb(k, t5) * math.prod(range(m_rr, m_rr + t5)) * y**k * o ** (k - t5)
+                * exp(-rho * lam_sr * x * offset) * (rho * y + 1.0) ** (-t5 - m_rr)
+                for rho, row in first_hop_mixture(n_b, m_sr).sf_rows
+                for k, d in enumerate(row) for t5 in range(k + 1))
 
 
 # --------------------------------------------------------------------------
@@ -503,22 +535,19 @@ class _SumTable:
 def _sum_table(n_b: int, m_sr: int, big_m: int, n_users: int, l: int) -> _SumTable:
     """Terms of the success sum, built once per structure.
 
-    Each rate enters only as a power of itself (coef * kappa scales as
-    lam_s^t2, beta_p[k1] as lam_b^k1), so the terms are built at unit rates.
-    Terms that share every power and Phi row are merged first: the
-    first-hop factor over A's table rows for each (rho, n1), the second-hop
-    factor over k for each (p, k1, t4) (_order_weights).
+    Each rate enters only as a power of itself (A's sf coefficient of y^n1
+    scales as lam_s^n1, beta_p[k1] as lam_b^k1), so the terms are built at
+    unit rates.  Terms that share every power and Phi row are merged first:
+    the first-hop factor is one exact coefficient of A's sf per (rho, n1),
+    the second-hop factor is summed over k for each (p, k1, t4)
+    (_order_weights).
     """
-    first: dict[tuple[float, int], list[float]] = {}
-    for coef, rho, t2 in zip(*(c.tolist() for c in _two_strongest_law(n_b, m_sr))):
-        # the Bessel-closing integral adds a factor 2 to A's pdf
-        for n1 in range(int(t2)):
-            first.setdefault((rho, n1), []).append(
-                2.0 * coef * rho ** (n1 - t2) / math.factorial(n1))
-    # first-hop x (t3, k2) factor: (rho, n1, t3, k2, value)
+    # first-hop x (t3, k2) factor: (rho, n1, t3, k2, value); the
+    # Bessel-closing integral adds a factor 2 to A's sf coefficient
     ft = np.array([
-        (rho, n1, t3, k2, fsum(parts) * comb(n1, t3) * comb(t3, k2))
-        for (rho, n1), parts in first.items()
+        (float(rho), n1, t3, k2, float(2 * d * comb(n1, t3) * comb(t3, k2)))
+        for rho, row in first_hop_mixture(n_b, m_sr).sf
+        for n1, d in enumerate(row)
         for t3 in range(n1 + 1)
         for k2 in range(t3 + 1)
     ])

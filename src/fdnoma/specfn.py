@@ -2,16 +2,15 @@
 
 Everything here is pure and stateless.  The log-Bessel evaluation
 delegates to scipy.special's scaled kve, which meets the accuracy targets
-with large margin; the engine calls math.lgamma and the scipy.special
-incomplete gamma functions directly.  The polynomial-power coefficients
-and the partial fraction decomposition are implemented locally because
-they are the load-bearing combinatorial pieces of the outage formulas.
+with large margin.  The coefficients of a power of the truncated
+exponential polynomial are built in exact rational arithmetic: the engine's
+law tables read them exact (_poly_power_exact), its exact sum's second hop
+rounded (poly_power_coeffs).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,8 +22,6 @@ from .errors import NumericsError
 __all__ = [
     "ln_bessel_k_int",
     "poly_power_coeffs",
-    "PfdForm",
-    "pfd_two_pole",
 ]
 
 
@@ -87,72 +84,3 @@ def poly_power_coeffs(m: int, lam: float, r: int) -> tuple[float, ...]:
         raise ValueError(f"poly_power_coeffs requires lam > 0, got {lam}")
     exact = _poly_power_exact(int(m), Fraction(lam), int(r))
     return tuple(float(c) for c in exact)
-
-
-@dataclass(frozen=True)
-class PfdForm:
-    """Partial fraction decomposition of prod_t (s + s_t)^(-alpha_t).
-
-    kappa[t1][t2-1] is the coefficient of (s + poles[t1])^(-t2), matching
-        prod_t (s + s_t)^(-alpha_t)
-            = sum_{t1} sum_{t2=1}^{mult[t1]} kappa[t1][t2-1] (s + s_t1)^(-t2).
-    """
-
-    poles: tuple[float, ...]
-    multiplicities: tuple[int, ...]
-    kappa: tuple[tuple[float, ...], ...]
-
-    def reconstruct(self, s: float) -> float:
-        """Evaluate the decomposition at a point (used for self-checks)."""
-        total = 0.0
-        for pole, row in zip(self.poles, self.kappa):
-            for t2, coeff in enumerate(row, start=1):
-                total += coeff * (s + pole) ** (-t2)
-        return total
-
-    def source(self, s: float) -> float:
-        """Evaluate the original product of inverse-power factors."""
-        total = 1.0
-        for pole, alpha in zip(self.poles, self.multiplicities):
-            total *= (s + pole) ** (-alpha)
-        return total
-
-
-def _residue_row(pole: float, mult: int, other_pole: float, other_mult: int) -> tuple[float, ...]:
-    # kappa_{., t2} = d^{j}/ds^{j} (s+other)^{-other_mult} / j! at s = -pole,
-    # j = mult - t2.  Exact rational arithmetic with one final rounding, so
-    # each coefficient is correct to 0.5 ulp; the decomposition as a whole
-    # is still limited by float64 once multiplicities grow (see PfdForm).
-    row = []
-    diff = Fraction(other_pole) - Fraction(pole)
-    for t2 in range(1, mult + 1):
-        j = mult - t2
-        val = (-1) ** j * math.comb(other_mult + j - 1, j) / diff ** (other_mult + j)
-        row.append(float(val))
-    return tuple(row)
-
-
-def pfd_two_pole(s1: float, a1: int, s2: float = 0.0, a2: int = 0) -> PfdForm:
-    """PFD of (s+s1)^(-a1) (s+s2)^(-a2) via the repeated-pole residue formula.
-
-    a2 == 0 degenerates to the single pure power (s+s1)^(-a1), whose only
-    nonzero coefficient is kappa_{1,a1} = 1.
-    """
-    a1, a2 = int(a1), int(a2)
-    if a1 < 1:
-        raise ValueError(f"pfd_two_pole requires a1 >= 1, got {a1}")
-    if not s1 > 0:
-        raise ValueError(f"pfd_two_pole requires s1 > 0, got {s1}")
-    if a2 == 0:
-        row = [0.0] * a1
-        row[a1 - 1] = 1.0
-        return PfdForm(poles=(s1,), multiplicities=(a1,), kappa=(tuple(row),))
-    if not s2 > 0:
-        raise ValueError(f"pfd_two_pole requires s2 > 0 when a2 > 0, got {s2}")
-    if s1 == s2:
-        raise ValueError("pfd_two_pole: coincident poles with two factors are degenerate")
-    return PfdForm(
-        poles=(s1, s2),
-        multiplicities=(a1, a2),
-        kappa=(_residue_row(s1, a1, s2, a2), _residue_row(s2, a2, s1, a1)),
-    )

@@ -36,11 +36,13 @@ import pytest
 from scipy.integrate import quad
 
 from fdnoma.analytic import (
+    _ordered_gain_law,
     asymptotic_outage_ideal,
     asymptotic_outage_practical,
     diversity_order,
     exact_outage,
     exact_outage_sweep,
+    first_hop_mixture,
     lower_bound_outage,
     pdf_ordered_gain,
     pdf_two_strongest_sum,
@@ -50,7 +52,7 @@ from fdnoma.analytic import (
 from fdnoma.cli import run_sweep
 from fdnoma.mcsim import RngStream, wilson_interval
 from fdnoma.presets import figure_preset
-from fdnoma.specfn import ln_bessel_k_int, pfd_two_pole
+from fdnoma.specfn import ln_bessel_k_int
 from fdnoma.sysmodel import (
     SystemConfig,
     compute_deltas,
@@ -398,8 +400,9 @@ def test_criterion_7_distributional_correctness():
 
 
 def test_criterion_8_special_functions():
-    """Identity, recurrence, oracle and reconstruction checks at the stated
-    tolerances (details in test_specfn; headline assertions repeated here)."""
+    """Identity, recurrence, oracle and law-table checks at the stated
+    tolerances (details in test_specfn and test_analytic; headline
+    assertions repeated here)."""
     # K_2 = K_0 + 2/x K_1 across the working range, in ratio form from the
     # log-Bessel function the Phi rule calls
     rec = 0.0
@@ -408,23 +411,35 @@ def test_criterion_8_special_functions():
         ratio = math.exp(ln_bessel_k_int(0, x) - k2) + 2.0 / x * math.exp(ln_bessel_k_int(1, x) - k2)
         rec = max(rec, abs(ratio - 1.0))
     ok = rec < 1e-10
-    # PFD reconstruction at relative 1e-10 (extended-precision evaluation)
+    # law tables, each coefficient rounded to float once, against the exact
+    # tables at 50 digits: relative 1e-10 for A (n_b 2-4, m 1-4) and B_(l)
+    # (every l of L = 3, M 1-4), pdf and sf, a quarter of each law's mean
+    # to ten times it
     mp = pytest.importorskip("mpmath")
-    form = pfd_two_pole(1.0, 2, 3.0, 2)
+    laws = ([first_hop_mixture(n_b, m) for n_b in (2, 3, 4) for m in (1, 2, 3, 4)]
+            + [_ordered_gain_law(l, 3, big_m) for l in (1, 2, 3) for big_m in (1, 2, 3, 4)])
     worst = 0.0
     with mp.workdps(50):
-        for s in np.linspace(0.0, 30.0, 100):
-            recon = sum(
-                mp.mpf(k) * (mp.mpf(float(s)) + mp.mpf(p)) ** (-t2)
-                for p, row in zip(form.poles, form.kappa)
-                for t2, k in enumerate(row, 1)
-            )
-            src = (mp.mpf(float(s)) + 1) ** -2 * (mp.mpf(float(s)) + 3) ** -2
-            worst = max(worst, float(abs(recon - src) / src))
+        def value(rows, y):
+            return sum(mp.exp(-mp.mpf(r) * y) * sum(mp.mpf(c) * y**j for j, c in enumerate(row))
+                       for r, row in rows)
+
+        def exact(rows):  # Fractions as mpmath numbers
+            return [(mp.mpf(r.numerator) / r.denominator,
+                     [mp.mpf(c.numerator) / c.denominator for c in row]) for r, row in rows]
+
+        for law in laws:
+            mean = float(sum(d * math.factorial(k) / r ** (k + 1)
+                             for r, row in law.sf for k, d in enumerate(row)))
+            for y in mean * np.linspace(0.25, 10.0, 40):
+                y = mp.mpf(float(y))
+                for rounded, rows in ((law.pdf_rows, law.pdf), (law.sf_rows, law.sf)):
+                    ref = value(exact(rows), y)
+                    worst = max(worst, float(abs(value(rounded, y) - ref) / ref))
     ok = ok and worst < 1e-10
     assert report(
         "8 special-functions", ok,
-        f"K recurrence worst {rec:.1e}; PFD reconstruction worst {worst:.1e}",
+        f"K recurrence worst {rec:.1e}; rounded law tables worst {worst:.1e}",
     )
 
 

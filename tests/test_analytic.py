@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from math import comb, exp, fsum, lgamma, log
 from pathlib import Path
 
@@ -87,38 +88,42 @@ def _nested_sum_raw(cfg, snr_db, l, printed):
                         t4,
                     ))
     terms = []
-    for coef, form in first_hop_mixture(cfg.n_b, m_sr, m_sr / stats.omega_hat_sr):
-        for pole, row in zip(form.poles, form.kappa):
-            for t2, kap in enumerate(row, start=1):
-                for n1 in range(t2 if kap else 0):
-                    log_n1 = (log(abs(2 * coef * kap)) + n1 * log(2 * dd / g) - lgamma(n1 + 1)
-                              + (n1 - t2) * log(pole) - 2 * dd * pole * th.theta2)
-                    for sign_kp, log_sh, p, t4 in second_hop:
-                        for t3 in range(n1 + 1):
-                            nu = t3 + t4 - n1 + 1
-                            e_pi = (n1 - t3 + t4 + 1) / 2.0
-                            log_t3 = (log(comb(n1, t3)) + e_pi * log(c1)
-                                      + nu / 2.0 * log(2 * dd * pole / (g * (1 + p) * lam_b)))
+    lam_s = m_sr / stats.omega_hat_sr
+    for rho, row in first_hop_mixture(cfg.n_b, m_sr).pdf:
+        # A's pdf term c y^(t2-1) e^(-rho y) is the kernel c (t2-1)! (s + rho)^-t2
+        # of its MGF; at rate lam_s, (c (t2-1)! lam_s^t2) (s + lam_s rho)^-t2
+        pole = lam_s * float(rho)
+        for t2, c in enumerate(row, start=1):
+            kap = float(c * math.factorial(t2 - 1)) * lam_s**t2
+            for n1 in range(t2 if kap else 0):
+                log_n1 = (log(abs(2 * kap)) + n1 * log(2 * dd / g) - lgamma(n1 + 1)
+                          + (n1 - t2) * log(pole) - 2 * dd * pole * th.theta2)
+                for sign_kp, log_sh, p, t4 in second_hop:
+                    for t3 in range(n1 + 1):
+                        nu = t3 + t4 - n1 + 1
+                        e_pi = (n1 - t3 + t4 + 1) / 2.0
+                        log_t3 = (log(comb(n1, t3)) + e_pi * log(c1)
+                                  + nu / 2.0 * log(2 * dd * pole / (g * (1 + p) * lam_b)))
+                        if printed:
+                            c1_b = th.theta3 * g + 2 * th.theta1 * th.theta4 * g**2 * dd * pole
+                        else:
+                            c1_b = pole * c1
+                        for k2 in range(t3 + 1):
                             if printed:
-                                c1_b = th.theta3 * g + 2 * th.theta1 * th.theta4 * g**2 * dd * pole
+                                log_k2 = (t3 * log(th.theta4 * g**2)
+                                          + (t3 - t2) * log(th.theta2 / (th.theta4 * g)))
                             else:
-                                c1_b = pole * c1
-                            for k2 in range(t3 + 1):
-                                if printed:
-                                    log_k2 = (t3 * log(th.theta4 * g**2)
-                                              + (t3 - t2) * log(th.theta2 / (th.theta4 * g)))
-                                else:
-                                    log_k2 = (k2 * log(th.theta4 * g**2)
-                                              + (t3 - k2) * log(th.theta2 * g))
-                                log_phi = phi_integral_log(PhiTerm(
-                                    z_power=k2 + m_rr - 1, pi_power=e_pi, pi_shift=c0 / c1,
-                                    decay=2 * dd * th.theta4 * g * pole + rate_c,
-                                    bessel_coeff=2 * dd * (1 + p) * lam_b * c1_b / g, order=nu,
-                                ))
-                                sign = math.copysign(1.0, coef * kap) * sign_kp
-                                terms.append(sign * exp(
-                                    log_n1 + log_sh + log_t3 + log(comb(t3, k2)) + log_k2 + log_phi
-                                ))
+                                log_k2 = (k2 * log(th.theta4 * g**2)
+                                          + (t3 - k2) * log(th.theta2 * g))
+                            log_phi = phi_integral_log(PhiTerm(
+                                z_power=k2 + m_rr - 1, pi_power=e_pi, pi_shift=c0 / c1,
+                                decay=2 * dd * th.theta4 * g * pole + rate_c,
+                                bessel_coeff=2 * dd * (1 + p) * lam_b * c1_b / g, order=nu,
+                            ))
+                            sign = math.copysign(1.0, kap) * sign_kp
+                            terms.append(sign * exp(
+                                log_n1 + log_sh + log_t3 + log(comb(t3, k2)) + log_k2 + log_phi
+                            ))
     return 1.0 - fsum(terms)
 
 
@@ -375,6 +380,98 @@ class TestOrderedGainDistribution:
             assert 1.0 - float(sf_ordered_gain(x, 1, 3, 1, lam)) == pytest.approx(
                 1.0 - math.exp(-3 * lam * x), rel=1e-12
             )
+
+
+# the law tables checked exactly: A for n_b 2-4 and m 1-4, B_(l) for every
+# l of L = 3 and M 1-4
+A_STRUCTURES = [(n_b, m) for n_b in (2, 3, 4) for m in (1, 2, 3, 4)]
+B_STRUCTURES = [(l, M) for l in (1, 2, 3) for M in (1, 2, 3, 4)]
+
+
+def _recipe_mgf(n_b, m, s):
+    """E[e^(-s A)] at unit rate from the first-hop recipe's unmerged
+    products, in exact rationals: the sum over the selection index r, n
+    and t < m of coef (s + 1)^-(m - t) (s + (2 + r)/2)^-(t + n + m), or of
+    coef (s + 1)^-(n + 2m) when r = 0."""
+    total = Fraction(0)
+    for r in range(n_b - 1):
+        beta = [Fraction(1)]  # coefficients of (sum_{k<m} y^k/k!)^r
+        for _ in range(r):
+            beta = [sum(beta[i] / math.factorial(k - i) for i in range(len(beta)) if 0 <= k - i < m)
+                    for k in range(len(beta) + m - 1)]
+        for n, b in enumerate(beta):
+            for t in range(m):
+                coef = b * Fraction(
+                    n_b * (n_b - 1) * comb(n_b - 2, r) * (-1) ** r * math.factorial(m + n + t - 1),
+                    math.factorial(m - 1) * math.factorial(t) * 2 ** (t + n + m))
+                if r == 0:
+                    total += coef / (s + 1) ** (n + 2 * m)
+                else:
+                    total += coef / ((s + 1) ** (m - t) * (s + Fraction(2 + r, 2)) ** (t + n + m))
+    return total
+
+
+class TestLawTables:
+    @staticmethod
+    def _laws():
+        return ([first_hop_mixture(n_b, m) for n_b, m in A_STRUCTURES]
+                + [analytic._ordered_gain_law(l, 3, M) for l, M in B_STRUCTURES])
+
+    def test_exact_unit_mass_and_tail(self):
+        # the pdf integrates to exactly 1, and -d/dy sf = pdf term by term
+        for law in self._laws():
+            assert sum(c * math.factorial(j) / r ** (j + 1)
+                       for r, row in law.pdf for j, c in enumerate(row)) == 1
+            assert [r for r, _ in law.sf] == [r for r, _ in law.pdf]
+            for (r, pdf), (_, sf) in zip(law.pdf, law.sf):
+                deriv = [r * d - (k + 1) * (sf[k + 1] if k + 1 < len(sf) else 0)
+                         for k, d in enumerate(sf)]
+                assert deriv == list(pdf)
+
+    def test_laplace_transform_is_the_recipe_product(self):
+        for n_b, m in A_STRUCTURES:
+            law = first_hop_mixture(n_b, m)
+            for s in (Fraction(0), Fraction(1, 3), Fraction(2), Fraction(7, 2)):
+                table = sum(c * math.factorial(j) / (s + r) ** (j + 1)
+                            for r, row in law.pdf for j, c in enumerate(row))
+                assert table == _recipe_mgf(n_b, m, s), (n_b, m, s)
+
+    def test_cdf_starts_at_the_diversity_order(self):
+        # Taylor coefficients of F_A = 1 - sf_A: exactly 0 below y^(m n_b),
+        # the small-argument constant at y^(m n_b) (unit rate: omega = m)
+        for n_b, m in A_STRUCTURES:
+            k = m * n_b
+            taylor = [int(n == 0) - sum(d * (-r) ** (n - j) / math.factorial(n - j)
+                                        for r, row in first_hop_mixture(n_b, m).sf
+                                        for j, d in enumerate(row) if j <= n)
+                      for n in range(k + 1)]
+            assert taylor[:k] == [0] * k, (n_b, m)
+            assert float(taylor[k]) == pytest.approx(
+                float(asymptotic_cdf_two_strongest_sum(1.0, n_b, m, m)), rel=1e-13)
+
+    def test_ordered_gain_matches_mpmath_order_statistic(self):
+        # f_(l) = L!/((l-1)! (L-l)!) F^(l-1) S^(L-l) f and
+        # sf_(l) = sum_{i<l} C(L, i) F^i S^(L-i), at 50 digits, across the
+        # bulk of each law: a quarter of its mean to ten times it
+        mp = pytest.importorskip("mpmath")
+        L = 3
+        with mp.workdps(50):
+            for l, M in B_STRUCTURES:
+                law = analytic._ordered_gain_law(l, L, M)
+                mean = float(sum(d * math.factorial(k) / r ** (k + 1)
+                                 for r, row in law.sf for k, d in enumerate(row)))
+                for y in mean * np.linspace(0.25, 10.0, 40):
+                    yy = mp.mpf(float(y))
+                    F = mp.gammainc(M, 0, yy, regularized=True)
+                    S = mp.gammainc(M, yy, mp.inf, regularized=True)
+                    f = yy ** (M - 1) * mp.exp(-yy) / mp.factorial(M - 1)
+                    pdf = (math.factorial(L) // (math.factorial(l - 1) * math.factorial(L - l))
+                           * F ** (l - 1) * S ** (L - l) * f)
+                    sf = sum(comb(L, i) * F**i * S ** (L - i) for i in range(l))
+                    assert float(pdf_ordered_gain(y, l, L, M, 1.0)) == pytest.approx(
+                        float(pdf), rel=1e-12), (l, M, y)
+                    assert float(sf_ordered_gain(y, l, L, M, 1.0)) == pytest.approx(
+                        float(sf), rel=1e-12), (l, M, y)
 
 
 class TestRelayRatioCdf:

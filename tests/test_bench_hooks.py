@@ -18,7 +18,8 @@ from fdnoma import cli, SystemConfig
 rec = tracing.Recorder()
 tracing.install(rec)
 cli.validate(SystemConfig(), (10.0,), trials=10_000, seed=1)
-tracing.layer_metrics(rec)
+# the first-hop law is built once and read by every later user
+assert tracing.layer_metrics(rec)["analytic.first_hop_mixture.hit_ratio"] > 0
 """
 
 

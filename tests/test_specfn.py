@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fdnoma.specfn import ln_bessel_k_int, pfd_two_pole, poly_power_coeffs
+from fdnoma.specfn import ln_bessel_k_int, poly_power_coeffs
 
 
 def _bessel_k_integral_oracle(v: int, x: float) -> float:
@@ -127,82 +127,3 @@ class TestPolyPowerCoeffs:
             poly_power_coeffs(0, 1.0, 1)
         with pytest.raises(ValueError):
             poly_power_coeffs(2, -1.0, 1)
-
-
-class TestPfdTwoPole:
-    def test_single_simple_pole(self):
-        form = pfd_two_pole(2.5, 1)
-        assert form.poles == (2.5,) and form.multiplicities == (1,)
-        assert form.kappa == ((1.0,),)
-
-    def test_classic_split(self):
-        form = pfd_two_pole(1.0, 1, 2.0, 1)
-        assert form.kappa[0][0] == pytest.approx(1.0, rel=1e-14)
-        assert form.kappa[1][0] == pytest.approx(-1.0, rel=1e-14)
-
-    def test_repeated_poles_reconstruction(self):
-        form = pfd_two_pole(1.0, 2, 3.0, 2)
-        for s in (0.0, 0.7, 5.0):
-            assert form.reconstruct(s) == pytest.approx(form.source(s), rel=1e-12)
-
-    @staticmethod
-    def _reconstruction_errors(form, points):
-        """Relative reconstruction error at each point, evaluated in extended
-        precision so float64 cancellation of the large PFD tails does not
-        mask the accuracy of the kappa coefficients themselves."""
-        mp = pytest.importorskip("mpmath")
-        errs = []
-        with mp.workdps(50):
-            for s in points:
-                s = mp.mpf(float(s))
-                recon = mp.mpf(0)
-                for pole, row in zip(form.poles, form.kappa):
-                    for t2, kap in enumerate(row, start=1):
-                        recon += mp.mpf(kap) * (s + mp.mpf(pole)) ** (-t2)
-                src = mp.mpf(1)
-                for pole, alpha in zip(form.poles, form.multiplicities):
-                    src *= (s + mp.mpf(pole)) ** (-alpha)
-                errs.append(float(abs(recon - src) / abs(src)))
-        return errs
-
-    def test_random_reconstruction_property(self):
-        # each kappa is exactly rounded, but the decomposition as a whole
-        # loses tail accuracy once multiplicities stack up (the coefficients
-        # grow like separation^-(a1+a2) with alternating signs), so the
-        # 1e-10 reconstruction contract is enforced on the multiplicity
-        # range the outage mixtures instantiate; deeper stacks are covered
-        # by the time-domain checks (unit PDF mass, simulator agreement)
-        rng = np.random.default_rng(17)
-        for _ in range(40):
-            s1 = float(rng.uniform(0.05, 5.0))
-            s2 = s1 * float(rng.uniform(1.2, 4.0))
-            a1 = int(rng.integers(1, 3))
-            a2 = int(rng.integers(0, 4))
-            form = pfd_two_pole(s1, a1, s2, a2)
-            pts = rng.uniform(1e-6, 10.0 * max(form.poles), size=100)
-            assert max(self._reconstruction_errors(form, pts)) < 1e-10
-
-    def test_engine_pole_layout_reconstruction(self):
-        # the pole layouts the preset configurations produce: s2/s1 = (2+r)/2
-        rng = np.random.default_rng(23)
-        for lam in (1.0 / 16.0, 0.2, 1.0):
-            for r in (1, 2, 3):
-                for a1, a2 in ((1, 1), (1, 2), (2, 3), (2, 4)):
-                    form = pfd_two_pole(lam, a1, (2 + r) * lam / 2.0, a2)
-                    pts = rng.uniform(1e-9, 10.0 * max(form.poles), size=100)
-                    errs = self._reconstruction_errors(form, pts)
-                    tol = 1e-10 if a1 + a2 < 6 else 1e-8
-                    assert max(errs) < tol, (lam, r, a1, a2, max(errs))
-
-    def test_float_reconstruction_near_poles(self):
-        # direct float evaluation is already exact near the pole scale
-        form = pfd_two_pole(1.0, 2, 3.0, 2)
-        rng = np.random.default_rng(29)
-        for s in rng.uniform(0.0, 3.0, size=50):
-            assert form.reconstruct(float(s)) == pytest.approx(form.source(float(s)), rel=1e-12)
-
-    def test_degenerate_poles_rejected(self):
-        with pytest.raises(ValueError):
-            pfd_two_pole(1.0, 2, 1.0, 3)
-        with pytest.raises(ValueError):
-            pfd_two_pole(1.0, 0)
