@@ -40,7 +40,7 @@ class FixedChannels:
     h_ru: tuple[tuple[complex, ...], ...]
     si_gain: float
 
-    def draw(self, l_count: int) -> ChannelDraw:
+    def draw(self) -> ChannelDraw:
         """As a ChannelDraw; user gains must ascend with the user index,
         consistent with the ordering protocol that assigns power levels."""
         a = abs(self.h_sr[0]) ** 2 + abs(self.h_sr[1]) ** 2
@@ -76,16 +76,13 @@ def run_symbol_chain(
     snr_db: float | None,
     blocks: int,
     rng: RngStream | int = 0,
-    constellation: np.ndarray = QPSK,
 ) -> ChainOutput:
-    """Run the encode -> relay -> combine chain for a number of Alamouti blocks.
+    """Run the encode -> relay -> combine chain for a number of Alamouti
+    blocks of QPSK symbols.
 
     snr_db = None turns off thermal noise (at unit transmit power) while
     keeping the rest of the chain; the SI stream stays only if si_gain > 0.
     """
-    energy = float(np.mean(np.abs(constellation) ** 2))
-    if abs(energy - 1.0) > 1e-12:
-        raise ConfigError(f"constellation must have unit mean energy, got {energy}")
     if len(channels.h_ru) != cfg.n_users or any(len(r) != cfg.n_r for r in channels.h_ru):
         raise ConfigError("h_ru must have shape (n_users, n_r)")
 
@@ -103,8 +100,7 @@ def run_symbol_chain(
     )
 
     L, n_r = cfg.n_users, cfg.n_r
-    idx = gen.integers(0, len(constellation), size=(L, 2, blocks))
-    syms = constellation[idx]
+    syms = QPSK[gen.integers(0, len(QPSK), size=(L, 2, blocks))]
     amps = np.sqrt(np.array(cfg.a) * power / 2.0)
     x = np.tensordot(amps, syms, axes=(0, 0))  # (2, blocks) superposed slots
 
@@ -145,7 +141,6 @@ def symbol_level_validate(
     snr_db: float,
     symbols: int,
     rng: RngStream | int = 0,
-    constellation: np.ndarray = QPSK,
 ) -> list[SinrBreakdown]:
     """Measured per-stage SINRs of the waveform chain, one entry per user.
 
@@ -155,7 +150,7 @@ def symbol_level_validate(
     stream, everything else counts as interference plus noise.
     """
     blocks = max(symbols // 2, 1)
-    out = run_symbol_chain(cfg, channels, snr_db, blocks, rng, constellation)
+    out = run_symbol_chain(cfg, channels, snr_db, blocks, rng)
     power = 10.0 ** (snr_db / 10.0)
     amps = np.sqrt(np.array(cfg.a) * power / 2.0)
     results = []
@@ -179,4 +174,4 @@ def predicted_sinr(cfg: SystemConfig, channels: FixedChannels, snr_db: float, l:
     snr_bar = 10.0 ** (snr_db / 10.0)
     stats = derive_link_stats(cfg, snr_bar)
     theta = compute_theta(stats, snr_bar, l)
-    return evaluate_sinr(channels.draw(cfg.n_users), theta, cfg, snr_bar, l)
+    return evaluate_sinr(channels.draw(), theta, cfg, snr_bar, l)

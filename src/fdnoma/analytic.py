@@ -764,7 +764,8 @@ def _clamped_point(raw: float, l: int, snr_db: float, method: str, floor: bool =
 # --------------------------------------------------------------------------
 
 def lower_bound_outage(cfg: SystemConfig, snr_db: float, l: int) -> OutagePoint:
-    """Closed-form lower bound 1 - sf_W(2 delta+ gbar theta2') sf_B(2 delta+ theta1').
+    """Closed-form lower bound 1 - sf_W(2 delta+ gbar theta4) sf_B(2 delta+ theta1),
+    theta4 and theta1 being the paper's theta2' and theta1'.
 
     No quadrature.  W = A/C (offset 0) is taken when all impairments
     vanish.
@@ -777,10 +778,10 @@ def lower_bound_outage(cfg: SystemConfig, snr_db: float, l: int) -> OutagePoint:
     lam_s = m_sr / stats.omega_hat_sr
     lam_b = m_ru / stats.omega_hat_ru[l - 1]
     sf_w = sf_relay_ratio(
-        2 * dd * snr_bar * theta.thetap2, n_b=cfg.n_b, m_sr=m_sr, lam_sr=lam_s, m_rr=m_rr,
+        2 * dd * snr_bar * theta.theta4, n_b=cfg.n_b, m_sr=m_sr, lam_sr=lam_s, m_rr=m_rr,
         omega_rr=stats.omega_rr, offset=0.0 if cfg.ideal else theta.thetap4 / snr_bar,
     )
-    sf_b = float(sf_ordered_gain(2 * dd * theta.thetap1, l, cfg.n_users, m_ru * cfg.n_r, lam_b))
+    sf_b = float(sf_ordered_gain(2 * dd * theta.theta1, l, cfg.n_users, m_ru * cfg.n_r, lam_b))
     # 1 - sf_w*sf_b evaluated as F_w + F_b - F_w*F_b to dodge cancellation
     f_w = 1.0 - sf_w
     f_b = 1.0 - sf_b
@@ -805,84 +806,58 @@ def diversity_order(cfg: SystemConfig, l: int) -> float:
     return min((1.0 - cfg.mu) * cfg.m_sr * cfg.n_b, cfg.m_ru[l - 1] * cfg.n_r * l)
 
 
-def _fw_asymptotic_bracket(cfg: SystemConfig, lam_dag: float) -> float:
-    """Coefficient of gbar^(-(1-mu) m_sr n_b) in the asymptotic W CDF:
-    F_A's small-argument constant times E[C^k] (2 Lambda+ alpha_si)^k."""
-    m, n_b, m_rr = int(cfg.m_sr), cfg.n_b, int(cfg.m_rr)
-    k = m * n_b
-    coeff = float(asymptotic_cdf_two_strongest_sum(1.0, n_b, m, cfg.d_sr ** -cfg.eta))
-    return coeff * exp(lgamma(k + m_rr) - lgamma(m_rr)) * (2.0 * lam_dag * cfg.alpha_si / m_rr) ** k
+def _ideal_high_snr_terms(cfg: SystemConfig, l: int) -> list[tuple[float, float]]:
+    """User l's ideal high-SNR outage (mu < 1) as terms (c, e) of
+    sum c gbar^(-e), evaluated at unit SNR.
 
-
-def _fw_asymptotic_value(cfg: SystemConfig, lam_dag: float, snr_bar: float) -> float:
-    """First-hop/SI branch of the asymptotic outage.
-
-    The limiting outage event is A <= 2 Lambda+ (1 + gbar*C); keeping the
-    full moment E[(1 + gbar*C)^(m n_b)] makes the branch exact at mu = 0,
-    where gbar*C does not diverge and the pure power-law constant (the
-    printed array-gain form) is off by E[(1+X)^k]/E[X^k].  For mu > 0 the
-    highest moment dominates and this reduces to the power-law branch.
+    The limiting first-hop event is A <= 2 Lambda+ (1 + gbar C), with
+    F_A(x) ~ c_A x^k, k = m_sr n_b, and gbar C ~ Gamma(m_rr) of mean
+    omega_rr gbar^mu; E[(1 + gbar C)^k] gives one term per moment j, of
+    order k - mu j.  Keeping every moment keeps the law exact at mu = 0,
+    where gbar C does not diverge.  The second hop adds
+    C(L, l) F_B(2 Lambda+ / gbar)^l, F_B(x) ~ (lam_b x)^M / M!, of order M l.
     """
-    m, n_b, m_rr = int(cfg.m_sr), cfg.n_b, int(cfg.m_rr)
-    omega_sr = cfg.d_sr ** -cfg.eta
-    k = m * n_b
-    coeff = float(asymptotic_cdf_two_strongest_sum(1.0, n_b, m, omega_sr))
-    scale = cfg.alpha_si * snr_bar**cfg.mu / m_rr  # per-moment scale of gbar*C
-    moment = 0.0
-    for j in range(k + 1):
-        moment += comb(k, j) * exp(lgamma(m_rr + j) - lgamma(m_rr)) * scale**j
-    return coeff * (2.0 * lam_dag / snr_bar) ** k * moment
-
-
-def _fb_asymptotic(cfg: SystemConfig, l: int, lam_dag: float, snr_bar: float) -> float:
-    m_ru = int(cfg.m_ru[l - 1])
-    big_m = m_ru * cfg.n_r
-    omega_ru = cfg.d_ru[l - 1] ** -cfg.eta
-    return comb(cfg.n_users, l) * (
-        (2.0 * lam_dag * m_ru / (omega_ru * snr_bar)) ** big_m / exp(lgamma(big_m + 1))
-    ) ** l
+    m_sr, m_rr, m_ru = _require_analytic_config(cfg)
+    stats = derive_link_stats(cfg, 1.0)
+    lam_dag = compute_deltas(cfg, 1.0).lambda_dag[l - 1]
+    k, big_m = m_sr * cfg.n_b, m_ru * cfg.n_r
+    c_a = float(asymptotic_cdf_two_strongest_sum(2.0 * lam_dag, cfg.n_b, m_sr, stats.omega_sr))
+    terms = [(c_a * comb(k, j) * math.prod(range(m_rr, m_rr + j)) * (stats.omega_rr / m_rr) ** j,
+              k - cfg.mu * j) for j in range(k + 1)]
+    c_b = (2.0 * lam_dag * m_ru / stats.omega_ru[l - 1]) ** big_m / math.factorial(big_m)
+    return terms + [(comb(cfg.n_users, l) * c_b**l, big_m * l)]
 
 
 def array_gain(cfg: SystemConfig, l: int) -> float:
-    """Array gain of the high-SNR law (G_ag gbar)^(-G_do), three-case form."""
+    """Array gain G_ag of the high-SNR law OP ~ (G_ag gbar)^(-G_do): the
+    constant of the lowest-order terms of the ideal asymptote, to the power
+    -1/G_do.  Where both hops share that order, their constants add; at
+    mu = 0 every first-hop moment has it."""
     _require_ideal(cfg)
     if cfg.mu == 1.0:
         raise ConfigError("array gain is undefined at mu=1 (zero diversity floor)")
-    m_sr, m_rr, m_ru = _require_analytic_config(cfg)
-    lam_dag = compute_deltas(cfg, 1.0).lambda_dag[l - 1]
-    g1 = (1.0 - cfg.mu) * m_sr * cfg.n_b
-    g2 = m_ru * cfg.n_r * l
-    big_m = m_ru * cfg.n_r
-    omega_ru = cfg.d_ru[l - 1] ** -cfg.eta
-    xi1 = _fw_asymptotic_bracket(cfg, lam_dag) ** (-1.0 / g1)
-    xi2 = (comb(cfg.n_users, l) / exp(l * lgamma(big_m + 1))) ** (-1.0 / (big_m * l)) * (
-        omega_ru / (2.0 * lam_dag * m_ru)
-    )
-    if g1 < g2:
-        return xi1
-    if g1 > g2:
-        return xi2
-    return xi1 + xi2
+    terms = _ideal_high_snr_terms(cfg, l)
+    order = min(e for _, e in terms)
+    return sum(c for c, e in terms if math.isclose(e, order)) ** (-1.0 / order)
 
 
 def asymptotic_outage_ideal(cfg: SystemConfig, snr_db: float, l: int) -> OutagePoint:
     """High-SNR outage law under ideal conditions.
 
-    mu < 1: the two-branch power law (sum of the first-hop/SI and
-    second-hop asymptotic CDFs).  mu = 1: the SNR-independent floor
+    mu < 1: the two-branch power law, sum c gbar^(-e) over
+    _ideal_high_snr_terms.  mu = 1: the SNR-independent floor
     F_W(2 Lambda+) evaluated with the exact ideal W CDF.
     """
     _require_ideal(cfg)
-    m_sr, m_rr, m_ru = _require_analytic_config(cfg)
     snr_bar = 10.0 ** (snr_db / 10.0)
-    lam_dag = compute_deltas(cfg, snr_bar).lambda_dag[l - 1]
     if cfg.mu == 1.0:
+        m_sr, m_rr, _ = _require_analytic_config(cfg)
+        lam_dag = compute_deltas(cfg, snr_bar).lambda_dag[l - 1]
         stats = derive_link_stats(cfg, snr_bar)
         sf_w = sf_relay_ratio(2.0 * lam_dag, n_b=cfg.n_b, m_sr=m_sr, m_rr=m_rr, offset=0.0,
                               lam_sr=m_sr / stats.omega_hat_sr, omega_rr=stats.omega_rr)
         return _clamped_point(1.0 - sf_w, l, snr_db, "asymptotic_ideal", floor=True)
-    val = _fw_asymptotic_value(cfg, lam_dag, snr_bar)
-    val += _fb_asymptotic(cfg, l, lam_dag, snr_bar)
+    val = sum(c * snr_bar**-e for c, e in _ideal_high_snr_terms(cfg, l))
     return OutagePoint(user=l, snr_db=snr_db, value=min(val, 1.0), method="asymptotic_ideal")
 
 

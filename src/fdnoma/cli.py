@@ -13,6 +13,7 @@ import argparse
 import csv
 import math
 import os
+import statistics
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -263,12 +264,7 @@ def validate(
         for l in range(1, cfg.n_users + 1):
             gdo = analytic.diversity_order(cfg, l)
             ys = [math.log10(max(exact_vals[(s, l)], 1e-300)) for s in top]
-            xs = [s / 10.0 for s in top]
-            n = len(xs)
-            sx, sy = sum(xs), sum(ys)
-            sxx = sum(x * x for x in xs)
-            sxy = sum(x * y for x, y in zip(xs, ys))
-            slope = -(n * sxy - sx * sy) / (n * sxx - sx * sx)
+            slope = -statistics.linear_regression([s / 10.0 for s in top], ys).slope
             ok = abs(slope - gdo) <= tolerance * gdo
             lines.append(
                 ValidationLine(

@@ -140,9 +140,11 @@ class LinkStats:
 class ThetaSet:
     """The theta constants of the SINR and of the lower-bound reduction.
 
-    All equal 1 under ideal conditions (no CEE, no FBD).  theta4p follows
-    the provable-bound grouping gamma_bar*sigma2_sr/2 + 1; the printed
-    gamma_bar^2*sigma2_sr/2 + 1 lets the bound exceed the exact outage.
+    All equal 1 under ideal conditions (no CEE, no FBD).  The bound's
+    theta1' and theta2' are theta1 and theta4, and only thetap4 is its
+    own: it follows the provable-bound grouping gamma_bar*sigma2_sr/2 + 1;
+    the printed gamma_bar^2*sigma2_sr/2 + 1 lets the bound exceed the
+    exact outage.
     """
 
     theta1: float
@@ -150,9 +152,6 @@ class ThetaSet:
     theta3: float
     theta4: float
     theta5: float
-    thetap1: float
-    thetap2: float
-    thetap3: float
     thetap4: float
 
 
@@ -228,9 +227,6 @@ def compute_theta(stats: LinkStats, snr_bar: float, l: int) -> ThetaSet:
         theta3=g * s2r / (rs2 * rr2) + 1 / (rs2 * rr2),
         theta4=1 / rs2,
         theta5=(g**2 / 2 * s2s * s2r + g * s2r + g * s2s + 1) / (rs2 * rr2),
-        thetap1=g / 2 * s2r / rr2 + 1 / rr2,
-        thetap2=1 / rs2,
-        thetap3=(g * s2r + 1) / (rs2 * rr2),
         thetap4=g / 2 * s2s + 1,
     )
 
@@ -260,17 +256,18 @@ HdRule = Literal["squared", "equal"]
 
 
 def map_baseline_thresholds(
-    cfg: SystemConfig, baseline: Baseline, hd_rule: HdRule = "squared"
+    cfg: SystemConfig, baseline: Baseline, hd_rule: HdRule = "equal"
 ) -> tuple[float, ...]:
     """SINR thresholds for the comparison baselines.
 
     fd_oma: one user per resource at the aggregate rate, so the single
     threshold is prod_l(1 + gamma_th_l) - 1 (returned for every user).
-    hd_noma with hd_rule="squared": rate-matched by the half-rate relation
+    hd_noma with hd_rule="equal" (the default, as for sweeps and the CLI)
+    keeps the FD thresholds unchanged, so the two schemes are compared at
+    the same SINR target, where HD delivers half of FD's rate.
+    hd_rule="squared": rate-matched by the half-rate relation
     gamma_hd = (1 + gamma_fd)^2 - 1; infeasible for the default power split
-    (stage-1 margin -0.805).  hd_rule="equal" keeps the FD thresholds
-    unchanged, so the two schemes are compared at the same SINR target,
-    where HD delivers half of FD's rate.
+    (stage-1 margin -0.805).
     """
     if baseline == "fd_oma":
         prod = 1.0

@@ -92,20 +92,18 @@ class TestMeasuredSinr:
         rng = np.random.default_rng(11)
         ch = random_channels(cfg, rng, si=0.0001)
         meas = symbol_level_validate(cfg, ch, 25.0, 200_000, rng=3)
-        outage = [
-            any(g <= th for g, th in zip(meas[l - 1].gammas, cfg.gamma_th))
-            for l in (1, 2, 3)
-        ]
-        assert all(isinstance(o, bool) for o in outage)
+        pred = [predicted_sinr(cfg, ch, 25.0, l) for l in (1, 2, 3)]
+        for m, p in zip(meas, pred):
+            for got, want in zip(m.gammas, p.gammas, strict=True):
+                assert got == pytest.approx(want, rel=0.03)
+
+        def outage(sinr):
+            return [any(g <= th for g, th in zip(s.gammas, cfg.gamma_th)) for s in sinr]
+
+        assert outage(meas) == outage(pred)
 
 
 class TestInputValidation:
-    def test_non_unit_energy_constellation_rejected(self):
-        cfg = SystemConfig()
-        ch = random_channels(cfg, np.random.default_rng(0), si=0.1)
-        with pytest.raises(ConfigError, match="unit mean energy"):
-            run_symbol_chain(cfg, ch, 10.0, 10, constellation=2.0 * QPSK)
-
     def test_channel_shape_validated(self):
         cfg = SystemConfig(n_r=2)
         bad = FixedChannels(h_sr=(1.0, 1.0), h_ru=((1.0,), (1.0,), (1.0,)), si_gain=0.0)

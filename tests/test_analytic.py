@@ -128,7 +128,7 @@ def _nested_sum_raw(cfg, snr_db, l, printed):
 
 
 def _lower_bound_raw(cfg, snr_db, l, printed):
-    """1 - sf_W(2 delta+ gbar theta2') sf_B(2 delta+ theta1') for an impaired
+    """1 - sf_W(2 delta+ gbar theta4) sf_B(2 delta+ theta1) for an impaired
     config.  printed=True takes the typeset theta4' = gbar^2 sigma2_sr/2 + 1
     in place of gbar sigma2_sr/2 + 1."""
     g = 10.0 ** (snr_db / 10.0)
@@ -138,10 +138,10 @@ def _lower_bound_raw(cfg, snr_db, l, printed):
     m_sr, m_ru = int(cfg.m_sr), int(cfg.m_ru[0])
     theta4p = g**2 / 2 * stats.sigma2_sr + 1.0 if printed else th.thetap4
     sf_w = sf_relay_ratio(
-        2 * dd * g * th.thetap2, n_b=cfg.n_b, m_sr=m_sr, lam_sr=m_sr / stats.omega_hat_sr,
+        2 * dd * g * th.theta4, n_b=cfg.n_b, m_sr=m_sr, lam_sr=m_sr / stats.omega_hat_sr,
         m_rr=int(cfg.m_rr), omega_rr=stats.omega_rr, offset=theta4p / g,
     )
-    sf_b = float(sf_ordered_gain(2 * dd * th.thetap1, l, cfg.n_users, m_ru * cfg.n_r,
+    sf_b = float(sf_ordered_gain(2 * dd * th.theta1, l, cfg.n_users, m_ru * cfg.n_r,
                                  m_ru / stats.omega_hat_ru[l - 1]))
     f_w, f_b = 1.0 - sf_w, 1.0 - sf_b
     return f_w + f_b - f_w * f_b
@@ -694,10 +694,38 @@ class TestAsymptotics:
 
     def test_array_gain_equal_branch(self):
         cfg = replace(BASE, n_b=2, n_r=2, m_sr=2, m_rr=1, m_ru=(1, 1, 1), mu=0.5)
-        # (1-mu) m_sr n_b = 2 equals m_ru n_r l = 2 at l=1
-        g_eq = array_gain(cfg, 1)
-        xi1 = array_gain(replace(cfg, mu=0.625), 1)  # first branch smaller: 1.5 < 2
-        assert g_eq > xi1  # equal branch adds the second-hop gain
+        # (1-mu) m_sr n_b = 2 equals m_ru n_r l = 2 at l=1, so G_ag^-2 is
+        # the sum of both branches' constants: F_A's times E[C^4] = 4! (unit
+        # SI mean), and C(3, 1) (2 Lambda+ / omega_ru)^2 / 2!
+        lam = compute_deltas(cfg, 1.0).lambda_dag[0]
+        first = float(asymptotic_cdf_two_strongest_sum(2 * lam, 2, 2, 16.0)) * math.factorial(4)
+        second = 3 * (2 * lam / 16.0) ** 2 / 2
+        assert array_gain(cfg, 1) ** -2 == pytest.approx(first + second, rel=1e-12)
+
+    @pytest.mark.parametrize("cfg", [
+        replace(BASE, n_b=2, n_r=2, m_sr=2, m_ru=(1, 1, 1), mu=0.5),
+        replace(BASE, n_b=2, n_r=2, mu=0.5),
+        replace(BASE, n_b=3, mu=0.25),
+        replace(BASE, mu=0.0),
+        replace(BASE, n_b=3, n_r=2, m_sr=3, m_rr=2, m_ru=(3, 3, 3), mu=0.25),
+    ], ids=["tie", "first_hop", "second_hop", "mu0", "m3"])
+    def test_asymptote_is_the_array_gain_law(self, cfg):
+        # OP ~ (G_ag gbar)^(-G_do): at 160 dB the higher-order terms are
+        # gone, also where the branch orders tie and at mu = 0
+        for l in (1, 2, 3):
+            op = asymptotic_outage_ideal(cfg, 160.0, l).value
+            law = (array_gain(cfg, l) * 1e16) ** -diversity_order(cfg, l)
+            assert op / law == pytest.approx(1.0, abs=1e-3), l
+
+    def test_near_integer_shapes_take_the_integer_law(self):
+        # the closed forms read a shape within 1e-12 of an integer as it
+        near = 3 - 1e-13
+        cfg = replace(BASE, m_sr=near, m_rr=near, m_ru=(near,) * 3)
+        ref = replace(BASE, m_sr=3, m_rr=3, m_ru=(3, 3, 3))
+        for l in (1, 2, 3):
+            assert asymptotic_outage_ideal(cfg, 30.0, l).value == pytest.approx(
+                asymptotic_outage_ideal(ref, 30.0, l).value, rel=1e-12)
+            assert array_gain(cfg, l) == pytest.approx(array_gain(ref, l), rel=1e-12)
 
     def test_array_gain_rejects_floor_regime(self):
         with pytest.raises(ConfigError):

@@ -98,8 +98,7 @@ class TestTheta:
     def test_all_ones_under_ideal_conditions(self):
         st = derive_link_stats(BASE, 123.0)
         th = compute_theta(st, 123.0, 1)
-        for name in ("theta1", "theta2", "theta3", "theta4", "theta5",
-                     "thetap1", "thetap2", "thetap3", "thetap4"):
+        for name in ("theta1", "theta2", "theta3", "theta4", "theta5", "thetap4"):
             assert getattr(th, name) == pytest.approx(1.0, abs=1e-15), name
 
     def test_hand_computed_theta2(self):
@@ -178,6 +177,10 @@ class TestBaselineThresholds:
 
     def test_hd_equal_mode(self):
         assert map_baseline_thresholds(BASE, "hd_noma", "equal") == BASE.gamma_th
+
+    def test_hd_rule_defaults_to_equal(self):
+        # the same default as SweepSpec, simulate_sweep and the CLI
+        assert map_baseline_thresholds(BASE, "hd_noma") == BASE.gamma_th
 
     def test_unknown_baseline(self):
         with pytest.raises(ValueError):
