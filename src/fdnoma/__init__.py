@@ -10,7 +10,6 @@ validator.  The `fdnoma` CLI reproduces the reference figure datasets.
 """
 
 from .analytic import (
-    OutagePoint,
     asymptotic_outage_ideal,
     asymptotic_outage_practical,
     diversity_order,
@@ -20,7 +19,7 @@ from .analytic import (
 from .errors import ConfigError, FdnomaError, ImpairmentError, InfeasibleAllocationError, NumericsError
 from .mcsim import RngStream, simulate_baseline, simulate_outage
 from .presets import SweepSpec, figure_preset
-from .sysmodel import SystemConfig, load_config, loads_config, dump_config
+from .sysmodel import OutagePoint, SystemConfig, load_config, loads_config, dump_config
 
 __version__ = "0.1.0"
 

@@ -50,6 +50,7 @@ import numpy as np
 from .errors import ConfigError, FdnomaError, NumericsError
 from .specfn import _poly_power_exact, ln_bessel_k_int, poly_power_coeffs
 from .sysmodel import (
+    OutagePoint,
     SystemConfig,
     compute_deltas,
     compute_theta,
@@ -94,24 +95,6 @@ _DE_MAX_LEVEL = 8
 _DE_REL_TOL = 1e-10
 _DE_V_MAX = 700.0
 _DE_NEGLIGIBLE = 750.0
-
-
-@dataclass(frozen=True)
-class OutagePoint:
-    """One outage-probability evaluation.
-
-    ci is populated only by the Monte Carlo methods.  residual records the
-    pre-clamp overshoot of the closed-form sums (diagnostics only); floor
-    marks values that are SNR-independent by construction.
-    """
-
-    user: int
-    snr_db: float
-    value: float
-    method: str
-    ci: tuple[float, float] | None = None
-    residual: float = 0.0
-    floor: bool = False
 
 
 @dataclass(frozen=True)

@@ -23,18 +23,18 @@ from __future__ import annotations
 
 import math
 import operator
+import statistics
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
-from .analytic import OutagePoint
 from .errors import ConfigError, FdnomaError
 from .sysmodel import (
     HdRule,
     LinkStats,
+    OutagePoint,
     SystemConfig,
     ThetaSet,
     compute_deltas,
@@ -140,16 +140,22 @@ def _integer_at_least(value, low: int, name: str) -> int:
 
 
 def wilson_interval(successes: int, trials: int, conf: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval; preferred over Wald for small-probability tails."""
+    """Wilson score interval; preferred over Wald for small-probability tails.
+
+    Its ends are exactly 0 at no successes and exactly 1 at all trials, as
+    the score interval's are: rounding does not move them.
+    """
     if trials <= 0:
         raise ValueError("trials must be positive")
     _check_conf(conf)
-    z = float(ndtri(0.5 + conf / 2.0))
+    z = statistics.NormalDist().inv_cdf(0.5 + conf / 2.0)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == trials else min(1.0, center + half)
+    return (lo, hi)
 
 
 def _standard_gamma(rng: np.random.Generator, shape: float, out: np.ndarray) -> np.ndarray:

@@ -5,9 +5,6 @@ printed-variant arbitration against the simulator."""
 import itertools
 import json
 import math
-import os
-import subprocess
-import sys
 from dataclasses import replace
 from fractions import Fraction
 from math import comb, exp, fsum, lgamma, log
@@ -858,16 +855,6 @@ class TestPracticalFloorQuadrature:
         monkeypatch.setattr(analytic, "_DE_REL_TOL", 1e-12)
         tight = asymptotic_outage_practical(cfg, l).value
         assert loose == pytest.approx(tight, abs=1e-6)
-
-
-def test_import_leaves_scipy_integrate_unloaded():
-    """The package integrates with its own rule: importing it must not pull
-    in scipy's QUADPACK."""
-    src = Path(analytic.__file__).resolve().parents[1]
-    code = "import sys, fdnoma; print(any(m.startswith('scipy.integrate') for m in sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "False"
 
 
 def test_benchmark_reference_values():

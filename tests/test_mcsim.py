@@ -2,6 +2,7 @@
 
 import math
 import re
+import statistics
 import tracemalloc
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import ndtri
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import kstest
 
@@ -228,6 +230,36 @@ class TestWilson:
     def test_small_probability_stays_positive(self):
         lo, hi = wilson_interval(0, 10_000, conf=0.99)
         assert lo == 0.0 and 0.0 < hi < 1e-3
+
+    @pytest.mark.parametrize("trials", [1, 2, 7, 100, 10_000, 1_000_000, 10**9])
+    @pytest.mark.parametrize("conf", [0.5, 0.9, 0.95, 0.99, 0.999, 1 - 1e-9])
+    def test_ends_exact_at_no_and_all_successes(self, trials, conf):
+        lo, hi = wilson_interval(0, trials, conf)
+        assert lo == 0.0 and 0.0 < hi < 1.0
+        lo, hi = wilson_interval(trials, trials, conf)
+        assert 0.0 < lo < 1.0 and hi == 1.0
+
+    def test_z_is_the_normal_quantile(self):
+        # the interval's z, statistics.NormalDist's quantile, against the
+        # 40-digit quantile and against scipy's ndtri (each within 3.7 ulp of
+        # the exact value on this grid, so within 8 of each other)
+        mp = pytest.importorskip("mpmath")
+        conf = np.concatenate([np.linspace(0.5, 0.999, 500), 1.0 - np.geomspace(1e-3, 1e-9, 200)])
+        p = 0.5 + conf / 2.0
+        z = np.array([statistics.NormalDist().inv_cdf(pi) for pi in p])
+        with mp.workdps(40):
+            exact = np.array([float(mp.sqrt(2) * mp.erfinv(2 * mp.mpf(pi) - 1)) for pi in p])
+        assert np.all(np.abs(z - exact) <= 4 * np.spacing(exact))
+        assert np.all(np.abs(z - ndtri(p)) <= 8 * np.spacing(exact))
+
+    def test_interval_is_the_score_interval(self):
+        # a transcription of the Wilson score interval with scipy's z
+        for k, n, conf in ((37, 1000, 0.95), (1, 20_000, 0.99), (19_999, 20_000, 0.9)):
+            z = ndtri(0.5 + conf / 2.0)
+            centre = (k + z * z / 2) / (n + z * z)
+            half = z * math.sqrt(k * (n - k) / n + z * z / 4) / (n + z * z)
+            assert wilson_interval(k, n, conf) == pytest.approx((centre - half, centre + half),
+                                                                rel=1e-13)
 
     @pytest.mark.parametrize("conf", [1.0, 1.5, -1.0, 0.0, float("nan")])
     def test_confidence_outside_unit_interval_rejected(self, conf):

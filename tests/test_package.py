@@ -1,8 +1,12 @@
-"""Public surface of the package: every exported name resolves, and the
-Monte Carlo engine stays independent of the closed forms."""
+"""Public surface of the package: every exported name resolves, the
+Monte Carlo engine stays independent of the closed forms, and the runtime
+needs no scipy."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,9 +41,23 @@ def _analytic_imports(tree):
                 yield from ("*" for a in node.names if a.name == "analytic")
 
 
-def test_mcsim_takes_only_outage_point_from_analytic():
+def test_mcsim_imports_nothing_from_analytic():
     planted = "from .analytic import exact_outage\nfrom . import analytic\nimport fdnoma.analytic\n"
     assert list(_analytic_imports(ast.parse(planted))) == ["exact_outage", "*", "*"]
     mcsim = importlib.import_module("fdnoma.mcsim")
     tree = ast.parse(Path(mcsim.__file__).read_text(encoding="utf-8"))
-    assert set(_analytic_imports(tree)) <= {"OutagePoint"}
+    assert list(_analytic_imports(tree)) == []
+
+
+def test_runtime_loads_no_scipy():
+    """Importing the package and its CLI, and one validate run through both
+    engines, load no scipy module in a fresh interpreter."""
+    src = Path(importlib.import_module("fdnoma").__file__).resolve().parents[1]
+    code = (
+        "import sys, fdnoma, fdnoma.cli\n"
+        "fdnoma.cli.validate(fdnoma.SystemConfig(), (10.0,), trials=10_000)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"

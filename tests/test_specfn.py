@@ -81,11 +81,62 @@ class TestBesselK:
             ln_bessel_k_int(v, np.array([[1.0, 0.0]]))
 
     def test_log_variant_asymptotic_branch(self):
-        # continuity across the kve -> expansion switch at 1e8
+        # the large-x law K_v(x) ~ sqrt(pi/2x) e^-x across 1e8
         lo = ln_bessel_k_int(2, 0.999e8)
         hi = ln_bessel_k_int(2, 1.001e8)
         expected = lo - (1.001e8 - 0.999e8) - 0.5 * math.log(1.001 / 0.999)
         assert hi == pytest.approx(expected, rel=1e-9)
+
+
+# arguments of the 40-digit check: a log grid over 1e-3..1e12 and one ulp
+# either side of 1 and 8 (where the rules switch) and of 1e8
+_ORACLE_X = sorted({*np.geomspace(1e-3, 1e12, 25).tolist(),
+                    *(f(edge) for edge in (1.0, 8.0, 1e8)
+                      for f in (lambda e: e, lambda e: math.nextafter(e, 0.0),
+                                lambda e: math.nextafter(e, math.inf)))})
+
+
+class TestBesselKMethod:
+    """The numpy-only evaluation of log K_v: its accuracy against mpmath,
+    its independence of the batch, and its domain."""
+
+    def test_forty_digit_oracle(self):
+        mp = pytest.importorskip("mpmath")
+        x = np.array(_ORACLE_X)
+        worst = 0.0
+        with mp.workdps(40):
+            for v in range(31):
+                got = ln_bessel_k_int(np.full(x.shape, float(v)), x)
+                for xi, gi in zip(_ORACLE_X, got):
+                    ref = mp.log(mp.besselk(v, mp.mpf(xi)))
+                    # relative where |log K| > 1, absolute elsewhere
+                    err = abs(float(mp.mpf(gi) - ref)) / max(1.0, abs(float(ref)))
+                    assert err <= 4e-15, (v, xi, float(ref), gi)
+                    worst = max(worst, err)
+        assert worst > 0.0  # the comparison is live
+
+    def test_each_value_independent_of_its_batch(self):
+        rng = np.random.default_rng(11)
+        x = np.concatenate([np.exp(rng.uniform(math.log(1e-4), math.log(1e10), 400)),
+                            [1.0, 8.0, math.nextafter(1.0, 2.0), math.nextafter(8.0, 9.0)]])
+        v = rng.integers(-9, 31, len(x)).astype(float)
+        batch = ln_bessel_k_int(v, x)
+        alone = np.array([ln_bessel_k_int(v[i:i + 1], x[i:i + 1])[0] for i in range(len(x))])
+        assert np.array_equal(batch, alone)
+        # a reordered, smaller batch with a single rule and a single order
+        part = np.flatnonzero(x > 8.0)[::-1]
+        assert np.array_equal(ln_bessel_k_int(v[part], x[part]), batch[part])
+        assert np.array_equal(ln_bessel_k_int(7, x), ln_bessel_k_int(np.full(x.shape, 7.0), x))
+
+    def test_scalars_and_empty_batches(self):
+        assert isinstance(ln_bessel_k_int(2, 3.0), float)
+        assert ln_bessel_k_int(np.array(2.0), np.array(3.0)) == ln_bessel_k_int(2, 3.0)
+        assert ln_bessel_k_int(np.zeros((0, 3)), np.ones((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_non_positive_or_non_finite_argument_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite x > 0"):
+            ln_bessel_k_int(np.array([1.0, 2.0]), np.array([0.5, bad]))
 
 
 class TestPolyPowerCoeffs:

@@ -5,10 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import j0
 
 from fdnoma.errors import ConfigError, ImpairmentError, InfeasibleAllocationError
 from fdnoma.sysmodel import (
     SystemConfig,
+    _bessel_j0,
+    _correlation,
     compute_deltas,
     compute_theta,
     derive_link_stats,
@@ -87,11 +90,44 @@ class TestLinkStats:
     def test_combined_variance(self):
         cfg = replace(BASE, sigma2_est_sr=0.01, fd_tau_sr=0.03)
         st = derive_link_stats(cfg, 10.0)
-        from scipy.special import j0
-
         rho = j0(2 * math.pi * 0.03)
         assert st.rho_sr == pytest.approx(rho)
         assert st.sigma2_sr == pytest.approx(0.01 + (1 - rho**2) * (16.0 - 0.01))
+
+
+class TestCorrelation:
+    """J_0 by the trapezoid rule (and the Hankel expansion beyond x = 1000)
+    against scipy's j0 and mpmath, and the feedback-delay correlation's
+    accepted set."""
+
+    def test_j0_matches_scipy_to_rounding(self):
+        x = np.linspace(0.0, 20.0, 4001)
+        got = np.array([_bessel_j0(float(xi)) for xi in x])
+        assert np.max(np.abs(got - j0(x))) <= 1e-15
+
+    def test_j0_far_argument_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        x = [800.0, 999.9, 1000.0, math.nextafter(1000.0, 2000.0), 1234.5, 1e5, 3.3e7, 1e12]
+        with mp.workdps(30):
+            for xi in x:
+                # J_0 falls as sqrt(2 / (pi x)); the error is judged on that scale
+                err = abs(_bessel_j0(xi) - float(mp.besselj(0, xi))) * math.sqrt(xi)
+                assert err <= 5e-14, xi
+
+    def test_accepted_fd_tau_set_matches_scipy(self):
+        fd_tau = np.linspace(0.0, 1.5, 3001)
+        accepted = []
+        for f in fd_tau:
+            try:
+                _correlation(float(f), "fd_tau_sr")
+                accepted.append(True)
+            except ImpairmentError:
+                accepted.append(False)
+        accepted = np.array(accepted)
+        assert np.array_equal(accepted, j0(2 * math.pi * fd_tau) > 0)
+        # the grid covers the first zero and the positive lobe beyond the second
+        assert not accepted[(fd_tau > 0.39) & (fd_tau < 0.87)].any()
+        assert accepted[(fd_tau > 0.88) & (fd_tau < 1.37)].all()
 
 
 class TestTheta:
