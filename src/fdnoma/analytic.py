@@ -95,6 +95,11 @@ _DE_MAX_LEVEL = 8
 _DE_REL_TOL = 1e-10
 _DE_V_MAX = 700.0
 _DE_NEGLIGIBLE = 750.0
+# Nodes per evaluation of an integrand: each level after the first is taken
+# in slices of this many nodes (level 0, 19 nodes that set each row's peak,
+# is taken whole).  It is fixed, not derived from the row count, so that a
+# row adds the same slices in the same order in a batch of any size.
+_DE_SLICE = 64
 
 
 @dataclass(frozen=True)
@@ -131,8 +136,9 @@ def _de_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _phi_log_integrand(rows: np.ndarray):
     """log_integrand of _de_log_integrals for a (n, 6) table of Phi rows:
-    the log of each row's integrand (times dz/dt) at the nodes of one
-    level, -inf where it lies below the row's floor.
+    for rows idx, the function that gives the log of each row's integrand
+    (times dz/dt) at some nodes of one level, -inf where it lies below the
+    row's floor.
 
     rows holds (z_power, pi_power, pi_shift, decay, bessel_coeff, order).
     With v = log(1 + z/pi_shift) = v_c exp(pi/2 sinh t), centred at
@@ -142,66 +148,71 @@ def _phi_log_integrand(rows: np.ndarray):
     The rows of one group (the same pi_shift, decay and bessel_coeff)
     share the nodes v and the Bessel argument, so these are computed once
     per group; the rows of one series (group and order) share the Bessel
-    values, taken once at the nodes live for any of its rows.  Each row's
-    value comes from the same elementwise operations, in the same order,
-    as for the row alone.
+    values, taken once at the nodes live for any of its rows.  What
+    depends only on the rows (the groups and series of rows idx, their
+    logs, the Bessel bound at z = 0) is computed once per call or per
+    level, not per slice of nodes.  Each row's value comes from the same
+    elementwise operations, in the same order, as for the row alone.
     """
     params, group = np.unique(rows[:, 2:5], axis=0, return_inverse=True)
     keys, series = np.unique(np.column_stack([group.ravel(), rows[:, 5]]), axis=0,
                              return_inverse=True)
     group, series = group.ravel(), series.ravel()
     series_group, series_order = keys[:, 0].astype(np.intp), keys[:, 1:2]
+    # K_nu falls with its argument, so its value at z = 0 bounds every node
+    x_min = 2.0 * np.sqrt(params[:, 2:3] * params[:, 0:1])
+    k_bound = ln_bessel_k_int(series_order, x_min[series_group])
 
-    def log_integrand(idx, sinh_t, log_cosh_t, floor):
+    def on_rows(idx):
         gids, g = np.unique(group[idx], return_inverse=True)
         sids, sr = np.unique(series[idx], return_inverse=True)
-        s, c, beta = (params[gids, i:i + 1] for i in range(3))
+        s, c = params[gids, 0:1], params[gids, 1:2]
         log_s = np.log(s)
         v_c = np.log1p(np.maximum(1.0 / c, s) / s)
-        v = v_c * np.exp(sinh_t)
-        em = np.expm1(np.minimum(v, _DE_V_MAX))
-        # lg is built in place, with t for the gathered group terms; a*x and
-        # x*a are the same product
-        lg = np.take(log_s + np.log(em), g, axis=0)
-        lg *= rows[idx, 0:1]
-        t = np.take(log_s + v, g, axis=0)
-        t *= rows[idx, 1:2]
-        lg += t
-        lg -= np.take(c * s * em, g, axis=0, out=t)
-        lg += log_s[g]
-        lg += np.take(v, g, axis=0, out=t)  # dz/dv
-        lg += np.log(v_c)[g]  # dv/dt
-        lg += sinh_t
-        lg += log_cosh_t
-        # K_nu falls with its argument, so its value at z = 0 bounds every node
-        x_min = 2.0 * np.sqrt(beta * s)
+        cs = c * s
+        x_g = x_min[gids]
+        z_power, pi_power = rows[idx, 0:1], rows[idx, 1:2]
+        log_s_g, log_v_c_g = log_s[g], np.log(v_c)[g]
+        bound = k_bound[series[idx]]
         sg = np.searchsorted(gids, series_group[sids])
         nu = series_order[sids]
-        live = np.add(lg, ln_bessel_k_int(nu, x_min[sg])[sr], out=t) > floor
-        live &= (v < _DE_V_MAX)[g]
         by_series = np.argsort(sr, kind="stable")
         starts = np.flatnonzero(np.diff(sr[by_series], prepend=-1))
-        live_s = np.logical_or.reduceat(live[by_series], starts, axis=0)
-        k = np.zeros(live_s.shape)
-        k[live_s] = ln_bessel_k_int(np.broadcast_to(nu, live_s.shape)[live_s],
-                                    (x_min * np.exp(0.5 * v))[sg][live_s])
-        lg += np.take(k, sr, axis=0, out=t)
-        lg[~live] = -np.inf
-        return lg
 
-    return log_integrand
+        def log_integrand(sinh_t, log_cosh_t, floor):
+            v = v_c * np.exp(sinh_t)
+            em = np.expm1(np.minimum(v, _DE_V_MAX))
+            # lg is built in place, with t for the gathered group terms; a*x
+            # and x*a are the same product
+            lg = np.take(log_s + np.log(em), g, axis=0)
+            lg *= z_power
+            t = np.take(log_s + v, g, axis=0)
+            t *= pi_power
+            lg += t
+            lg -= np.take(cs * em, g, axis=0, out=t)
+            lg += log_s_g
+            lg += np.take(v, g, axis=0, out=t)  # dz/dv
+            lg += log_v_c_g  # dv/dt
+            lg += sinh_t
+            lg += log_cosh_t
+            live = np.add(lg, bound, out=t) > floor
+            live &= (v < _DE_V_MAX)[g]
+            live_s = np.logical_or.reduceat(live[by_series], starts, axis=0)
+            k = np.zeros(live_s.shape)
+            k[live_s] = ln_bessel_k_int(np.broadcast_to(nu, live_s.shape)[live_s],
+                                        (x_g * np.exp(0.5 * v))[sg][live_s])
+            lg += np.take(k, sr, axis=0, out=t)
+            lg[~live] = -np.inf
+            return lg
+
+        return log_integrand
+
+    return on_rows
 
 
 def _log_positive(x) -> np.ndarray:
     """log x, and -inf where x rounds to <= 0 (or is NaN)."""
     return np.log(np.where(x > 0, x, 0.0))
-
-
-def _log_sum_exp(lg: np.ndarray) -> np.ndarray:
-    top = lg.max(axis=1)
-    top = np.where(top > -np.inf, top, 0.0)
-    e = lg - top[:, None]
-    return top + np.log(np.sum(np.exp(e, out=e), axis=1))
 
 
 class _FailedRows(NumericsError):
@@ -219,41 +230,61 @@ class _FailedRows(NumericsError):
 def _de_log_integrals(n: int, log_integrand, failed) -> np.ndarray:
     """log of n integrals on the exp-sinh nodes, all rows in one pass.
 
-    log_integrand(idx, sinh_t, log_cosh_t, floor) gives the log of rows
-    idx's integrands times their Jacobian in t at the nodes of one level;
-    it may give -inf at a node below the row's floor, since such a node
-    adds exactly 0.0.  Each row halves its step on its own, reusing the
-    nodes it has, until two levels agree to _DE_REL_TOL; the arithmetic of
-    a row never depends on the other rows.  A row that fails leaves the
-    pass, and the others go on; if any failed, _FailedRows is raised at
-    the end.  failed(i) opens row i's message.
+    log_integrand(idx) readies rows idx (again only when rows leave the
+    pass) and returns f: f(sinh_t, log_cosh_t, floor) gives the log of
+    those rows' integrands times their Jacobian in t at the given nodes,
+    floor being each row's (len(idx), 1) floor; it may give -inf at a node
+    below the floor, since such a node adds exactly 0.0.
+
+    Each row keeps a running sum of exp(lg - top), top being its level-0
+    peak, and halves its step on its own, reusing the sum it has, until two
+    levels agree to _DE_REL_TOL.  Level 0 is evaluated whole, each later
+    level in slices of _DE_SLICE nodes, so a pass holds rows x _DE_SLICE
+    values at a time, and a row adds the same slices in the same order in
+    any batch: the arithmetic of a row never depends on the other rows.
+    A row that fails leaves the pass, and the others go on; if any failed,
+    _FailedRows is raised at the end.  failed(i) opens row i's message.
     """
     out = np.empty(n)
     failures: list[tuple[int, int, str]] = []
     active = np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lg = log_integrand(active, *_de_nodes(0), -np.inf)
-        prev = _log_sum_exp(lg) + log(_DE_STEP)
+        f = log_integrand(active)
+        lg = f(*_de_nodes(0), -np.inf)
+        top = lg.max(axis=1)
+        # the span must hold the integral: each end node carries less than
+        # _DE_REL_TOL of it
+        ends = np.maximum(lg[:, 0], lg[:, -1])
         # a node this far below the row's level-0 peak adds exactly 0.0 to
         # the rescaled sum, so it is not evaluated
-        floor = lg.max(axis=1, keepdims=True) - _DE_NEGLIGIBLE
+        floor = top[:, None] - _DE_NEGLIGIBLE
+        top = np.where(top > -np.inf, top, 0.0)
+        lg -= top[:, None]
+        total = np.sum(np.exp(lg, out=lg), axis=1)
+        prev = top + np.log(total) + log(_DE_STEP)
         for level in range(1, _DE_MAX_LEVEL + 1):
             if not len(active):
                 break
-            new = log_integrand(active, *_de_nodes(level), floor)
-            lg = np.concatenate([lg, new], axis=1)
-            cur = _log_sum_exp(lg) + log(_DE_STEP / 2**level)
+            sinh_t, log_cosh_t = _de_nodes(level)
+            for lo in range(0, len(sinh_t), _DE_SLICE):
+                lg = f(sinh_t[lo:lo + _DE_SLICE], log_cosh_t[lo:lo + _DE_SLICE], floor)
+                lg -= top[:, None]
+                total += np.sum(np.exp(lg, out=lg), axis=1)
+            cur = top + np.log(total) + log(_DE_STEP / 2**level)
             done = (cur == prev) | (np.abs(np.expm1(prev - cur)) <= _DE_REL_TOL)
-            # the span must hold the integral: each end node carries less
-            # than _DE_REL_TOL of it
-            ends = np.maximum(lg[:, 0], lg[:, len(_de_nodes(0)[0]) - 1])
             cut = done & (ends - cur > log(_DE_REL_TOL))
             failures += [(level, i, f"{failed(i)}: the integrand does not decay within the node span")
                          for i in active[cut]]
             out[active[cut]] = np.nan
             ok = done & ~cut
             out[active[ok]] = cur[ok]
-            active, lg, prev, floor = active[~done], lg[~done], cur[~done], floor[~done]
+            prev = cur
+            if done.any():
+                left = ~done
+                active, prev, top, total, floor, ends = (
+                    a[left] for a in (active, cur, top, total, floor, ends))
+                if len(active):
+                    f = log_integrand(active)
     failures += [(_DE_MAX_LEVEL + 1, i, f"{failed(i)}: no two levels agreed to {_DE_REL_TOL:g} "
                   f"by step {_DE_STEP / 2**_DE_MAX_LEVEL:g}") for i in active]
     if failures:
@@ -559,12 +590,14 @@ def _sum_table(n_b: int, m_sr: int, big_m: int, n_users: int, l: int) -> _SumTab
 
 
 # Phi rows per phi_integral_log_rows call of exact_outage_sweep.  A call
-# keeps every node of each row it holds, so its memory grows with its
-# rows; taken in group order, the rows of a call share Bessel values about
-# as well as in one uncapped call.  On a 2-core VM: the fig7 exact values
-# 0.64 s at 62 MB peak RSS (1024 rows: 0.62 s, 76 MB), and the m=4, n_b=3,
-# n_r=2 sweep over 10:40:10 dB 2.8 s at 105 MB (1024 rows: 3.0 s, 122 MB).
-# Values do not depend on it.
+# holds its rows' values at one slice of _DE_SLICE nodes at a time, not
+# every node of its rows, so its memory grows with its rows by ~8 KB each;
+# taken in group order, the rows of a call share Bessel values about as
+# well as in one uncapped call.  On a 2-core VM, the exact sweep alone in a
+# fresh process: fig7's values 0.45-0.55 s at 36 MB peak RSS (1024 rows:
+# 0.33-0.40 s, 38 MB), and the m=4, n_b=3, n_r=2 sweep over 10:40:10 dB
+# 2.4-3.0 s at 80 MB (1024 rows: 2.0-2.3 s, 80 MB).  Values do not depend
+# on it.
 _PHI_ROW_CAP = 256
 
 
@@ -879,15 +912,19 @@ def asymptotic_outage_practical(cfg: SystemConfig, l: int) -> OutagePoint:
         """log of int_0^inf sf_A(arg(u, z)) f_B(u + tau_b) du per SI gain z,
         in u = u_c exp(pi/2 sinh t)."""
 
-        def log_integrand(idx, sinh_t, log_cosh_t, floor):
-            u = u_c * np.exp(sinh_t)
-            y = u + tau_b
+        def log_integrand(idx):
             zz = z[idx, None]
-            arg = 2.0 * lam_dag * (th2_t * y + th3_t * zz + th4 * y * zz + th5_t) / u
-            # both factors are nonnegative: one that rounds to <= 0 is zero
-            return (_log_positive(sf_two_strongest_sum(arg, n_b, m_sr, lam_s))
-                    + _log_positive(pdf_ordered_gain(y, l, L, big_m, lam_b))
-                    + log(u_c) + sinh_t + log_cosh_t)
+
+            def at(sinh_t, log_cosh_t, floor):
+                u = u_c * np.exp(sinh_t)
+                y = u + tau_b
+                arg = 2.0 * lam_dag * (th2_t * y + th3_t * zz + th4 * y * zz + th5_t) / u
+                # both factors are nonnegative: one that rounds to <= 0 is zero
+                return (_log_positive(sf_two_strongest_sum(arg, n_b, m_sr, lam_s))
+                        + _log_positive(pdf_ordered_gain(y, l, L, big_m, lam_b))
+                        + log(u_c) + sinh_t + log_cosh_t)
+
+            return at
 
         return _de_log_integrals(len(z), log_integrand,
                                  lambda i: f"floor quadrature failed for SI gain {z[i]:g}")
@@ -898,7 +935,7 @@ def asymptotic_outage_practical(cfg: SystemConfig, l: int) -> OutagePoint:
         # the SI average in z = omega_rr exp(pi/2 sinh t), centred at its mean
         rate_c = m_rr / stats.omega_rr
 
-        def log_outer(idx, sinh_t, log_cosh_t, floor):
+        def log_outer(sinh_t, log_cosh_t, floor):
             z = stats.omega_rr * np.exp(sinh_t)
             lg = (m_rr * (log(m_rr) + sinh_t) - rate_c * z - lgamma(m_rr) + log_cosh_t)[None]
             # arg >= 2 lam_dag (th2 + th4 z) at every u, so the Gamma density
@@ -911,6 +948,6 @@ def asymptotic_outage_practical(cfg: SystemConfig, l: int) -> OutagePoint:
             out[live] = lg[live] + log_survive(z[live[0]])
             return out
 
-        survive = exp(_de_log_integrals(1, log_outer,
+        survive = exp(_de_log_integrals(1, lambda idx: log_outer,
                                         lambda i: "floor quadrature failed for the SI average")[0])
     return _clamped_point(1.0 - survive, l, math.inf, "asymptotic_practical", floor=True)

@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .sysmodel import SystemConfig
 
 __all__ = [
-    "Method", "METHODS", "methods_of", "AXES", "linear_grid",
+    "Method", "METHODS", "methods_of", "AXES", "MAX_GRID_POINTS", "linear_grid",
     "SweepSpec", "PresetVariant", "figure_preset", "PRESET_NAMES",
 ]
 
@@ -72,19 +72,27 @@ AXES: dict[str, Callable[[SystemConfig, float], SystemConfig]] = {
 }
 
 
+# Points a grid may hold.  The preset grids hold at most 17, and a sweep
+# costs at least a full set of Phi quadratures per exact point, so a grid
+# past this is a typo (a step of 1e-7 dB), not a sweep to run.
+MAX_GRID_POINTS = 100_000
+
+
 def linear_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     """start, start + step, ... up to stop (with 1e-9 slack), each rounded
-    to 12 decimals."""
+    to 12 decimals; at most MAX_GRID_POINTS points, counted before any is
+    made."""
     if not all(math.isfinite(x) for x in (start, stop, step)):
         raise ConfigError(f"grid bounds must be finite, got {start}:{stop}:{step}")
     if step <= 0 or stop < start:
         raise ConfigError(f"grid must be an increasing range, got {start}:{stop}:{step}")
-    out = []
-    k = 0
-    while start + k * step <= stop + 1e-9:
-        out.append(round(start + k * step, 12))
-        k += 1
-    return tuple(out)
+    # the last index k with start + k step <= stop + 1e-9, to within rounding
+    last = (stop + 1e-9 - start) / step
+    if not last < MAX_GRID_POINTS:
+        raise ConfigError(f"grid {start}:{stop}:{step} has {last + 1:.6g} points, "
+                          f"more than the {MAX_GRID_POINTS} a sweep takes")
+    return tuple(round(start + k * step, 12) for k in range(math.floor(last) + 2)
+                 if start + k * step <= stop + 1e-9)
 
 
 @dataclass(frozen=True)

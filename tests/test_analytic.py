@@ -5,6 +5,7 @@ printed-variant arbitration against the simulator."""
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from math import comb, exp, fsum, lgamma, log
@@ -262,6 +263,48 @@ class TestPhiIntegral:
         alone = [phi_integral_log(term) for term in terms]
         assert list(analytic.phi_integral_log_rows(self._rows(terms))) == alone
         assert list(analytic.phi_integral_log_rows(self._rows(terms[::-1]))) == alone[::-1]
+
+    @staticmethod
+    def _fig11_rows():
+        """fig11 nb4_nr1's Phi rows in the order exact_outage_sweep takes them."""
+        (v,) = figure_preset("fig11:nb4_nr1")
+        rows = np.concatenate([analytic._exact_plan(*v.sweep.point(v.config, x), l, None).rows
+                               for x in v.sweep.grid for l in v.sweep.users])
+        return rows[np.lexsort(rows[:, 5:1:-1].T)]
+
+    def test_value_does_not_depend_on_the_slices(self, monkeypatch):
+        # rows that converge at level 4 or later, so that the levels they
+        # run span several slices of nodes; a row adds the same slices in
+        # the same order in a batch of any size and order
+        rows = np.concatenate([self._fig11_rows()[::17],
+                               self._rows([self.ORACLE_TERMS[i] for i in (0, 1, 2, 3, 5)])])
+        assert len(analytic._de_nodes(4)[0]) > 2 * analytic._DE_SLICE
+        alone = [analytic.phi_integral_log_rows(rows[i:i + 1])[0] for i in range(len(rows))]
+        perm = np.random.default_rng(5).permutation(len(rows))
+        for size in (2, 3, 16, len(rows)):
+            for order in (np.arange(len(rows)), perm, perm[::-1]):
+                got = np.empty(len(rows))
+                for lo in range(0, len(rows), size):
+                    part = order[lo:lo + size]
+                    got[part] = analytic.phi_integral_log_rows(rows[part])
+                assert list(got) == alone, (size, order[:3])
+        # no row converges by level 3
+        monkeypatch.setattr(analytic, "_DE_MAX_LEVEL", 3)
+        with pytest.raises(analytic._FailedRows) as exc:
+            analytic.phi_integral_log_rows(rows)
+        assert sorted(i for _, i, _ in exc.value.failures) == list(range(len(rows)))
+
+    def test_phi_pass_memory_is_bounded(self):
+        # a call holds rows x _DE_SLICE values at a time, not every node of
+        # its rows
+        rows = self._fig11_rows()[:analytic._PHI_ROW_CAP]
+        tracemalloc.start()
+        try:
+            analytic.phi_integral_log_rows(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
     def test_failed_row_leaves_the_others(self):
         bad = PhiTerm(z_power=0.0, pi_power=0.5, pi_shift=1.0, decay=1e40, bessel_coeff=1.0,

@@ -9,9 +9,10 @@ import pytest
 
 import fdnoma.analytic as analytic
 import fdnoma.mcsim as mcsim
+import fdnoma.presets as presets
 from fdnoma.analytic import OutagePoint
 from fdnoma.cli import main, run_sweep, validate
-from fdnoma.presets import PRESET_NAMES, SweepSpec, figure_preset
+from fdnoma.presets import MAX_GRID_POINTS, PRESET_NAMES, SweepSpec, figure_preset, linear_grid
 from fdnoma.errors import ConfigError, NumericsError
 from fdnoma.sysmodel import SystemConfig, dump_config, loads_config
 
@@ -274,6 +275,22 @@ class TestPresets:
                 g = v.sweep.grid
                 assert all(a < b for a, b in zip(g, g[1:]))
 
+    @pytest.mark.parametrize("stop,step", [(40.0, 1e-7), (1e300, 1.0), (1e308, 1e-300)])
+    def test_oversized_grid_is_rejected_before_it_is_built(self, stop, step, monkeypatch):
+        # the count comes first: not one point is made
+        def no_point(*args):
+            raise AssertionError("a grid point was made")
+
+        monkeypatch.setattr(presets, "round", no_point, raising=False)
+        with pytest.raises(ConfigError, match=f"more than the {MAX_GRID_POINTS} a sweep takes"):
+            linear_grid(0.0, stop, step)
+
+    def test_grid_of_the_maximum_size_is_built(self):
+        grid = linear_grid(0.0, MAX_GRID_POINTS - 1.0, 1.0)
+        assert len(grid) == MAX_GRID_POINTS and grid[-1] == MAX_GRID_POINTS - 1
+        with pytest.raises(ConfigError, match=f"has {MAX_GRID_POINTS + 1} points"):
+            linear_grid(0.0, float(MAX_GRID_POINTS), 1.0)
+
     def test_fig4_outage_improves_with_si_cancellation(self):
         # across the fig4 curve families, OP is nondecreasing in mu at any
         # fixed point of the grid
@@ -418,6 +435,20 @@ class TestValidate:
         assert code == 3 and captured.out == ""
         assert captured.err == "fdnoma: numeric failure: no value at 10.0 dB\n"
 
+    def test_empty_grid_is_rejected(self):
+        with pytest.raises(ConfigError, match=r"at least one grid point, got \(\)"):
+            validate(BASE, (), trials=10_000)
+
+    @pytest.mark.parametrize("conf", [0.0, -1.0, 1.0, 1.5, float("nan")])
+    def test_confidence_outside_the_unit_interval_is_rejected(self, conf, monkeypatch):
+        # checked at entry, and named as given, not as the per-line level
+        def no_point(*args, **kwargs):
+            raise AssertionError("a grid point was evaluated")
+
+        monkeypatch.setattr(mcsim, "simulate_outage_all", no_point)
+        with pytest.raises(ValueError, match=rf"must lie in \(0, 1\), got {conf!r}$"):
+            validate(BASE, (10.0,), trials=10_000, conf=conf)
+
     def test_slope_check_runs_on_wide_ideal_grid(self):
         lines, ok = validate(BASE, (25.0, 30.0, 35.0), trials=50_000, seed=3)
         assert any(l.check == "high_snr_slope" for l in lines)
@@ -444,6 +475,13 @@ class TestMainExitCodes:
     def test_non_finite_grid_is_exit_2(self, grid, capsys):
         assert main(["analyze", f"--grid={grid}"]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_oversized_grid_is_exit_2(self, capsys):
+        assert main(["analyze", "--grid", "0:40:1e-7", "--methods", "exact"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("fdnoma: config error: grid 0.0:40.0:1e-07 has 4e+08 points, "
+                                f"more than the {MAX_GRID_POINTS} a sweep takes\n")
 
     @pytest.mark.parametrize("flag", [["--users", "1"], ["--timings"]], ids=["users", "timings"])
     def test_validate_rejects_the_sweep_only_flags(self, flag, capsys):
