@@ -4,22 +4,18 @@ Alamouti coding and MRC reception, over Nakagami-m fading with channel
 estimation error and feedback delay.
 
 Two independent engines compute the per-user outage probability: the
-closed-form analysis (exact single-integral form, lower bounds, high-SNR
-asymptotics) and a Monte Carlo simulator, plus a symbol-level waveform
-validator.  The `fdnoma` CLI reproduces the reference figure datasets.
+closed-form analysis (`fdnoma.analytic`: exact single-integral form, lower
+bounds, high-SNR asymptotics) and a Monte Carlo simulator (`fdnoma.mcsim`).
+The `fdnoma` CLI drives both and reproduces the reference figure datasets.
+
+Only the exceptions are imported with the package.  Every other public
+name loads its module on first access (PEP 562), so `import fdnoma` loads
+no numpy and `import fdnoma.mcsim` does not load the closed-form engine.
 """
 
-from .analytic import (
-    asymptotic_outage_ideal,
-    asymptotic_outage_practical,
-    diversity_order,
-    exact_outage,
-    lower_bound_outage,
-)
+import importlib
+
 from .errors import ConfigError, FdnomaError, ImpairmentError, InfeasibleAllocationError, NumericsError
-from .mcsim import RngStream, simulate_baseline, simulate_outage
-from .presets import SweepSpec, figure_preset
-from .sysmodel import OutagePoint, SystemConfig, load_config, loads_config, dump_config
 
 __version__ = "0.1.0"
 
@@ -46,3 +42,32 @@ __all__ = [
     "NumericsError",
     "__version__",
 ]
+
+# public name -> the submodule that defines it
+_HOMES = {
+    "SystemConfig": "sysmodel",
+    "OutagePoint": "sysmodel",
+    "load_config": "sysmodel",
+    "loads_config": "sysmodel",
+    "dump_config": "sysmodel",
+    "SweepSpec": "presets",
+    "figure_preset": "presets",
+    "RngStream": "mcsim",
+    "simulate_outage": "mcsim",
+    "simulate_baseline": "mcsim",
+    "exact_outage": "analytic",
+    "lower_bound_outage": "analytic",
+    "asymptotic_outage_ideal": "analytic",
+    "asymptotic_outage_practical": "analytic",
+    "diversity_order": "analytic",
+}
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines a public name on its first access,
+    and keep the name as a module global."""
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -52,6 +52,7 @@ from .specfn import _poly_power_exact, ln_bessel_k_int, poly_power_coeffs
 from .sysmodel import (
     OutagePoint,
     SystemConfig,
+    check_user,
     compute_deltas,
     compute_theta,
     derive_link_stats,
@@ -455,6 +456,7 @@ def _order_weights(l: int, n_users: int) -> list[tuple[int, int]]:
     """(p, w_p) for each nonzero w_p: the l-th of L i.i.d. gains has pdf
     f sum_p w_p S^p, f and S one gain's pdf and sf (David & Nagaraja, Order
     Statistics, 2003, sec. 2.1); w_p is summed exactly over k."""
+    check_user(l, n_users)
     q_l = math.factorial(n_users) // (math.factorial(n_users - l) * math.factorial(l - 1))
     weights = ((p, q_l * sum((-1) ** (k + p) * comb(n_users - l, k) * comb(l + k - 1, p)
                              for k in range(n_users - l + 1))) for p in range(n_users))
@@ -622,6 +624,7 @@ class _ExactPlan:
 
 
 def _exact_plan(cfg: SystemConfig, snr_db: float, l: int, lam_dag: float | None) -> _ExactPlan:
+    check_user(l, cfg.n_users)
     g = 10.0 ** (snr_db / 10.0)
     if lam_dag is None:
         lam_dag = compute_deltas(cfg, g).lambda_dag[l - 1]
@@ -786,6 +789,7 @@ def lower_bound_outage(cfg: SystemConfig, snr_db: float, l: int) -> OutagePoint:
     No quadrature.  W = A/C (offset 0) is taken when all impairments
     vanish.
     """
+    check_user(l, cfg.n_users)
     m_sr, m_rr, m_ru = _require_analytic_config(cfg)
     snr_bar = 10.0 ** (snr_db / 10.0)
     stats = derive_link_stats(cfg, snr_bar)
@@ -816,6 +820,7 @@ def _require_ideal(cfg: SystemConfig):
 
 def diversity_order(cfg: SystemConfig, l: int) -> float:
     """min{(1-mu) m_sr n_b, m_ru n_r l}; 0 at mu=1 (error floor)."""
+    check_user(l, cfg.n_users)
     _require_ideal(cfg)
     if cfg.mu == 1.0:
         return 0.0
@@ -849,6 +854,7 @@ def array_gain(cfg: SystemConfig, l: int) -> float:
     constant of the lowest-order terms of the ideal asymptote, to the power
     -1/G_do.  Where both hops share that order, their constants add; at
     mu = 0 every first-hop moment has it."""
+    check_user(l, cfg.n_users)
     _require_ideal(cfg)
     if cfg.mu == 1.0:
         raise ConfigError("array gain is undefined at mu=1 (zero diversity floor)")
@@ -864,6 +870,7 @@ def asymptotic_outage_ideal(cfg: SystemConfig, snr_db: float, l: int) -> OutageP
     _ideal_high_snr_terms.  mu = 1: the SNR-independent floor
     F_W(2 Lambda+) evaluated with the exact ideal W CDF.
     """
+    check_user(l, cfg.n_users)
     _require_ideal(cfg)
     snr_bar = 10.0 ** (snr_db / 10.0)
     if cfg.mu == 1.0:
@@ -886,6 +893,7 @@ def asymptotic_outage_practical(cfg: SystemConfig, l: int) -> OutagePoint:
     average is kept as an outer quadrature.  Both are exp-sinh rules, as
     for Phi, converged to _DE_REL_TOL.
     """
+    check_user(l, cfg.n_users)
     m_sr, m_rr, m_ru = _require_analytic_config(cfg)
     stats = derive_link_stats(cfg, 1.0)  # SNR enters only omega_rr; mu=1 keeps it constant
     if cfg.ideal:

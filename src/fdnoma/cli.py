@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from . import analytic, mcsim
 from .errors import ConfigError, FdnomaError, NumericsError
 from .presets import AXES, METHODS, PRESET_NAMES, SweepSpec, figure_preset, linear_grid, methods_of
-from .sysmodel import SystemConfig, dump_config, load_config
+from .sysmodel import SystemConfig, check_user, dump_config, load_config
 
 __all__ = ["CsvRow", "run_sweep", "validate", "main"]
 
@@ -88,8 +88,11 @@ def run_sweep(
     looked up when the sweep runs.  With timings, an exact cell records an
     equal share of that batch's wall time, another analytic cell its own
     call's, and a simulation cell its grid point's equal share of the
-    sweep's Monte Carlo time.
+    sweep's Monte Carlo time.  A user index outside 1..cfg.n_users raises
+    ConfigError before any cell runs.
     """
+    for user in spec.users:
+        check_user(user, cfg.n_users)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     methods = tuple(m for m in METHODS if m in spec.methods)
@@ -378,8 +381,7 @@ def _users(args, cfg) -> tuple[int, ...]:
     except ValueError:
         raise ConfigError(f"--users expects comma-separated integers, got {args.users!r}") from None
     for u in users:
-        if not 1 <= u <= cfg.n_users:
-            raise ConfigError(f"user index {u} out of range 1..{cfg.n_users}")
+        check_user(u, cfg.n_users)
     return users
 
 

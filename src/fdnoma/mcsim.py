@@ -24,8 +24,8 @@ from __future__ import annotations
 import math
 import operator
 import statistics
+import sys
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,7 +36,7 @@ from .sysmodel import (
     LinkStats,
     OutagePoint,
     SystemConfig,
-    ThetaSet,
+    check_user,
     compute_deltas,
     compute_theta,
     derive_link_stats,
@@ -49,13 +49,10 @@ __all__ = [
     "MIN_TRIALS",
     "SIM_METHODS",
     "RngStream",
-    "ChannelDraw",
-    "SinrBreakdown",
     "wilson_interval",
     "sample_first_hop",
     "sample_second_hop",
     "sample_si_gain",
-    "evaluate_sinr",
     "simulate_outage",
     "simulate_outage_all",
     "simulate_sweep",
@@ -77,6 +74,18 @@ MIN_TRIALS = 10_000
 SIM_METHODS = ("monte_carlo", "hd_noma", "fd_oma")
 
 
+def __getattr__(name: str):
+    """ProcessPoolExecutor, imported on first access and kept as a module
+    global (PEP 562): multiprocessing loads only when a sweep starts a pool,
+    and tests can still replace the class here."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Counter-style stream identity: (seed, stream_id) fixes all draws."""
@@ -94,34 +103,6 @@ class RngStream:
         """n independent generators, the children of this stream's seed."""
         seq = np.random.SeedSequence((self.seed, self.stream_id))
         return [np.random.default_rng(child) for child in seq.spawn(n)]
-
-
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One realization of the fading state entering the SINR.
-
-    a: sum of the two largest first-hop estimated-delayed gains.
-    b: the users' second-hop effective gains sorted ascending (entry l-1
-       belongs to user l).  c: residual SI gain.
-    """
-
-    a: float
-    b: tuple[float, ...]
-    c: float
-
-    def __post_init__(self):
-        if self.a < 0 or self.c < 0 or any(x < 0 for x in self.b):
-            raise ValueError("channel gains must be nonnegative")
-        if any(self.b[i] > self.b[i + 1] for i in range(len(self.b) - 1)):
-            raise ValueError("b must be sorted ascending (order statistics)")
-
-
-@dataclass(frozen=True)
-class SinrBreakdown:
-    """Per-stage SINRs gamma_{k->l} for k = 1..l."""
-
-    user: int
-    gammas: tuple[float, ...]
 
 
 def _check_conf(conf: float) -> None:
@@ -147,6 +128,8 @@ def wilson_interval(successes: int, trials: int, conf: float = 0.95) -> tuple[fl
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must lie in 0..trials, got {successes} of {trials} trials")
     _check_conf(conf)
     z = statistics.NormalDist().inv_cdf(0.5 + conf / 2.0)
     phat = successes / trials
@@ -247,31 +230,6 @@ def sample_second_hop(cfg: SystemConfig, stats: LinkStats, rng: np.random.Genera
 
 def sample_si_gain(cfg: SystemConfig, stats: LinkStats, rng: np.random.Generator, size: int = 1):
     return stats.omega_rr / cfg.m_rr * _standard_gamma(rng, cfg.m_rr, np.empty(size))
-
-
-def evaluate_sinr(
-    draw: ChannelDraw,
-    theta: ThetaSet,
-    cfg: SystemConfig,
-    snr_bar: float,
-    l: int,
-) -> SinrBreakdown:
-    """Instantaneous SINR of every SIC stage k <= l for one channel state."""
-    a, b, c = draw.a, draw.b[l - 1], draw.c
-    g = snr_bar
-    d0 = (
-        theta.theta1 * g * a
-        + theta.theta2 * g * b
-        + theta.theta3 * g * c
-        + theta.theta4 * g**2 * b * c
-        + theta.theta5
-    )
-    gammas = []
-    for k in range(1, l + 1):
-        num = g**2 / 2 * a * b * cfg.a[k - 1]
-        den = g**2 / 2 * a * b * sum(cfg.a[k:]) + d0
-        gammas.append(num / den)
-    return SinrBreakdown(user=l, gammas=tuple(gammas))
 
 
 @dataclass(frozen=True)
@@ -481,7 +439,8 @@ def simulate_sweep(
         sizes = [CHUNK_TRIALS] * (n_chunks - 1) + [trials - CHUNK_TRIALS * (n_chunks - 1)]
         jobs = [(cfg, live, sizes[i], rng.child(i)) for i in range(n_chunks)]
         if workers > 1 and n_chunks > 1:
-            with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
+            pool_class = sys.modules[__name__].ProcessPoolExecutor
+            with pool_class(max_workers=min(workers, n_chunks)) as pool:
                 for counts in pool.map(_sweep_chunk_star, jobs):
                     total += counts
         else:
@@ -543,6 +502,7 @@ def simulate_outage(
     conf: float = 0.95,
 ) -> OutagePoint:
     """OP of user l by direct simulation, Wilson CI attached."""
+    check_user(l, cfg.n_users)
     res = simulate_outage_all(cfg, snr_db, trials, rng, workers, ("monte_carlo",), conf=conf)
     return res["monte_carlo"][l - 1]
 
@@ -562,6 +522,7 @@ def simulate_baseline(
     threshold) over the same TAS/Alamouti-MRC chain."""
     if baseline not in ("hd_noma", "fd_oma"):
         raise ConfigError(f"unknown baseline {baseline!r}")
+    check_user(l, cfg.n_users)
     res = simulate_outage_all(
         cfg, snr_db, trials, rng, workers, (baseline,), hd_rule=hd_rule, conf=conf
     )

@@ -14,6 +14,7 @@ variable; the residual SI power scales as omega_RR = alpha * gamma_bar^(mu-1).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
@@ -26,6 +27,7 @@ __all__ = [
     "LinkStats",
     "ThetaSet",
     "DeltaSet",
+    "check_user",
     "derive_link_stats",
     "compute_theta",
     "compute_deltas",
@@ -257,8 +259,16 @@ def _correlation(fd_tau: float, name: str) -> float:
     return rho
 
 
+def check_user(l, n_users: int) -> None:
+    """Raise ConfigError unless l is a user index, an integer in 1..n_users
+    (0 or -1 would read another user's entry of every per-user tuple)."""
+    if not (isinstance(l, numbers.Integral) and 1 <= l <= n_users):
+        raise ConfigError(f"user index {l!r} out of range 1..{n_users}")
+
+
 def compute_theta(stats: LinkStats, snr_bar: float, l: int) -> ThetaSet:
     """Theta constants for user l (1-based)."""
+    check_user(l, len(stats.rho_ru))
     s2s = stats.sigma2_sr
     s2r = stats.sigma2_ru[l - 1]
     rs2 = stats.rho_sr**2

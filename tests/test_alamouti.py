@@ -5,15 +5,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from fdnoma.alamouti import (
-    QPSK,
-    FixedChannels,
-    predicted_sinr,
-    run_symbol_chain,
-    symbol_level_validate,
-)
 from fdnoma.errors import ConfigError
 from fdnoma.sysmodel import SystemConfig
+from waveform import QPSK, FixedChannels, predicted_sinr, run_symbol_chain, symbol_level_validate
 
 PRACTICAL = SystemConfig(
     n_b=2,
@@ -63,7 +57,7 @@ class TestMeasuredSinr:
             for l in (1, 2, 3):
                 pred = predicted_sinr(PRACTICAL, ch, 15.0, l)
                 for k in range(l):
-                    rel = abs(meas[l - 1].gammas[k] - pred.gammas[k]) / pred.gammas[k]
+                    rel = abs(meas[l - 1][k] - pred[k]) / pred[k]
                     worst = max(worst, rel)
         assert worst < 0.03
 
@@ -75,7 +69,7 @@ class TestMeasuredSinr:
         for l in (1, 2, 3):
             pred = predicted_sinr(cfg, ch, 10.0, l)
             for k in range(l):
-                assert meas[l - 1].gammas[k] == pytest.approx(pred.gammas[k], rel=0.05)
+                assert meas[l - 1][k] == pytest.approx(pred[k], rel=0.05)
 
     def test_testbed_protocol_feeds_outage_comparator(self):
         cfg = replace(
@@ -94,11 +88,11 @@ class TestMeasuredSinr:
         meas = symbol_level_validate(cfg, ch, 25.0, 200_000, rng=3)
         pred = [predicted_sinr(cfg, ch, 25.0, l) for l in (1, 2, 3)]
         for m, p in zip(meas, pred):
-            for got, want in zip(m.gammas, p.gammas, strict=True):
+            for got, want in zip(m, p, strict=True):
                 assert got == pytest.approx(want, rel=0.03)
 
         def outage(sinr):
-            return [any(g <= th for g, th in zip(s.gammas, cfg.gamma_th)) for s in sinr]
+            return [any(g <= th for g, th in zip(s, cfg.gamma_th)) for s in sinr]
 
         assert outage(meas) == outage(pred)
 

@@ -5,6 +5,7 @@ printed-variant arbitration against the simulator."""
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -25,6 +26,8 @@ from fdnoma.analytic import (
     array_gain,
     diversity_order,
     exact_outage,
+    exact_outage_for_lambda,
+    exact_outage_sweep,
     first_hop_mixture,
     lower_bound_outage,
     pdf_ordered_gain,
@@ -673,6 +676,40 @@ class TestExactOutage:
     def test_heterogeneous_users_rejected(self):
         with pytest.raises(ConfigError, match="identical"):
             exact_outage(replace(BASE, d_ru=(0.4, 0.5, 0.6)), 10.0, 1)
+
+
+USER_INDEX_CALLS = {
+    "exact_outage": lambda l: exact_outage(BASE, 20.0, l),
+    "exact_outage_for_lambda": lambda l: exact_outage_for_lambda(BASE, 20.0, l, 18.0),
+    "lower_bound_outage": lambda l: lower_bound_outage(BASE, 20.0, l),
+    "diversity_order": lambda l: diversity_order(BASE, l),
+    "array_gain": lambda l: array_gain(BASE, l),
+    "asymptotic_outage_ideal": lambda l: asymptotic_outage_ideal(BASE, 20.0, l),
+    "asymptotic_outage_ideal_mu1": lambda l: asymptotic_outage_ideal(replace(BASE, mu=1.0), 20.0, l),
+    "asymptotic_outage_practical": lambda l: asymptotic_outage_practical(PRACTICAL, l),
+    "pdf_ordered_gain": lambda l: pdf_ordered_gain(1.0, l, 3, 1, 1.0),
+    "sf_ordered_gain": lambda l: sf_ordered_gain(1.0, l, 3, 1, 1.0),
+}
+
+
+class TestUserIndex:
+    """A user index outside 1..n_users is a config error naming the index
+    and the range.  Before the check, l = 0 and -1 read users 3 and 2 (or
+    gave 0, 1.0, ZeroDivisionError or a factorial error) and l = 4 raised
+    IndexError."""
+
+    @pytest.mark.parametrize("l", [0, -1, 4])
+    @pytest.mark.parametrize("call", USER_INDEX_CALLS)
+    def test_entry_point_rejects_it(self, call, l):
+        with pytest.raises(ConfigError, match=re.escape(f"user index {l} out of range 1..3")):
+            USER_INDEX_CALLS[call](l)
+
+    def test_sweep_entry_gets_the_error_as_its_result(self):
+        bad, good, worse = exact_outage_sweep([(BASE, 20.0, 0, None), (BASE, 20.0, 2, None),
+                                               (BASE, 20.0, 4, 18.0)])
+        assert isinstance(bad, ConfigError) and str(bad) == "user index 0 out of range 1..3"
+        assert isinstance(worse, ConfigError) and str(worse) == "user index 4 out of range 1..3"
+        assert good == exact_outage(BASE, 20.0, 2)
 
 
 class TestLowerBound:

@@ -34,6 +34,18 @@ def sweep_to_string(spec, cfg, **kw) -> str:
 
 
 class TestRunSweep:
+    @pytest.mark.parametrize("users", [(0,), (2, 4)])
+    def test_user_outside_the_users_is_rejected_before_any_cell(self, users, monkeypatch):
+        # users=(0,) used to print user 3's Monte Carlo value as user 0's
+        monkeypatch.setattr(mcsim, "simulate_sweep", None)
+        monkeypatch.setattr(analytic, "exact_outage_sweep", None)
+        spec = SweepSpec(grid=(10.0,), methods=("exact", "monte_carlo"), users=users,
+                         trials=20_000)
+        buf = io.StringIO()
+        with pytest.raises(ConfigError, match=f"user index {users[-1]} out of range 1..3"):
+            run_sweep(spec, BASE, buf)
+        assert buf.getvalue() == ""
+
     def test_single_point_exact_row_count(self):
         spec = SweepSpec(grid=(15.0,), methods=("exact",))
         text = sweep_to_string(spec, BASE)
@@ -566,6 +578,13 @@ class TestMainExitCodes:
 
     def test_non_integer_users_is_exit_2(self, capsys):
         assert main(["analyze", "--users", "x", "--grid", "10:10:5"]) == 2
+
+    @pytest.mark.parametrize("user", ["0", "4", "-1"])
+    def test_user_outside_the_users_is_exit_2(self, user, capsys):
+        assert main(["analyze", f"--users={user}", "--grid", "10:10:5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"fdnoma: config error: user index {user} out of range 1..3\n"
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--trials", "100"],

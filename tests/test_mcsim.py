@@ -16,11 +16,9 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import kstest
 
 import fdnoma.mcsim as mcsim
-from fdnoma.errors import FdnomaError, ImpairmentError, InfeasibleAllocationError
+from fdnoma.errors import ConfigError, FdnomaError, ImpairmentError, InfeasibleAllocationError
 from fdnoma.mcsim import (
-    ChannelDraw,
     RngStream,
-    evaluate_sinr,
     sample_first_hop,
     sample_second_hop,
     sample_si_gain,
@@ -37,6 +35,7 @@ from fdnoma.sysmodel import (
     derive_link_stats,
     map_baseline_thresholds,
 )
+from waveform import FixedChannels, predicted_sinr
 
 BASE = SystemConfig()
 STATS = derive_link_stats(BASE, 10.0)
@@ -187,39 +186,71 @@ class TestOrderStatisticKernels:
         assert np.array_equal(_bits(top), _bits(np.sort(g, axis=1)[:, -2:].T))
 
 
+def gains(a: float, b, c: float, n_r: int = 1) -> FixedChannels:
+    """Fixed channels whose first-hop sum is a, user l's combined gain b[l-1]
+    and SI gain c."""
+    return FixedChannels(h_sr=(math.sqrt(a), 0.0),
+                         h_ru=tuple((math.sqrt(x),) + (0.0,) * (n_r - 1) for x in b), si_gain=c)
+
+
 class TestEvaluateSinr:
+    """The scalar per-stage SINR model, waveform.predicted_sinr."""
+
     def test_hand_computed_single_user(self):
         # ideal, A=B=1, C=0, snr 2: denominator = 2 + 2 + 0 + 0 + 1
         cfg = replace(BASE, n_users=1, m_ru=(1,), d_ru=(0.5,), a=(1.0,), gamma_th=(0.9,),
                       sigma2_est_ru=(0.0,), fd_tau_ru=(0.0,))
-        st = derive_link_stats(cfg, 2.0)
-        th = compute_theta(st, 2.0, 1)
-        draw = ChannelDraw(a=1.0, b=(1.0,), c=0.0)
-        out = evaluate_sinr(draw, th, cfg, 2.0, 1)
-        assert out.gammas[0] == pytest.approx(2.0 / 5.0, rel=1e-14)
+        out = predicted_sinr(cfg, gains(1.0, (1.0,), 0.0), 10.0 * math.log10(2.0), 1)
+        assert out[0] == pytest.approx(2.0 / 5.0, rel=1e-14)
 
     def test_interference_limited_ceiling(self):
-        st = derive_link_stats(BASE, 100.0)
-        th = compute_theta(st, 100.0, 3)
-        draw = ChannelDraw(a=1e12, b=(1e12, 1e12, 1e12), c=0.0)
-        out = evaluate_sinr(draw, th, BASE, 100.0, 3)
+        out = predicted_sinr(BASE, gains(1e12, (1e12, 1e12, 1e12), 0.0), 20.0, 3)
         for k in (1, 2):
             ceiling = BASE.a[k - 1] / sum(BASE.a[k:])
-            assert out.gammas[k - 1] == pytest.approx(ceiling, rel=1e-3)
+            assert out[k - 1] == pytest.approx(ceiling, rel=1e-3)
 
     def test_monotone_in_stage_thresholded_event(self):
-        st = derive_link_stats(BASE, 10.0)
-        th = compute_theta(st, 10.0, 3)
-        draw = ChannelDraw(a=20.0, b=(4.0, 9.0, 28.0), c=0.2)
-        out = evaluate_sinr(draw, th, BASE, 10.0, 3)
-        assert len(out.gammas) == 3
-        assert all(g >= 0 for g in out.gammas)
+        out = predicted_sinr(BASE, gains(20.0, (4.0, 9.0, 28.0), 0.2), 10.0, 3)
+        assert len(out) == 3
+        assert all(g >= 0 for g in out)
 
-    def test_draw_validation(self):
-        with pytest.raises(ValueError):
-            ChannelDraw(a=1.0, b=(3.0, 2.0, 4.0), c=0.0)
-        with pytest.raises(ValueError):
-            ChannelDraw(a=-1.0, b=(1.0, 2.0, 3.0), c=0.0)
+    @pytest.mark.parametrize("si", [False, True], ids=["no_si", "si"])
+    @pytest.mark.parametrize("cfg", [
+        BASE,
+        replace(BASE, n_r=2, sigma2_est_sr=0.01, sigma2_est_ru=(0.02,) * 3,
+                fd_tau_sr=0.03, fd_tau_ru=(0.05,) * 3),
+        replace(BASE, a=(0.761, 0.191, 0.048), gamma_th=(2.0, 2.5, 3.0), sigma2_est_sr=0.048,
+                sigma2_est_ru=(0.048,) * 3),
+    ], ids=["ideal", "cee_fbd", "cee_testbed"])
+    def test_joint_sic_event_is_one_threshold_per_user(self, cfg, si):
+        # user l is in outage when any stage k <= l has gamma_{k->l} <= gamma_th_k;
+        # both engines test the single inequality (gbar^2/2) a b <= Lambda+_l d0
+        # instead.  On the ideal configs Lambda+_3 = 18 comes from stages 1
+        # and 2 (stage 3 alone gives 12): a test of the last stage alone
+        # differs on ~5% of these states.
+        snr_db = 12.0
+        g = 10.0 ** (snr_db / 10.0)
+        stats = derive_link_stats(cfg, g)
+        lam = compute_deltas(cfg, g).lambda_dag
+        rng = np.random.default_rng(2024)
+        flags = {l: [] for l in range(1, cfg.n_users + 1)}
+        for _ in range(800):
+            a = float(np.exp(rng.uniform(0.0, 7.0)))
+            b = sorted(np.exp(rng.uniform(0.0, 7.0, cfg.n_users)).tolist())
+            c = float(np.exp(rng.uniform(-6.0, 0.0))) if si else 0.0
+            channels = gains(a, b, c, cfg.n_r)
+            for l, seen in flags.items():
+                stages = predicted_sinr(cfg, channels, snr_db, l)
+                per_stage = any(gk <= th for gk, th in zip(stages, cfg.gamma_th))
+                th = compute_theta(stats, g, l)
+                bl = b[l - 1]
+                d0 = (th.theta1 * g * a + th.theta2 * g * bl + th.theta3 * g * c
+                      + th.theta4 * g**2 * bl * c + th.theta5)
+                seen.append((per_stage, g**2 / 2 * a * bl <= lam[l - 1] * d0))
+        for l, seen in flags.items():
+            per_stage, joint = np.array(seen).T
+            assert np.array_equal(per_stage, joint), l
+            assert 0.05 < per_stage.mean() < 0.95, l
 
 
 class TestWilson:
@@ -261,6 +292,11 @@ class TestWilson:
             assert wilson_interval(k, n, conf) == pytest.approx((centre - half, centre + half),
                                                                 rel=1e-13)
 
+    @pytest.mark.parametrize("successes, trials", [(5, 3), (-1, 10), (11, 10), (-1, 1)])
+    def test_impossible_counts_rejected(self, successes, trials):
+        with pytest.raises(ValueError, match=f"got {successes} of {trials} trials"):
+            wilson_interval(successes, trials)
+
     @pytest.mark.parametrize("conf", [1.0, 1.5, -1.0, 0.0, float("nan")])
     def test_confidence_outside_unit_interval_rejected(self, conf):
         with pytest.raises(ValueError, match="confidence level"):
@@ -288,6 +324,15 @@ class TestSimulateOutage:
         cfg = replace(BASE, gamma_th=(1e-12, 1e-12, 1e-12))
         pt = simulate_outage(cfg, 10.0, 1, 50_000, rng=1)
         assert pt.value == 0.0
+
+    @pytest.mark.parametrize("l", [0, -1, 4, 1.0])
+    def test_user_index_outside_the_users_rejected(self, l, monkeypatch):
+        # l = 0 and -1 used to return users 3 and 2; nothing is drawn
+        monkeypatch.setattr(mcsim, "_sweep_chunk", None)
+        with pytest.raises(ConfigError, match=re.escape(f"user index {l!r} out of range 1..3")):
+            simulate_outage(BASE, 20.0, l, 10_000)
+        with pytest.raises(ConfigError, match=re.escape(f"user index {l!r} out of range 1..3")):
+            simulate_baseline(BASE, 20.0, l, "fd_oma", 10_000)
 
     def test_trials_floor(self):
         with pytest.raises(ValueError):

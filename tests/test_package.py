@@ -1,6 +1,6 @@
 """Public surface of the package: every exported name resolves, the
-Monte Carlo engine stays independent of the closed forms, and the runtime
-needs no scipy."""
+Monte Carlo engine stays independent of the closed forms, each engine loads
+on its own, and the runtime needs no scipy."""
 
 import ast
 import importlib
@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 MODULES = ["fdnoma", *(f"fdnoma.{name}" for name in
-                       ("alamouti", "analytic", "cli", "mcsim", "presets", "specfn", "sysmodel"))]
+                       ("analytic", "cli", "mcsim", "presets", "specfn", "sysmodel"))]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -49,15 +49,40 @@ def test_mcsim_imports_nothing_from_analytic():
     assert list(_analytic_imports(tree)) == []
 
 
+def _fresh(code: str) -> str:
+    """stdout of code run in a fresh interpreter that imports fdnoma from
+    this tree."""
+    src = Path(importlib.import_module("fdnoma").__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    return out.stdout.strip()
+
+
+LOADED = "print(sorted(m for m in ('numpy', 'multiprocessing', 'fdnoma.analytic', 'fdnoma.mcsim', " \
+         "'fdnoma.presets', 'fdnoma.cli') if m in sys.modules))"
+
+
+def test_each_engine_loads_on_its_own():
+    # the package imports only its exceptions; a public name loads its module
+    assert _fresh(f"import sys, fdnoma\n{LOADED}") == "[]"
+    assert _fresh(f"import sys\nfrom fdnoma import SystemConfig\n{LOADED}") == "[]"
+    # the Monte Carlo engine loads neither the closed forms nor, until a
+    # sweep starts a pool, multiprocessing
+    assert _fresh(f"import sys, fdnoma.mcsim\n{LOADED}") == "['fdnoma.mcsim', 'numpy']"
+    assert _fresh(f"import sys, fdnoma.mcsim\nfdnoma.mcsim.ProcessPoolExecutor\n{LOADED}") == \
+        "['fdnoma.mcsim', 'multiprocessing', 'numpy']"
+    # and before any name is cached, a star import yields all of them
+    code = ("import fdnoma\nnames = {}\nexec('from fdnoma import *', names)\n"
+            "print(sorted(set(fdnoma.__all__) - names.keys()))")
+    assert _fresh(code) == "[]"
+
+
 def test_runtime_loads_no_scipy():
     """Importing the package and its CLI, and one validate run through both
     engines, load no scipy module in a fresh interpreter."""
-    src = Path(importlib.import_module("fdnoma").__file__).resolve().parents[1]
     code = (
         "import sys, fdnoma, fdnoma.cli\n"
         "fdnoma.cli.validate(fdnoma.SystemConfig(), (10.0,), trials=10_000)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "[]"
+    assert _fresh(code) == "[]"

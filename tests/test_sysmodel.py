@@ -1,6 +1,7 @@
 """Configuration validation, derived statistics and threshold algebra."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from fdnoma.sysmodel import (
     SystemConfig,
     _bessel_j0,
     _correlation,
+    check_user,
     compute_deltas,
     compute_theta,
     derive_link_stats,
@@ -154,6 +156,19 @@ class TestTheta:
         assert th.theta1 / (g * st.sigma2_ru[1] / (2 * st.rho_ru[1] ** 2)) == pytest.approx(
             1.0, rel=1e-3
         )
+
+    @pytest.mark.parametrize("l", [0, -1, 4, 2.0, None])
+    def test_user_index_outside_the_users_rejected(self, l):
+        # l = 0 used to give user 3's constants
+        message = re.escape(f"user index {l!r} out of range 1..3")
+        with pytest.raises(ConfigError, match=message):
+            check_user(l, 3)
+        with pytest.raises(ConfigError, match=message):
+            compute_theta(derive_link_stats(BASE, 10.0), 10.0, l)
+
+    def test_user_index_inside_the_users_accepted(self):
+        for l in (1, 2, 3, np.int64(3)):
+            check_user(l, 3)
 
     def test_monotone_degradation(self):
         g = 50.0

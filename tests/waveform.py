@@ -1,6 +1,7 @@
-"""Symbol-level validator: Alamouti encoding, AF relaying with residual
+"""Symbol-level test-bed: Alamouti encoding, AF relaying with residual
 self-interference, MRC combining and successive cancellation, run over an
-actual 4-QAM waveform on fixed channels.
+actual 4-QAM waveform on fixed channels, and the scalar per-stage SINR
+model it is checked against.
 
 Power conventions follow the analytical model: the two selected antennas
 split the total power (each codeword entry carries P/2), the relay gain is
@@ -18,34 +19,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .mcsim import ChannelDraw, SinrBreakdown, RngStream, evaluate_sinr
-from .sysmodel import SystemConfig, compute_theta, derive_link_stats
-
-__all__ = ["FixedChannels", "ChainOutput", "run_symbol_chain", "symbol_level_validate", "QPSK"]
+from fdnoma.errors import ConfigError
+from fdnoma.mcsim import RngStream
+from fdnoma.sysmodel import SystemConfig, compute_theta, derive_link_stats
 
 QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class FixedChannels:
-    """Deterministic channel state for the validator.
+    """Deterministic channel state for the test-bed.
 
     h_sr: the two selected estimated-delayed first-hop coefficients.
-    h_ru: per-user receive vectors, shape (n_users, n_r).
+    h_ru: per-user receive vectors, shape (n_users, n_r); their gains must
+    ascend with the user index, as the ordering protocol that assigns the
+    power levels makes them.
     si_gain: residual SI power |h_rr|^2.
     """
 
     h_sr: tuple[complex, complex]
     h_ru: tuple[tuple[complex, ...], ...]
     si_gain: float
-
-    def draw(self) -> ChannelDraw:
-        """As a ChannelDraw; user gains must ascend with the user index,
-        consistent with the ordering protocol that assigns power levels."""
-        a = abs(self.h_sr[0]) ** 2 + abs(self.h_sr[1]) ** 2
-        b = tuple(sum(abs(h) ** 2 for h in row) for row in self.h_ru)
-        return ChannelDraw(a=a, b=b, c=self.si_gain)
 
 
 @dataclass
@@ -141,8 +135,9 @@ def symbol_level_validate(
     snr_db: float,
     symbols: int,
     rng: RngStream | int = 0,
-) -> list[SinrBreakdown]:
-    """Measured per-stage SINRs of the waveform chain, one entry per user.
+) -> list[tuple[float, ...]]:
+    """Measured per-stage SINRs of the waveform chain: per user l, the
+    SINRs of stages k = 1..l.
 
     Stage k at user l measures the k-th user's symbol after perfectly
     cancelling the mean contributions of stages 1..k-1; the measured
@@ -165,13 +160,25 @@ def symbol_level_validate(
             gammas.append(p_sig / p_in)
             # perfect SIC: remove the decoded stream's mean contribution
             v = v - out.mean_gain[l - 1] * amps[k - 1] * s_k
-        results.append(SinrBreakdown(user=l, gammas=tuple(gammas)))
+        results.append(tuple(gammas))
     return results
 
 
-def predicted_sinr(cfg: SystemConfig, channels: FixedChannels, snr_db: float, l: int) -> SinrBreakdown:
-    """Model SINR on the same fixed channels, for chain cross-validation."""
-    snr_bar = 10.0 ** (snr_db / 10.0)
-    stats = derive_link_stats(cfg, snr_bar)
-    theta = compute_theta(stats, snr_bar, l)
-    return evaluate_sinr(channels.draw(), theta, cfg, snr_bar, l)
+def predicted_sinr(cfg: SystemConfig, channels: FixedChannels, snr_db: float, l: int) -> tuple[float, ...]:
+    """Model SINR gamma_{k->l} of every SIC stage k <= l on the fixed
+    channels: a = |h_sr|^2 summed over the two antennas, b = |h_ru[l]|^2
+    summed over the receive branches, c = si_gain."""
+    g = 10.0 ** (snr_db / 10.0)
+    theta = compute_theta(derive_link_stats(cfg, g), g, l)
+    a = abs(channels.h_sr[0]) ** 2 + abs(channels.h_sr[1]) ** 2
+    b = sum(abs(h) ** 2 for h in channels.h_ru[l - 1])
+    c = channels.si_gain
+    d0 = (
+        theta.theta1 * g * a
+        + theta.theta2 * g * b
+        + theta.theta3 * g * c
+        + theta.theta4 * g**2 * b * c
+        + theta.theta5
+    )
+    signal = g**2 / 2 * a * b
+    return tuple(signal * cfg.a[k - 1] / (signal * sum(cfg.a[k:]) + d0) for k in range(1, l + 1))
