@@ -7,18 +7,19 @@ tabulated once per structure at unit rate as an exponential polynomial,
 pdf = sum_r e^(-r y) sum_j c[r][j] y^j, in exact rationals; its sf is
 derived exactly, and each coefficient is rounded to float once
 (first_hop_mixture, _ordered_gain_law).  Their pdf and sf take one exp
-per rate and a Horner pass in y.  The relay ratio W = A/(C + offset) of
-the lower bound, the CEE/FBD error floor and the exact sum's first-hop
-factor read these tables.
+per rate and a Horner pass in y, and each table holds its CDF's first
+nonzero Taylor term at 0 (lead), exact.  Every form reads the laws from
+these tables only: the relay ratio W = A/(C + offset) of the lower bound,
+the CEE/FBD error floor, the exact sum (A's sf, B_(l)'s pdf) and the
+high-SNR law (both leads).
 
 The exact outage probability is a 12-fold nested finite sum over one
 semi-infinite quadrature (the Phi integral, integrated in log form by
 phi_integral_log_rows).  It and the CEE/FBD error floor share one
 exp-sinh rule, converged to the fixed relative tolerance _DE_REL_TOL.
-Its terms are tabulated once per structure at
-unit rates (_sum_table, its first-hop factor read from A's table); an
-evaluation adds a few scalars' logs to each term's log-magnitude in one
-array operation.  Terms alternate in sign, so the final reduction uses
+Its terms are tabulated once per structure at unit rates (_sum_table);
+an evaluation adds a few scalars' logs to each term's log-magnitude in
+one array operation.  Terms alternate in sign, so the final reduction uses
 exact summation (math.fsum) after rescaling by the largest term.
 
 Two printed-formula ambiguities are resolved here; the tests arbitrate
@@ -48,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, FdnomaError, NumericsError
-from .specfn import _poly_power_exact, ln_bessel_k_int, poly_power_coeffs
+from .specfn import _poly_power_exact, ln_bessel_k_int
 from .sysmodel import (
     OutagePoint,
     SystemConfig,
@@ -78,7 +79,6 @@ __all__ = [
     "pdf_ordered_gain",
     "sf_ordered_gain",
     "sf_relay_ratio",
-    "asymptotic_cdf_two_strongest_sum",
 ]
 
 # Alternating-sum roundoff below this magnitude is clamped to the unit
@@ -333,14 +333,17 @@ class _ExpPoly(NamedTuple):
 
     pdf and sf hold the exact (rate, coefficients) pairs, lowest power
     first; pdf_rows and sf_rows the same pairs with each number rounded to
-    float once.  Both laws here scale with their rate:
-    pdf(x; lam) = lam pdf(lam x; 1) and sf(x; lam) = sf(lam x; 1).
+    float once.  lead is (k, c), the first nonzero Taylor coefficient of
+    the CDF at 0: F(y) ~ c y^k as y -> 0, c exact.  Both laws here scale
+    with their rate: pdf(x; lam) = lam pdf(lam x; 1) and
+    sf(x; lam) = sf(lam x; 1).
     """
 
     pdf: _Rows
     sf: _Rows
     pdf_rows: tuple[tuple[float, tuple[float, ...]], ...]
     sf_rows: tuple[tuple[float, tuple[float, ...]], ...]
+    lead: tuple[int, Fraction]
 
     @classmethod
     def of(cls, pdf: dict[Fraction, dict[int, Fraction]]) -> _ExpPoly:
@@ -353,7 +356,14 @@ class _ExpPoly(NamedTuple):
                                  for j, c in enumerate(row[k:], start=k))
                              for k in range(len(row))))
                    for r, row in rows)
-        return cls(rows, sf, _rounded(rows), _rounded(sf))
+        # 1 - sf's coefficient of y^n: sf(0) = 1, then minus the y^n
+        # coefficient of each e^(-r y) y^j term, j <= n
+        n, c = 0, Fraction(0)
+        while not c:
+            n += 1
+            c = -sum(d * (-r) ** (n - j) / math.factorial(n - j)
+                     for r, row in sf for j, d in enumerate(row[:n + 1]))
+        return cls(rows, sf, _rounded(rows), _rounded(sf), (n, c))
 
     def pdf_at(self, x, lam: float):
         return lam * _exp_poly(self.pdf_rows, lam * np.asarray(x, dtype=float))
@@ -426,26 +436,6 @@ def pdf_two_strongest_sum(x, n_b: int, m: int, lam: float):
 def sf_two_strongest_sum(x, n_b: int, m: int, lam: float):
     """Complementary CDF of A; accurate where the survival mass is small."""
     return first_hop_mixture(n_b, m).sf_at(x, lam)
-
-
-def asymptotic_cdf_two_strongest_sum(x, n_b: int, m: int, omega: float):
-    """Small-argument CDF law F_A(x) ~ c * x^(m*n_b) (uses the true power omega)."""
-    x = np.asarray(x, dtype=float)
-    c = 0.0
-    for t in range(m):
-        c += (
-            n_b
-            * (n_b - 1)
-            * exp(
-                lgamma(m * (n_b - 1) + t)
-                - lgamma(m)
-                - (n_b - 2) * lgamma(m + 1)
-                - lgamma(t + 1)
-                - lgamma(m * n_b + 1)
-            )
-            * 2.0 ** (-(m * (n_b - 1) + t))
-        )
-    return c * (m / omega) ** (m * n_b) * x ** (m * n_b)
 
 
 # --------------------------------------------------------------------------
@@ -552,11 +542,11 @@ def _sum_table(n_b: int, m_sr: int, big_m: int, n_users: int, l: int) -> _SumTab
     """Terms of the success sum, built once per structure.
 
     Each rate enters only as a power of itself (A's sf coefficient of y^n1
-    scales as lam_s^n1, beta_p[k1] as lam_b^k1), so the terms are built at
-    unit rates.  Terms that share every power and Phi row are merged first:
-    the first-hop factor is one exact coefficient of A's sf per (rho, n1),
-    the second-hop factor is summed over k for each (p, k1, t4)
-    (_order_weights).
+    scales as lam_s^n1, B_(l)'s pdf coefficient of y^(M-1+k1) as
+    lam_b^k1), so the terms are built at unit rates.  Terms that share
+    every power and Phi row are merged first: the first-hop factor is one
+    exact coefficient of A's sf per (rho, n1), the second-hop factor one
+    exact coefficient of B_(l)'s pdf per (1 + p, k1), times C(M-1+k1, t4).
     """
     # first-hop x (t3, k2) factor: (rho, n1, t3, k2, value); the
     # Bessel-closing integral adds a factor 2 to A's sf coefficient
@@ -567,12 +557,11 @@ def _sum_table(n_b: int, m_sr: int, big_m: int, n_users: int, l: int) -> _SumTab
         for t3 in range(n1 + 1)
         for k2 in range(t3 + 1)
     ])
-    # second-hop factor: (p, k1, t4, value)
-    sh = []
-    for p, w in _order_weights(l, n_users):
-        beta = poly_power_coeffs(big_m, 1.0, p)
-        sh += [(p, k1, t4, w * beta[k1] * comb(big_m + k1 - 1, t4) / math.factorial(big_m - 1))
-               for k1 in range(len(beta)) for t4 in range(big_m + k1)]
+    # second-hop factor: (p, k1, t4, value), from B_(l)'s pdf term
+    # c y^j e^(-(1 + p) y), j = M - 1 + k1
+    sh = [(float(rate) - 1, j - big_m + 1, t4, float(c * comb(j, t4)))
+          for rate, row in _ordered_gain_law(l, n_users, big_m).pdf
+          for j, c in enumerate(row) if c for t4 in range(j + 1)]
     # every term is one (first-hop, t3, k2) entry times one second-hop entry
     rho, n1, t3, k2, f = (c[:, None] for c in ft.T)
     p, k1, t4, s = np.array(sh).T
@@ -832,21 +821,23 @@ def _ideal_high_snr_terms(cfg: SystemConfig, l: int) -> list[tuple[float, float]
     sum c gbar^(-e), evaluated at unit SNR.
 
     The limiting first-hop event is A <= 2 Lambda+ (1 + gbar C), with
-    F_A(x) ~ c_A x^k, k = m_sr n_b, and gbar C ~ Gamma(m_rr) of mean
-    omega_rr gbar^mu; E[(1 + gbar C)^k] gives one term per moment j, of
-    order k - mu j.  Keeping every moment keeps the law exact at mu = 0,
-    where gbar C does not diverge.  The second hop adds
-    C(L, l) F_B(2 Lambda+ / gbar)^l, F_B(x) ~ (lam_b x)^M / M!, of order M l.
+    F_A(x) ~ c_A (lam_s x)^k from A's table (k = m_sr n_b), and gbar C ~
+    Gamma(m_rr) of mean omega_rr gbar^mu; E[(1 + gbar C)^k] gives one term
+    per moment j, of order k - mu j.  Keeping every moment keeps the law
+    exact at mu = 0, where gbar C does not diverge.  The second hop adds
+    F_B(2 Lambda+ / gbar) ~ c_B (lam_b 2 Lambda+ / gbar)^(M l) from B_(l)'s
+    table.
     """
     m_sr, m_rr, m_ru = _require_analytic_config(cfg)
     stats = derive_link_stats(cfg, 1.0)
     lam_dag = compute_deltas(cfg, 1.0).lambda_dag[l - 1]
-    k, big_m = m_sr * cfg.n_b, m_ru * cfg.n_r
-    c_a = float(asymptotic_cdf_two_strongest_sum(2.0 * lam_dag, cfg.n_b, m_sr, stats.omega_sr))
-    terms = [(c_a * comb(k, j) * math.prod(range(m_rr, m_rr + j)) * (stats.omega_rr / m_rr) ** j,
+    k, c_a = first_hop_mixture(cfg.n_b, m_sr).lead
+    order_b, c_b = _ordered_gain_law(l, cfg.n_users, m_ru * cfg.n_r).lead
+    f_a = float(c_a) * (2.0 * lam_dag * m_sr / stats.omega_sr) ** k
+    terms = [(f_a * comb(k, j) * math.prod(range(m_rr, m_rr + j)) * (stats.omega_rr / m_rr) ** j,
               k - cfg.mu * j) for j in range(k + 1)]
-    c_b = (2.0 * lam_dag * m_ru / stats.omega_ru[l - 1]) ** big_m / math.factorial(big_m)
-    return terms + [(comb(cfg.n_users, l) * c_b**l, big_m * l)]
+    return terms + [(float(c_b) * (2.0 * lam_dag * m_ru / stats.omega_ru[l - 1]) ** order_b,
+                     order_b)]
 
 
 def array_gain(cfg: SystemConfig, l: int) -> float:

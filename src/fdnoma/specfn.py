@@ -3,24 +3,23 @@
 Everything here is pure and stateless, and needs only numpy.
 
 ln_bessel_k_int takes log K_v(x) for integer orders.  It computes K_0(x)
-and K_1(x)/K_0(x) by one of three rules, chosen by x:
+and K_1(x)/K_0(x) by one of two rules, chosen by x:
 
 * x <= 1: the power series of K_0 and K_1 (DLMF 10.31.2, and 10.31.1
   with n = 1) in q = x^2/4, 12 terms, in one stacked pass of Estrin's
   scheme.  Below x = 1.12, -(ln(x/2) + gamma) > 0, so K_0's two parts
   add.
-* 1 < x <= 8: e^x K_v(x) = int_0^inf e^(-x (cosh t - 1)) cosh(vt) dt
-  (DLMF 10.32.9) by the trapezoid rule, step 0.21, 22 nodes.
-* x > 8: the same integral with u = 2 sqrt(x) sinh(t/2), whose integrand
+* x > 1: e^x K_v(x) = int_0^inf e^(-x (cosh t - 1)) cosh(vt) dt
+  (DLMF 10.32.9) with u = 2 sqrt(x) sinh(t/2), whose integrand
   e^(-u^2/2) (1 + u^2/2x)^(0 or 1) / sqrt(1 + u^2/4x) has its branch
-  points at +-2i sqrt(x), by the trapezoid rule, step 0.6, 16 nodes.
+  points at +-2i sqrt(x), by the trapezoid rule, step 0.3, 30 nodes.
 
-The trapezoid rule converges exponentially on these analytic integrands
+The trapezoid rule converges exponentially on this analytic integrand
 (Trefethen & Weideman, SIAM Review 56, 2014).  Higher orders follow from
 the upward recurrence of the ratio K_(n+1)/K_n = K_(n-1)/K_n + 2n/x, which
 is stable for K.  The ratios are scaled by min(x, 1), so that their
 running product overflows only where e^x K_v(x) itself does.  Against
-40-digit mpmath, log K is within 1.6e-15 relative for v 0-30 and x 1e-3
+40-digit mpmath, log K is within 1.8e-15 relative for v 0-30 and x 1e-3
 to 1e12.
 
 Every sum runs in a fixed order of its own terms: Estrin's scheme, a
@@ -29,8 +28,8 @@ product and no axis reduction that numpy may reorder, so each value is
 bitwise the same in any batch.
 
 The coefficients of a power of the truncated exponential polynomial are
-built in exact rational arithmetic: the engine's law tables read them exact
-(_poly_power_exact), its exact sum's second hop rounded (poly_power_coeffs).
+built in exact rational arithmetic (_poly_power_exact), and the engine's
+law tables read them exact.
 """
 
 from __future__ import annotations
@@ -80,15 +79,12 @@ def _half_line_trapezoid(step: float, count: int) -> tuple[np.ndarray, np.ndarra
 
 # the series coefficients of the even and of the odd powers of q, 0 to 11
 _K_SERIES_EVEN, _K_SERIES_ODD = (_k_series_table(12)[k::2].copy() for k in (0, 1))
-_t, _w = _half_line_trapezoid(0.21, 22)
-# -(cosh t - 1) and the weights of the 1 < x <= 8 rule
-_COSH_RULE = -2.0 * np.sinh(0.5 * _t) ** 2, _w
-_u, _w = _half_line_trapezoid(0.6, 16)
-# u^2/4 and the weights times e^(-u^2/2) of the x > 8 rule
+_u, _w = _half_line_trapezoid(0.3, 30)
+# u^2/4 and the weights times e^(-u^2/2) of the x > 1 rule
 _GAUSS_RULE = 0.25 * _u * _u, _w * np.exp(-0.5 * _u * _u)
-del _t, _u, _w
-# x <= 0 | series | cosh rule | Gauss rule | inf or NaN
-_RULE_EDGES = np.array([0.0, 1.0, 8.0, np.finfo(float).max])
+del _u, _w
+# x <= 0 | series | Gauss rule | inf or NaN
+_RULE_EDGES = np.array([0.0, 1.0, np.finfo(float).max])
 
 
 def _halving_sum(rows: np.ndarray) -> np.ndarray:
@@ -126,20 +122,8 @@ def _k01_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k0, (log_term * xi1 + s1) / k0
 
 
-def _k01_cosh_rule(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(e^x K_0(x), K_1(x) / K_0(x)) for 1 < x <= 8."""
-    minus_c, w = _COSH_RULE
-    e = minus_c * x
-    np.exp(e, out=e)
-    terms = np.empty((len(e), 2, len(x)))
-    np.multiply(e, w, out=terms[:, 0])
-    np.multiply(terms[:, 0], minus_c, out=terms[:, 1])
-    k0, minus_d = _halving_sum(terms)
-    return k0, 1.0 - minus_d / k0
-
-
 def _k01_gauss_rule(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(e^x K_0(x), K_1(x) / K_0(x)) for x > 8."""
+    """(e^x K_0(x), K_1(x) / K_0(x)) for x > 1."""
     quarter_u2, w = _GAUSS_RULE
     t = quarter_u2 / x
     terms = np.empty((len(t), 2, len(x)))
@@ -150,9 +134,6 @@ def _k01_gauss_rule(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.multiply(f, t, out=terms[:, 1])
     k0, d = _halving_sum(terms)
     return k0 / np.sqrt(x), 2.0 * d / k0 + 1.0
-
-
-_K01_RULES = (_k01_series, _k01_cosh_rule, _k01_gauss_rule)
 
 
 def ln_bessel_k_int(v, x):
@@ -175,19 +156,16 @@ def ln_bessel_k_int(v, x):
     if counts[0] or counts[-1]:
         bad = x[~((x > 0) & (x < np.inf))][0]
         raise ValueError(f"ln_bessel_k_int requires finite x > 0, got {bad}")
-    present = [k for k in range(1, len(_RULE_EDGES)) if counts[k]]
+    n_series = counts[1]
     order = None
-    if len(present) == 1:
-        a, s = _K01_RULES[present[0] - 1](x)
-    else:
+    if 0 < n_series < len(x):
         # group the arguments by rule: x <= 1 first
         order = np.argsort(rule, kind="stable")
         x, v = x[order], v[order]
-        parts, lo = [], 0
-        for k in present:
-            parts.append(_K01_RULES[k - 1](x[lo:lo + counts[k]]))
-            lo += counts[k]
-        a, s = (np.concatenate(p) for p in zip(*parts))
+        a, s = (np.concatenate(p) for p in zip(_k01_series(x[:n_series]),
+                                                 _k01_gauss_rule(x[n_series:])))
+    else:
+        a, s = (_k01_series if n_series else _k01_gauss_rule)(x)
     top = int(v.max())
     if top:
         # t[n] = c K_n / K_(n-1) with c = min(x, 1), so that
@@ -206,7 +184,6 @@ def ln_bessel_k_int(v, x):
             t[n] *= t[n - 1]
         a = t[v.astype(np.intp), np.arange(len(x))]
     out = np.log(a)
-    n_series = counts[1]
     if n_series and top:
         out[:n_series] -= v[:n_series] * np.log(x[:n_series])
     if n_series < len(x):
@@ -241,6 +218,9 @@ def poly_power_coeffs(m: int, lam: float, r: int) -> tuple[float, ...]:
     Computed by iterated exact convolution (Fraction arithmetic), so the
     semigroup identity conv(r1+r2) == conv(r1) * conv(r2) holds exactly
     before the final float rounding.
+
+    No engine calls it: the law tables read _poly_power_exact.  It stays
+    because the tests use it and bench/tracing.py reads its cache_info().
     """
     if m < 1 or r < 0:
         raise ValueError(f"poly_power_coeffs requires m >= 1 and r >= 0, got m={m}, r={r}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Literal
 
@@ -69,6 +69,11 @@ class SystemConfig:
     fd_tau_ru: tuple[float, ...] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
+        # NaN passes every comparison below, and inf most of them
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not all(map(math.isfinite, (value,) if isinstance(value, numbers.Real) else value)):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         L = self.n_users
         if L < 1:
             raise ConfigError(f"n_users must be >= 1, got {L}")
@@ -117,6 +122,7 @@ class SystemConfig:
 
     def feasibility_margin(self, k: int) -> float:
         """a_k - gamma_th_k * sum_{t>k} a_t; must be positive for stage k."""
+        check_user(k, self.n_users)
         margin = self.a[k - 1] - self.gamma_th[k - 1] * sum(self.a[k:])
         if margin <= 0:
             raise InfeasibleAllocationError(k, margin)

@@ -20,7 +20,6 @@ from scipy.special import kv
 from fdnoma import analytic
 from fdnoma.analytic import (
     PhiTerm,
-    asymptotic_cdf_two_strongest_sum,
     asymptotic_outage_ideal,
     asymptotic_outage_practical,
     array_gain,
@@ -146,6 +145,27 @@ def _lower_bound_raw(cfg, snr_db, l, printed):
                                  m_ru / stats.omega_hat_ru[l - 1]))
     f_w, f_b = 1.0 - sf_w, 1.0 - sf_b
     return f_w + f_b - f_w * f_b
+
+
+def asymptotic_cdf_two_strongest_sum(x, n_b, m, omega):
+    """Small-argument CDF law F_A(x) ~ c * x^(m*n_b) of A (true power
+    omega), c summed from log-gammas: the oracle of A's table lead."""
+    x = np.asarray(x, dtype=float)
+    c = 0.0
+    for t in range(m):
+        c += (
+            n_b
+            * (n_b - 1)
+            * exp(
+                lgamma(m * (n_b - 1) + t)
+                - lgamma(m)
+                - (n_b - 2) * lgamma(m + 1)
+                - lgamma(t + 1)
+                - lgamma(m * n_b + 1)
+            )
+            * 2.0 ** (-(m * (n_b - 1) + t))
+        )
+    return c * (m / omega) ** (m * n_b) * x ** (m * n_b)
 
 
 def _phi(term):
@@ -492,6 +512,22 @@ class TestLawTables:
             assert float(taylor[k]) == pytest.approx(
                 float(asymptotic_cdf_two_strongest_sum(1.0, n_b, m, m)), rel=1e-13)
 
+    @pytest.mark.parametrize("n_b", [2, 3, 4])
+    def test_leads_are_the_small_argument_laws(self, n_b):
+        # the high-SNR law's constants and orders: A's lead is the
+        # log-gamma constant at order m n_b, B_(l)'s is C(L, l) / M!^l at
+        # order M l, M = m n_r, and the smaller order is the diversity order
+        for m, n_r, l in itertools.product((1, 2, 3, 4), (1, 2), (1, 2, 3)):
+            big_m = m * n_r
+            k_a, c_a = first_hop_mixture(n_b, m).lead
+            k_b, c_b = analytic._ordered_gain_law(l, 3, big_m).lead
+            assert (k_a, k_b) == (m * n_b, big_m * l)
+            assert float(c_a) == pytest.approx(
+                float(asymptotic_cdf_two_strongest_sum(1.0, n_b, m, m)), rel=1e-13)
+            assert float(c_b) == pytest.approx(comb(3, l) / math.factorial(big_m) ** l, rel=1e-13)
+            cfg = replace(BASE, n_b=n_b, n_r=n_r, m_sr=m, m_rr=m, m_ru=(m,) * 3, mu=0.0)
+            assert diversity_order(cfg, l) == min(k_a, k_b)
+
     def test_ordered_gain_matches_mpmath_order_statistic(self):
         # f_(l) = L!/((l-1)! (L-l)!) F^(l-1) S^(L-l) f and
         # sf_(l) = sum_{i<l} C(L, i) F^i S^(L-i), at 50 digits, across the
@@ -602,6 +638,11 @@ class TestExactOutage:
         assert abs(consistent - mc.value) < 5 * sd
         # the transcription reproduces the engine when it follows it
         assert _nested_sum_raw(cfg, snr, l, printed=False) == pytest.approx(consistent, abs=1e-10)
+        # also with two receive antennas (M = 2) for every user
+        wide = replace(BASE, n_b=3, n_r=2)
+        for user in (1, 2, 3):
+            assert _nested_sum_raw(wide, 20.0, user, printed=False) == pytest.approx(
+                exact_outage(wide, 20.0, user).value, abs=1e-10)
         with pytest.raises(NumericsError):
             # blows past the roundoff clamp budget: not a probability at all
             analytic._clamped_point(_nested_sum_raw(cfg, snr, l, printed=True), l, snr, "exact")

@@ -483,6 +483,14 @@ class TestMainExitCodes:
         bad.write_text("n_b = -3\n")
         assert main(["analyze", "--config", str(bad), "--grid", "0:10:5"]) == 2
 
+    def test_non_finite_config_value_is_exit_2(self, tmp_path, capsys):
+        # a NaN estimation error once gave Monte Carlo OP 0 for every user
+        bad = tmp_path / "nan.cfg"
+        bad.write_text("sigma2_est_sr = nan\n")
+        argv = ["simulate", "--config", str(bad), "--grid", "10:10:5", "--trials", "10000"]
+        assert main(argv) == 2
+        assert "sigma2_est_sr must be finite, got nan" in capsys.readouterr().err
+
     @pytest.mark.parametrize("grid", ["0:inf:5", "-inf:0:5", "0:nan:5", "0:10:inf"])
     def test_non_finite_grid_is_exit_2(self, grid, capsys):
         assert main(["analyze", f"--grid={grid}"]) == 2

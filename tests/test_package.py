@@ -1,6 +1,7 @@
 """Public surface of the package: every exported name resolves, the
-Monte Carlo engine stays independent of the closed forms, each engine loads
-on its own, and the runtime needs no scipy."""
+Monte Carlo engine stays independent of the closed forms, no module keeps
+an unused import, each engine loads on its own, and the runtime needs no
+scipy."""
 
 import ast
 import importlib
@@ -47,6 +48,34 @@ def test_mcsim_imports_nothing_from_analytic():
     mcsim = importlib.import_module("fdnoma.mcsim")
     tree = ast.parse(Path(mcsim.__file__).read_text(encoding="utf-8"))
     assert list(_analytic_imports(tree)) == []
+
+
+def _unused_imports(tree):
+    """The names a module imports but never reads and does not list in
+    __all__."""
+    imported, read, exported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names if a.name != "*"}
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                  for t in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    return sorted(imported - read - exported)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    planted = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+               "from .specfn import ln_bessel_k_int, poly_power_coeffs\n"
+               "from .sysmodel import check_user\n"
+               "__all__ = ['check_user']\nnp.log(ln_bessel_k_int(0, 1.0))\n")
+    assert _unused_imports(ast.parse(planted)) == ["os", "poly_power_coeffs"]
+    package = Path(importlib.import_module("fdnoma").__file__).parent
+    unused = {path.name: names for path in sorted(package.glob("*.py"))
+              if (names := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert unused == {}
 
 
 def _fresh(code: str) -> str:

@@ -10,6 +10,8 @@ from scipy.special import j0
 
 from fdnoma.errors import ConfigError, ImpairmentError, InfeasibleAllocationError
 from fdnoma.sysmodel import (
+    _ARRAY_FLOAT,
+    _SCALAR_FLOAT,
     SystemConfig,
     _bessel_j0,
     _correlation,
@@ -56,6 +58,22 @@ class TestSystemConfig:
     def test_mu_range(self):
         with pytest.raises(ConfigError):
             SystemConfig(mu=1.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", _SCALAR_FLOAT + _ARRAY_FLOAT)
+    def test_non_finite_value_rejected(self, name, bad):
+        # NaN passes a comparison, and inf most range checks: both reached
+        # the engines, which printed zeros or crashed
+        value = bad
+        if name in _ARRAY_FLOAT:
+            value = (getattr(BASE, name)[0], bad, *getattr(BASE, name)[2:])
+        with pytest.raises(ConfigError, match=f"^{name} must be finite, got "):
+            replace(BASE, **{name: value})
+
+    @pytest.mark.parametrize("k", [0, -1, 4, 1.0])
+    def test_feasibility_margin_checks_the_stage(self, k):
+        with pytest.raises(ConfigError, match=re.escape(f"user index {k!r} out of range 1..3")):
+            BASE.feasibility_margin(k)
 
 
 class TestLinkStats:
