@@ -136,49 +136,48 @@ def _de_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _phi_log_integrand(rows: np.ndarray):
-    """log_integrand of _de_log_integrals for a (n, 6) table of Phi rows:
-    for rows idx, the function that gives the log of each row's integrand
-    (times dz/dt) at some nodes of one level, -inf where it lies below the
-    row's floor.
+    """log_integrand of _de_log_integrals for a (n, 6) table of Phi rows in
+    phi_integral_log_rows's order: for rows idx, the function that gives
+    the log of each row's integrand (times dz/dt) at some nodes of one
+    level, -inf where it lies below the row's floor.
 
     rows holds (z_power, pi_power, pi_shift, decay, bessel_coeff, order).
     With v = log(1 + z/pi_shift) = v_c exp(pi/2 sinh t), centred at
     z = max(1/decay, pi_shift): z + pi_shift = pi_shift e^v exactly, and
     z = pi_shift expm1(v) keeps its relative accuracy near 0.
 
-    The rows of one group (the same pi_shift, decay and bessel_coeff)
-    share the nodes v and the Bessel argument, so these are computed once
-    per group; the rows of one series (group and order) share the Bessel
-    values, taken once at the nodes live for any of its rows.  What
-    depends only on the rows (the groups and series of rows idx, their
-    logs, the Bessel bound at z = 0) is computed once per call or per
-    level, not per slice of nodes.  Each row's value comes from the same
-    elementwise operations, in the same order, as for the row alone.
+    The rows of one group (the same pi_shift, decay and bessel_coeff) are
+    one run of adjacent rows, and share the nodes v and the Bessel
+    argument; the rows of one series (group and order), a run within it,
+    share the Bessel values, taken once at the nodes live for any of its
+    rows.  rows[idx] stays sorted, so its runs start where a row differs
+    from the one before.  What depends only on the rows (the runs, their
+    logs, each row's Bessel bound at z = 0) is computed once per call or
+    per level, not per slice of nodes.  Each row's value comes from the
+    same elementwise operations, in the same order, as for the row alone.
     """
-    params, group = np.unique(rows[:, 2:5], axis=0, return_inverse=True)
-    keys, series = np.unique(np.column_stack([group.ravel(), rows[:, 5]]), axis=0,
-                             return_inverse=True)
-    group, series = group.ravel(), series.ravel()
-    series_group, series_order = keys[:, 0].astype(np.intp), keys[:, 1:2]
     # K_nu falls with its argument, so its value at z = 0 bounds every node
-    x_min = 2.0 * np.sqrt(params[:, 2:3] * params[:, 0:1])
-    k_bound = ln_bessel_k_int(series_order, x_min[series_group])
+    x_min = 2.0 * np.sqrt(rows[:, 4:5] * rows[:, 2:3])
+    k_bound = ln_bessel_k_int(rows[:, 5:6], x_min)
 
     def on_rows(idx):
-        gids, g = np.unique(group[idx], return_inverse=True)
-        sids, sr = np.unique(series[idx], return_inverse=True)
-        s, c = params[gids, 0:1], params[gids, 1:2]
+        r = rows[idx]
+        # column 0: a group starts here; column 1: a series starts here
+        head = np.ones((len(r), 2), dtype=bool)
+        head[1:, 0] = (r[1:, 2:5] != r[:-1, 2:5]).any(axis=1)
+        head[1:, 1] = head[1:, 0] | (r[1:, 5] != r[:-1, 5])
+        g, sr = np.cumsum(head, axis=0).T - 1
+        first, starts = np.flatnonzero(head[:, 0]), np.flatnonzero(head[:, 1])
+        s, c = r[first, 2:3], r[first, 3:4]
         log_s = np.log(s)
         v_c = np.log1p(np.maximum(1.0 / c, s) / s)
         cs = c * s
-        x_g = x_min[gids]
-        z_power, pi_power = rows[idx, 0:1], rows[idx, 1:2]
+        x_g = x_min[idx[first]]
+        z_power, pi_power = r[:, 0:1], r[:, 1:2]
         log_s_g, log_v_c_g = log_s[g], np.log(v_c)[g]
-        bound = k_bound[series[idx]]
-        sg = np.searchsorted(gids, series_group[sids])
-        nu = series_order[sids]
-        by_series = np.argsort(sr, kind="stable")
-        starts = np.flatnonzero(np.diff(sr[by_series], prepend=-1))
+        bound = k_bound[idx]
+        sg = g[starts]
+        nu = r[starts, 5:6]
 
         def log_integrand(sinh_t, log_cosh_t, floor):
             v = v_c * np.exp(sinh_t)
@@ -198,7 +197,7 @@ def _phi_log_integrand(rows: np.ndarray):
             lg += log_cosh_t
             live = np.add(lg, bound, out=t) > floor
             live &= (v < _DE_V_MAX)[g]
-            live_s = np.logical_or.reduceat(live[by_series], starts, axis=0)
+            live_s = np.logical_or.reduceat(live, starts, axis=0)
             k = np.zeros(live_s.shape)
             k[live_s] = ln_bessel_k_int(np.broadcast_to(nu, live_s.shape)[live_s],
                                         (x_g * np.exp(0.5 * v))[sg][live_s])
@@ -294,12 +293,44 @@ def _de_log_integrals(n: int, log_integrand, failed) -> np.ndarray:
     return out
 
 
+# Phi rows per pass of phi_integral_log_rows.  A pass holds its rows' values
+# at one slice of _DE_SLICE nodes at a time, not every node of its rows, so
+# its memory grows with its rows by ~8 KB each; taken in group order, the
+# rows of a pass share Bessel values about as well as in one uncapped pass.
+# On a 2-core VM, the exact sweep alone in a fresh process: fig7's values
+# 0.45-0.55 s at 36 MB peak RSS (1024 rows: 0.33-0.40 s, 38 MB), and the
+# m=4, n_b=3, n_r=2 sweep over 10:40:10 dB 2.4-3.0 s at 80 MB (1024 rows:
+# 2.0-2.3 s, 80 MB).  Values do not depend on it.
+_PHI_ROW_CAP = 256
+
+
 def phi_integral_log_rows(rows: np.ndarray, label=str) -> np.ndarray:
-    """log Phi of every row of a (n, 6) table, all rows in one pass
-    (_de_log_integrals, _phi_log_integrand).  label(i) names row i in
-    errors; when rows fail, _FailedRows carries every row's value."""
-    return _de_log_integrals(len(rows), _phi_log_integrand(rows),
-                             lambda i: f"phi quadrature failed for term {label(i)}")
+    """log Phi of every row of a (n, 6) table, given in any order.
+
+    The rows are sorted by (pi_shift, decay, bessel_coeff, order) and run in
+    passes of at most _PHI_ROW_CAP (_de_log_integrals, _phi_log_integrand),
+    so that a pass holds whole groups and series where it can, and shares
+    their nodes and Bessel values.  A row's value does not depend on the
+    rows beside it: it equals, bitwise, the row's value alone.  label(i)
+    names input row i in errors.  When rows fail, the others still run, and
+    _FailedRows carries every row's value and the failures of every pass,
+    keyed by input row.
+    """
+    order = np.lexsort(rows[:, 5:1:-1].T)
+    out = np.empty(len(rows))
+    failures: list[tuple[int, int, str]] = []
+    for lo in range(0, len(rows), _PHI_ROW_CAP):
+        batch = order[lo:lo + _PHI_ROW_CAP]
+        try:
+            out[batch] = _de_log_integrals(
+                len(batch), _phi_log_integrand(rows[batch]),
+                lambda i, batch=batch: f"phi quadrature failed for term {label(int(batch[i]))}")
+        except _FailedRows as exc:
+            out[batch] = exc.logs
+            failures += [(level, int(batch[i]), message) for level, i, message in exc.failures]
+    if failures:
+        raise _FailedRows(out, failures)
+    return out
 
 
 def phi_integral_log(term: PhiTerm) -> float:
@@ -580,18 +611,6 @@ def _sum_table(n_b: int, m_sr: int, big_m: int, n_users: int, l: int) -> _SumTab
     return _SumTable(np.sign(value[live]), const, powers, row.ravel(), rows)
 
 
-# Phi rows per phi_integral_log_rows call of exact_outage_sweep.  A call
-# holds its rows' values at one slice of _DE_SLICE nodes at a time, not
-# every node of its rows, so its memory grows with its rows by ~8 KB each;
-# taken in group order, the rows of a call share Bessel values about as
-# well as in one uncapped call.  On a 2-core VM, the exact sweep alone in a
-# fresh process: fig7's values 0.45-0.55 s at 36 MB peak RSS (1024 rows:
-# 0.33-0.40 s, 38 MB), and the m=4, n_b=3, n_r=2 sweep over 10:40:10 dB
-# 2.4-3.0 s at 80 MB (1024 rows: 2.0-2.3 s, 80 MB).  Values do not depend
-# on it.
-_PHI_ROW_CAP = 256
-
-
 @dataclass(frozen=True)
 class _ExactPlan:
     """One exact evaluation up to its Phi values: the table, the Phi rows
@@ -665,15 +684,12 @@ def exact_outage_sweep(
     """Exact outage of every (cfg, snr_db, l, lam_dag) entry.
 
     lam_dag is the SNR-normalized threshold Lambda+; None takes user l's
-    SIC threshold at snr_db.  The Phi rows of all entries run together,
-    in phi_integral_log_rows calls of at most _PHI_ROW_CAP rows.  A row's
-    value does not depend on the rows beside it, so each entry's value
-    equals, bitwise, a one-entry call.
+    SIC threshold at snr_db.  The Phi rows of all entries run in one
+    phi_integral_log_rows call.  A row's value does not depend on the rows
+    beside it, so each entry's value equals, bitwise, a one-entry call.
 
     Returns one result per entry: its OutagePoint, or the FdnomaError its
-    evaluation raised.  A Phi row that fails fails only its own entry; an
-    error of a whole call (a Bessel evaluation) fails every entry with
-    rows in it.
+    evaluation raised.  A Phi row that fails fails only its own entry.
     """
     plans: list[_ExactPlan | FdnomaError] = []
     for cfg, snr_db, l, lam_dag in entries:
@@ -691,27 +707,14 @@ def exact_outage_sweep(
         j = int(np.searchsorted(ends, i, side="right"))
         return live[j].label(i - starts[j])
 
-    # in group and order sequence, a call holds whole groups and series
-    # where it can, and shares their nodes and Bessel values
-    # (_phi_log_integrand)
-    order = np.lexsort(rows[:, 5:1:-1].T)
-    log_phi = np.empty(len(rows))
-    failures: list[tuple[int, int, str]] = []  # (level, row, message) of failed rows
     errors: dict[int, FdnomaError] = {}  # live entry -> its error
-    for lo in range(0, len(rows), _PHI_ROW_CAP):
-        batch = order[lo:lo + _PHI_ROW_CAP]
-        try:
-            log_phi[batch] = phi_integral_log_rows(rows[batch],
-                                                   lambda i, batch=batch: label(batch[i]))
-        except _FailedRows as exc:
-            log_phi[batch] = exc.logs
-            failures += [(level, batch[i], message) for level, i, message in exc.failures]
-        except FdnomaError as exc:
-            for j in np.searchsorted(ends, batch, side="right").tolist():
-                errors.setdefault(j, exc)
-    # an entry's first failed row is the one a call of its own stops at
-    for _, i, message in sorted(failures):
-        errors.setdefault(int(np.searchsorted(ends, i, side="right")), NumericsError(message))
+    try:
+        log_phi = phi_integral_log_rows(rows, label)
+    except _FailedRows as exc:
+        log_phi = exc.logs
+        # an entry's first failed row is the one a call of its own stops at
+        for _, i, message in sorted(exc.failures):
+            errors.setdefault(int(np.searchsorted(ends, i, side="right")), NumericsError(message))
 
     done: list[OutagePoint | FdnomaError] = []
     for j, plan in enumerate(live):

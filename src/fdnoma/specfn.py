@@ -83,8 +83,6 @@ _u, _w = _half_line_trapezoid(0.3, 30)
 # u^2/4 and the weights times e^(-u^2/2) of the x > 1 rule
 _GAUSS_RULE = 0.25 * _u * _u, _w * np.exp(-0.5 * _u * _u)
 del _u, _w
-# x <= 0 | series | Gauss rule | inf or NaN
-_RULE_EDGES = np.array([0.0, 1.0, np.finfo(float).max])
 
 
 def _halving_sum(rows: np.ndarray) -> np.ndarray:
@@ -151,16 +149,15 @@ def ln_bessel_k_int(v, x):
     if not x.size:
         return np.empty(shape)
     v, x = v.ravel(), x.ravel()
-    rule = np.searchsorted(_RULE_EDGES, x)
-    counts = np.bincount(rule, minlength=len(_RULE_EDGES) + 1).tolist()
-    if counts[0] or counts[-1]:
-        bad = x[~((x > 0) & (x < np.inf))][0]
-        raise ValueError(f"ln_bessel_k_int requires finite x > 0, got {bad}")
-    n_series = counts[1]
+    valid = (x > 0) & (x < np.inf)
+    if not valid.all():
+        raise ValueError(f"ln_bessel_k_int requires finite x > 0, got {x[~valid][0]}")
+    gauss = x > 1.0
+    n_series = len(x) - np.count_nonzero(gauss)
     order = None
     if 0 < n_series < len(x):
         # group the arguments by rule: x <= 1 first
-        order = np.argsort(rule, kind="stable")
+        order = np.argsort(gauss, kind="stable")
         x, v = x[order], v[order]
         a, s = (np.concatenate(p) for p in zip(_k01_series(x[:n_series]),
                                                  _k01_gauss_rule(x[n_series:])))
