@@ -57,6 +57,7 @@ from .sysmodel import (
     compute_deltas,
     compute_theta,
     derive_link_stats,
+    snr_linear,
 )
 
 log_ = logging.getLogger(__name__)
@@ -633,7 +634,7 @@ class _ExactPlan:
 
 def _exact_plan(cfg: SystemConfig, snr_db: float, l: int, lam_dag: float | None) -> _ExactPlan:
     check_user(l, cfg.n_users)
-    g = 10.0 ** (snr_db / 10.0)
+    g = snr_linear(snr_db)
     if lam_dag is None:
         lam_dag = compute_deltas(cfg, g).lambda_dag[l - 1]
     m_sr, m_rr, m_ru = _require_analytic_config(cfg)
@@ -649,11 +650,17 @@ def _exact_plan(cfg: SystemConfig, snr_db: float, l: int, lam_dag: float | None)
     table = _sum_table(cfg.n_b, m_sr, m_ru * cfg.n_r, cfg.n_users, l)
 
     k2, e_pi, nu, rho, p = table.rows.T
-    pole = lam_s * rho
-    rows = np.column_stack([
-        k2 + m_rr - 1, e_pi, np.full(len(k2), c0 / c1),
-        2 * dd * th4 * g * pole + rate_c, 2 * dd * (1 + p) * lam_b * pole * c1 / g, nu,
-    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        pole = lam_s * rho
+        rows = np.column_stack([
+            k2 + m_rr - 1, e_pi, np.full(len(k2), c0 / c1),
+            2 * dd * th4 * g * pole + rate_c, 2 * dd * (1 + p) * lam_b * pole * c1 / g, nu,
+        ])
+        # pi_shift, decay, bessel_coeff, and the Bessel argument's square at z = 0
+        rates = np.column_stack([rows[:, 2:5], rows[:, 2] * rows[:, 4]])
+    if not ((rates > 0) & (rates < np.inf)).all():
+        raise NumericsError(f"exact outage for user {l} at {snr_db} dB: a Phi row's pi_shift, "
+                            "decay or Bessel argument is outside the float range")
     # in the order of the table's powers
     scalars = np.array([
         log(2 * dd * lam_s / g), log(lam_b), log(2 * th1 * dd), log(c1),
@@ -759,7 +766,10 @@ def exact_outage_for_lambda(
 
 
 def _clamped_point(raw: float, l: int, snr_db: float, method: str, floor: bool = False) -> OutagePoint:
-    """raw clamped to the unit interval; an overshoot beyond _CLAMP_TOL raises."""
+    """raw clamped to the unit interval; an overshoot beyond _CLAMP_TOL or a
+    NaN (a form whose terms left the float range) raises."""
+    if math.isnan(raw):
+        raise NumericsError(f"{method} outage for user {l} at {snr_db} dB is NaN")
     residual = raw - 1.0 if raw > 1.0 else min(0.0, raw)
     if abs(residual) > _CLAMP_TOL:
         raise NumericsError(f"{method} outage for user {l} at {snr_db} dB is {raw}, "
@@ -783,7 +793,7 @@ def lower_bound_outage(cfg: SystemConfig, snr_db: float, l: int) -> OutagePoint:
     """
     check_user(l, cfg.n_users)
     m_sr, m_rr, m_ru = _require_analytic_config(cfg)
-    snr_bar = 10.0 ** (snr_db / 10.0)
+    snr_bar = snr_linear(snr_db)
     stats = derive_link_stats(cfg, snr_bar)
     theta = compute_theta(stats, snr_bar, l)
     dd = compute_deltas(cfg, snr_bar).delta_dag[l - 1]
@@ -836,11 +846,17 @@ def _ideal_high_snr_terms(cfg: SystemConfig, l: int) -> list[tuple[float, float]
     lam_dag = compute_deltas(cfg, 1.0).lambda_dag[l - 1]
     k, c_a = first_hop_mixture(cfg.n_b, m_sr).lead
     order_b, c_b = _ordered_gain_law(l, cfg.n_users, m_ru * cfg.n_r).lead
-    f_a = float(c_a) * (2.0 * lam_dag * m_sr / stats.omega_sr) ** k
-    terms = [(f_a * comb(k, j) * math.prod(range(m_rr, m_rr + j)) * (stats.omega_rr / m_rr) ** j,
-              k - cfg.mu * j) for j in range(k + 1)]
-    return terms + [(float(c_b) * (2.0 * lam_dag * m_ru / stats.omega_ru[l - 1]) ** order_b,
-                     order_b)]
+    try:
+        f_a = float(c_a) * (2.0 * lam_dag * m_sr / stats.omega_sr) ** k
+        terms = [(f_a * comb(k, j) * math.prod(range(m_rr, m_rr + j)) * (stats.omega_rr / m_rr) ** j,
+                  k - cfg.mu * j) for j in range(k + 1)]
+        terms.append((float(c_b) * (2.0 * lam_dag * m_ru / stats.omega_ru[l - 1]) ** order_b,
+                      order_b))
+    except OverflowError:  # a power past the float range
+        terms = [(math.inf, 0.0)]
+    if not all(0.0 < c < math.inf for c, _ in terms):
+        raise NumericsError(f"user {l}'s high-SNR law has a constant outside the float range")
+    return terms
 
 
 def array_gain(cfg: SystemConfig, l: int) -> float:
@@ -866,7 +882,7 @@ def asymptotic_outage_ideal(cfg: SystemConfig, snr_db: float, l: int) -> OutageP
     """
     check_user(l, cfg.n_users)
     _require_ideal(cfg)
-    snr_bar = 10.0 ** (snr_db / 10.0)
+    snr_bar = snr_linear(snr_db)
     if cfg.mu == 1.0:
         m_sr, m_rr, _ = _require_analytic_config(cfg)
         lam_dag = compute_deltas(cfg, snr_bar).lambda_dag[l - 1]
@@ -874,7 +890,10 @@ def asymptotic_outage_ideal(cfg: SystemConfig, snr_db: float, l: int) -> OutageP
         sf_w = sf_relay_ratio(2.0 * lam_dag, n_b=cfg.n_b, m_sr=m_sr, m_rr=m_rr, offset=0.0,
                               lam_sr=m_sr / stats.omega_hat_sr, omega_rr=stats.omega_rr)
         return _clamped_point(1.0 - sf_w, l, snr_db, "asymptotic_ideal", floor=True)
-    val = sum(c * snr_bar**-e for c, e in _ideal_high_snr_terms(cfg, l))
+    try:
+        val = sum(c * snr_bar**-e for c, e in _ideal_high_snr_terms(cfg, l))
+    except OverflowError:
+        raise NumericsError(f"user {l}'s high-SNR law at {snr_db} dB overflows") from None
     return OutagePoint(user=l, snr_db=snr_db, value=min(val, 1.0), method="asymptotic_ideal")
 
 

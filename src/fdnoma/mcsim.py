@@ -41,6 +41,7 @@ from .sysmodel import (
     compute_theta,
     derive_link_stats,
     map_baseline_thresholds,
+    snr_linear,
 )
 
 __all__ = [
@@ -269,7 +270,7 @@ class _PointPlan:
 def _plan_point(
     cfg: SystemConfig, snr_db: float, methods: tuple[str, ...], hd_rule: HdRule
 ) -> _PointPlan:
-    snr_bar = 10.0 ** (snr_db / 10.0)
+    snr_bar = snr_linear(snr_db)
     stats = derive_link_stats(cfg, snr_bar)
     lam = {"monte_carlo": compute_deltas(cfg, snr_bar).lambda_dag}
     failed: dict[str, FdnomaError] = {}

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Literal
 
-from .errors import ConfigError, ImpairmentError, InfeasibleAllocationError
+from .errors import ConfigError, ImpairmentError, InfeasibleAllocationError, NumericsError
 
 __all__ = [
     "SystemConfig",
@@ -28,6 +29,7 @@ __all__ = [
     "ThetaSet",
     "DeltaSet",
     "check_user",
+    "snr_linear",
     "derive_link_stats",
     "compute_theta",
     "compute_deltas",
@@ -69,6 +71,12 @@ class SystemConfig:
     fd_tau_ru: tuple[float, ...] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
+        # a float count or a bool would pass the checks below and give a
+        # meaningless Gamma shape or a wrong tuple length
+        for name in ("n_b", "n_r", "n_users"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         # NaN passes every comparison below, and inf most of them
         for f in fields(self):
             value = getattr(self, f.name)
@@ -94,6 +102,8 @@ class SystemConfig:
             raise ConfigError("distances must be positive")
         if self.eta <= 0:
             raise ConfigError(f"eta must be positive, got {self.eta}")
+        for d in (self.d_sr, *self.d_ru):
+            _mean_power(d, self.eta)
         if abs(sum(self.a) - 1.0) > _SUM_TOL:
             raise ConfigError(f"power coefficients must sum to 1, got {sum(self.a)!r}")
         if any(self.a[i] <= self.a[i + 1] for i in range(L - 1)):
@@ -195,12 +205,40 @@ class DeltaSet:
     lambda_dag: tuple[float, ...]
 
 
+# The SINR holds gamma_bar^2, so a linear SNR is taken only where its square
+# is a normal float: snr_db strictly inside (-1538.3, 1541.3).
+_SNR_DB_RANGE = (5.0 * math.log10(sys.float_info.min), 5.0 * math.log10(sys.float_info.max))
+
+
+def snr_linear(snr_db: float) -> float:
+    """gamma_bar = 10^(snr_db/10); NumericsError outside _SNR_DB_RANGE."""
+    lo, hi = _SNR_DB_RANGE
+    if not lo < snr_db < hi:
+        raise NumericsError(f"snr_db={snr_db} is outside {lo:.1f}..{hi:.1f} dB, where the "
+                            "squared linear SNR is a normal float")
+    return 10.0 ** (snr_db / 10.0)
+
+
+def _mean_power(d: float, eta: float) -> float:
+    """d^-eta, the mean power at normalized distance d; ConfigError where it
+    is not a finite positive float."""
+    try:
+        power = d ** -eta
+    except OverflowError:
+        power = math.inf
+    if not 0.0 < power < math.inf:
+        raise ConfigError(f"distance {d} with eta={eta} gives the mean power {power}, "
+                          "outside the float range")
+    return power
+
+
 def derive_link_stats(cfg: SystemConfig, snr_bar: float) -> LinkStats:
-    """Populate all mean powers and impairment variances at a given SNR."""
+    """Populate all mean powers and impairment variances at a given SNR.
+    An SI power omega_rr outside the float range is a NumericsError."""
     if not snr_bar > 0:
         raise ValueError(f"snr_bar must be positive (linear), got {snr_bar}")
-    omega_sr = cfg.d_sr ** -cfg.eta
-    omega_ru = tuple(d ** -cfg.eta for d in cfg.d_ru)
+    omega_sr = _mean_power(cfg.d_sr, cfg.eta)
+    omega_ru = tuple(_mean_power(d, cfg.eta) for d in cfg.d_ru)
     omega_hat_sr = omega_sr - cfg.sigma2_est_sr
     if omega_hat_sr <= 0:
         raise ImpairmentError(
@@ -220,6 +258,9 @@ def derive_link_stats(cfg: SystemConfig, snr_bar: float) -> LinkStats:
         s2 + (1.0 - r**2) * oh for s2, r, oh in zip(cfg.sigma2_est_ru, rho_ru, omega_hat_ru)
     )
     omega_rr = cfg.alpha_si * snr_bar ** (cfg.mu - 1.0)
+    if not 0.0 < omega_rr < math.inf:
+        raise NumericsError(f"alpha_si={cfg.alpha_si} at the linear SNR {snr_bar:g} gives the SI "
+                            f"power {omega_rr}, outside the float range")
     return LinkStats(
         omega_sr=omega_sr,
         omega_ru=omega_ru,

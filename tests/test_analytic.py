@@ -311,16 +311,34 @@ class TestPhiIntegral:
                     part = order[lo:lo + size]
                     got[part] = analytic.phi_integral_log_rows(rows[part])
                 assert list(got) == alone, (size, order[:3])
-        # no row converges by level 3
+        # passes of 7 rows over the rows shuffled, with the bad term of
+        # test_failed_row_leaves_the_others, which sorts into a later pass:
+        # each row keeps its value, and the failure names the bad input row
+        monkeypatch.setattr(analytic, "_PHI_ROW_CAP", 7)
+        bad = self._rows([PhiTerm(z_power=0.0, pi_power=0.5, pi_shift=1.0, decay=1e40,
+                                  bessel_coeff=1.0, order=1)])
+        shuffle = np.random.default_rng(6).permutation(len(rows) + 1)
+        mixed = np.concatenate([rows, bad])[shuffle]
+        where = int(np.flatnonzero(shuffle == len(rows))[0])
+        assert np.lexsort(mixed[:, 5:1:-1].T).tolist().index(where) >= 7
+        with pytest.raises(NumericsError, match=f"failed for term row {where}: ") as exc:
+            analytic.phi_integral_log_rows(mixed, label=lambda i: f"row {i}")
+        assert [i for _, i, _ in exc.value.failures] == [where]
+        logs = exc.value.logs
+        assert np.isnan(logs[where])
+        assert [v for k, v in enumerate(logs) if k != where] == [alone[j] for j in shuffle
+                                                                 if j < len(rows)]
+        # no row converges by level 3; the message is that of input row 0,
+        # the first failure by (level, row) across every pass
         monkeypatch.setattr(analytic, "_DE_MAX_LEVEL", 3)
-        with pytest.raises(analytic._FailedRows) as exc:
+        with pytest.raises(analytic._FailedRows, match="^phi quadrature failed for term 0: ") as exc:
             analytic.phi_integral_log_rows(rows)
         assert sorted(i for _, i, _ in exc.value.failures) == list(range(len(rows)))
 
     def test_phi_pass_memory_is_bounded(self):
-        # a call holds rows x _DE_SLICE values at a time, not every node of
-        # its rows
-        rows = self._fig11_rows()[:analytic._PHI_ROW_CAP]
+        # a pass holds rows x _DE_SLICE values at a time, not every node of
+        # its rows, and a call of four passes holds one pass at a time
+        rows = np.resize(self._fig11_rows(), (4 * analytic._PHI_ROW_CAP, 6))
         tracemalloc.start()
         try:
             analytic.phi_integral_log_rows(rows)

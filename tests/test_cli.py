@@ -1,5 +1,6 @@
 """Sweep CSV contract, presets, validation harness, CLI exit codes."""
 
+import csv
 import io
 import sys
 import time
@@ -218,6 +219,14 @@ class TestRunSweep:
         assert run_sweep(sub, var.config, io.StringIO()) == [
             r for r in rows if r.axis_value in sub.grid
         ]
+
+    def test_snr_outside_the_float_range_fills_only_its_own_cells(self):
+        spec = SweepSpec(grid=linear_grid(0, 3100, 3100), trials=10_000,
+                         methods=("exact", "lower_bound", "monte_carlo"))
+        rows = run_sweep(spec, BASE, io.StringIO())
+        assert [r.axis_value for r in rows] == [0.0] * 9 + [3100.0] * 9
+        for r in rows:
+            assert (r.op is None and "snr_db=3100 is outside" in r.error) == (r.axis_value == 3100)
 
     def test_d_sr_axis_mirrors_user_distance(self):
         spec = SweepSpec(axis="d_sr", grid=(0.3, 0.5), methods=("exact",), snr_db=15.0)
@@ -490,6 +499,55 @@ class TestMainExitCodes:
         argv = ["simulate", "--config", str(bad), "--grid", "10:10:5", "--trials", "10000"]
         assert main(argv) == 2
         assert "sigma2_est_sr must be finite, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["d_sr = 1e-80", "d_ru = 1e-80, 1e-80, 1e-80"])
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "validate"])
+    def test_mean_power_outside_the_float_range_is_exit_2(self, command, text, tmp_path, capsys):
+        # d^-eta overflowed with a traceback in every command
+        cfg = tmp_path / "near.cfg"
+        cfg.write_text(text + "\n")
+        trials = [] if command == "analyze" else ["--trials", "10000"]
+        assert main([command, "--config", str(cfg), "--grid", "10:10:5", *trials]) == 2
+        assert capsys.readouterr().err.startswith("fdnoma: config error: ")
+
+    @pytest.mark.parametrize("text,failing", [
+        ("d_sr = 1e80", {"exact", "lower_bound", "asymptotic_ideal"}),
+        ("eta = 1000", {"exact", "asymptotic_ideal"}),
+        ("alpha_si = 1e300", {"asymptotic_ideal"}),
+    ])
+    def test_value_outside_the_float_range_fills_its_own_cells(self, text, failing, tmp_path,
+                                                               capsys):
+        # a Phi row's Bessel coefficient or the high-SNR law's constant left
+        # the float range: analyze and validate ended in a traceback, and the
+        # bound printed nan
+        cfg, out = tmp_path / "far.cfg", tmp_path / "out.csv"
+        cfg.write_text(text + "\n")
+        assert main(["analyze", "--config", str(cfg), "--grid", "10:10:5", "--out", str(out),
+                     "--methods", "exact,lower_bound,asymptotic_ideal"]) == 0
+        rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))[1:]
+        assert len(rows) == 9
+        for row in rows:
+            assert (row[3] == "" and row[8] != "") == (row[2] in failing), row
+            assert row[3] not in ("nan", "inf")
+        assert main(["simulate", "--config", str(cfg), "--grid", "10:10:5",
+                     "--trials", "10000", "--out", str(out)]) == 0
+        if "exact" in failing:
+            assert main(["validate", "--config", str(cfg), "--grid", "10:10:5",
+                         "--trials", "10000"]) == 3
+            assert capsys.readouterr().err.startswith("fdnoma: numeric failure: exact outage ")
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("grid", ["3100:3100:5", "-3300:-3300:5"])
+    def test_snr_outside_the_float_range_is_an_error_cell_or_exit_3(self, grid, tmp_path,
+                                                                    capsys):
+        # 10^(snr_db/10) overflowed, or underflowed to 0, with a traceback
+        out = tmp_path / "out.csv"
+        for argv in (["analyze"], ["simulate", "--trials", "10000"]):
+            assert main([*argv, f"--grid={grid}", "--out", str(out)]) == 0
+            rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))[1:]
+            assert rows and all(row[3] == "" and row[8].startswith("snr_db=") for row in rows)
+        assert main(["validate", f"--grid={grid}", "--trials", "10000"]) == 3
+        assert capsys.readouterr().err.startswith("fdnoma: numeric failure: snr_db=")
 
     @pytest.mark.parametrize("grid", ["0:inf:5", "-inf:0:5", "0:nan:5", "0:10:inf"])
     def test_non_finite_grid_is_exit_2(self, grid, capsys):

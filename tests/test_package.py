@@ -1,7 +1,7 @@
 """Public surface of the package: every exported name resolves, the
 Monte Carlo engine stays independent of the closed forms, no module keeps
-an unused import, each engine loads on its own, and the runtime needs no
-scipy."""
+an unused import or private name, each engine loads on its own, and the
+runtime needs no scipy."""
 
 import ast
 import importlib
@@ -76,6 +76,60 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: names for path in sorted(package.glob("*.py"))
               if (names := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))}
     assert unused == {}
+
+
+def _private_definitions(tree) -> set[str]:
+    """The private names (one leading underscore) a module binds at its top
+    level: functions, classes and assignment targets."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _reads(tree) -> tuple[set[str], set[str]]:
+    """(the bare names a module reads, the names it reads from another
+    module as an attribute or an import)."""
+    bare, other = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            bare.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            other.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            other |= {a.name for a in node.names}
+    return bare, other
+
+
+def _unused_private_names(modules: dict[str, ast.Module], readers: list[ast.Module]):
+    """Per module, the private names it defines that neither it reads nor any
+    of modules or readers reads from it."""
+    other = set().union(*(_reads(tree)[1] for tree in [*modules.values(), *readers]))
+    return {name: unused for name, tree in modules.items()
+            if (unused := sorted(_private_definitions(tree) - _reads(tree)[0] - other))}
+
+
+def test_no_private_name_goes_unused():
+    planted = {
+        "specfn": ast.parse("_RULE_EDGES = (0.0, 1.0)\n_GAUSS, _u = 1, 2\n_kept = _u\n"
+                            "def _helper():\n    return _kept\n"),
+        "cli": ast.parse("def _apply_axis():\n    pass\nclass _Parser:\n    pass\n"),
+    }
+    reader = ast.parse("from fdnoma import cli\nfrom fdnoma.specfn import _helper\n"
+                       "cli._apply_axis()\n")
+    assert _unused_private_names(planted, [reader]) == {"specfn": ["_GAUSS", "_RULE_EDGES"],
+                                                        "cli": ["_Parser"]}
+    # bench/make_reference.py is the one reader of cli._apply_axis
+    package = Path(importlib.import_module("fdnoma").__file__).parent
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(package.glob("*.py"))}
+    bench = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in (Path(__file__).resolve().parents[1] / "bench").glob("*.py")]
+    assert bench and _unused_private_names(modules, bench) == {}
 
 
 def _fresh(code: str) -> str:

@@ -88,8 +88,9 @@ class TestBesselK:
         assert hi == pytest.approx(expected, rel=1e-9)
 
 
-# arguments of the 40-digit check: a log grid over 1e-3..1e12 and one ulp
-# either side of 1 and 8 (where the rules switch) and of 1e8
+# arguments of the 40-digit check: a log grid over 1e-3..1e12, and one ulp
+# either side of 1 (where the rules switch), of 8 (a switch of an earlier
+# rule set, kept so that the oracle's data stays the same) and of 1e8
 _ORACLE_X = sorted({*np.geomspace(1e-3, 1e12, 25).tolist(),
                     *(f(edge) for edge in (1.0, 8.0, 1e8)
                       for f in (lambda e: e, lambda e: math.nextafter(e, 0.0),

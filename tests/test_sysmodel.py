@@ -2,16 +2,18 @@
 
 import math
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import j0
 
-from fdnoma.errors import ConfigError, ImpairmentError, InfeasibleAllocationError
+from fdnoma.errors import ConfigError, ImpairmentError, InfeasibleAllocationError, NumericsError
 from fdnoma.sysmodel import (
     _ARRAY_FLOAT,
     _SCALAR_FLOAT,
+    _SCALAR_INT,
     SystemConfig,
     _bessel_j0,
     _correlation,
@@ -23,6 +25,7 @@ from fdnoma.sysmodel import (
     load_config,
     loads_config,
     map_baseline_thresholds,
+    snr_linear,
 )
 
 BASE = SystemConfig()
@@ -70,6 +73,26 @@ class TestSystemConfig:
         with pytest.raises(ConfigError, match=f"^{name} must be finite, got "):
             replace(BASE, **{name: value})
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True], ids=["1.5", "2.0", "True"])
+    @pytest.mark.parametrize("name", _SCALAR_INT)
+    def test_count_must_be_an_integer(self, name, bad):
+        # n_r=1.5 gave Monte Carlo a meaningless Gamma shape and the exact
+        # form a bare TypeError; n_users=True asked for True tuple entries
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {bad!r}$"):
+            replace(BASE, **{name: bad})
+
+    def test_numpy_integer_count_accepted(self):
+        cfg = replace(BASE, n_b=np.int64(3), n_r=np.int32(2), n_users=np.int64(3))
+        assert (cfg.n_b, cfg.n_r, cfg.n_users) == (3, 2, 3)
+
+    @pytest.mark.parametrize("kw", [dict(d_sr=1e-80), dict(d_ru=(0.5, 1e-80, 0.5)),
+                                    dict(d_sr=1e200), dict(d_sr=0.1, eta=400.0)],
+                             ids=["overflow", "user", "underflow", "eta"])
+    def test_mean_power_outside_the_float_range_rejected(self, kw):
+        # d^-eta overflowed with a traceback, or underflowed to zero
+        with pytest.raises(ConfigError, match="outside the float range"):
+            replace(BASE, **kw)
+
     @pytest.mark.parametrize("k", [0, -1, 4, 1.0])
     def test_feasibility_margin_checks_the_stage(self, k):
         with pytest.raises(ConfigError, match=re.escape(f"user index {k!r} out of range 1..3")):
@@ -102,6 +125,20 @@ class TestLinkStats:
         near = derive_link_stats(BASE, 1.0)
         far = derive_link_stats(replace(BASE, d_sr=1.0, d_ru=(1.0,) * 3), 1.0)
         assert far.omega_sr == pytest.approx(near.omega_sr * 2.0**-4)
+
+    def test_si_power_outside_the_float_range_raises(self):
+        with pytest.raises(NumericsError, match="SI power 0.0, outside the float range"):
+            derive_link_stats(replace(BASE, alpha_si=1e-300), 1e150)
+
+    @pytest.mark.parametrize("snr_db", [3100.0, -3300.0, 1541.3, -1538.3, math.nan])
+    def test_snr_outside_the_float_range_raises(self, snr_db):
+        # 10^(snr_db/10) overflowed with a traceback, or underflowed to 0
+        with pytest.raises(NumericsError, match=f"^snr_db={snr_db} is outside "):
+            snr_linear(snr_db)
+
+    def test_snr_inside_the_float_range(self):
+        assert snr_linear(1541.2) ** 2 < math.inf and snr_linear(-1538.2) ** 2 >= sys.float_info.min
+        assert snr_linear(15.0) == 10.0 ** 1.5
 
     def test_excessive_estimation_error(self):
         with pytest.raises(ImpairmentError):
