@@ -6,12 +6,13 @@ first-hop gains, and B_(l), the l-th ordered second-hop gain.  Each is
 tabulated once per structure at unit rate as an exponential polynomial,
 pdf = sum_r e^(-r y) sum_j c[r][j] y^j, in exact rationals; its sf is
 derived exactly, and each coefficient is rounded to float once
-(first_hop_mixture, _ordered_gain_law).  Their pdf and sf take one exp
-per rate and a Horner pass in y, and each table holds its CDF's first
-nonzero Taylor term at 0 (lead), exact.  Every form reads the laws from
-these tables only: the relay ratio W = A/(C + offset) of the lower bound,
-the CEE/FBD error floor, the exact sum (A's sf, B_(l)'s pdf) and the
-high-SNR law (both leads).
+(first_hop_mixture, ordered_gain_law, the one accessor of each law).  A
+table's pdf_at and sf_at take one exp per rate and a Horner pass in y;
+pdf and sf hold its exact rows, and lead its CDF's first nonzero Taylor
+term at 0, exact.  Every form reads the laws from these tables only: the
+relay ratio W = A/(C + offset) of the lower bound, the CEE/FBD error
+floor, the exact sum (A's sf, B_(l)'s pdf) and the high-SNR law (both
+leads).
 
 The exact outage probability is a 12-fold nested finite sum over one
 semi-infinite quadrature (the Phi integral, integrated in log form by
@@ -75,10 +76,7 @@ __all__ = [
     "diversity_order",
     "array_gain",
     "first_hop_mixture",
-    "pdf_two_strongest_sum",
-    "sf_two_strongest_sum",
-    "pdf_ordered_gain",
-    "sf_ordered_gain",
+    "ordered_gain_law",
     "sf_relay_ratio",
 ]
 
@@ -460,16 +458,6 @@ def first_hop_mixture(n_b: int, m: int) -> _ExpPoly:
     return _ExpPoly.of(pdf)
 
 
-def pdf_two_strongest_sum(x, n_b: int, m: int, lam: float):
-    """PDF of A (vectorized in x)."""
-    return first_hop_mixture(n_b, m).pdf_at(x, lam)
-
-
-def sf_two_strongest_sum(x, n_b: int, m: int, lam: float):
-    """Complementary CDF of A; accurate where the survival mass is small."""
-    return first_hop_mixture(n_b, m).sf_at(x, lam)
-
-
 # --------------------------------------------------------------------------
 # Second-hop order statistics: B_l = l-th smallest of L i.i.d. Gamma(M) gains
 # --------------------------------------------------------------------------
@@ -486,7 +474,7 @@ def _order_weights(l: int, n_users: int) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=64)
-def _ordered_gain_law(l: int, n_users: int, m_total: int) -> _ExpPoly:
+def ordered_gain_law(l: int, n_users: int, m_total: int) -> _ExpPoly:
     """B_(l)'s law at unit rate: with f = y^(M-1) e^-y / (M-1)! and
     S = e^-y sum_{k<M} y^k/k!, f S^p = e^(-(1+p) y) sum_k1 beta_p[k1]
     y^(M-1+k1) / (M-1)!, beta_p the exact coefficients of the p-th power."""
@@ -494,16 +482,6 @@ def _ordered_gain_law(l: int, n_users: int, m_total: int) -> _ExpPoly:
         Fraction(1 + p): {m_total - 1 + k1: w * b / math.factorial(m_total - 1)
                           for k1, b in enumerate(_poly_power_exact(m_total, Fraction(1), p))}
         for p, w in _order_weights(l, n_users)})
-
-
-def pdf_ordered_gain(x, l: int, n_users: int, m_total: int, lam: float):
-    """PDF of the l-th order statistic of the per-user combined gain."""
-    return _ordered_gain_law(l, n_users, m_total).pdf_at(x, lam)
-
-
-def sf_ordered_gain(x, l: int, n_users: int, m_total: int, lam: float):
-    """Complementary CDF of the l-th order statistic."""
-    return _ordered_gain_law(l, n_users, m_total).sf_at(x, lam)
 
 
 # --------------------------------------------------------------------------
@@ -592,7 +570,7 @@ def _sum_table(n_b: int, m_sr: int, big_m: int, n_users: int, l: int) -> _SumTab
     # second-hop factor: (p, k1, t4, value), from B_(l)'s pdf term
     # c y^j e^(-(1 + p) y), j = M - 1 + k1
     sh = [(float(rate) - 1, j - big_m + 1, t4, float(c * comb(j, t4)))
-          for rate, row in _ordered_gain_law(l, n_users, big_m).pdf
+          for rate, row in ordered_gain_law(l, n_users, big_m).pdf
           for j, c in enumerate(row) if c for t4 in range(j + 1)]
     # every term is one (first-hop, t3, k2) entry times one second-hop entry
     rho, n1, t3, k2, f = (c[:, None] for c in ft.T)
@@ -803,7 +781,7 @@ def lower_bound_outage(cfg: SystemConfig, snr_db: float, l: int) -> OutagePoint:
         2 * dd * snr_bar * theta.theta4, n_b=cfg.n_b, m_sr=m_sr, lam_sr=lam_s, m_rr=m_rr,
         omega_rr=stats.omega_rr, offset=0.0 if cfg.ideal else theta.thetap4 / snr_bar,
     )
-    sf_b = float(sf_ordered_gain(2 * dd * theta.theta1, l, cfg.n_users, m_ru * cfg.n_r, lam_b))
+    sf_b = float(ordered_gain_law(l, cfg.n_users, m_ru * cfg.n_r).sf_at(2 * dd * theta.theta1, lam_b))
     # 1 - sf_w*sf_b evaluated as F_w + F_b - F_w*F_b to dodge cancellation
     f_w = 1.0 - sf_w
     f_b = 1.0 - sf_b
@@ -845,7 +823,7 @@ def _ideal_high_snr_terms(cfg: SystemConfig, l: int) -> list[tuple[float, float]
     stats = derive_link_stats(cfg, 1.0)
     lam_dag = compute_deltas(cfg, 1.0).lambda_dag[l - 1]
     k, c_a = first_hop_mixture(cfg.n_b, m_sr).lead
-    order_b, c_b = _ordered_gain_law(l, cfg.n_users, m_ru * cfg.n_r).lead
+    order_b, c_b = ordered_gain_law(l, cfg.n_users, m_ru * cfg.n_r).lead
     try:
         f_a = float(c_a) * (2.0 * lam_dag * m_sr / stats.omega_sr) ** k
         terms = [(f_a * comb(k, j) * math.prod(range(m_rr, m_rr + j)) * (stats.omega_rr / m_rr) ** j,
@@ -925,7 +903,8 @@ def asymptotic_outage_practical(cfg: SystemConfig, l: int) -> OutagePoint:
     lam_s = m_sr / stats.omega_hat_sr
     lam_b = m_ru / stats.omega_hat_ru[l - 1]
     big_m = m_ru * cfg.n_r
-    n_b, L = cfg.n_b, cfg.n_users
+    law_a = first_hop_mixture(cfg.n_b, m_sr)
+    law_b = ordered_gain_law(l, cfg.n_users, big_m)
 
     u_c = max(big_m / lam_b, tau_b)
 
@@ -941,8 +920,8 @@ def asymptotic_outage_practical(cfg: SystemConfig, l: int) -> OutagePoint:
                 y = u + tau_b
                 arg = 2.0 * lam_dag * (th2_t * y + th3_t * zz + th4 * y * zz + th5_t) / u
                 # both factors are nonnegative: one that rounds to <= 0 is zero
-                return (_log_positive(sf_two_strongest_sum(arg, n_b, m_sr, lam_s))
-                        + _log_positive(pdf_ordered_gain(y, l, L, big_m, lam_b))
+                return (_log_positive(law_a.sf_at(arg, lam_s))
+                        + _log_positive(law_b.pdf_at(y, lam_b))
                         + log(u_c) + sinh_t + log_cosh_t)
 
             return at
@@ -962,8 +941,7 @@ def asymptotic_outage_practical(cfg: SystemConfig, l: int) -> OutagePoint:
             # arg >= 2 lam_dag (th2 + th4 z) at every u, so the Gamma density
             # times sf_A there bounds each node; a node whose bound rounds
             # to zero counts as zero
-            bound = lg + _log_positive(
-                sf_two_strongest_sum(2.0 * lam_dag * (th2_t + th4 * z), n_b, m_sr, lam_s))
+            bound = lg + _log_positive(law_a.sf_at(2.0 * lam_dag * (th2_t + th4 * z), lam_s))
             live = (bound > floor) & (np.exp(bound) > 0.0)
             out = np.full(lg.shape, -np.inf)
             out[live] = lg[live] + log_survive(z[live[0]])

@@ -36,7 +36,6 @@ import pytest
 from scipy.integrate import quad
 
 from fdnoma.analytic import (
-    _ordered_gain_law,
     asymptotic_outage_ideal,
     asymptotic_outage_practical,
     diversity_order,
@@ -44,10 +43,7 @@ from fdnoma.analytic import (
     exact_outage_sweep,
     first_hop_mixture,
     lower_bound_outage,
-    pdf_ordered_gain,
-    pdf_two_strongest_sum,
-    sf_ordered_gain,
-    sf_two_strongest_sum,
+    ordered_gain_law,
 )
 from fdnoma.cli import run_sweep
 from fdnoma.mcsim import RngStream, wilson_interval
@@ -231,12 +227,12 @@ def _hd_noma_outage(cfg, snr_db, l, hd_rule):
     def integrand(x):
         limit = lam * (th.theta1 * g * x + th.theta5) / (g * g * x / 2.0 - lam * th.theta2 * g)
         return float(
-            pdf_two_strongest_sum(x, cfg.n_b, m_sr, lam_a)
-            * (1.0 - sf_ordered_gain(limit, l, cfg.n_users, m_ru * cfg.n_r, lam_b))
+            first_hop_mixture(cfg.n_b, m_sr).pdf_at(x, lam_a)
+            * (1.0 - ordered_gain_law(l, cfg.n_users, m_ru * cfg.n_r).sf_at(limit, lam_b))
         )
 
     tail, _ = quad(integrand, x0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400)
-    return 1.0 - float(sf_two_strongest_sum(x0, cfg.n_b, m_sr, lam_a)) + tail
+    return 1.0 - float(first_hop_mixture(cfg.n_b, m_sr).sf_at(x0, lam_a)) + tail
 
 
 def _crossover(mus, fd, hd):
@@ -358,8 +354,8 @@ def test_criterion_7_distributional_correctness():
     details = []
     ok = True
 
-    mass, _ = quad(lambda x: float(pdf_two_strongest_sum(x, n_b, m_sr, lam_a)), 0, np.inf,
-                   limit=300)
+    law_a = first_hop_mixture(n_b, m_sr)
+    mass, _ = quad(lambda x: float(law_a.pdf_at(x, lam_a)), 0, np.inf, limit=300)
     ok = ok and abs(mass - 1.0) < 1e-8
     details.append(f"selection-sum mass err {abs(mass-1.0):.1e}")
 
@@ -368,12 +364,12 @@ def test_criterion_7_distributional_correctness():
     hist, edges = np.histogram(samples, bins=100, range=(0.0, float(np.quantile(samples, 0.999))),
                                density=True)
     mid = 0.5 * (edges[1:] + edges[:-1])
-    l1 = float(np.trapezoid(np.abs(hist - pdf_two_strongest_sum(mid, n_b, m_sr, lam_a)), mid))
+    l1 = float(np.trapezoid(np.abs(hist - law_a.pdf_at(mid, lam_a)), mid))
     ok = ok and l1 < 0.01
     details.append(f"selection-sum L1 {l1:.4f}")
 
     samples.sort()
-    cdf_vals = 1.0 - sf_two_strongest_sum(samples, n_b, m_sr, lam_a)
+    cdf_vals = 1.0 - law_a.sf_at(samples, lam_a)
     i = np.arange(1, draws + 1)
     ks = float(np.max(np.maximum(i / draws - cdf_vals, cdf_vals - (i - 1) / draws)))
     ks_crit = 1.6276 / math.sqrt(draws)  # 1% level
@@ -382,17 +378,17 @@ def test_criterion_7_distributional_correctness():
 
     b = sample_second_hop(cfg, stats, rng, draws)
     for l in (1, 2, 3):
-        mass, _ = quad(lambda x: float(pdf_ordered_gain(x, l, L, big_m, lam_b)), 0, np.inf,
-                       limit=300)
+        law = ordered_gain_law(l, L, big_m)
+        mass, _ = quad(lambda x: float(law.pdf_at(x, lam_b)), 0, np.inf, limit=300)
         ok = ok and abs(mass - 1.0) < 1e-8
         col = np.ascontiguousarray(b[:, l - 1])
         hist, edges = np.histogram(col, bins=100, range=(0.0, float(np.quantile(col, 0.999))),
                                    density=True)
         mid = 0.5 * (edges[1:] + edges[:-1])
-        l1 = float(np.trapezoid(np.abs(hist - pdf_ordered_gain(mid, l, L, big_m, lam_b)), mid))
+        l1 = float(np.trapezoid(np.abs(hist - law.pdf_at(mid, lam_b)), mid))
         ok = ok and l1 < 0.01
         col.sort()
-        cdf_vals = 1.0 - sf_ordered_gain(col, l, L, big_m, lam_b)
+        cdf_vals = 1.0 - law.sf_at(col, lam_b)
         ks = float(np.max(np.maximum(i / draws - cdf_vals, cdf_vals - (i - 1) / draws)))
         ok = ok and ks < ks_crit
         details.append(f"order-{l} mass err {abs(mass-1):.0e}, L1 {l1:.4f}, KS {ks:.2e}")
@@ -417,7 +413,7 @@ def test_criterion_8_special_functions():
     # to ten times it
     mp = pytest.importorskip("mpmath")
     laws = ([first_hop_mixture(n_b, m) for n_b in (2, 3, 4) for m in (1, 2, 3, 4)]
-            + [_ordered_gain_law(l, 3, big_m) for l in (1, 2, 3) for big_m in (1, 2, 3, 4)])
+            + [ordered_gain_law(l, 3, big_m) for l in (1, 2, 3) for big_m in (1, 2, 3, 4)])
     worst = 0.0
     with mp.workdps(50):
         def value(rows, y):

@@ -29,12 +29,9 @@ from fdnoma.analytic import (
     exact_outage_sweep,
     first_hop_mixture,
     lower_bound_outage,
-    pdf_ordered_gain,
-    pdf_two_strongest_sum,
+    ordered_gain_law,
     phi_integral_log,
-    sf_ordered_gain,
     sf_relay_ratio,
-    sf_two_strongest_sum,
 )
 from fdnoma.errors import ConfigError, NumericsError
 from fdnoma.mcsim import simulate_outage
@@ -141,8 +138,8 @@ def _lower_bound_raw(cfg, snr_db, l, printed):
         2 * dd * g * th.theta4, n_b=cfg.n_b, m_sr=m_sr, lam_sr=m_sr / stats.omega_hat_sr,
         m_rr=int(cfg.m_rr), omega_rr=stats.omega_rr, offset=theta4p / g,
     )
-    sf_b = float(sf_ordered_gain(2 * dd * th.theta1, l, cfg.n_users, m_ru * cfg.n_r,
-                                 m_ru / stats.omega_hat_ru[l - 1]))
+    sf_b = float(ordered_gain_law(l, cfg.n_users, m_ru * cfg.n_r).sf_at(
+        2 * dd * th.theta1, m_ru / stats.omega_hat_ru[l - 1]))
     f_w, f_b = 1.0 - sf_w, 1.0 - sf_b
     return f_w + f_b - f_w * f_b
 
@@ -376,16 +373,16 @@ class TestFirstHopDistribution:
     @pytest.mark.parametrize("n_b,m", [(2, 1), (3, 1), (3, 2), (4, 2), (2, 3)])
     def test_unit_mass(self, n_b, m):
         lam = m / 16.0
-        val, _ = quad(lambda x: float(pdf_two_strongest_sum(x, n_b, m, lam)), 0.0, np.inf,
+        val, _ = quad(lambda x: float(first_hop_mixture(n_b, m).pdf_at(x, lam)), 0.0, np.inf,
                       limit=300)
         assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_cdf_matches_pdf_integral(self):
         for (n_b, m), x in itertools.product([(3, 2), (4, 3)], (2.0, 10.0, 30.0)):
             lam = m / 16.0
-            val, _ = quad(lambda u: float(pdf_two_strongest_sum(u, n_b, m, lam)), 0.0, x,
+            val, _ = quad(lambda u: float(first_hop_mixture(n_b, m).pdf_at(u, lam)), 0.0, x,
                           limit=300)
-            assert 1.0 - sf_two_strongest_sum(x, n_b, m, lam) == pytest.approx(val, abs=1e-10)
+            assert 1.0 - first_hop_mixture(n_b, m).sf_at(x, lam) == pytest.approx(val, abs=1e-10)
 
     def test_histogram_match(self):
         rng = np.random.default_rng(7)
@@ -395,7 +392,7 @@ class TestFirstHopDistribution:
         samples = g[:, -1] + g[:, -2]
         hist, edges = np.histogram(samples, bins=100, range=(0.0, 120.0), density=True)
         mid = 0.5 * (edges[1:] + edges[:-1])
-        l1 = np.trapezoid(np.abs(hist - pdf_two_strongest_sum(mid, n_b, m, m / omega)), mid)
+        l1 = np.trapezoid(np.abs(hist - first_hop_mixture(n_b, m).pdf_at(mid, m / omega)), mid)
         assert l1 < 0.02
 
     @pytest.mark.parametrize("n_b,m", [(2, 1), (3, 2), (4, 3)])
@@ -433,15 +430,16 @@ class TestOrderedGainDistribution:
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
     def test_unit_mass(self, l):
         for L, M in self._structures(l):
-            val, _ = quad(lambda x: float(pdf_ordered_gain(x, l, L, M, 0.125)), 0.0, np.inf,
-                          limit=300)
+            val, _ = quad(lambda x: float(ordered_gain_law(l, L, M).pdf_at(x, 0.125)), 0.0,
+                          np.inf, limit=300)
             assert val == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
     def test_cdf_matches_pdf_integral(self, l):
         for (L, M), x in itertools.product(self._structures(l), (1.0, 8.0, 30.0)):
-            val, _ = quad(lambda u: float(pdf_ordered_gain(u, l, L, M, 0.125)), 0.0, x, limit=300)
-            assert 1.0 - sf_ordered_gain(x, l, L, M, 0.125) == pytest.approx(val, abs=1e-10)
+            val, _ = quad(lambda u: float(ordered_gain_law(l, L, M).pdf_at(u, 0.125)), 0.0, x,
+                          limit=300)
+            assert 1.0 - ordered_gain_law(l, L, M).sf_at(x, 0.125) == pytest.approx(val, abs=1e-10)
 
     def test_empirical_match(self):
         rng = np.random.default_rng(11)
@@ -451,14 +449,14 @@ class TestOrderedGainDistribution:
         for l in (1, 2, 3):
             for x in (4.0, 12.0, 30.0):
                 emp = float(np.mean(g[:, l - 1] <= x))
-                ana = 1.0 - float(sf_ordered_gain(x, l, L, m_total, lam))
+                ana = 1.0 - float(ordered_gain_law(l, L, m_total).sf_at(x, lam))
                 assert ana == pytest.approx(emp, abs=4e-3)
 
     def test_min_of_three_exponentials(self):
         # L=3, m_total=1: the smallest gain is Exp with tripled rate
         lam = 1.0 / 16.0
         for x in (2.0, 10.0):
-            assert 1.0 - float(sf_ordered_gain(x, 1, 3, 1, lam)) == pytest.approx(
+            assert 1.0 - float(ordered_gain_law(1, 3, 1).sf_at(x, lam)) == pytest.approx(
                 1.0 - math.exp(-3 * lam * x), rel=1e-12
             )
 
@@ -496,7 +494,7 @@ class TestLawTables:
     @staticmethod
     def _laws():
         return ([first_hop_mixture(n_b, m) for n_b, m in A_STRUCTURES]
-                + [analytic._ordered_gain_law(l, 3, M) for l, M in B_STRUCTURES])
+                + [ordered_gain_law(l, 3, M) for l, M in B_STRUCTURES])
 
     def test_exact_unit_mass_and_tail(self):
         # the pdf integrates to exactly 1, and -d/dy sf = pdf term by term
@@ -538,7 +536,7 @@ class TestLawTables:
         for m, n_r, l in itertools.product((1, 2, 3, 4), (1, 2), (1, 2, 3)):
             big_m = m * n_r
             k_a, c_a = first_hop_mixture(n_b, m).lead
-            k_b, c_b = analytic._ordered_gain_law(l, 3, big_m).lead
+            k_b, c_b = ordered_gain_law(l, 3, big_m).lead
             assert (k_a, k_b) == (m * n_b, big_m * l)
             assert float(c_a) == pytest.approx(
                 float(asymptotic_cdf_two_strongest_sum(1.0, n_b, m, m)), rel=1e-13)
@@ -554,7 +552,7 @@ class TestLawTables:
         L = 3
         with mp.workdps(50):
             for l, M in B_STRUCTURES:
-                law = analytic._ordered_gain_law(l, L, M)
+                law = ordered_gain_law(l, L, M)
                 mean = float(sum(d * math.factorial(k) / r ** (k + 1)
                                  for r, row in law.sf for k, d in enumerate(row)))
                 for y in mean * np.linspace(0.25, 10.0, 40):
@@ -565,9 +563,9 @@ class TestLawTables:
                     pdf = (math.factorial(L) // (math.factorial(l - 1) * math.factorial(L - l))
                            * F ** (l - 1) * S ** (L - l) * f)
                     sf = sum(comb(L, i) * F**i * S ** (L - i) for i in range(l))
-                    assert float(pdf_ordered_gain(y, l, L, M, 1.0)) == pytest.approx(
+                    assert float(ordered_gain_law(l, L, M).pdf_at(y, 1.0)) == pytest.approx(
                         float(pdf), rel=1e-12), (l, M, y)
-                    assert float(sf_ordered_gain(y, l, L, M, 1.0)) == pytest.approx(
+                    assert float(ordered_gain_law(l, L, M).sf_at(y, 1.0)) == pytest.approx(
                         float(sf), rel=1e-12), (l, M, y)
 
 
@@ -746,8 +744,7 @@ USER_INDEX_CALLS = {
     "asymptotic_outage_ideal": lambda l: asymptotic_outage_ideal(BASE, 20.0, l),
     "asymptotic_outage_ideal_mu1": lambda l: asymptotic_outage_ideal(replace(BASE, mu=1.0), 20.0, l),
     "asymptotic_outage_practical": lambda l: asymptotic_outage_practical(PRACTICAL, l),
-    "pdf_ordered_gain": lambda l: pdf_ordered_gain(1.0, l, 3, 1, 1.0),
-    "sf_ordered_gain": lambda l: sf_ordered_gain(1.0, l, 3, 1, 1.0),
+    "ordered_gain_law": lambda l: ordered_gain_law(l, 3, 1),
 }
 
 
@@ -960,11 +957,11 @@ def _floor_oracle(cfg, l):
         a = lam_dag * (s2s * y + s2s * s2r / rr2) / (rs2 * u)
         b = 2.0 * lam_dag * (s2r / rr2 + y) / (rs2 * u)
         if cfg.mu < 1.0:
-            sf = float(sf_two_strongest_sum(a, cfg.n_b, m_sr, lam_s))
+            sf = float(first_hop_mixture(cfg.n_b, m_sr).sf_at(a, lam_s))
         else:
             sf = sf_relay_ratio(b, n_b=cfg.n_b, m_sr=m_sr, lam_sr=lam_s, m_rr=m_rr,
                                 omega_rr=stats.omega_rr, offset=a / b)
-        return sf * float(pdf_ordered_gain(y, l, cfg.n_users, big_m, lam_b))
+        return sf * float(ordered_gain_law(l, cfg.n_users, big_m).pdf_at(y, lam_b))
 
     mean = big_m / lam_b
     return 1.0 - sum(quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=500)[0]
