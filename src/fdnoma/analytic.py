@@ -510,9 +510,21 @@ def sf_relay_ratio(x: float, *, n_b: int, m_sr: int, lam_sr: float, m_rr: int,
 # Exact outage (single-integral closed form)
 # --------------------------------------------------------------------------
 
+# Largest degrees of the laws' tables: m_sr n_b for A and m_ru n_r n_users
+# for B_(l).  The exact sum's table grows with both.  At the limits, e.g.
+# (n_b, m_sr) = (4, 4) with (m_ru n_r, n_users) = (8, 3) or (3, 8), it holds
+# 258k-398k terms and 8k-15k Phi rows, takes 0.9-1.4 s and 60-95 MB to
+# build, and an exact point then takes 0.5 s (125 MB peak RSS); at
+# (n_b, m_sr) = (6, 4) and (3, 8) it took 5.5 s and 340 MB, and at m_sr =
+# 1e10 A's table alone ran for ten minutes to 1.9 GB (2-core VM).
+_MAX_ORDER_A = 16
+_MAX_ORDER_B = 24
+
+
 def _require_analytic_config(cfg: SystemConfig) -> tuple[int, int, int]:
-    """Integer shapes and homogeneous second-hop users (the order-statistic
-    closed forms assume i.i.d. gains across users)."""
+    """Integer shapes within the table limits and homogeneous second-hop
+    users (the order-statistic closed forms assume i.i.d. gains across
+    users)."""
     m_sr = _require_integer_shape(cfg.m_sr, "m_sr")
     m_rr = _require_integer_shape(cfg.m_rr, "m_rr")
     m_ru0 = _require_integer_shape(cfg.m_ru[0], "m_ru")
@@ -522,6 +534,10 @@ def _require_analytic_config(cfg: SystemConfig) -> tuple[int, int, int]:
             raise ConfigError(
                 f"the closed-form engine requires identical {name} across users, got {vals}"
             )
+    for name, order, limit in (("m_sr*n_b", m_sr * cfg.n_b, _MAX_ORDER_A),
+                               ("m_ru*n_r*n_users", m_ru0 * cfg.n_r * cfg.n_users, _MAX_ORDER_B)):
+        if order > limit:
+            raise ConfigError(f"the closed-form engine requires {name} <= {limit}, got {order}")
     return m_sr, m_rr, m_ru0
 
 

@@ -3,8 +3,13 @@ presets, and the cross-engine validation harness.
 
 Exit codes: 0 ok, 1 usage, 2 config, 3 numeric failure, 4 validation
 failure.  CSV output is byte-identical across runs for a fixed seed and
-preset; wall-clock timings are only written under --timings because they
-would break that guarantee.
+preset on one machine, at any worker count; wall-clock timings are only
+written under --timings because they would break that guarantee.  Another
+CPU or BLAS kernel can change the last digits of exact cells: numpy's
+exp/log loops without AVX-512 and OpenBLAS's SSE kernel each moved
+hundreds of fig3-fig12 exact cells by up to 4.4e-14 absolute, while every
+Monte Carlo, bound and asymptote cell stayed bitwise the same (ROADMAP
+item 12).
 """
 
 from __future__ import annotations

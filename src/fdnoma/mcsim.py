@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, FdnomaError
+from .errors import ConfigError, FdnomaError, NumericsError
 from .sysmodel import (
     HdRule,
     LinkStats,
@@ -289,18 +289,37 @@ def _plan_point(
     s_b = 1.0 if len(set(scale_ru)) > 1 else scale_ru[0]
     w = np.zeros((cfg.n_users, len(methods), 5))
     rhs = np.zeros((cfg.n_users, len(methods), 1))
-    for l in range(cfg.n_users):
-        th = compute_theta(stats, snr_bar, l + 1)
-        d = np.array([th.theta1 * g * s_sr, th.theta2 * g * s_b,
-                      th.theta3 * g * s_rr, th.theta4 * g**2 * s_rr * s_b])
-        for j, m in enumerate(methods):
-            if m in failed:
-                continue
-            w[l, j] = (g**2 / 2 * s_sr * s_b, *(-lam[m][l] * d))
-            if m == "hd_noma":
-                w[l, j, 3:] = 0.0
-            rhs[l, j] = lam[m][l] * th.theta5
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(cfg.n_users):
+            th = compute_theta(stats, snr_bar, l + 1)
+            d = np.array([th.theta1 * g * s_sr, th.theta2 * g * s_b,
+                          th.theta3 * g * s_rr, th.theta4 * g**2 * s_rr * s_b])
+            for j, m in enumerate(methods):
+                if m in failed:
+                    continue
+                w[l, j] = (g**2 / 2 * s_sr * s_b, *(-lam[m][l] * d))
+                if m == "hd_noma":
+                    w[l, j, 3:] = 0.0
+                rhs[l, j] = lam[m][l] * th.theta5
+        # each term of w x is at most |w| times its statistic's bound
+        a0, c0 = 2.0 * _gamma_bound(cfg.m_sr), _gamma_bound(cfg.m_rr)
+        b = _gamma_bound(max(cfg.m_ru) * cfg.n_r) * max(scale_ru) / s_b
+        reach = np.abs(w) @ np.array([a0 * b, a0, b, c0, b * c0])
+    if not (np.isfinite(rhs).all() and (reach < np.inf).all()):
+        raise NumericsError(f"Monte Carlo outage at {snr_db} dB: the outage test's weights "
+                            "times the draws leave the float range")
     return _PointPlan(scale_ru=scale_ru, w=w, rhs=rhs, failed=failed)
+
+
+def _gamma_bound(shape: float) -> float:
+    """A bound of every standard Gamma(shape) draw of numpy's Generator.
+
+    Its exponential and normal variates come from 53-bit uniforms, so they
+    stay below 45 and 14 in magnitude; a draw at shape < 1 stays below 82,
+    and Marsaglia and Tsang's d (1 + n / (3 sqrt d))^3, d = shape - 1/3,
+    below d + 14 sqrt d + 63 + 95 / sqrt d, which 2 shape + 200 exceeds.
+    """
+    return 2.0 * shape + 200.0
 
 
 def _shapes(cfg: SystemConfig) -> tuple:

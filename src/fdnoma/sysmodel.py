@@ -41,6 +41,15 @@ __all__ = [
 
 _SUM_TOL = 1e-12
 
+# Largest antenna and user counts.  A Monte Carlo block holds BLOCK_TRIALS
+# first-hop draws per antenna (128 KiB each) and two rows per user, and the
+# users' compare-exchange sort takes n_users (n_users - 1) / 2 steps per
+# block.  One point of 1e5 trials took 14 ms at n_b = 2 and three users,
+# 148 ms at n_b = 64 (10 MB peak) and 164 ms at 32 users (10 MB) on a
+# 2-core VM; at n_b = 10**6 a block would take 131 GB.
+_MAX_N_B = 64
+_MAX_N_USERS = 32
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -77,6 +86,9 @@ class SystemConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name, limit in (("n_b", _MAX_N_B), ("n_users", _MAX_N_USERS)):
+            if getattr(self, name) > limit:
+                raise ConfigError(f"{name} must be <= {limit}, got {getattr(self, name)}")
         # NaN passes every comparison below, and inf most of them
         for f in fields(self):
             value = getattr(self, f.name)

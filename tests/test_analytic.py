@@ -734,6 +734,23 @@ class TestExactOutage:
         with pytest.raises(ConfigError, match="identical"):
             exact_outage(replace(BASE, d_ru=(0.4, 0.5, 0.6)), 10.0, 1)
 
+    def test_structures_within_the_table_limits_accepted(self):
+        # the largest structure the tests reach, and each limit on its own
+        for n_b, m_sr, m_ru, n_r in ((4, 4, 4, 2), (16, 1, 1, 8), (2, 8, 2, 4)):
+            cfg = replace(BASE, n_b=n_b, m_sr=m_sr, m_ru=(m_ru,) * 3, n_r=n_r)
+            assert analytic._require_analytic_config(cfg) == (m_sr, 1, m_ru)
+
+    @pytest.mark.parametrize("kw,message", [
+        (dict(n_b=17), "m_sr*n_b <= 16, got 17"),
+        (dict(n_b=3, m_sr=6), "m_sr*n_b <= 16, got 18"),
+        (dict(n_r=9), "m_ru*n_r*n_users <= 24, got 27"),
+        (dict(m_ru=(5,) * 3, n_r=2), "m_ru*n_r*n_users <= 24, got 30"),
+    ])
+    def test_structure_beyond_the_table_limits_rejected(self, kw, message):
+        # no table is built: exact_outage raises before reaching one
+        with pytest.raises(ConfigError, match=re.escape(f"requires {message}")):
+            exact_outage(replace(BASE, **kw), 10.0, 1)
+
 
 USER_INDEX_CALLS = {
     "exact_outage": lambda l: exact_outage(BASE, 20.0, l),

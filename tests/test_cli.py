@@ -7,6 +7,8 @@ import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fdnoma.analytic as analytic
 import fdnoma.mcsim as mcsim
@@ -15,7 +17,7 @@ from fdnoma.analytic import OutagePoint
 from fdnoma.cli import main, run_sweep, validate
 from fdnoma.presets import MAX_GRID_POINTS, PRESET_NAMES, SweepSpec, figure_preset, linear_grid
 from fdnoma.errors import ConfigError, NumericsError
-from fdnoma.sysmodel import SystemConfig, dump_config, loads_config
+from fdnoma.sysmodel import _SNR_DB_RANGE, SystemConfig, dump_config, loads_config
 
 BASE = SystemConfig()
 
@@ -531,11 +533,77 @@ class TestMainExitCodes:
             assert row[3] not in ("nan", "inf")
         assert main(["simulate", "--config", str(cfg), "--grid", "10:10:5",
                      "--trials", "10000", "--out", str(out)]) == 0
+        # with eta or alpha_si, the outage test's weights leave the float
+        # range too, and validate runs a point's Monte Carlo first
+        mc_fails = not text.startswith("d_sr")
+        rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))[1:]
+        assert len(rows) == 3
+        assert all((row[3] == "" and row[8] != "") == mc_fails for row in rows), rows
         if "exact" in failing:
             assert main(["validate", "--config", str(cfg), "--grid", "10:10:5",
                          "--trials", "10000"]) == 3
-            assert capsys.readouterr().err.startswith("fdnoma: numeric failure: exact outage ")
+            first = "Monte Carlo outage " if mc_fails else "exact outage "
+            assert capsys.readouterr().err.startswith("fdnoma: numeric failure: " + first)
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("text", ["alpha_si = 1e300", "eta = 1000"])
+    def test_outage_test_outside_the_float_range_fills_the_simulation_cells(self, text, tmp_path,
+                                                                           capsys):
+        # the weights overflowed (numpy warned) and the counts were taken on
+        # inf or NaN products: OP 1 or 0 in every cell, exit 0
+        cfg, out = tmp_path / "far.cfg", tmp_path / "out.csv"
+        cfg.write_text(text + "\n")
+        assert main(["simulate", "--config", str(cfg), "--grid", "300:300:5", "--trials", "10000",
+                     "--methods", "monte_carlo,hd_noma,fd_oma", "--out", str(out)]) == 0
+        rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))[1:]
+        assert len(rows) == 9
+        for row in rows:
+            assert row[3] == "" and row[8].startswith("Monte Carlo outage at 300.0 dB: "), row
+        assert main(["validate", "--config", str(cfg), "--grid", "300:300:5",
+                     "--trials", "10000"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "fdnoma: numeric failure: Monte Carlo outage at 300.0 dB: ")
+
+    def test_outage_test_outside_the_float_range_leaves_the_other_points(self):
+        # at 0 dB alpha_si = 1e300 still fits; that point keeps its values
+        cfg = replace(BASE, alpha_si=1e300)
+        spec = SweepSpec(grid=(0.0, 300.0), trials=10_000,
+                         methods=("monte_carlo", "hd_noma", "fd_oma"))
+        rows = run_sweep(spec, cfg, io.StringIO())
+        alone = run_sweep(replace(spec, grid=(0.0,)), cfg, io.StringIO())
+        assert rows[:9] == alone and all(r.op is not None for r in alone)
+        assert all(r.op is None and r.error.startswith("Monte Carlo outage at 300.0 dB")
+                   for r in rows[9:])
+
+    @pytest.mark.parametrize("text,message", [("n_b = 1000000", "n_b must be <= 64"),
+                                              ("n_users = 1000000", "n_users must be <= 32")])
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "validate"])
+    def test_count_above_its_limit_is_exit_2(self, command, text, message, tmp_path, capsys):
+        # n_b = 10**6 would make each Monte Carlo block (16384, 10**6) draws
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(text + "\n")
+        trials = [] if command == "analyze" else ["--trials", "10000"]
+        assert main([command, "--config", str(cfg), "--grid", "10:10:5", *trials]) == 2
+        assert capsys.readouterr().err.endswith(f"{message}, got 1000000\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("m_sr = 1e10", "m_sr*n_b <= 16, got 20000000000"),
+        ("n_r = 1000000", "m_ru*n_r*n_users <= 24, got 3000000"),
+    ])
+    def test_closed_form_structure_above_its_limit_fills_its_cells(self, text, message, tmp_path,
+                                                                  capsys):
+        # m_sr = 1e10 built A's table for ten minutes, to 1.9 GB
+        cfg, out = tmp_path / "big.cfg", tmp_path / "out.csv"
+        cfg.write_text(text + "\n")
+        assert main(["analyze", "--config", str(cfg), "--grid", "10:10:5", "--out", str(out),
+                     "--methods", "exact,lower_bound,asymptotic_ideal"]) == 0
+        rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))[1:]
+        assert len(rows) == 9
+        for row in rows:
+            assert row[3] == "" and row[8] == f"the closed-form engine requires {message}", row
+        assert main(["validate", "--config", str(cfg), "--grid", "10:10:5",
+                     "--trials", "10000"]) == 2
+        assert capsys.readouterr().err.endswith(f"requires {message}\n")
 
     @pytest.mark.parametrize("grid", ["3100:3100:5", "-3300:-3300:5"])
     def test_snr_outside_the_float_range_is_an_error_cell_or_exit_3(self, grid, tmp_path,
@@ -753,3 +821,34 @@ class TestMainExitCodes:
     def test_validate_pass_is_exit_0(self, capsys):
         code = main(["validate", "--grid", "10:10:5", "--trials", "100000"])
         assert code == 0
+
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _extreme_points(draw):
+    """A config with any finite path loss exponent, first-hop distance, SI
+    scale and SI cancellation it accepts, and an SNR inside the float
+    range."""
+    try:
+        cfg = replace(BASE, eta=draw(_positive), d_sr=draw(_positive),
+                      alpha_si=draw(_positive), mu=draw(st.floats(0.0, 1.0)))
+    except ConfigError:
+        assume(False)
+    lo, hi = _SNR_DB_RANGE
+    return cfg, draw(st.floats(lo, hi, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(_extreme_points())
+def test_extreme_finite_inputs_give_a_probability_or_an_error(point):
+    # at 300 dB, alpha_si = 1e300 and eta = 1000 gave OP 1 and 0 counted on
+    # overflowed weights, after a RuntimeWarning (an error under pytest here)
+    cfg, snr_db = point
+    spec = SweepSpec(grid=(snr_db,), methods=mcsim.SIM_METHODS, trials=mcsim.MIN_TRIALS)
+    for row in run_sweep(spec, cfg, io.StringIO()):
+        if row.error:
+            assert row.op is None, row
+        else:
+            assert 0.0 <= row.op <= 1.0, row

@@ -12,6 +12,8 @@ from scipy.special import j0
 from fdnoma.errors import ConfigError, ImpairmentError, InfeasibleAllocationError, NumericsError
 from fdnoma.sysmodel import (
     _ARRAY_FLOAT,
+    _MAX_N_B,
+    _MAX_N_USERS,
     _SCALAR_FLOAT,
     _SCALAR_INT,
     SystemConfig,
@@ -80,6 +82,21 @@ class TestSystemConfig:
         # form a bare TypeError; n_users=True asked for True tuple entries
         with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {bad!r}$"):
             replace(BASE, **{name: bad})
+
+    @pytest.mark.parametrize("name,limit", [("n_b", _MAX_N_B), ("n_users", _MAX_N_USERS)])
+    def test_count_above_its_limit_rejected(self, name, limit):
+        # n_b = 10**6 would make a Monte Carlo block of (16384, 10**6) draws
+        for bad in (limit + 1, 10**6, 10**400):
+            with pytest.raises(ConfigError, match=f"^{name} must be <= {limit}, got {bad}$"):
+                replace(BASE, **{name: bad})
+
+    def test_counts_at_their_limits_accepted(self):
+        L = _MAX_N_USERS
+        a = [3.0**-k for k in range(L)]
+        cfg = replace(BASE, n_b=_MAX_N_B, n_users=L, a=tuple(x / sum(a) for x in a),
+                      gamma_th=(0.5,) * L, m_ru=(1,) * L, d_ru=(0.5,) * L,
+                      sigma2_est_ru=(0.0,) * L, fd_tau_ru=(0.0,) * L)
+        assert (cfg.n_b, cfg.n_users) == (_MAX_N_B, _MAX_N_USERS)
 
     def test_numpy_integer_count_accepted(self):
         cfg = replace(BASE, n_b=np.int64(3), n_r=np.int32(2), n_users=np.int64(3))
