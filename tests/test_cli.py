@@ -564,16 +564,19 @@ class TestMainExitCodes:
         assert capsys.readouterr().err.startswith(
             "fdnoma: numeric failure: Monte Carlo outage at 300.0 dB: ")
 
-    def test_outage_test_outside_the_float_range_leaves_the_other_points(self):
+    def test_outage_test_outside_the_float_range_leaves_the_other_points(self, tmp_path):
         # at 0 dB alpha_si = 1e300 still fits; that point keeps its values
-        cfg = replace(BASE, alpha_si=1e300)
-        spec = SweepSpec(grid=(0.0, 300.0), trials=10_000,
-                         methods=("monte_carlo", "hd_noma", "fd_oma"))
-        rows = run_sweep(spec, cfg, io.StringIO())
-        alone = run_sweep(replace(spec, grid=(0.0,)), cfg, io.StringIO())
-        assert rows[:9] == alone and all(r.op is not None for r in alone)
-        assert all(r.op is None and r.error.startswith("Monte Carlo outage at 300.0 dB")
-                   for r in rows[9:])
+        cfg, out = tmp_path / "far.cfg", tmp_path / "out.csv"
+        cfg.write_text("alpha_si = 1e300\n")
+        runs = {}
+        for grid in ("0:300:300", "0:0:5"):
+            assert main(["simulate", "--config", str(cfg), f"--grid={grid}", "--trials", "10000",
+                         "--methods", "monte_carlo,hd_noma,fd_oma", "--out", str(out)]) == 0
+            runs[grid] = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))[1:]
+        assert runs["0:300:300"][:9] == runs["0:0:5"]
+        assert all(row[3] != "" and row[8] == "" for row in runs["0:0:5"])
+        for row in runs["0:300:300"][9:]:
+            assert row[3] == "" and row[8].startswith("Monte Carlo outage at 300.0 dB: "), row
 
     @pytest.mark.parametrize("text,message", [("n_b = 1000000", "n_b must be <= 64"),
                                               ("n_users = 1000000", "n_users must be <= 32")])
