@@ -473,7 +473,7 @@ def _order_weights(l: int, n_users: int) -> list[tuple[int, int]]:
     return [(p, w) for p, w in weights if w]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed, so l = True misses l = 1's entry
 def ordered_gain_law(l: int, n_users: int, m_total: int) -> _ExpPoly:
     """B_(l)'s law at unit rate: with f = y^(M-1) e^-y / (M-1)! and
     S = e^-y sum_{k<M} y^k/k!, f S^p = e^(-(1+p) y) sum_k1 beta_p[k1]

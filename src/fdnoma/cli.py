@@ -22,16 +22,15 @@ import statistics
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_args
 
 from . import analytic, mcsim
 from .errors import ConfigError, FdnomaError, NumericsError
 from .presets import AXES, METHODS, PRESET_NAMES, SweepSpec, figure_preset, linear_grid, methods_of
-from .sysmodel import SystemConfig, check_user, dump_config, load_config
+from .sysmodel import HdRule, SystemConfig, check_user, dump_config, load_config
 
 __all__ = ["CsvRow", "run_sweep", "validate", "main"]
-
-_CSV_COLUMNS = ("axis_value", "user", "method", "op", "ci_low", "ci_high", "trials", "wall_ms", "error")
 
 
 @dataclass(frozen=True)
@@ -50,21 +49,14 @@ class CsvRow:
         def f(x):
             if x is None:
                 return ""
-            if isinstance(x, int):
+            if isinstance(x, (str, int)):
                 return str(x)
             return format(x, ".17g")
 
-        return [
-            f(self.axis_value),
-            str(self.user),
-            self.method,
-            f(self.op),
-            f(self.ci_low),
-            f(self.ci_high),
-            f(self.trials),
-            f(self.wall_ms),
-            self.error,
-        ]
+        return [f(getattr(self, name)) for name in _CSV_COLUMNS]
+
+
+_CSV_COLUMNS = tuple(field.name for field in fields(CsvRow))  # the CSV header
 
 
 def _apply_axis(cfg: SystemConfig, axis: str, value: float) -> tuple[SystemConfig, float | None]:
@@ -423,7 +415,7 @@ def main(argv=None) -> int:
     _add_common(p, sim=True)
     p.add_argument("--grid", default="0:40:5")
     add_methods(p, "monte_carlo", methods_of("simulation"))
-    p.add_argument("--hd-rule", default="equal", choices=("equal", "squared"))
+    p.add_argument("--hd-rule", default="equal", choices=get_args(HdRule))
 
     p = sub.add_parser("sweep", help="general sweep over any supported axis")
     _add_common(p, sim=True)
@@ -431,7 +423,7 @@ def main(argv=None) -> int:
     p.add_argument("--grid", required=True)
     add_methods(p, "exact,monte_carlo", tuple(METHODS))
     p.add_argument("--snr", type=float, help="fixed SNR in dB for non-SNR axes")
-    p.add_argument("--hd-rule", default="equal", choices=("equal", "squared"))
+    p.add_argument("--hd-rule", default="equal", choices=get_args(HdRule))
 
     p = sub.add_parser("preset", help="run a figure preset (all variants)")
     p.add_argument("name", help=f"one of: {', '.join(PRESET_NAMES)}")

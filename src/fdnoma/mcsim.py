@@ -27,11 +27,13 @@ import statistics
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from typing import get_args
 
 import numpy as np
 
 from .errors import ConfigError, FdnomaError, NumericsError
 from .sysmodel import (
+    Baseline,
     HdRule,
     LinkStats,
     OutagePoint,
@@ -72,7 +74,7 @@ CHUNK_TRIALS = 1_000_000
 BLOCK_TRIALS = 1 << 14
 MIN_TRIALS = 10_000
 
-SIM_METHODS = ("monte_carlo", "hd_noma", "fd_oma")
+SIM_METHODS = ("monte_carlo", *get_args(Baseline))
 
 
 def __getattr__(name: str):
@@ -531,7 +533,7 @@ def simulate_baseline(
     cfg: SystemConfig,
     snr_db: float,
     l: int,
-    baseline: str,
+    baseline: Baseline,
     trials: int,
     rng: RngStream | int = 0,
     workers: int = 1,
@@ -540,7 +542,7 @@ def simulate_baseline(
 ) -> OutagePoint:
     """HD-NOMA (no SI, mapped thresholds) or FD-OMA (single-user, product
     threshold) over the same TAS/Alamouti-MRC chain."""
-    if baseline not in ("hd_noma", "fd_oma"):
+    if baseline not in get_args(Baseline):
         raise ConfigError(f"unknown baseline {baseline!r}")
     check_user(l, cfg.n_users)
     res = simulate_outage_all(

@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from typing import get_args
 
 from . import analytic, mcsim
 from .errors import ConfigError
-from .sysmodel import SystemConfig
+from .sysmodel import HdRule, SystemConfig
 
 __all__ = [
     "Method", "METHODS", "methods_of", "AXES", "MAX_GRID_POINTS", "linear_grid",
@@ -111,7 +112,7 @@ class SweepSpec:
     trials: int = 100_000
     seed: int = 1
     snr_db: float | None = None
-    hd_rule: str = "equal"
+    hd_rule: HdRule = "equal"
 
     def __post_init__(self):
         if self.axis not in AXES:
@@ -123,6 +124,8 @@ class SweepSpec:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
+        if self.hd_rule not in get_args(HdRule):
+            raise ConfigError(f"unknown hd_rule {self.hd_rule!r}; choose from {get_args(HdRule)}")
         if self.axis != "snr_db" and self.snr_db is None:
             raise ConfigError(f"axis {self.axis!r} needs a fixed snr_db")
         if self.axis == "snr_db" and self.snr_db is not None:

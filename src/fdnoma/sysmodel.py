@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal
+from typing import Literal, get_origin, get_type_hints
 
 from .errors import ConfigError, ImpairmentError, InfeasibleAllocationError, NumericsError
 
@@ -82,18 +82,20 @@ class SystemConfig:
     def __post_init__(self):
         # a float count or a bool would pass the checks below and give a
         # meaningless Gamma shape or a wrong tuple length
-        for name in ("n_b", "n_r", "n_users"):
+        for name in _SCALAR_INT:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name, limit in (("n_b", _MAX_N_B), ("n_users", _MAX_N_USERS)):
+        # Monte Carlo draws any n_r at one cost; it only has to convert to a float
+        limits = (("n_b", _MAX_N_B), ("n_r", sys.float_info.max), ("n_users", _MAX_N_USERS))
+        for name, limit in limits:
             if getattr(self, name) > limit:
                 raise ConfigError(f"{name} must be <= {limit}, got {getattr(self, name)}")
         # NaN passes every comparison below, and inf most of them
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in _SCALAR_FLOAT + _ARRAY_FLOAT:
+            value = getattr(self, name)
             if not all(map(math.isfinite, (value,) if isinstance(value, numbers.Real) else value)):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         L = self.n_users
         if L < 1:
             raise ConfigError(f"n_users must be >= 1, got {L}")
@@ -101,7 +103,7 @@ class SystemConfig:
             raise ConfigError(f"n_b must be >= 2 (two antennas are selected), got {self.n_b}")
         if self.n_r < 1:
             raise ConfigError(f"n_r must be >= 1, got {self.n_r}")
-        for name in ("m_ru", "d_ru", "a", "gamma_th", "sigma2_est_ru", "fd_tau_ru"):
+        for name in _ARRAY_FLOAT:
             val = getattr(self, name)
             if len(val) != L:
                 raise ConfigError(f"{name} must have {L} entries, got {len(val)}")
@@ -149,6 +151,15 @@ class SystemConfig:
         if margin <= 0:
             raise InfeasibleAllocationError(k, margin)
         return margin
+
+
+# The config keys: the SystemConfig fields by kind (counts, network-wide
+# floats, per-user tuples), each kind in field order.
+_HINTS = get_type_hints(SystemConfig)
+_SCALAR_INT = tuple(name for name, hint in _HINTS.items() if hint is int)
+_SCALAR_FLOAT = tuple(name for name, hint in _HINTS.items() if hint is float)
+_ARRAY_FLOAT = tuple(name for name, hint in _HINTS.items() if get_origin(hint) is tuple)
+_ALL_KEYS = _SCALAR_INT + _SCALAR_FLOAT + _ARRAY_FLOAT
 
 
 @dataclass(frozen=True)
@@ -320,8 +331,9 @@ def _correlation(fd_tau: float, name: str) -> float:
 
 def check_user(l, n_users: int) -> None:
     """Raise ConfigError unless l is a user index, an integer in 1..n_users
-    (0 or -1 would read another user's entry of every per-user tuple)."""
-    if not (isinstance(l, numbers.Integral) and 1 <= l <= n_users):
+    (0 or -1 would read another user's entry of every per-user tuple, and
+    True would pass as user 1)."""
+    if isinstance(l, bool) or not (isinstance(l, numbers.Integral) and 1 <= l <= n_users):
         raise ConfigError(f"user index {l!r} out of range 1..{n_users}")
 
 
@@ -364,7 +376,7 @@ def compute_deltas(cfg: SystemConfig, snr_bar: float) -> DeltaSet:
 
 
 Baseline = Literal["hd_noma", "fd_oma"]
-HdRule = Literal["squared", "equal"]
+HdRule = Literal["equal", "squared"]
 
 
 def map_baseline_thresholds(
@@ -397,13 +409,8 @@ def map_baseline_thresholds(
 
 # --------------------------------------------------------------------------
 # Config file format: flat "key = value" lines, '#' comments, per-user
-# arrays comma-separated.  Keys mirror the SystemConfig field names.
+# arrays comma-separated.  The keys are _ALL_KEYS, the SystemConfig fields.
 # --------------------------------------------------------------------------
-
-_SCALAR_INT = ("n_b", "n_r", "n_users")
-_SCALAR_FLOAT = ("m_sr", "m_rr", "d_sr", "eta", "mu", "alpha_si", "sigma2_est_sr", "fd_tau_sr")
-_ARRAY_FLOAT = ("m_ru", "d_ru", "a", "gamma_th", "sigma2_est_ru", "fd_tau_ru")
-_ALL_KEYS = _SCALAR_INT + _SCALAR_FLOAT + _ARRAY_FLOAT
 
 
 def loads_config(text: str, source: str = "<string>") -> SystemConfig:

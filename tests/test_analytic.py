@@ -768,10 +768,10 @@ USER_INDEX_CALLS = {
 class TestUserIndex:
     """A user index outside 1..n_users is a config error naming the index
     and the range.  Before the check, l = 0 and -1 read users 3 and 2 (or
-    gave 0, 1.0, ZeroDivisionError or a factorial error) and l = 4 raised
-    IndexError."""
+    gave 0, 1.0, ZeroDivisionError or a factorial error), l = 4 raised
+    IndexError and l = True passed as user 1."""
 
-    @pytest.mark.parametrize("l", [0, -1, 4])
+    @pytest.mark.parametrize("l", [0, -1, 4, True])
     @pytest.mark.parametrize("call", USER_INDEX_CALLS)
     def test_entry_point_rejects_it(self, call, l):
         with pytest.raises(ConfigError, match=re.escape(f"user index {l} out of range 1..3")):

@@ -14,7 +14,7 @@ import fdnoma.analytic as analytic
 import fdnoma.mcsim as mcsim
 import fdnoma.presets as presets
 from fdnoma.analytic import OutagePoint
-from fdnoma.cli import main, run_sweep, validate
+from fdnoma.cli import CsvRow, main, run_sweep, validate
 from fdnoma.presets import MAX_GRID_POINTS, PRESET_NAMES, SweepSpec, figure_preset, linear_grid
 from fdnoma.errors import ConfigError, NumericsError
 from fdnoma.sysmodel import _SNR_DB_RANGE, SystemConfig, dump_config, loads_config
@@ -37,9 +37,10 @@ def sweep_to_string(spec, cfg, **kw) -> str:
 
 
 class TestRunSweep:
-    @pytest.mark.parametrize("users", [(0,), (2, 4)])
+    @pytest.mark.parametrize("users", [(0,), (2, 4), (True,)])
     def test_user_outside_the_users_is_rejected_before_any_cell(self, users, monkeypatch):
-        # users=(0,) used to print user 3's Monte Carlo value as user 0's
+        # users=(0,) used to print user 3's Monte Carlo value as user 0's,
+        # and users=(True,) user 1's as user True's
         monkeypatch.setattr(mcsim, "simulate_sweep", None)
         monkeypatch.setattr(analytic, "exact_outage_sweep", None)
         spec = SweepSpec(grid=(10.0,), methods=("exact", "monte_carlo"), users=users,
@@ -234,6 +235,36 @@ class TestRunSweep:
         spec = SweepSpec(axis="d_sr", grid=(0.3, 0.5), methods=("exact",), snr_db=15.0)
         text = sweep_to_string(spec, BASE)
         assert len(text.strip().splitlines()) == 1 + 2 * BASE.n_users
+
+
+class TestCsvRow:
+    def test_every_field_set(self):
+        row = CsvRow(axis_value=0.1, user=2, method="monte_carlo", op=0.25, ci_low=1 / 3,
+                     ci_high=0.5, trials=20_000, wall_ms=7, error="")
+        assert row.formatted() == ["0.10000000000000001", "2", "monte_carlo", "0.25",
+                                   "0.33333333333333331", "0.5", "20000", "7", ""]
+
+    def test_none_fields_are_empty(self):
+        row = CsvRow(axis_value=10, user=1, method="exact", op=None, error="n_r, too large")
+        assert row.formatted() == ["10", "1", "exact", "", "", "", "", "", "n_r, too large"]
+
+
+class TestSweepSpec:
+    def test_unknown_hd_rule_rejected(self):
+        # it used to pass, and run_sweep wrote the header before a bare ValueError
+        with pytest.raises(ConfigError, match=r"^unknown hd_rule 'Squared'; choose from "
+                                              r"\('equal', 'squared'\)$"):
+            SweepSpec(grid=(10.0,), methods=("hd_noma",), hd_rule="Squared")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_unknown_hd_rule_is_exit_1(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--grid", "10:10:5", "--methods", "hd_noma", "--hd-rule", "Squared"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --hd-rule: invalid choice: 'Squared' (choose from 'equal', 'squared')" \
+            in captured.err
 
 
 class TestPresets:
@@ -501,6 +532,28 @@ class TestMainExitCodes:
         argv = ["simulate", "--config", str(bad), "--grid", "10:10:5", "--trials", "10000"]
         assert main(argv) == 2
         assert "sigma2_est_sr must be finite, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "validate"])
+    def test_count_beyond_the_float_range_is_exit_2(self, command, tmp_path, capsys):
+        # n_r = 10**400 overflowed in the finiteness check with a traceback
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(f"n_r = {10**400}\n")
+        trials = [] if command == "analyze" else ["--trials", "10000"]
+        assert main([command, "--config", str(cfg), "--grid", "10:10:5", *trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"fdnoma: config error: {cfg}: n_r must be <= "
+                                f"1.7976931348623157e+308, got {10**400}\n")
+
+    def test_count_inside_the_float_range_is_evaluated(self, tmp_path, capsys):
+        # Monte Carlo prints its values; the closed form its degree limit
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(f"n_r = {10**300}\n")
+        assert main(["sweep", "--config", str(cfg), "--grid", "10:10:5", "--trials", "10000",
+                     "--users", "1", "--methods", "exact,monte_carlo"]) == 0
+        exact, mc = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        assert exact[3] == "" and "requires m_ru*n_r*n_users <= 24" in exact[8]
+        assert 0.0 < float(mc[3]) < 1.0 and mc[8] == ""
 
     @pytest.mark.parametrize("text", ["d_sr = 1e-80", "d_ru = 1e-80, 1e-80, 1e-80"])
     @pytest.mark.parametrize("command", ["analyze", "simulate", "validate"])

@@ -325,7 +325,7 @@ class TestSimulateOutage:
         pt = simulate_outage(cfg, 10.0, 1, 50_000, rng=1)
         assert pt.value == 0.0
 
-    @pytest.mark.parametrize("l", [0, -1, 4, 1.0])
+    @pytest.mark.parametrize("l", [0, -1, 4, 1.0, True])
     def test_user_index_outside_the_users_rejected(self, l, monkeypatch):
         # l = 0 and -1 used to return users 3 and 2; nothing is drawn
         monkeypatch.setattr(mcsim, "_sweep_chunk", None)

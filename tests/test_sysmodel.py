@@ -3,7 +3,7 @@
 import math
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from scipy.special import j0
 
 from fdnoma.errors import ConfigError, ImpairmentError, InfeasibleAllocationError, NumericsError
 from fdnoma.sysmodel import (
+    _ALL_KEYS,
     _ARRAY_FLOAT,
     _MAX_N_B,
     _MAX_N_USERS,
@@ -90,6 +91,13 @@ class TestSystemConfig:
             with pytest.raises(ConfigError, match=f"^{name} must be <= {limit}, got {bad}$"):
                 replace(BASE, **{name: bad})
 
+    def test_count_beyond_the_float_range_rejected(self):
+        # n_r = 10**400 overflowed in the finiteness check with a traceback
+        message = r"^n_r must be <= 1\.7976931348623157e\+308, got 10{400}$"
+        with pytest.raises(ConfigError, match=message):
+            replace(BASE, n_r=10**400)
+        assert replace(BASE, n_r=10**300).n_r == 10**300
+
     def test_counts_at_their_limits_accepted(self):
         L = _MAX_N_USERS
         a = [3.0**-k for k in range(L)]
@@ -110,7 +118,7 @@ class TestSystemConfig:
         with pytest.raises(ConfigError, match="outside the float range"):
             replace(BASE, **kw)
 
-    @pytest.mark.parametrize("k", [0, -1, 4, 1.0])
+    @pytest.mark.parametrize("k", [0, -1, 4, 1.0, True])
     def test_feasibility_margin_checks_the_stage(self, k):
         with pytest.raises(ConfigError, match=re.escape(f"user index {k!r} out of range 1..3")):
             BASE.feasibility_margin(k)
@@ -229,9 +237,9 @@ class TestTheta:
             1.0, rel=1e-3
         )
 
-    @pytest.mark.parametrize("l", [0, -1, 4, 2.0, None])
+    @pytest.mark.parametrize("l", [0, -1, 4, 2.0, None, True])
     def test_user_index_outside_the_users_rejected(self, l):
-        # l = 0 used to give user 3's constants
+        # l = 0 used to give user 3's constants, and l = True user 1's
         message = re.escape(f"user index {l!r} out of range 1..3")
         with pytest.raises(ConfigError, match=message):
             check_user(l, 3)
@@ -314,6 +322,20 @@ class TestConfigFile:
     def test_round_trip(self):
         cfg = replace(BASE, n_b=3, mu=0.3, sigma2_est_ru=(0.01, 0.02, 0.03))
         assert loads_config(dump_config(cfg)) == cfg
+
+    def test_keys_are_the_fields(self):
+        assert sorted(_ALL_KEYS) == sorted(f.name for f in fields(SystemConfig))
+
+    def test_default_text_pins_the_key_order(self):
+        assert dump_config(BASE) == (
+            "n_b = 2\nn_r = 1\nn_users = 3\n"
+            "m_sr = 1\nm_rr = 1\nd_sr = 0.5\neta = 4\nmu = 0.25\nalpha_si = 1\n"
+            "sigma2_est_sr = 0\nfd_tau_sr = 0\n"
+            "m_ru = 1, 1, 1\nd_ru = 0.5, 0.5, 0.5\n"
+            "a = 0.5, 0.33333333333333331, 0.16666666666666666\n"
+            "gamma_th = 0.90000000000000002, 1.5, 2\n"
+            "sigma2_est_ru = 0, 0, 0\nfd_tau_ru = 0, 0, 0\n"
+        )
 
     def test_round_trip_is_byte_stable(self):
         text = dump_config(BASE)
