@@ -18,10 +18,10 @@ The exact outage probability is a 12-fold nested finite sum over one
 semi-infinite quadrature (the Phi integral, integrated in log form by
 phi_integral_log_rows).  It and the CEE/FBD error floor share one
 exp-sinh rule, converged to the fixed relative tolerance _DE_REL_TOL.
-Its terms are tabulated once per structure at unit rates (_sum_table);
-an evaluation adds a few scalars' logs to each term's log-magnitude in
-one array operation.  Terms alternate in sign, so the final reduction uses
-exact summation (math.fsum) after rescaling by the largest term.
+The sum is a bilinear form over a grid of Phi rows, its two factor
+tables built once per structure at unit rates (_sum_table).  Terms
+alternate in sign: an evaluation sums each key's entries, then the grid
+by exact summation (math.fsum) after rescaling by its largest cell.
 
 Two printed-formula ambiguities are resolved here; the tests arbitrate
 them against the Monte Carlo engine with transcriptions of the printed
@@ -511,12 +511,12 @@ def sf_relay_ratio(x: float, *, n_b: int, m_sr: int, lam_sr: float, m_rr: int,
 # --------------------------------------------------------------------------
 
 # Largest degrees of the laws' tables: m_sr n_b for A and m_ru n_r n_users
-# for B_(l).  The exact sum's table grows with both.  At the limits, e.g.
-# (n_b, m_sr) = (4, 4) with (m_ru n_r, n_users) = (8, 3) or (3, 8), it holds
-# 258k-398k terms and 8k-15k Phi rows, takes 0.9-1.4 s and 60-95 MB to
-# build, and an exact point then takes 0.5 s (125 MB peak RSS); at
-# (n_b, m_sr) = (6, 4) and (3, 8) it took 5.5 s and 340 MB, and at m_sr =
-# 1e10 A's table alone ran for ten minutes to 1.9 GB (2-core VM).
+# for B_(l).  At the limits, e.g. (n_b, m_sr) = (4, 4) with
+# (m_ru n_r, n_users) = (8, 3) or (3, 8), the exact sum's factor tables hold
+# 1.1k-1.3k entries (~50 ms, 1.5 MB to build) and its grid 8k-15k Phi rows;
+# an exact point at (8, 3) takes ~0.4 s (33 MB peak RSS, 2-core VM).  The
+# sum's roundoff floor, ~1e-9 there, bounds them now; at m_sr = 1e10 A's
+# table alone ran for ten minutes to 1.9 GB.
 _MAX_ORDER_A = 16
 _MAX_ORDER_B = 24
 
@@ -543,67 +543,61 @@ def _require_analytic_config(cfg: SystemConfig) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class _SumTable:
-    """The exact form's nested sum for one structure, at unit rates.
-
-    Term i is sign[i] * exp(const[i] + powers[i] @ x) * Phi(rows[row[i]]),
-    x being the eight per-evaluation scalars of exact_outage_for_lambda,
-    times the common factor rate_c^m_rr / Gamma(m_rr).  Each Phi row is
-    (k2, e_pi, nu, rho, p), rho the pole over lam_s.
-    """
+    """The exact form's nested sum for one structure at unit rates: times
+    rate_c^m_rr / Gamma(m_rr), it is sum_ab F_a G_ab Phi(rows[a, b]) S_b,
+    F_a summing the first-hop entries of key a = (k2, rho, n1 - t3), S_b the
+    second-hop entries of key b = (t4, p).  Entry i (key[i] = a, or
+    len(log_g) + b) is sign[i] * exp(const[i] + powers[i] @ x), x the eight
+    scalars of exact_outage_for_lambda.  The Phi rows (k2, e_pi, nu, rho, p),
+    rho the pole over lam_s, are the a x b grid, a-major, as is log G_ab."""
 
     sign: np.ndarray
     const: np.ndarray
     powers: np.ndarray
-    row: np.ndarray
+    key: np.ndarray
+    log_g: np.ndarray
     rows: np.ndarray
 
     def __post_init__(self):
         # one cached table serves every caller
-        for column in (self.sign, self.const, self.powers, self.row, self.rows):
+        for column in (self.sign, self.const, self.powers, self.key, self.log_g, self.rows):
             column.flags.writeable = False
 
 
 @lru_cache(maxsize=64)
 def _sum_table(n_b: int, m_sr: int, big_m: int, n_users: int, l: int) -> _SumTable:
-    """Terms of the success sum, built once per structure.
-
-    Each rate enters only as a power of itself (A's sf coefficient of y^n1
-    scales as lam_s^n1, B_(l)'s pdf coefficient of y^(M-1+k1) as
-    lam_b^k1), so the terms are built at unit rates.  Terms that share
-    every power and Phi row are merged first: the first-hop factor is one
-    exact coefficient of A's sf per (rho, n1), the second-hop factor one
-    exact coefficient of B_(l)'s pdf per (1 + p, k1), times C(M-1+k1, t4).
-    """
-    # first-hop x (t3, k2) factor: (rho, n1, t3, k2, value); the
-    # Bessel-closing integral adds a factor 2 to A's sf coefficient
-    ft = np.array([
-        (float(rho), n1, t3, k2, float(2 * d * comb(n1, t3) * comb(t3, k2)))
-        for rho, row in first_hop_mixture(n_b, m_sr).sf
-        for n1, d in enumerate(row)
-        for t3 in range(n1 + 1)
-        for k2 in range(t3 + 1)
-    ])
-    # second-hop factor: (p, k1, t4, value), from B_(l)'s pdf term
-    # c y^j e^(-(1 + p) y), j = M - 1 + k1
-    sh = [(float(rate) - 1, j - big_m + 1, t4, float(c * comb(j, t4)))
-          for rate, row in ordered_gain_law(l, n_users, big_m).pdf
-          for j, c in enumerate(row) if c for t4 in range(j + 1)]
-    # every term is one (first-hop, t3, k2) entry times one second-hop entry
-    rho, n1, t3, k2, f = (c[:, None] for c in ft.T)
-    p, k1, t4, s = np.array(sh).T
-    value = f * s
-    live = value != 0.0
-    nu = t3 + t4 - n1 + 1
-    e_pi = (n1 - t3 + t4 + 1) / 2.0
-    # exponents of 2 dd lam_s/g, lam_b, 2 th1 dd, c1, th4 g^2, th2 g,
-    # exp(-2 dd th2 lam_s) and exp(-2 th1 dd lam_b)
-    powers = np.stack(np.broadcast_arrays(
-        n1 + nu / 2, big_m + k1 - nu / 2, big_m + k1 - t4 - 1, e_pi, k2, t3 - k2, rho, 1 + p,
-    ), axis=-1)[live]
-    keys = np.stack(np.broadcast_arrays(k2, e_pi, nu, rho, p), axis=-1)[live]
-    rows, row = np.unique(keys, axis=0, return_inverse=True)
-    const = np.log(np.abs(value[live])) + (nu / 2 * (np.log(rho) - np.log(1 + p)))[live]
-    return _SumTable(np.sign(value[live]), const, powers, row.ravel(), rows)
+    """The two factor tables of the success sum, built once per structure
+    at unit rates: each rate enters only as a power of itself (A's sf
+    coefficient of y^n1 scales as lam_s^n1, B_(l)'s pdf coefficient of
+    y^(M-1+k1) as lam_b^k1).  A term is a first-hop entry, an exact
+    coefficient of A's sf per (rho, n1) times C(n1, t3) C(t3, k2), times a
+    second-hop entry, an exact coefficient of B_(l)'s pdf per (1 + p, k1)
+    times C(M-1+k1, t4).  Each exponent is a first-hop part plus a
+    second-hop part; only G_ab = (rho/(1 + p))^(nu/2),
+    nu = t4 - (n1 - t3) + 1, and the Phi row couple the two."""
+    # an entry: its key, value and parts of the exponents of 2 dd lam_s/g,
+    # lam_b, 2 th1 dd, c1, th4 g^2, th2 g, exp(-2 dd th2 lam_s) and
+    # exp(-2 th1 dd lam_b), nu/2 split as (1 - n1 + t3)/2 + t4/2; the
+    # Bessel-closing integral adds a factor 2 to A's sf coefficient, and
+    # B_(l)'s pdf term c y^j e^(-(1 + p) y) has j = M - 1 + k1
+    ft = np.array([(k2, rho, n1 - t3, 2 * d * comb(n1, t3) * comb(t3, k2), n1 + (1 - n1 + t3) / 2,
+                    (n1 - t3) / 2, 0, (n1 - t3) / 2, k2, t3 - k2, rho, 0)
+                   for rho, row in first_hop_mixture(n_b, m_sr).sf
+                   for n1, d in enumerate(row) if d
+                   for t3 in range(n1 + 1) for k2 in range(t3 + 1)], dtype=float)
+    sh = np.array([(t4, rate - 1, c * comb(j, t4),
+                    t4 / 2, j - (t4 - 1) / 2, j - t4, (t4 + 1) / 2, 0, 0, 0, rate)
+                   for rate, row in ordered_gain_law(l, n_users, big_m).pdf
+                   for j, c in enumerate(row) if c for t4 in range(j + 1)], dtype=float)
+    keys_a, a = np.unique(ft[:, :3], axis=0, return_inverse=True)
+    keys_b, b = np.unique(sh[:, :2], axis=0, return_inverse=True)
+    value = np.concatenate([ft[:, 3], sh[:, 2]])
+    (k2, rho, q), (t4, p) = (c[:, None] for c in keys_a.T), keys_b.T
+    nu = t4 - q + 1
+    rows = np.stack(np.broadcast_arrays(k2, (q + t4 + 1) / 2, nu, rho, p), axis=-1)
+    return _SumTable(np.sign(value), np.log(np.abs(value)), np.vstack([ft[:, 4:], sh[:, 3:]]),
+                     np.concatenate([a.ravel(), len(keys_a) + b.ravel()]),
+                     nu / 2 * (np.log(rho) - np.log(1 + p)), rows.reshape(-1, 5))
 
 
 @dataclass(frozen=True)
@@ -665,17 +659,23 @@ def _exact_plan(cfg: SystemConfig, snr_db: float, l: int, lam_dag: float | None)
 
 def _exact_finish(plan: _ExactPlan, log_phi: np.ndarray) -> OutagePoint:
     table = plan.table
-    logs = table.const + table.powers @ plan.scalars + log_phi[table.row]
+    na, nb = table.log_g.shape
+    # each key's signed sum as sums[k] * exp(top[k]), top its largest entry
+    logs = table.const + table.powers @ plan.scalars
     live = logs > -np.inf
-    if not live.any():
+    key, logs = table.key[live], logs[live]
+    top = np.full(na + nb, -np.inf)
+    np.maximum.at(top, key, logs)
+    sums = np.bincount(key, table.sign[live] * np.exp(logs - top[key]), minlength=na + nb)
+    grid = top[:na, None] + table.log_g + log_phi.reshape(na, nb) + top[na:]
+    if not (grid > -np.inf).any():
         # every success term underflowed: the form cannot resolve this
         # point, which is not evidence of certain outage
-        raise NumericsError(
-            f"exact outage for user {plan.l} at {plan.snr_db} dB: every Phi term underflowed"
-        )
-    logs = logs[live]
-    shift = logs.max()
-    success = exp(shift + plan.log_cc) * fsum(table.sign[live] * np.exp(logs - shift))
+        raise NumericsError(f"exact outage for user {plan.l} at {plan.snr_db} dB: "
+                            "every Phi term underflowed")
+    shift = grid.max()
+    terms = np.outer(sums[:na], sums[na:]) * np.exp(grid - shift)
+    success = exp(shift + plan.log_cc) * fsum(terms.ravel())
     return _clamped_point(1.0 - success, plan.l, plan.snr_db, "exact")
 
 

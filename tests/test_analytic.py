@@ -719,6 +719,27 @@ class TestExactOutage:
             exact_outage(cfg, snr, 2)
         assert analytic._sum_table.cache_info().misses == 1
 
+    @pytest.mark.parametrize("n_b,m,sizes", [
+        (3, 3, (140, 178, (49, 33), 1617)),
+        (4, 4, (795, 325, (182, 45), 8190)),
+    ])
+    def test_sum_table_is_two_factor_tables_and_a_key_grid(self, n_b, m, sizes):
+        # user 3 at n_r = 2: (first-hop entries, second-hop entries, key
+        # grid, Phi rows), a work count that does not depend on the machine
+        table = analytic._sum_table(n_b, m, 2 * m, 3, 3)
+        na, nb = table.log_g.shape
+        assert ((table.key < na).sum(), (table.key >= na).sum(), (na, nb), len(table.rows)) == sizes
+        assert np.array_equal(np.unique(table.key), np.arange(na + nb))
+        # the Phi rows (k2, e_pi, nu, rho, p) are the full grid of keys
+        # a = (k2, rho, q) by b = (t4, p), each once, q = e_pi - nu/2 and
+        # t4 = e_pi + nu/2 - 1
+        k2, e_pi, nu, rho, p = table.rows.reshape(na, nb, 5).transpose(2, 0, 1)
+        a = np.stack([k2, rho, e_pi - nu / 2], axis=-1)
+        b = np.stack([e_pi + nu / 2 - 1, p], axis=-1)
+        assert (a == a[:, :1]).all() and (b == b[:1]).all()
+        assert len(np.unique(a[:, 0], axis=0)) == na and len(np.unique(b[0], axis=0)) == nb
+        assert np.array_equal(table.log_g, nu / 2 * (np.log(rho) - np.log(1 + p)))
+
     def test_quadrature_spec_respected(self, monkeypatch):
         monkeypatch.setattr(analytic, "_DE_REL_TOL", 1e-6)
         a = exact_outage(BASE, 15.0, 2).value
