@@ -424,8 +424,8 @@ def simulate_sweep(
     (the point's other methods keep their counts on the same draws); or the
     FdnomaError raised while deriving the point's common scalars.  trials
     must be an integer >= MIN_TRIALS, workers >= 1, rng an RngStream or
-    seed of nonnegative integers and conf lie in (0, 1); all are checked
-    before any chunk is drawn.
+    seed of nonnegative integers and conf lie in (0, 1), and an unknown
+    hd_rule is a ConfigError; all are checked before any point is planned.
     """
     trials = _integer_at_least(trials, MIN_TRIALS, "trials")
     workers = _integer_at_least(workers, 1, "workers")
@@ -438,6 +438,8 @@ def simulate_sweep(
     for m in methods:
         if m not in SIM_METHODS:
             raise ValueError(f"unknown simulation method {m!r}")
+    if hd_rule not in get_args(HdRule):
+        raise ConfigError(f"unknown hd_rule {hd_rule!r}; choose from {get_args(HdRule)}")
     methods = tuple(methods)
     if not points:
         return []

@@ -86,23 +86,27 @@ class SystemConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        # Monte Carlo draws any n_r at one cost; it only has to convert to a float
-        limits = (("n_b", _MAX_N_B), ("n_r", sys.float_info.max), ("n_users", _MAX_N_USERS))
-        for name, limit in limits:
-            if getattr(self, name) > limit:
-                raise ConfigError(f"{name} must be <= {limit}, got {getattr(self, name)}")
-        # NaN passes every comparison below, and inf most of them
+        # two antennas are selected; Monte Carlo draws any n_r at one cost,
+        # it only has to convert to a float
+        for name, low, high in (("n_b", 2, _MAX_N_B), ("n_r", 1, sys.float_info.max),
+                                ("n_users", 1, _MAX_N_USERS)):
+            value = getattr(self, name)
+            if not low <= value <= high:
+                bound = f">= {low}" if value < low else f"<= {high}"
+                raise ConfigError(f"{name} must be {bound}, got {_shown(value)}")
+        # NaN passes every comparison below, and inf most of them; an int
+        # beyond the float range overflows isfinite
         for name in _SCALAR_FLOAT + _ARRAY_FLOAT:
             value = getattr(self, name)
-            if not all(map(math.isfinite, (value,) if isinstance(value, numbers.Real) else value)):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
+            try:
+                finite = all(map(math.isfinite,
+                                 (value,) if isinstance(value, numbers.Real) else value))
+            except OverflowError:
+                raise ConfigError(f"{name} must lie within the float range, "
+                                  f"got {_shown(value)}") from None
+            if not finite:
+                raise ConfigError(f"{name} must be finite, got {_shown(value)}")
         L = self.n_users
-        if L < 1:
-            raise ConfigError(f"n_users must be >= 1, got {L}")
-        if self.n_b < 2:
-            raise ConfigError(f"n_b must be >= 2 (two antennas are selected), got {self.n_b}")
-        if self.n_r < 1:
-            raise ConfigError(f"n_r must be >= 1, got {self.n_r}")
         for name in _ARRAY_FLOAT:
             val = getattr(self, name)
             if len(val) != L:
@@ -240,6 +244,17 @@ def snr_linear(snr_db: float) -> float:
         raise NumericsError(f"snr_db={snr_db} is outside {lo:.1f}..{hi:.1f} dB, where the "
                             "squared linear SNR is a normal float")
     return 10.0 ** (snr_db / 10.0)
+
+
+def _shown(value) -> str:
+    """repr of a field's value; an int too long for Python's int-to-str
+    limit, alone or in a tuple, shows as its bit length."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, tuple):
+            return f"({', '.join(map(_shown, value))})"
+        return f"an integer of {value.bit_length()} bits"
 
 
 def _mean_power(d: float, eta: float) -> float:

@@ -581,6 +581,17 @@ class TestSweep:
         with pytest.raises(ValueError, match="confidence level"):
             simulate_sweep(_d_sr_points(BASE), 20_000, conf=conf)
 
+    @pytest.mark.parametrize("methods", [("hd_noma",), ("monte_carlo",)])
+    def test_unknown_hd_rule_checked_before_any_point(self, monkeypatch, methods):
+        # it was a bare ValueError from the threshold mapping of the first
+        # hd_noma point, and went unnoticed without one
+        def no_plan(*args):
+            raise AssertionError("a point was planned")
+
+        monkeypatch.setattr(mcsim, "_plan_point", no_plan)
+        with pytest.raises(ConfigError, match=r"^unknown hd_rule 'Squared'; choose from "):
+            simulate_sweep([(SystemConfig(), 10.0)], 10_000, methods=methods, hd_rule="Squared")
+
     def test_chunk_memory_stays_within_blocks(self):
         # every variate is drawn per block, so a 1e6-trial chunk never holds
         # a whole-chunk array (its draws alone would take ~48 MB)

@@ -98,6 +98,25 @@ class TestSystemConfig:
             replace(BASE, n_r=10**400)
         assert replace(BASE, n_r=10**300).n_r == 10**300
 
+    @pytest.mark.parametrize("name,value,shown", [
+        ("mu", 10**400, "1" + "0" * 400),
+        ("d_ru", (10**400, 0.5, 0.5), f"\\(1{'0' * 400}, 0\\.5, 0\\.5\\)"),
+        ("eta", -10**5000, "an integer of 16610 bits"),
+    ], ids=["mu", "d_ru", "too_long_to_print"])
+    def test_int_beyond_the_float_range_in_a_float_field_rejected(self, name, value, shown):
+        # isfinite overflowed with a traceback
+        with pytest.raises(ConfigError, match=f"^{name} must lie within the float range, "
+                                              f"got {shown}$"):
+            replace(BASE, **{name: value})
+
+    def test_count_too_long_to_print_rejected(self):
+        # formatting the message hit Python's int-to-str digit limit
+        message = r"^n_r must be <= 1\.7976931348623157e\+308, got an integer of 16610 bits$"
+        with pytest.raises(ConfigError, match=message):
+            replace(BASE, n_r=10**5000)
+        with pytest.raises(ConfigError, match="^n_b must be >= 2, got an integer of 16610 bits$"):
+            replace(BASE, n_b=-10**5000)
+
     def test_counts_at_their_limits_accepted(self):
         L = _MAX_N_USERS
         a = [3.0**-k for k in range(L)]
