@@ -247,10 +247,10 @@ def snr_linear(snr_db: float) -> float:
 
 
 def _shown(value) -> str:
-    """repr of a field's value; an int too long for Python's int-to-str
-    limit, alone or in a tuple, shows as its bit length."""
+    """A field's value as a message shows it; an int too long for Python's
+    int-to-str limit, alone or in a tuple, shows as its bit length."""
     try:
-        return repr(value)
+        return str(value)
     except ValueError:
         if isinstance(value, tuple):
             return f"({', '.join(map(_shown, value))})"
