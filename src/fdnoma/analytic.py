@@ -496,14 +496,19 @@ def sf_relay_ratio(x: float, *, n_b: int, m_sr: int, lam_sr: float, m_rr: int,
     = theta4p/snr_bar.  Ideal: W = A/C, offset 0.  A's sf table closed
     against the Gamma(m_rr) SI law: each term d y^k e^(-rho y) of it, with
     (C + o)^k expanded, in the rate-free y = lam_sr*x/rate_c and
-    o = offset*rate_c; terms collected with exact summation.
+    o = offset*rate_c; terms collected with exact summation.  Read by the
+    lower bound, the mu = 1 ideal asymptote and the mu = 1 CEE/FBD floor.
     """
     rate_c = m_rr / omega_rr
     y, o = lam_sr * x / rate_c, offset * rate_c
-    return fsum(d * comb(k, t5) * math.prod(range(m_rr, m_rr + t5)) * y**k * o ** (k - t5)
-                * exp(-rho * lam_sr * x * offset) * (rho * y + 1.0) ** (-t5 - m_rr)
-                for rho, row in first_hop_mixture(n_b, m_sr).sf_rows
-                for k, d in enumerate(row) for t5 in range(k + 1))
+    try:
+        return fsum(d * comb(k, t5) * math.prod(range(m_rr, m_rr + t5)) * y**k * o ** (k - t5)
+                    * exp(-rho * lam_sr * x * offset) * (rho * y + 1.0) ** (-t5 - m_rr)
+                    for rho, row in first_hop_mixture(n_b, m_sr).sf_rows
+                    for k, d in enumerate(row) for t5 in range(k + 1))
+    except OverflowError:  # a power past the float range
+        raise NumericsError(f"the relay-ratio sf at x = {x:g} has a term outside the float "
+                            "range") from None
 
 
 # --------------------------------------------------------------------------
@@ -895,10 +900,12 @@ def asymptotic_outage_practical(cfg: SystemConfig, l: int) -> OutagePoint:
     """Error floor under CEE/FBD: the gbar -> infinity limit of the exact form.
 
     With the high-SNR theta replacements the outage event collapses to an
-    SNR-free comparison; for mu < 1 the SI gain concentrates at zero and a
-    single quadrature over the ordered gain remains, for mu = 1 the SI
-    average is kept as an outer quadrature.  Both are exp-sinh rules, as
-    for Phi, converged to _DE_REL_TOL.
+    SNR-free comparison: at SI gain C the first hop survives when A exceeds
+    a + b*C, a and b functions of the ordered gain.  One exp-sinh rule over
+    that gain remains, as for Phi converged to _DE_REL_TOL.  For mu < 1 the
+    SI gain concentrates at zero and the first-hop factor is sf_A(a); for
+    mu = 1 it is the SI average E_C[sf_A(a + b*C)] = P(A/(C + a/b) > b),
+    sf_relay_ratio in closed form.
     """
     check_user(l, cfg.n_users)
     m_sr, m_rr, m_ru = _require_analytic_config(cfg)
@@ -924,45 +931,25 @@ def asymptotic_outage_practical(cfg: SystemConfig, l: int) -> OutagePoint:
 
     u_c = max(big_m / lam_b, tau_b)
 
-    def log_survive(z: np.ndarray) -> np.ndarray:
-        """log of int_0^inf sf_A(arg(u, z)) f_B(u + tau_b) du per SI gain z,
-        in u = u_c exp(pi/2 sinh t)."""
+    def log_integrand(sinh_t, log_cosh_t, floor):
+        """log of the first-hop factor times f_B(u + tau_b), in
+        u = u_c exp(pi/2 sinh t)."""
+        u = u_c * np.exp(sinh_t)
+        y = u + tau_b
+        a = 2.0 * lam_dag * (th2_t * y + th5_t) / u
+        sf = law_a.sf_at(a, lam_s)
+        if cfg.mu == 1.0:
+            # sf_A falls with its argument and C >= 0, so sf_A(a) bounds the
+            # SI average: a node where it is zero stays zero
+            b = 2.0 * lam_dag * (th3_t + th4 * y) / u
+            for j in np.flatnonzero(sf > 0):
+                sf[j] = sf_relay_ratio(float(b[j]), n_b=cfg.n_b, m_sr=m_sr, lam_sr=lam_s,
+                                       m_rr=m_rr, omega_rr=stats.omega_rr,
+                                       offset=float(a[j] / b[j]))
+        # both factors are nonnegative: one that rounds to <= 0 is zero
+        return (_log_positive(sf) + _log_positive(law_b.pdf_at(y, lam_b))
+                + log(u_c) + sinh_t + log_cosh_t)[None]
 
-        def log_integrand(idx):
-            zz = z[idx, None]
-
-            def at(sinh_t, log_cosh_t, floor):
-                u = u_c * np.exp(sinh_t)
-                y = u + tau_b
-                arg = 2.0 * lam_dag * (th2_t * y + th3_t * zz + th4 * y * zz + th5_t) / u
-                # both factors are nonnegative: one that rounds to <= 0 is zero
-                return (_log_positive(law_a.sf_at(arg, lam_s))
-                        + _log_positive(law_b.pdf_at(y, lam_b))
-                        + log(u_c) + sinh_t + log_cosh_t)
-
-            return at
-
-        return _de_log_integrals(len(z), log_integrand,
-                                 lambda i: f"floor quadrature failed for SI gain {z[i]:g}")
-
-    if cfg.mu < 1.0:
-        survive = exp(log_survive(np.zeros(1))[0])
-    else:
-        # the SI average in z = omega_rr exp(pi/2 sinh t), centred at its mean
-        rate_c = m_rr / stats.omega_rr
-
-        def log_outer(sinh_t, log_cosh_t, floor):
-            z = stats.omega_rr * np.exp(sinh_t)
-            lg = (m_rr * (log(m_rr) + sinh_t) - rate_c * z - lgamma(m_rr) + log_cosh_t)[None]
-            # arg >= 2 lam_dag (th2 + th4 z) at every u, so the Gamma density
-            # times sf_A there bounds each node; a node whose bound rounds
-            # to zero counts as zero
-            bound = lg + _log_positive(law_a.sf_at(2.0 * lam_dag * (th2_t + th4 * z), lam_s))
-            live = (bound > floor) & (np.exp(bound) > 0.0)
-            out = np.full(lg.shape, -np.inf)
-            out[live] = lg[live] + log_survive(z[live[0]])
-            return out
-
-        survive = exp(_de_log_integrals(1, lambda idx: log_outer,
-                                        lambda i: "floor quadrature failed for the SI average")[0])
+    survive = exp(_de_log_integrals(1, lambda idx: log_integrand,
+                                    lambda i: "floor quadrature failed")[0])
     return _clamped_point(1.0 - survive, l, math.inf, "asymptotic_practical", floor=True)

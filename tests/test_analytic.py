@@ -605,6 +605,39 @@ class TestRelayRatioCdf:
             )
             assert ana == pytest.approx(emp, abs=4e-3)
 
+    @pytest.mark.parametrize("n_b,m_sr,m_rr", [(2, 1, 1), (3, 3, 2), (4, 4, 2)])
+    def test_closed_form_against_quad(self, n_b, m_sr, m_rr):
+        # E_C[sf_A(x (C + o))] by scipy's quad over the Gamma(m_rr) SI law,
+        # split at its mean; rel 1e-11 holds the roundoff of A's alternating
+        # table terms, ~1.4e-12 at (4, 4) near sf = 1 (40-digit mpmath)
+        lam_sr, omega_rr = 1.3, 0.7
+        rate = m_rr / omega_rr
+        law = first_hop_mixture(n_b, m_sr)
+        for x in (0.3, 3.0, 30.0):
+            for offset in (0.0, 0.4):
+                def integrand(c):
+                    return (float(law.sf_at(x * (c + offset), lam_sr))
+                            * rate**m_rr * c ** (m_rr - 1) * exp(-rate * c - lgamma(m_rr)))
+
+                ref = sum(quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                          for lo, hi in ((0.0, omega_rr), (omega_rr, np.inf)))
+                got = sf_relay_ratio(x, n_b=n_b, m_sr=m_sr, lam_sr=lam_sr, m_rr=m_rr,
+                                     omega_rr=omega_rr, offset=offset)
+                assert got == pytest.approx(ref, rel=1e-11, abs=0.0), (x, offset)
+
+    def test_power_past_the_float_range_is_a_numerics_error(self):
+        # (lam_sr x / rate_c)^k overflowed with a bare OverflowError
+        with pytest.raises(NumericsError, match=r"relay-ratio sf at x = 36 has a term outside"):
+            sf_relay_ratio(36.0, n_b=4, m_sr=4, lam_sr=1.0, m_rr=1, omega_rr=1e30, offset=0.0)
+        big = replace(BASE, n_b=4, m_sr=4, alpha_si=1e30)
+        with pytest.raises(NumericsError, match="relay-ratio sf at x = "):
+            lower_bound_outage(big, 0.0, 1)
+        with pytest.raises(NumericsError, match="relay-ratio sf at x = "):
+            asymptotic_outage_ideal(replace(big, mu=1.0), 0.0, 1)
+        with pytest.raises(NumericsError, match="relay-ratio sf at x = "):
+            asymptotic_outage_practical(replace(_FIG6["nb2_nr1"], n_b=4, m_sr=4, alpha_si=1e30,
+                                                mu=1.0), 1)
+
 
 class TestExactOutage:
     def test_vanishing_thresholds(self):
@@ -980,7 +1013,10 @@ def _floor_oracle(cfg, l):
     """The CEE/FBD error floor by scipy's quad at epsrel 1e-13, split at the
     mean of the ordered gain.  At SI gain C the outage argument is a + b*C;
     at mu = 1 the SI average is taken in closed form, since
-    E_C[sf_A(a + b*C)] = P(A/(C + a/b) > b) = sf_relay_ratio(b, offset=a/b)."""
+    E_C[sf_A(a + b*C)] = P(A/(C + a/b) > b) = sf_relay_ratio(b, offset=a/b),
+    as the floor takes it too: the oracle checks the floor's quadrature,
+    and TestRelayRatioCdf.test_closed_form_against_quad checks the closed
+    form against a quad over C."""
     stats = derive_link_stats(cfg, 1.0)
     lam_dag = compute_deltas(cfg, 1.0).lambda_dag[l - 1]
     rs2, rr2 = stats.rho_sr**2, stats.rho_ru[l - 1] ** 2
@@ -1009,7 +1045,13 @@ def _floor_oracle(cfg, l):
 _FIG6 = {v.label: v.config for v in figure_preset("fig6")}
 _FLOOR_CASES = {
     **{f"fig6_{label}_u{l}": (cfg, l) for label, cfg in _FIG6.items() for l in (1, 2, 3)},
-    "fig6_nb2_nr1_mu1_u2": (replace(_FIG6["nb2_nr1"], mu=1.0), 2),
+    **{f"fig6_{label}_mu1_u{l}": (replace(cfg, mu=1.0), l)
+       for label, cfg in _FIG6.items() for l in (1, 2, 3)},
+    # large SI: the nested rule this replaced found no two levels that agreed
+    "fig6_nb2_nr1_mu1_si1e6_u1": (replace(_FIG6["nb2_nr1"], mu=1.0, alpha_si=1e6), 1),
+    **{f"fig6_nb2_nr1_mu1_nb4_m4_si{name}_u1": (
+        replace(_FIG6["nb2_nr1"], mu=1.0, n_b=4, m_sr=4, alpha_si=si), 1)
+       for name, si in (("1e3", 1e3), ("1e12", 1e12))},
     **{f"first_hop_cee_u{l}": (replace(BASE, sigma2_est_sr=0.02), l) for l in (1, 2, 3)},
 }
 
@@ -1020,6 +1062,29 @@ class TestPracticalFloorQuadrature:
         cfg, l = _FLOOR_CASES[case]
         assert asymptotic_outage_practical(cfg, l).value == pytest.approx(
             _floor_oracle(cfg, l), abs=1e-12)
+
+    @pytest.mark.parametrize("mu,sf_calls", [(0.25, 0), (1.0, 222)])
+    def test_one_pass_of_one_row(self, mu, sf_calls, monkeypatch):
+        # the SI average is sf_relay_ratio at the nodes of the one rule, not
+        # an outer rule with a row per SI gain
+        rows, sf = [], []
+        de_log_integrals, sf_relay_ratio_ = analytic._de_log_integrals, analytic.sf_relay_ratio
+
+        def counted_de(n, *args):
+            rows.append(n)
+            return de_log_integrals(n, *args)
+
+        def counted_sf(*args, **kwargs):
+            sf.append(1)
+            return sf_relay_ratio_(*args, **kwargs)
+
+        monkeypatch.setattr(analytic, "_de_log_integrals", counted_de)
+        monkeypatch.setattr(analytic, "sf_relay_ratio", counted_sf)
+        for l in (1, 2, 3):
+            rows.clear()
+            sf.clear()
+            asymptotic_outage_practical(replace(_FIG6["nb2_nr1"], mu=mu), l)
+            assert rows == [1] and len(sf) == sf_calls, l
 
     @pytest.mark.parametrize("case", ["fig6_nb3_nr2_u3", "fig6_nb2_nr1_mu1_u2"])
     def test_rel_tol_reaches_the_floor(self, case, monkeypatch):

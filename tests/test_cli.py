@@ -565,6 +565,26 @@ class TestMainExitCodes:
         assert main([command, "--config", str(cfg), "--grid", "10:10:5", *trials]) == 2
         assert capsys.readouterr().err.startswith("fdnoma: config error: ")
 
+    @pytest.mark.parametrize("mu,method", [("0.25", "lower_bound"), ("1", "asymptotic_ideal")])
+    def test_relay_ratio_overflow_fills_its_own_cells(self, mu, method, tmp_path, capsys):
+        # a power in sf_relay_ratio overflowed: analyze and validate ended in
+        # a traceback
+        cfg, out = tmp_path / "si.cfg", tmp_path / "out.csv"
+        cfg.write_text(f"n_b = 4\nm_sr = 4\nalpha_si = 1e30\nmu = {mu}\n")
+        assert main(["analyze", "--config", str(cfg), "--grid", "0:0:5", "--out", str(out),
+                     "--methods", method]) == 0
+        rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))[1:]
+        assert len(rows) == 3
+        for row in rows:
+            assert row[3] == "" and row[8].startswith("the relay-ratio sf at x = 36 "), row
+        if method == "lower_bound":
+            assert main(["validate", "--config", str(cfg), "--grid", "0:0:5",
+                         "--trials", "10000"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("fdnoma: numeric failure: the relay-ratio sf at x = 36 has "
+                                    "a term outside the float range\n")
+
     @pytest.mark.parametrize("text,failing", [
         ("d_sr = 1e80", {"exact", "lower_bound", "asymptotic_ideal"}),
         ("eta = 1000", {"exact", "asymptotic_ideal"}),
