@@ -502,13 +502,16 @@ def sf_relay_ratio(x: float, *, n_b: int, m_sr: int, lam_sr: float, m_rr: int,
     rate_c = m_rr / omega_rr
     y, o = lam_sr * x / rate_c, offset * rate_c
     try:
-        return fsum(d * comb(k, t5) * math.prod(range(m_rr, m_rr + t5)) * y**k * o ** (k - t5)
-                    * exp(-rho * lam_sr * x * offset) * (rho * y + 1.0) ** (-t5 - m_rr)
-                    for rho, row in first_hop_mixture(n_b, m_sr).sf_rows
-                    for k, d in enumerate(row) for t5 in range(k + 1))
+        sf = fsum(d * comb(k, t5) * math.prod(range(m_rr, m_rr + t5)) * y**k * o ** (k - t5)
+                  * exp(-rho * lam_sr * x * offset) * (rho * y + 1.0) ** (-t5 - m_rr)
+                  for rho, row in first_hop_mixture(n_b, m_sr).sf_rows
+                  for k, d in enumerate(row) for t5 in range(k + 1))
     except OverflowError:  # a power past the float range
+        sf = math.nan
+    if not math.isfinite(sf):  # or y = inf, whose terms are inf * 0.0
         raise NumericsError(f"the relay-ratio sf at x = {x:g} has a term outside the float "
-                            "range") from None
+                            "range")
+    return sf
 
 
 # --------------------------------------------------------------------------

@@ -68,9 +68,9 @@ CHUNK_TRIALS = 1_000_000
 # statistics and the product of the test (5 + methods rows) stay in L2 while
 # every point reads them.  On a 2-core Xeon (4 MiB L2 per core) the fig11
 # sweep took 15% less time than with 2**15 and 33% less than with 2**16.
-# A chunk holds (n_b + 8 + 2 n_users + methods) such rows, ~2.6 MB at n_b = 4,
-# three users and three methods, whatever its size.  Counts do not depend on
-# it, but for the rounding noted in simulate_sweep.
+# A chunk holds 5 + max(n_b, n_users) + methods such rows, n_users more when
+# user scales differ: ~1.2 MB at the default config, whatever its size.
+# Counts do not depend on it, but for the rounding noted in simulate_sweep.
 BLOCK_TRIALS = 1 << 14
 MIN_TRIALS = 10_000
 
@@ -338,11 +338,13 @@ def _sweep_chunk(
 
     The chunk's variables come from stream.spawn(n_users + 2): child 0
     draws the first hop row-major (size, n_b), children 1..L users 1..L
-    and child L+1 the SI gain.  Each block of BLOCK_TRIALS trials draws its
-    standard variates into buffers that stay in cache and reduces the first
-    hop to its top two.  The users' order statistics are taken by
-    compare-exchange (_sort_rows): once per block for the points that scale
-    all users alike, and per point, after the rescale, for the others.
+    and child L+1 the SI gain.  Each block of BLOCK_TRIALS trials draws the
+    first hop into a scratch of max(n_b, n_users) rows, its top two into
+    x[0] and x[2] (free until the user loop) and their sum into x[1], then
+    the users into the same scratch.  The users' order statistics are taken
+    by compare-exchange (_sort_rows, carry x[4]): once per block for the
+    points that scale all users alike, and per point, rescaled into n_users
+    more rows, for the others.
     Each user's statistics x (see _PointPlan) are loaded once per block for
     the first kind of point and once per point for the second.  Each
     (point, user) pair is then one matrix product w x, (methods, 5) by
@@ -360,17 +362,19 @@ def _sweep_chunk(
     n_methods = plans[0].w.shape[1]
     counts = np.zeros((len(plans), n_methods, n_users), dtype=np.int64)
     block = min(BLOCK_TRIALS, size)
-    g = np.empty((block, cfg.n_b))
-    x, top, t = np.empty((5, block)), np.empty((2, block)), np.empty(block)
-    users, scaled = np.empty((2, n_users, block))
+    scratch = np.empty(max(cfg.n_b, n_users) * block)
+    g = scratch[:block * cfg.n_b].reshape(block, cfg.n_b)
+    users = scratch[:n_users * block].reshape(n_users, block)
+    x = np.empty((5, block))
+    scaled = np.empty((n_users if any(plan.sorts for plan in plans) else 0, block))
     wx, mask = np.empty((n_methods, block)), np.empty((n_methods, block), dtype=bool)
     for lo in range(0, size, block):
         n = min(block, size - lo)
         if n < block:
-            g, x, wx, top, t, mask = g[:n], x[:, :n], wx[:, :n], top[:, :n], t[:n], mask[:, :n]
+            g, x, wx, mask = g[:n], x[:, :n], wx[:, :n], mask[:, :n]
             users, scaled = users[:, :n], scaled[:, :n]
-        _top2(_standard_gamma(first, cfg.m_sr, g), top)
-        np.add(top[0], top[1], out=x[1])
+        _top2(_standard_gamma(first, cfg.m_sr, g), x[0:3:2])
+        np.add(x[0], x[2], out=x[1])
         for rng, shape, row in zip(user_rngs, user_shapes, users):
             _standard_gamma(rng, shape, row)
         _standard_gamma(si_rng, cfg.m_rr, x[3])
@@ -378,7 +382,7 @@ def _sweep_chunk(
             b = users
             if plans[group[0]].sorts:
                 b = np.multiply(users, np.reshape(plans[group[0]].scale_ru, (-1, 1)), out=scaled)
-            _sort_rows(b, t)
+            _sort_rows(b, x[4])
             for l in range(n_users):
                 np.multiply(x[1], b[l], out=x[0])
                 x[2] = b[l]

@@ -637,6 +637,12 @@ class TestRelayRatioCdf:
         with pytest.raises(NumericsError, match="relay-ratio sf at x = "):
             asymptotic_outage_practical(replace(_FIG6["nb2_nr1"], n_b=4, m_sr=4, alpha_si=1e30,
                                                 mu=1.0), 1)
+        # y = lam_sr x / rate_c rounds to inf: the sum was NaN, and the floor
+        # counted its NaN nodes as zero and printed 1.0
+        with pytest.raises(NumericsError, match=r"relay-ratio sf at x = 1e\+10 has a term outside"):
+            sf_relay_ratio(1e10, n_b=2, m_sr=1, lam_sr=1.0, m_rr=1, omega_rr=1e300, offset=0.0)
+        with pytest.raises(NumericsError, match="relay-ratio sf at x = "):
+            asymptotic_outage_practical(replace(_FIG6["nb2_nr1"], alpha_si=1e308, mu=1.0), 1)
 
 
 class TestExactOutage:

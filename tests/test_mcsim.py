@@ -510,10 +510,16 @@ class TestSweep:
         for m in methods:
             assert [round(p.value * trials) for p in res[m]] == ref[m]
 
-    @pytest.mark.parametrize("cfg", [BASE, replace(BASE, sigma2_est_ru=(0.01, 0.02, 0.03))],
-                             ids=["common_scales", "unequal_scales"])
-    def test_each_point_equals_one_point_call(self, small_chunks, cfg):
-        points = _d_sr_points(cfg)
+    @pytest.mark.parametrize("points", [
+        _d_sr_points(BASE),
+        _d_sr_points(replace(BASE, sigma2_est_ru=(0.01, 0.02, 0.03))),
+        # one point whose user scales differ between two that share theirs:
+        # two groups, which reuse the rescaled users' rows and the sort carry
+        _d_sr_points(replace(BASE, n_b=4), grid=(0.2,))
+        + _d_sr_points(replace(BASE, n_b=4, sigma2_est_ru=(0.01, 0.02, 0.03)), grid=(0.5,))
+        + _d_sr_points(replace(BASE, n_b=4), grid=(0.8,)),
+    ], ids=["common_scales", "unequal_scales", "mixed_scales"])
+    def test_each_point_equals_one_point_call(self, small_chunks, points):
         stream = RngStream(29, 5)
         swept = simulate_sweep(points, 50_000, rng=stream, methods=ALL_METHODS)
         for (cfg_pt, snr), res in zip(points, swept):
@@ -592,17 +598,25 @@ class TestSweep:
         with pytest.raises(ConfigError, match=r"^unknown hd_rule 'Squared'; choose from "):
             simulate_sweep([(SystemConfig(), 10.0)], 10_000, methods=methods, hd_rule="Squared")
 
-    def test_chunk_memory_stays_within_blocks(self):
+    @pytest.mark.parametrize("cfg, methods", [
+        (BASE, ("monte_carlo",)),
+        (replace(BASE, n_b=6), ALL_METHODS),
+        (replace(BASE, sigma2_est_ru=(0.01, 0.02, 0.03)), ("monte_carlo", "hd_noma")),
+    ], ids=["default", "nb6", "unequal_scales"])
+    def test_chunk_memory_stays_within_blocks(self, cfg, methods):
         # every variate is drawn per block, so a 1e6-trial chunk never holds
-        # a whole-chunk array (its draws alone would take ~48 MB)
-        cfg = replace(BASE, n_b=4)
+        # a whole-chunk array (its draws alone would take ~48 MB): it holds
+        # x, the first hop's or the users' draws, wx and the mask, plus the
+        # rescaled users when their scales differ, and one row to spare
+        sorts = mcsim._plan_point(cfg, 15.0, methods, "equal").sorts
+        rows = 5 + max(cfg.n_b, cfg.n_users) + len(methods) + 1 + sorts * cfg.n_users
         tracemalloc.start()
         try:
-            simulate_outage_all(cfg, 15.0, 1_000_000, rng=47, methods=ALL_METHODS)
+            simulate_outage_all(cfg, 15.0, 1_000_000, rng=47, methods=methods)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak <= rows * mcsim.BLOCK_TRIALS * 8
 
     def test_block_size_does_not_change_counts(self, monkeypatch):
         points = _d_sr_points(replace(BASE, sigma2_est_ru=(0.01, 0.02, 0.03)), grid=(0.4, 0.6))
