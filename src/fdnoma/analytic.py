@@ -214,20 +214,9 @@ def _log_positive(x) -> np.ndarray:
     return np.log(np.where(x > 0, x, 0.0))
 
 
-class _FailedRows(NumericsError):
-    """Rows of a _de_log_integrals pass that failed, raised once every row
-    is done.  logs holds every row's value (NaN where the row failed);
-    failures holds (level, row, message) per failed row.  The error's
-    message is that of the first failure, the one a pass over fewer rows
-    would have stopped at."""
-
-    def __init__(self, logs: np.ndarray, failures: list[tuple[int, int, str]]):
-        super().__init__(min(failures)[2])
-        self.logs, self.failures = logs, failures
-
-
-def _de_log_integrals(n: int, log_integrand, failed) -> np.ndarray:
-    """log of n integrals on the exp-sinh nodes, all rows in one pass.
+def _de_log_integrals(n: int, log_integrand) -> tuple[np.ndarray, dict[int, tuple[int, str]]]:
+    """log of n integrals on the exp-sinh nodes, all rows in one pass, and
+    the rows that failed.
 
     log_integrand(idx) readies rows idx (again only when rows leave the
     pass) and returns f: f(sinh_t, log_cosh_t, floor) gives the log of
@@ -241,11 +230,14 @@ def _de_log_integrals(n: int, log_integrand, failed) -> np.ndarray:
     level in slices of _DE_SLICE nodes, so a pass holds rows x _DE_SLICE
     values at a time, and a row adds the same slices in the same order in
     any batch: the arithmetic of a row never depends on the other rows.
-    A row that fails leaves the pass, and the others go on; if any failed,
-    _FailedRows is raised at the end.  failed(i) opens row i's message.
+    A row that fails leaves the pass, and the others go on.
+
+    Returns (logs, failed): logs is NaN at each failed row, and failed maps
+    each failed row to (level, reason), level being the one it failed at
+    (_DE_MAX_LEVEL + 1 when no two levels agreed).
     """
-    out = np.empty(n)
-    failures: list[tuple[int, int, str]] = []
+    out = np.full(n, np.nan)
+    failed: dict[int, tuple[int, str]] = {}
     active = np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f = log_integrand(active)
@@ -272,9 +264,8 @@ def _de_log_integrals(n: int, log_integrand, failed) -> np.ndarray:
             cur = top + np.log(total) + log(_DE_STEP / 2**level)
             done = (cur == prev) | (np.abs(np.expm1(prev - cur)) <= _DE_REL_TOL)
             cut = done & (ends - cur > log(_DE_REL_TOL))
-            failures += [(level, i, f"{failed(i)}: the integrand does not decay within the node span")
-                         for i in active[cut]]
-            out[active[cut]] = np.nan
+            failed.update(dict.fromkeys(
+                active[cut].tolist(), (level, "the integrand does not decay within the node span")))
             ok = done & ~cut
             out[active[ok]] = cur[ok]
             prev = cur
@@ -284,12 +275,10 @@ def _de_log_integrals(n: int, log_integrand, failed) -> np.ndarray:
                     a[left] for a in (active, cur, top, total, floor, ends))
                 if len(active):
                     f = log_integrand(active)
-    failures += [(_DE_MAX_LEVEL + 1, i, f"{failed(i)}: no two levels agreed to {_DE_REL_TOL:g} "
-                  f"by step {_DE_STEP / 2**_DE_MAX_LEVEL:g}") for i in active]
-    if failures:
-        out[active] = np.nan
-        raise _FailedRows(out, failures)
-    return out
+    failed.update(dict.fromkeys(active.tolist(), (
+        _DE_MAX_LEVEL + 1,
+        f"no two levels agreed to {_DE_REL_TOL:g} by step {_DE_STEP / 2**_DE_MAX_LEVEL:g}")))
+    return out, failed
 
 
 # Phi rows per pass of phi_integral_log_rows.  A pass holds its rows' values
@@ -303,40 +292,36 @@ def _de_log_integrals(n: int, log_integrand, failed) -> np.ndarray:
 _PHI_ROW_CAP = 256
 
 
-def phi_integral_log_rows(rows: np.ndarray, label=str) -> np.ndarray:
-    """log Phi of every row of a (n, 6) table, given in any order.
+def phi_integral_log_rows(rows: np.ndarray) -> tuple[np.ndarray, dict[int, tuple[int, str]]]:
+    """log Phi of every row of a (n, 6) table, given in any order, and the
+    rows that failed.
 
     The rows are sorted by (pi_shift, decay, bessel_coeff, order) and run in
     passes of at most _PHI_ROW_CAP (_de_log_integrals, _phi_log_integrand),
     so that a pass holds whole groups and series where it can, and shares
     their nodes and Bessel values.  A row's value does not depend on the
-    rows beside it: it equals, bitwise, the row's value alone.  label(i)
-    names input row i in errors.  When rows fail, the others still run, and
-    _FailedRows carries every row's value and the failures of every pass,
-    keyed by input row.
+    rows beside it: it equals, bitwise, the row's value alone.  When rows
+    fail, the others still run.  As _de_log_integrals, it returns (logs,
+    failed), failed keyed by input row over every pass.
     """
     order = np.lexsort(rows[:, 5:1:-1].T)
     out = np.empty(len(rows))
-    failures: list[tuple[int, int, str]] = []
+    failed: dict[int, tuple[int, str]] = {}
     for lo in range(0, len(rows), _PHI_ROW_CAP):
         batch = order[lo:lo + _PHI_ROW_CAP]
-        try:
-            out[batch] = _de_log_integrals(
-                len(batch), _phi_log_integrand(rows[batch]),
-                lambda i, batch=batch: f"phi quadrature failed for term {label(int(batch[i]))}")
-        except _FailedRows as exc:
-            out[batch] = exc.logs
-            failures += [(level, int(batch[i]), message) for level, i, message in exc.failures]
-    if failures:
-        raise _FailedRows(out, failures)
-    return out
+        out[batch], batch_failed = _de_log_integrals(len(batch), _phi_log_integrand(rows[batch]))
+        failed.update((int(batch[i]), why) for i, why in batch_failed.items())
+    return out, failed
 
 
 def phi_integral_log(term: PhiTerm) -> float:
     """log of the Phi integral (-inf when the integrand underflows)."""
     row = np.array([[term.z_power, term.pi_power, term.pi_shift, term.decay,
                      term.bessel_coeff, term.order]], dtype=float)
-    return float(phi_integral_log_rows(row, lambda i: term.label or term)[0])
+    (log_phi,), failed = phi_integral_log_rows(row)
+    if failed:
+        raise NumericsError(f"phi quadrature failed for term {term.label or term}: {failed[0][1]}")
+    return float(log_phi)
 
 
 # --------------------------------------------------------------------------
@@ -711,19 +696,13 @@ def exact_outage_sweep(
     ends = np.cumsum(sizes, dtype=np.intp)
     starts = ends - sizes
     rows = np.concatenate([plan.rows for plan in live]) if live else np.empty((0, 6))
-
-    def label(i: int) -> str:
-        j = int(np.searchsorted(ends, i, side="right"))
-        return live[j].label(i - starts[j])
-
+    log_phi, failed = phi_integral_log_rows(rows)
     errors: dict[int, FdnomaError] = {}  # live entry -> its error
-    try:
-        log_phi = phi_integral_log_rows(rows, label)
-    except _FailedRows as exc:
-        log_phi = exc.logs
-        # an entry's first failed row is the one a call of its own stops at
-        for _, i, message in sorted(exc.failures):
-            errors.setdefault(int(np.searchsorted(ends, i, side="right")), NumericsError(message))
+    # an entry's first failed row by (level, row) is the one a call of its own stops at
+    for _, i, reason in sorted((level, i, reason) for i, (level, reason) in failed.items()):
+        j = int(np.searchsorted(ends, i, side="right"))
+        errors.setdefault(j, NumericsError(
+            f"phi quadrature failed for term {live[j].label(i - starts[j])}: {reason}"))
 
     done: list[OutagePoint | FdnomaError] = []
     for j, plan in enumerate(live):
@@ -953,6 +932,7 @@ def asymptotic_outage_practical(cfg: SystemConfig, l: int) -> OutagePoint:
         return (_log_positive(sf) + _log_positive(law_b.pdf_at(y, lam_b))
                 + log(u_c) + sinh_t + log_cosh_t)[None]
 
-    survive = exp(_de_log_integrals(1, lambda idx: log_integrand,
-                                    lambda i: "floor quadrature failed")[0])
-    return _clamped_point(1.0 - survive, l, math.inf, "asymptotic_practical", floor=True)
+    (log_survive,), failed = _de_log_integrals(1, lambda idx: log_integrand)
+    if failed:
+        raise NumericsError(f"floor quadrature failed: {failed[0][1]}")
+    return _clamped_point(1.0 - exp(log_survive), l, math.inf, "asymptotic_practical", floor=True)

@@ -221,8 +221,10 @@ def validate(
     if not snr_grid:
         raise ConfigError(f"validate needs at least one grid point, got {tuple(snr_grid)!r}")
     # the per-line level below is derived from conf; check the value given
-    if not 0.0 < conf < 1.0:
-        raise ValueError(f"confidence level must lie in (0, 1), got {conf!r}")
+    mcsim._check_conf(conf)
+    workers = mcsim._integer_at_least(workers, 1, "workers")
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance!r}")
     users = range(1, cfg.n_users + 1)
     line_conf = 1.0 - (1.0 - conf) / (len(snr_grid) * cfg.n_users)
 

@@ -241,6 +241,13 @@ class TestPhiIntegral:
         return np.array([[t.z_power, t.pi_power, t.pi_shift, t.decay, t.bessel_coeff, t.order]
                          for t in terms])
 
+    @staticmethod
+    def _logs(rows) -> list:
+        """phi_integral_log_rows's values, where no row fails."""
+        logs, failed = analytic.phi_integral_log_rows(rows)
+        assert failed == {}
+        return list(logs)
+
     @pytest.mark.parametrize("term", ORACLE_TERMS, ids=range(len(ORACLE_TERMS)))
     def test_mpmath_oracle(self, term):
         mp = pytest.importorskip("mpmath")
@@ -264,12 +271,11 @@ class TestPhiIntegral:
         # the rows converge at different levels, so each batch below drops
         # rows at different points; no row may see that
         rows = self._rows(self.ORACLE_TERMS)
-        batch = analytic.phi_integral_log_rows(rows)
         alone = [phi_integral_log(term) for term in self.ORACLE_TERMS]
-        assert list(batch) == alone
-        bigger = analytic.phi_integral_log_rows(np.concatenate([rows[::-1], rows, rows[2:4]]))
-        assert list(bigger[len(rows):2 * len(rows)]) == alone
-        assert list(bigger[:len(rows)]) == alone[::-1]
+        assert self._logs(rows) == alone
+        bigger = self._logs(np.concatenate([rows[::-1], rows, rows[2:4]]))
+        assert bigger[len(rows):2 * len(rows)] == alone
+        assert bigger[:len(rows)] == alone[::-1]
 
     def test_rows_of_one_group_are_bitwise_their_own(self):
         # rows that share (pi_shift, decay, bessel_coeff) share their nodes
@@ -281,8 +287,8 @@ class TestPhiIntegral:
                  # a heavy tail: nodes live for this row lie below the others' floors
                  replace_term(base, z_power=60.0)]
         alone = [phi_integral_log(term) for term in terms]
-        assert list(analytic.phi_integral_log_rows(self._rows(terms))) == alone
-        assert list(analytic.phi_integral_log_rows(self._rows(terms[::-1]))) == alone[::-1]
+        assert self._logs(self._rows(terms)) == alone
+        assert self._logs(self._rows(terms[::-1])) == alone[::-1]
 
     @staticmethod
     def _fig11_rows():
@@ -299,18 +305,18 @@ class TestPhiIntegral:
         rows = np.concatenate([self._fig11_rows()[::17],
                                self._rows([self.ORACLE_TERMS[i] for i in (0, 1, 2, 3, 5)])])
         assert len(analytic._de_nodes(4)[0]) > 2 * analytic._DE_SLICE
-        alone = [analytic.phi_integral_log_rows(rows[i:i + 1])[0] for i in range(len(rows))]
+        alone = [self._logs(rows[i:i + 1])[0] for i in range(len(rows))]
         perm = np.random.default_rng(5).permutation(len(rows))
         for size in (2, 3, 16, len(rows)):
             for order in (np.arange(len(rows)), perm, perm[::-1]):
                 got = np.empty(len(rows))
                 for lo in range(0, len(rows), size):
                     part = order[lo:lo + size]
-                    got[part] = analytic.phi_integral_log_rows(rows[part])
+                    got[part] = self._logs(rows[part])
                 assert list(got) == alone, (size, order[:3])
         # passes of 7 rows over the rows shuffled, with the bad term of
         # test_failed_row_leaves_the_others, which sorts into a later pass:
-        # each row keeps its value, and the failure names the bad input row
+        # each row keeps its value, and the failure is keyed by the bad input row
         monkeypatch.setattr(analytic, "_PHI_ROW_CAP", 7)
         bad = self._rows([PhiTerm(z_power=0.0, pi_power=0.5, pi_shift=1.0, decay=1e40,
                                   bessel_coeff=1.0, order=1)])
@@ -318,19 +324,18 @@ class TestPhiIntegral:
         mixed = np.concatenate([rows, bad])[shuffle]
         where = int(np.flatnonzero(shuffle == len(rows))[0])
         assert np.lexsort(mixed[:, 5:1:-1].T).tolist().index(where) >= 7
-        with pytest.raises(NumericsError, match=f"failed for term row {where}: ") as exc:
-            analytic.phi_integral_log_rows(mixed, label=lambda i: f"row {i}")
-        assert [i for _, i, _ in exc.value.failures] == [where]
-        logs = exc.value.logs
+        logs, failed = analytic.phi_integral_log_rows(mixed)
+        assert list(failed) == [where]
         assert np.isnan(logs[where])
         assert [v for k, v in enumerate(logs) if k != where] == [alone[j] for j in shuffle
                                                                  if j < len(rows)]
-        # no row converges by level 3; the message is that of input row 0,
-        # the first failure by (level, row) across every pass
+        # no row converges by level 3: every input row of every pass fails
+        # there, keyed by its input row
         monkeypatch.setattr(analytic, "_DE_MAX_LEVEL", 3)
-        with pytest.raises(analytic._FailedRows, match="^phi quadrature failed for term 0: ") as exc:
-            analytic.phi_integral_log_rows(rows)
-        assert sorted(i for _, i, _ in exc.value.failures) == list(range(len(rows)))
+        logs, failed = analytic.phi_integral_log_rows(rows)
+        assert np.isnan(logs).all()
+        assert sorted(failed) == list(range(len(rows)))
+        assert {level for level, _ in failed.values()} == {4}
 
     def test_phi_pass_memory_is_bounded(self):
         # a pass holds rows x _DE_SLICE values at a time, not every node of
@@ -348,10 +353,9 @@ class TestPhiIntegral:
         bad = PhiTerm(z_power=0.0, pi_power=0.5, pi_shift=1.0, decay=1e40, bessel_coeff=1.0,
                       order=1)
         terms = [self.ORACLE_TERMS[0], bad, self.ORACLE_TERMS[1]]
-        with pytest.raises(NumericsError, match="failed for term row 1: ") as exc:
-            analytic.phi_integral_log_rows(self._rows(terms), label=lambda i: f"row {i}")
-        assert [row for _, row, _ in exc.value.failures] == [1]
-        logs = exc.value.logs
+        logs, failed = analytic.phi_integral_log_rows(self._rows(terms))
+        assert failed == {1: (analytic._DE_MAX_LEVEL + 1,
+                              "no two levels agreed to 1e-10 by step 0.00195312")}
         assert np.isnan(logs[1])
         assert [logs[0], logs[2]] == [phi_integral_log(terms[0]), phi_integral_log(terms[2])]
 
@@ -704,7 +708,7 @@ class TestExactOutage:
 
     def test_every_phi_term_underflowing_raises(self, monkeypatch):
         monkeypatch.setattr(analytic, "phi_integral_log_rows",
-                            lambda rows, label: np.full(len(rows), -np.inf))
+                            lambda rows: (np.full(len(rows), -np.inf), {}))
         with pytest.raises(NumericsError, match="every Phi term underflowed"):
             exact_outage(BASE, 15.0, 2)
 
@@ -736,18 +740,39 @@ class TestExactOutage:
 
     def test_sweep_returns_each_entry_its_own_error(self):
         good = (BASE, 15.0, 2, None)
+        bad = (replace(BASE, mu=0.0, alpha_si=1e-20), 15.0, 1, None)
         results = analytic.exact_outage_sweep([
             good, (replace(BASE, m_sr=0.98, m_rr=0.98, m_ru=(0.98,) * 3), 10.0, 1, None),
-            (replace(BASE, mu=0.0, alpha_si=1e-20), 15.0, 1, None), good,
+            bad, good,
         ])
         assert results[0] == results[3] == exact_outage(BASE, 15.0, 2)
         assert isinstance(results[1], ConfigError)
-        # the message is that of the entry's first failed row in table order,
-        # the one a quadrature of its rows alone stops at
-        plan = analytic._exact_plan(replace(BASE, mu=0.0, alpha_si=1e-20), 15.0, 1, None)
-        with pytest.raises(NumericsError) as alone:
-            analytic.phi_integral_log_rows(plan.rows, plan.label)
-        assert isinstance(results[2], NumericsError) and str(results[2]) == str(alone.value)
+        # the message is the one the entry's rows alone give: that of its
+        # first failed row by (level, row)
+        (alone,) = analytic.exact_outage_sweep([bad])
+        assert type(results[2]) is NumericsError and str(results[2]) == str(alone)
+        plan = analytic._exact_plan(*bad)
+        _, failed = analytic.phi_integral_log_rows(plan.rows)
+        _, i, reason = min((level, i, reason) for i, (level, reason) in failed.items())
+        assert str(alone) == f"phi quadrature failed for term {plan.label(i)}: {reason}"
+
+    def test_entry_error_is_its_first_failure_by_level_then_row(self, monkeypatch):
+        # BASE at 15 dB, user 2, has more than five Phi rows; rows 2 and 4
+        # fail at the earliest level, row 0 later
+        phi_integral_log_rows = analytic.phi_integral_log_rows
+
+        def failing(rows):
+            logs, _ = phi_integral_log_rows(rows)
+            failed = {0: (5, "late"), 4: (2, "second"), 2: (2, "first")}
+            logs[list(failed)] = np.nan
+            return logs, failed
+
+        monkeypatch.setattr(analytic, "phi_integral_log_rows", failing)
+        (err,) = analytic.exact_outage_sweep([(BASE, 15.0, 2, None)])
+        plan = analytic._exact_plan(BASE, 15.0, 2, None)
+        assert len(plan.rows) > 5
+        assert type(err) is NumericsError
+        assert str(err) == f"phi quadrature failed for term {plan.label(2)}: first"
 
     def test_one_table_per_structure(self):
         # SNR, distance, impairments and the SI shape change only the
@@ -1100,6 +1125,37 @@ class TestPracticalFloorQuadrature:
         monkeypatch.setattr(analytic, "_DE_REL_TOL", 1e-12)
         tight = asymptotic_outage_practical(cfg, l).value
         assert loose == pytest.approx(tight, abs=1e-6)
+
+
+class TestQuadratureFailureTexts:
+    """Each caller of the exp-sinh driver words its own error, a plain
+    NumericsError."""
+
+    def test_exact_entry_whose_integrand_does_not_decay(self):
+        cfg = replace(BASE, mu=0.5, alpha_si=1e-20)
+        (err,) = exact_outage_sweep([(cfg, 15.0, 1, None)])
+        assert type(err) is NumericsError
+        assert str(err) == ("phi quadrature failed for term l=1 snr=15.0 pole=0.0625 k2=0 "
+                            "e_pi=0.5 nu=1 p=2: the integrand does not decay within the node span")
+
+    def test_phi_term_whose_levels_never_agree(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_DE_MAX_LEVEL", 1)
+        term = PhiTerm(z_power=1.0, pi_power=0.5, pi_shift=1.0, decay=1.0, bessel_coeff=1.0,
+                       order=1, label="the probe term")
+        with pytest.raises(NumericsError) as exc:
+            phi_integral_log(term)
+        assert type(exc.value) is NumericsError
+        assert str(exc.value) == ("phi quadrature failed for term the probe term: "
+                                  "no two levels agreed to 1e-10 by step 0.25")
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_floor_whose_levels_never_agree(self, l, monkeypatch):
+        monkeypatch.setattr(analytic, "_DE_MAX_LEVEL", 1)
+        with pytest.raises(NumericsError) as exc:
+            asymptotic_outage_practical(_FIG6["nb2_nr1"], l)
+        assert type(exc.value) is NumericsError
+        assert str(exc.value) == ("floor quadrature failed: no two levels agreed to 1e-10 "
+                                  "by step 0.25")
 
 
 def test_benchmark_reference_values():

@@ -503,6 +503,24 @@ class TestValidate:
         with pytest.raises(ValueError, match=rf"must lie in \(0, 1\), got {conf!r}$"):
             validate(BASE, (10.0,), trials=10_000, conf=conf)
 
+    @pytest.mark.parametrize("kwargs,error,message", [
+        ({"tolerance": -1.0}, ValueError, r"tolerance must be finite and > 0, got -1.0$"),
+        ({"tolerance": 0.0}, ValueError, r"tolerance must be finite and > 0, got 0.0$"),
+        ({"tolerance": float("nan")}, ValueError, r"tolerance must be finite and > 0, got nan$"),
+        ({"tolerance": float("inf")}, ValueError, r"tolerance must be finite and > 0, got inf$"),
+        ({"workers": 0}, ValueError, r"workers must be an integer >= 1, got 0$"),
+        ({"workers": 2.5}, TypeError, r"workers must be an integer >= 1, got 2.5$"),
+    ], ids=["tolerance-1", "tolerance0", "tolerance_nan", "tolerance_inf", "workers0",
+            "workers2.5"])
+    def test_bad_tolerance_or_workers_is_rejected(self, kwargs, error, message, monkeypatch):
+        # checked at entry, as conf is: no grid point runs
+        def no_point(*args, **kwargs):
+            raise AssertionError("a grid point was evaluated")
+
+        monkeypatch.setattr(mcsim, "simulate_outage_all", no_point)
+        with pytest.raises(error, match=message):
+            validate(BASE, (10.0, 20.0, 30.0), trials=10_000, **kwargs)
+
     def test_slope_check_runs_on_wide_ideal_grid(self):
         lines, ok = validate(BASE, (25.0, 30.0, 35.0), trials=50_000, seed=3)
         assert any(l.check == "high_snr_slope" for l in lines)
