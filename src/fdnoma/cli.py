@@ -20,8 +20,8 @@ import math
 import os
 import statistics
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import get_args
 
@@ -86,10 +86,12 @@ def run_sweep(
     equal share of that batch's wall time, another analytic cell its own
     call's, and a simulation cell its grid point's equal share of the
     sweep's Monte Carlo time.  A user index outside 1..cfg.n_users raises
-    ConfigError before any cell runs.
+    ConfigError, and workers other than an integer >= 1 TypeError or
+    ValueError, before anything is written.
     """
     for user in spec.users:
         check_user(user, cfg.n_users)
+    workers = mcsim._integer_at_least(workers, 1, "workers")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     methods = tuple(m for m in METHODS if m in spec.methods)
@@ -210,13 +212,15 @@ def validate(
     (Bonferroni), so a correct program fails any of them with probability
     at most 1 - conf.
 
-    The grid points run on min(workers, len(snr_grid)) threads, and each
-    point's Monte Carlo trials on the one thread that runs the point (numpy
-    releases the GIL in the draws and the outage test).  Point idx draws
-    from RngStream(seed, idx * 1000) and the lines are built afterwards in
-    grid order, so every value and every line is the same at any workers.
-    When points raise, validate raises the error of the first of them in
-    grid order.
+    The grid points run on the calling thread and min(workers,
+    len(snr_grid)) - 1 helper threads, so workers=1 starts no thread.  Each
+    thread takes the next point in grid order, and each point's Monte Carlo
+    trials run on the one thread that takes the point (numpy releases the
+    GIL in the draws and the outage test).  Point idx draws from
+    RngStream(seed, idx * 1000) and the lines are built afterwards in grid
+    order, so every value and every line is the same at any workers.  Once
+    a point raises, no thread starts another, and validate raises the error
+    of the first failing point in grid order on the calling thread.
     """
     if not snr_grid:
         raise ConfigError(f"validate needs at least one grid point, got {tuple(snr_grid)!r}")
@@ -235,11 +239,39 @@ def validate(
         return sim, [(analytic.exact_outage(cfg, snr, l).value,
                       analytic.lower_bound_outage(cfg, snr, l).value) for l in users]
 
-    pool = ThreadPoolExecutor(max_workers=min(workers, len(snr_grid)))
+    # Each thread takes the next point in grid order until the grid runs out
+    # or a point has failed.  A point's error is kept, and raised on the
+    # calling thread once every helper has stopped.
+    points: list = [None] * len(snr_grid)
+    errors: dict[int, BaseException] = {}
+    cursor, lock = iter(enumerate(snr_grid)), threading.Lock()
+
+    def run_points():
+        while True:
+            with lock:
+                job = None if errors else next(cursor, None)
+            if job is None:
+                return
+            idx, snr = job
+            try:
+                points[idx] = evaluate(idx, snr)
+            except BaseException as exc:
+                with lock:
+                    errors[idx] = exc
+                return
+
+    helpers = []
     try:
-        points = list(pool.map(evaluate, range(len(snr_grid)), snr_grid))
-    finally:  # after a failure, the points not yet started are not run
-        pool.shutdown(cancel_futures=True)
+        for _ in range(min(workers, len(snr_grid)) - 1):
+            helper = threading.Thread(target=run_points)
+            helper.start()
+            helpers.append(helper)
+        run_points()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:  # every point before the first failure in grid order has run
+        raise errors[min(errors)]
 
     lines: list[ValidationLine] = []
     exact_vals: dict[tuple[float, int], float] = {}

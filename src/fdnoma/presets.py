@@ -102,7 +102,9 @@ class SweepSpec:
 
     snr_db fixes the operating point when the axis is not snr_db, and must
     be None on the snr_db axis; hd_rule picks the HD-NOMA threshold mapping
-    for the hd_noma method.
+    for the hd_noma method.  trials must be an integer >= mcsim.MIN_TRIALS
+    and seed an integer >= 0, even when no simulation method runs; a bad
+    value raises ConfigError when the spec is built.
     """
 
     axis: str = "snr_db"
@@ -126,6 +128,11 @@ class SweepSpec:
                 raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
         if self.hd_rule not in get_args(HdRule):
             raise ConfigError(f"unknown hd_rule {self.hd_rule!r}; choose from {get_args(HdRule)}")
+        for name, low in (("trials", mcsim.MIN_TRIALS), ("seed", 0)):
+            try:
+                mcsim._integer_at_least(getattr(self, name), low, name)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(str(exc)) from None
         if self.axis != "snr_db" and self.snr_db is None:
             raise ConfigError(f"axis {self.axis!r} needs a fixed snr_db")
         if self.axis == "snr_db" and self.snr_db is not None:

@@ -3,6 +3,7 @@
 import csv
 import io
 import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -48,6 +49,23 @@ class TestRunSweep:
         buf = io.StringIO()
         with pytest.raises(ConfigError, match=f"user index {users[-1]} out of range 1..3"):
             run_sweep(spec, BASE, buf)
+        assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("methods,workers,error", [
+        (("exact",), 0, ValueError),
+        (("exact", "monte_carlo"), 0, ValueError),
+        (("exact", "monte_carlo"), 2.5, TypeError),
+    ], ids=["exact-0", "monte_carlo-0", "monte_carlo-2.5"])
+    def test_bad_workers_is_rejected_before_anything_is_written(self, methods, workers, error,
+                                                                monkeypatch):
+        # an exact-only sweep used to take workers=0, and a simulation sweep
+        # raised only after the header
+        monkeypatch.setattr(mcsim, "simulate_sweep", None)
+        monkeypatch.setattr(analytic, "exact_outage_sweep", None)
+        spec = SweepSpec(grid=(10.0,), methods=methods, trials=20_000)
+        buf = io.StringIO()
+        with pytest.raises(error, match=rf"^workers must be an integer >= 1, got {workers}$"):
+            run_sweep(spec, BASE, buf, workers=workers)
         assert buf.getvalue() == ""
 
     def test_single_point_exact_row_count(self):
@@ -255,6 +273,19 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match=r"^unknown hd_rule 'Squared'; choose from "
                                               r"\('equal', 'squared'\)$"):
             SweepSpec(grid=(10.0,), methods=("hd_noma",), hd_rule="Squared")
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"trials": 100}, r"trials must be an integer >= 10000, got 100"),
+        ({"trials": 10.5}, r"trials must be an integer >= 10000, got 10.5"),
+        ({"trials": mcsim.MIN_TRIALS - 1}, r"trials must be an integer >= 10000, got 9999"),
+        ({"seed": -1}, r"seed must be an integer >= 0, got -1"),
+        ({"seed": 1.5}, r"seed must be an integer >= 0, got 1.5"),
+    ], ids=["trials100", "trials10.5", "trials9999", "seed-1", "seed1.5"])
+    def test_bad_trials_or_seed_rejected(self, kwargs, message):
+        # they used to pass, and run_sweep wrote the header before a bare
+        # ValueError or TypeError
+        with pytest.raises(ConfigError, match=rf"^{message}$"):
+            SweepSpec(grid=(10.0,), methods=("exact", "monte_carlo"), **kwargs)
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_unknown_hd_rule_is_exit_1(self, command, capsys):
@@ -488,6 +519,63 @@ class TestValidate:
         code, captured = seen[0]
         assert code == 3 and captured.out == ""
         assert captured.err == "fdnoma: numeric failure: no value at 10.0 dB\n"
+
+    @pytest.mark.parametrize("workers,helpers", [(1, 0), (2, 1), (3, 1)])
+    def test_caller_runs_points_beside_workers_minus_one_helpers(self, workers, helpers,
+                                                                 monkeypatch):
+        # two grid points: workers=3 needs no more threads than workers=2
+        made = []
+
+        class Recorded(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                if workers == 1:
+                    raise AssertionError("validate made a thread at workers=1")
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        on_caller = []
+        simulate = mcsim.simulate_outage_all
+
+        def recording(*args, **kwargs):
+            on_caller.append(threading.current_thread() is threading.main_thread())
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        monkeypatch.setattr(mcsim, "simulate_outage_all", recording)
+        lines, ok = validate(BASE, (5.0, 10.0), trials=10_000, seed=1, workers=workers)
+        assert len(made) == helpers and not any(t.is_alive() for t in made)
+        assert len(on_caller) == 2 and any(on_caller)
+        assert len(lines) == 2 * 2 * BASE.n_users
+
+    def test_failing_helper_point_stops_the_grid_and_raises_on_the_caller(self, monkeypatch):
+        # the caller's point waits until the helper's point has failed and
+        # the helper has stopped, so that exactly two of four points start
+        simulate = mcsim.simulate_outage_all
+        caller_started, helper_failed = threading.Event(), threading.Event()
+        started, helpers, failed_at = [], [], []
+
+        def patched(cfg, snr_db, *args, **kwargs):
+            started.append(snr_db)
+            if threading.current_thread() is threading.main_thread():
+                caller_started.set()
+                assert helper_failed.wait(60)
+                helpers[0].join(60)
+                return simulate(cfg, snr_db, *args, **kwargs)
+            helpers.append(threading.current_thread())
+            failed_at.append(snr_db)
+            assert caller_started.wait(60)
+            helper_failed.set()
+            raise NumericsError(f"no estimate at {snr_db} dB")
+
+        unhandled = []
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        monkeypatch.setattr(mcsim, "simulate_outage_all", patched)
+        with pytest.raises(NumericsError) as exc:
+            validate(BASE, (0.0, 10.0, 20.0, 30.0), trials=10_000, workers=2)
+        assert sorted(started) == [0.0, 10.0]
+        assert len(helpers) == 1 and not helpers[0].is_alive()
+        assert str(exc.value) == f"no estimate at {failed_at[0]} dB"
+        assert unhandled == []
 
     def test_empty_grid_is_rejected(self):
         with pytest.raises(ConfigError, match=r"at least one grid point, got \(\)"):

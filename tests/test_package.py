@@ -160,6 +160,20 @@ def test_each_engine_loads_on_its_own():
     assert _fresh(code) == "[]"
 
 
+def test_one_worker_loads_no_pool_module():
+    """validate and a simulation sweep at workers=1 run on the calling
+    thread alone: neither loads a pool module."""
+    code = (
+        "import io, sys, fdnoma, fdnoma.cli\n"
+        "from fdnoma.presets import SweepSpec\n"
+        "fdnoma.cli.validate(fdnoma.SystemConfig(), (10.0, 20.0), trials=10_000)\n"
+        "spec = SweepSpec(grid=(10.0,), methods=('exact', 'monte_carlo'), trials=10_000)\n"
+        "fdnoma.cli.run_sweep(spec, fdnoma.SystemConfig(), io.StringIO())\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))\n"
+    )
+    assert _fresh(code) == "[]"
+
+
 def test_runtime_loads_no_scipy():
     """Importing the package and its CLI, and one validate run through both
     engines, load no scipy module in a fresh interpreter."""
