@@ -285,10 +285,11 @@ def _de_log_integrals(n: int, log_integrand) -> tuple[np.ndarray, dict[int, tupl
 # at one slice of _DE_SLICE nodes at a time, not every node of its rows, so
 # its memory grows with its rows by ~8 KB each; taken in group order, the
 # rows of a pass share Bessel values about as well as in one uncapped pass.
-# On a 2-core VM, the exact sweep alone in a fresh process: fig7's values
-# 0.45-0.55 s at 36 MB peak RSS (1024 rows: 0.33-0.40 s, 38 MB), and the
-# m=4, n_b=3, n_r=2 sweep over 10:40:10 dB 2.4-3.0 s at 80 MB (1024 rows:
-# 2.0-2.3 s, 80 MB).  Values do not depend on it.
+# On a 2-core VM, the exact sweep alone in a fresh process (~32 MB of each
+# peak the interpreter and numpy): fig7's values 0.34-0.52 s at 33 MB peak
+# RSS (1024 rows: 0.23-0.33 s, 35 MB), and the m=4, n_b=3, n_r=2 sweep over
+# 10:40:10 dB 1.2-1.8 s at 37 MB (1024 rows: 1.1-1.2 s, 38 MB).  Values do
+# not depend on it.
 _PHI_ROW_CAP = 256
 
 

@@ -6,8 +6,8 @@ ln_bessel_k_int takes log K_v(x) for integer orders.  It computes K_0(x)
 and K_1(x)/K_0(x) by one of two rules, chosen by x:
 
 * x <= 1: the power series of K_0 and K_1 (DLMF 10.31.2, and 10.31.1
-  with n = 1) in q = x^2/4, 12 terms, in one stacked pass of Estrin's
-  scheme.  Below x = 1.12, -(ln(x/2) + gamma) > 0, so K_0's two parts
+  with n = 1) in q = x^2/4, 12 terms, by Estrin's scheme taken depth
+  first.  Below x = 1.12, -(ln(x/2) + gamma) > 0, so K_0's two parts
   add.
 * x > 1: e^x K_v(x) = int_0^inf e^(-x (cosh t - 1)) cosh(vt) dt
   (DLMF 10.32.9) with u = 2 sqrt(x) sinh(t/2), whose integrand
@@ -99,20 +99,25 @@ def _halving_sum(rows: np.ndarray) -> np.ndarray:
 def _k01_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(K_0(x), x K_1(x) / K_0(x)) for 0 < x <= 1."""
     q = 0.25 * x * x
-    # Estrin's scheme: pairs in q, pairs of pairs in q^2, then Horner in
-    # q^4 over the three left, each step in place
-    p = _K_SERIES_ODD * q
-    p += _K_SERIES_EVEN
-    q *= q
-    pp = p[1::2]
-    pp *= q
-    pp += p[0::2]
-    q *= q
-    acc = pp[2]
-    acc *= q
-    acc += pp[1]
-    acc *= q
-    acc += pp[0]
+    q2 = q * q
+    q4 = q2 * q2
+    # Estrin's scheme, depth first: for j = 2, 1, 0 the pair
+    # p_(2j), p_(2j+1) (p_k = odd_k q + even_k) becomes the pair of pairs
+    # pp_j = p_(2j+1) q^2 + p_(2j), which is folded into the Horner sum in
+    # q^4 as it is made, so three (4, n) blocks are live, not all six p_k;
+    # pp_2 is made in the sum's own block
+    rows = np.empty((3, 4, len(x)))
+    acc = rows[2]
+    for j in (2, 1, 0):
+        pair = rows[1:] if j == 2 else rows[:2]
+        np.multiply(_K_SERIES_ODD[2 * j:2 * j + 2], q, out=pair)
+        pair += _K_SERIES_EVEN[2 * j:2 * j + 2]
+        pp = pair[1]
+        pp *= q2
+        pp += pair[0]
+        if j < 2:
+            acc *= q4
+            acc += pp
     i0, s0, xi1, s1 = acc
     log_term = np.log(0.5 * x)
     log_term += _EULER_GAMMA
@@ -120,17 +125,34 @@ def _k01_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k0, (log_term * xi1 + s1) / k0
 
 
-def _k01_gauss_rule(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(e^x K_0(x), K_1(x) / K_0(x)) for x > 1."""
+def _gauss_terms(lo: int, hi: int, x: np.ndarray, out: np.ndarray) -> None:
+    """Fill out[0] with w / sqrt(1 + t) and out[1] with that times t,
+    t = u^2/4x, one row per node lo to hi - 1 of the x > 1 rule."""
     quarter_u2, w = _GAUSS_RULE
-    t = quarter_u2 / x
-    terms = np.empty((len(t), 2, len(x)))
-    f = terms[:, 0]
+    f, t = out
+    np.divide(quarter_u2[lo:hi], x, out=t)
     np.add(t, 1.0, out=f)
     np.sqrt(f, out=f)
-    np.divide(w, f, out=f)
-    np.multiply(f, t, out=terms[:, 1])
-    k0, d = _halving_sum(terms)
+    np.divide(w[lo:hi], f, out=f)
+    t *= f  # t f and f t are the same product
+
+
+def _k01_gauss_rule(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e^x K_0(x), K_1(x) / K_0(x)) for x > 1."""
+    # the halving sum of the 30 node rows, whose first level adds row
+    # i + 15 onto row i: the upper rows are made 5 at a time (the first 5
+    # with the lower 15) and added onto their partners as they are made.
+    # Each of the two terms is a contiguous block of rows, on which numpy
+    # runs faster than on interleaved ones
+    rows = np.empty((2, 20, len(x)))
+    lower, block = rows[:, :15], rows[:, 15:]
+    _gauss_terms(0, 20, x, rows)
+    for lo in range(0, 15, 5):
+        if lo:
+            _gauss_terms(15 + lo, 20 + lo, x, block)
+        head = lower[:, lo:lo + 5]
+        head += block
+    k0, d = _halving_sum(lower.swapaxes(0, 1))
     return k0 / np.sqrt(x), 2.0 * d / k0 + 1.0
 
 
@@ -149,6 +171,9 @@ def ln_bessel_k_int(v, x):
     if not x.size:
         return np.empty(shape)
     v, x = v.ravel(), x.ravel()
+    top = v.max()  # NaN when any order is
+    if not top < np.inf:
+        raise ValueError(f"ln_bessel_k_int requires finite orders, got {v[~np.isfinite(v)][0]}")
     valid = (x > 0) & (x < np.inf)
     if not valid.all():
         raise ValueError(f"ln_bessel_k_int requires finite x > 0, got {x[~valid][0]}")
@@ -159,7 +184,7 @@ def ln_bessel_k_int(v, x):
     for sel, rule in ((series, _k01_series), (gauss, _k01_gauss_rule)):
         if len(sel):
             a[sel], s[sel] = rule(x[sel])
-    top = int(v.max())
+    top = int(top)
     if top:
         # t[n] = c K_n / K_(n-1) with c = min(x, 1), so that
         # t[n + 1] = c^2 / t[n] + 2nc / x; the running product from

@@ -738,6 +738,24 @@ class TestExactOutage:
         monkeypatch.setattr(analytic, "_PHI_ROW_CAP", 37)
         assert [pt.value for pt in analytic.exact_outage_sweep(entries)] == alone
 
+    # a fig11 variant's exact cells in one sweep, law tables built: traced
+    # peaks of 1.39-2.00 MB, against 1.66-2.51 MB with the stacked Bessel
+    # rules, which set them
+    @pytest.mark.parametrize("label, bound", [("nb2_nr1", 1.9e6), ("nb3_nr1", 2.05e6),
+                                              ("nb4_nr1", 2.15e6), ("nb2_nr2", 1.5e6)])
+    def test_fig11_sweep_memory_is_bounded(self, label, bound):
+        (v,) = figure_preset(f"fig11:{label}")
+        entries = [(*v.sweep.point(v.config, x), l, None) for x in v.sweep.grid
+                   for l in v.sweep.users]
+        analytic.exact_outage_sweep(entries)
+        tracemalloc.start()
+        try:
+            analytic.exact_outage_sweep(entries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
     def test_sweep_returns_each_entry_its_own_error(self):
         good = (BASE, 15.0, 2, None)
         bad = (replace(BASE, mu=0.0, alpha_si=1e-20), 15.0, 1, None)

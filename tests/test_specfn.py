@@ -1,11 +1,13 @@
 """Special-function checks against independent oracles and identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fdnoma import specfn
 from fdnoma.specfn import ln_bessel_k_int, poly_power_coeffs
 
 
@@ -138,6 +140,111 @@ class TestBesselKMethod:
     def test_non_positive_or_non_finite_argument_rejected(self, bad):
         with pytest.raises(ValueError, match="finite x > 0"):
             ln_bessel_k_int(np.array([1.0, 2.0]), np.array([0.5, bad]))
+
+    @pytest.mark.parametrize("bad, named", [(math.inf, "inf"), (-math.inf, "inf"),
+                                            (math.nan, "nan")])
+    def test_non_finite_order_rejected_before_any_work(self, bad, named, monkeypatch):
+        def no_rule(x):
+            raise AssertionError("a rule ran")
+
+        monkeypatch.setattr(specfn, "_k01_series", no_rule)
+        monkeypatch.setattr(specfn, "_k01_gauss_rule", no_rule)
+        # the order is |trunc(v)|, so -inf is named as the order inf
+        message = f"^ln_bessel_k_int requires finite orders, got {named}$"
+        with pytest.raises(ValueError, match=message):
+            ln_bessel_k_int(bad, 2.0)
+        # checked before x, whose 0 would be the error otherwise
+        with pytest.raises(ValueError, match=message):
+            ln_bessel_k_int(np.array([1.0, bad, 2.0]), np.array([0.5, 2.0, 0.0]))
+
+
+def _stacked_series(x):
+    """The x <= 1 rule as one stacked (6, 4, n) pass of Estrin's scheme,
+    the form the depth-first rule replaced."""
+    q = 0.25 * x * x
+    p = specfn._K_SERIES_ODD * q
+    p += specfn._K_SERIES_EVEN
+    q *= q
+    pp = p[1::2]
+    pp *= q
+    pp += p[0::2]
+    q *= q
+    acc = pp[2]
+    acc *= q
+    acc += pp[1]
+    acc *= q
+    acc += pp[0]
+    i0, s0, xi1, s1 = acc
+    log_term = np.log(0.5 * x)
+    log_term += specfn._EULER_GAMMA
+    k0 = s0 - log_term * i0
+    return k0, (log_term * xi1 + s1) / k0
+
+
+def _thirty_row_gauss(x):
+    """The x > 1 rule with all 30 node rows in one (30, 2, n) array, halved
+    level by level, the form the folded rule replaced."""
+    quarter_u2, w = specfn._GAUSS_RULE
+    t = quarter_u2 / x
+    rows = np.empty((len(t), 2, len(x)))
+    f = rows[:, 0]
+    np.add(t, 1.0, out=f)
+    np.sqrt(f, out=f)
+    np.divide(w, f, out=f)
+    np.multiply(f, t, out=rows[:, 1])
+    while len(rows) > 1:
+        half = (len(rows) + 1) // 2
+        head = rows[:len(rows) - half]
+        np.add(head, rows[half:], out=head)
+        rows = rows[:half]
+    k0, d = rows[0]
+    return k0 / np.sqrt(x), 2.0 * d / k0 + 1.0
+
+
+class TestBesselKRules:
+    """The two K_0/K_1 rules give each value exactly the operations of
+    their stacked forms, in the same order, from less scratch."""
+
+    # the largest batches of the preset sweeps: 6,592 series values
+    # (fig11) and 5,214 trapezoid values
+    @pytest.mark.parametrize("rule, reference, batch", [
+        (specfn._k01_series, _stacked_series, 6592),
+        (specfn._k01_gauss_rule, _thirty_row_gauss, 5214),
+    ], ids=["series", "trapezoid"])
+    def test_bitwise_equal_to_the_stacked_form(self, rule, reference, batch):
+        rng = np.random.default_rng(31)
+        if rule is specfn._k01_series:
+            # uniform on (0, 1], log-uniform down to 1e-300, and the switch
+            edges = [1.0, math.nextafter(1.0, 0.0), 1e-300, 0.5]
+            x = np.concatenate([1.0 - rng.random(50_000),
+                                np.exp(rng.uniform(math.log(1e-300), 0.0, 50_000))])
+        else:
+            edges = [math.nextafter(1.0, 2.0), 8.0, 1e8, 1e300]
+            x = np.concatenate([1.0 + 7.0 * rng.random(50_000),
+                                np.exp(rng.uniform(0.0, math.log(1e300), 50_000))])
+        x = np.concatenate([edges, rng.permutation(x)])
+        # the first 64 values in batches of 1 and 7, then all in full batches
+        parts = [x[lo:lo + size] for size in (1, 7) for lo in range(0, 64, size)]
+        parts += [x[lo:lo + batch] for lo in range(0, len(x), batch)]
+        for part in parts:
+            for got, want in zip(rule(part), reference(part)):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    # x = offset + a log grid, and the traced peak allowed per value: the
+    # rules measured 194 and 386 bytes, their stacked forms 274 and 786
+    @pytest.mark.parametrize("offset, lo, hi, per_value", [(0.0, 1e-3, 1.0, 210),
+                                                           (1.0, 1e-6, 2e4, 420)],
+                             ids=["series", "trapezoid"])
+    def test_scratch_per_value_is_bounded(self, offset, lo, hi, per_value):
+        x = offset + np.geomspace(lo, hi, 8192)
+        v = np.random.default_rng(2).integers(0, 4, len(x)).astype(float)
+        tracemalloc.start()
+        try:
+            ln_bessel_k_int(v, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_value * len(x)
 
 
 class TestPolyPowerCoeffs:
