@@ -4,15 +4,15 @@ and high-SNR asymptotics.
 Every form is built from two laws: A, the sum of the two strongest
 first-hop gains, and B_(l), the l-th ordered second-hop gain.  Each is
 tabulated once per structure at unit rate as an exponential polynomial,
-pdf = sum_r e^(-r y) sum_j c[r][j] y^j, in exact rationals; its sf is
-derived exactly, and each coefficient is rounded to float once
-(first_hop_mixture, ordered_gain_law, the one accessor of each law).  A
-table's pdf_at and sf_at take one exp per rate and a Horner pass in y;
-pdf and sf hold its exact rows, and lead its CDF's first nonzero Taylor
-term at 0, exact.  Every form reads the laws from these tables only: the
-relay ratio W = A/(C + offset) of the lower bound, the CEE/FBD error
-floor, the exact sum (A's sf, B_(l)'s pdf) and the high-SNR law (both
-leads).
+pdf = sum_r e^(-r y) sum_j c[r][j] y^j, from its order-statistic density
+in exact rationals; its sf is derived exactly, and each coefficient is
+rounded to float once (first_hop_mixture, a name bench/tracing.py reads,
+and ordered_gain_law: the one accessor of each law).  A table's pdf_at
+and sf_at take one exp per rate and a Horner pass in y; pdf and sf hold
+its exact rows, and lead its CDF's first nonzero Taylor term at 0,
+exact.  Every form reads the laws from these tables only: the relay
+ratio W = A/(C + offset) of the lower bound, the CEE/FBD error floor,
+the exact sum (A's sf, B_(l)'s pdf) and the high-SNR law (both leads).
 
 The exact outage probability is a 12-fold nested finite sum over one
 semi-infinite quadrature (the Phi integral, integrated in log form by
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -198,8 +199,9 @@ def _phi_log_integrand(rows: np.ndarray):
             live &= (v < _DE_V_MAX)[g]
             live_s = np.logical_or.reduceat(live, starts, axis=0)
             k = np.zeros(live_s.shape)
-            k[live_s] = ln_bessel_k_int(np.broadcast_to(nu, live_s.shape)[live_s],
-                                        (x_g * np.exp(0.5 * v))[sg][live_s])
+            if live_s.any():
+                k[live_s] = ln_bessel_k_int(np.broadcast_to(nu, live_s.shape)[live_s],
+                                            (x_g * np.exp(0.5 * v))[sg][live_s])
             lg += np.take(k, sr, axis=0, out=t)
             lg[~live] = -np.inf
             return lg
@@ -363,15 +365,15 @@ class _ExpPoly(NamedTuple):
 
     @classmethod
     def of(cls, pdf: dict[Fraction, dict[int, Fraction]]) -> _ExpPoly:
-        """The law whose pdf has coefficient pdf[r][j] at e^(-r y) y^j.  Its
-        sf is the tail integral: int_y^inf u^j e^(-r u) du
-        = e^(-r y) sum_{k<=j} j!/(k! r^(j-k+1)) y^k."""
+        """The law with pdf coefficient pdf[r][j] at e^(-r y) y^j; its sf sums their _tail."""
         rows = tuple((r, tuple(cs.get(j, Fraction(0)) for j in range(max(cs) + 1)))
                      for r, cs in sorted(pdf.items()))
-        sf = tuple((r, tuple(sum(c * math.factorial(j) / (math.factorial(k) * r ** (j - k + 1))
-                                 for j, c in enumerate(row[k:], start=k))
-                             for k in range(len(row))))
-                   for r, row in rows)
+        sf = []
+        for r, row in rows:
+            acc = [Fraction(0)] * len(row)
+            for j, c in enumerate(row):
+                acc[:j + 1] = [a + c * d for a, d in zip(acc, _tail(j, r))]
+            sf.append((r, tuple(acc)))
         # 1 - sf's coefficient of y^n: sf(0) = 1, then minus the y^n
         # coefficient of each e^(-r y) y^j term, j <= n
         n, c = 0, Fraction(0)
@@ -379,7 +381,7 @@ class _ExpPoly(NamedTuple):
             n += 1
             c = -sum(d * (-r) ** (n - j) / math.factorial(n - j)
                      for r, row in sf for j, d in enumerate(row[:n + 1]))
-        return cls(rows, sf, _rounded(rows), _rounded(sf), (n, c))
+        return cls(rows, tuple(sf), _rounded(rows), _rounded(sf), (n, c))
 
     def pdf_at(self, x, lam: float):
         return lam * _exp_poly(self.pdf_rows, lam * np.asarray(x, dtype=float))
@@ -407,40 +409,45 @@ def _exp_poly(rows, y):
     return out[()]
 
 
+def _tail(j: int, r: Fraction) -> list[Fraction]:
+    """The coefficient of y^k, k <= j, of e^(r y) int_y^inf u^j e^(-r u) du:
+    j!/(k! r^(j-k+1))."""
+    return [Fraction(math.factorial(j), math.factorial(k)) / r ** (j - k + 1) for k in range(j + 1)]
+
+
+def _order_powers(n: int, s: int, m: int) -> list[tuple[int, int, list[Fraction]]]:
+    """F^n S^s of one Gamma(m, 1) gain, F = 1 - S expanded binomially, as
+    terms (p, w, beta): w S^p = w e^(-p x) sum_i beta[i] x^i, beta exact."""
+    return [(s + i, (-1) ** i * comb(n, i), _poly_power_exact(m, Fraction(1), s + i))
+            for i in range(n + 1)]
+
+
 @lru_cache(maxsize=64)
 def first_hop_mixture(n_b: int, m: int) -> _ExpPoly:
     """A's law at unit rate: the sum of the two strongest of n_b i.i.d.
-    Gamma(m, 1) gains.
+    Gamma(m, 1) gains.  It keeps the name of the MGF partial-fraction
+    mixture it replaced, because bench/tracing.py reads its cache_info().
 
-    Its MGF sums, over the selection index r < n_b - 1, n and t < m, the
-    products coef (s + 1)^-(m - t) (s + q)^-(t + n + m), q = (2 + r)/2, or
-    coef (s + 1)^-(n + 2m) when r = 0.  Each product is split into partial
-    fractions by the repeated-pole residue formula, in exact rationals, and
-    a kernel (s + rho)^-k adds y^(k-1) e^(-rho y)/(k-1)! to the pdf.
-    """
-    one = Fraction(1)
-    pdf: dict[Fraction, dict[int, Fraction]] = {}
-
-    def add(rho: Fraction, k: int, w: Fraction):
-        row = pdf.setdefault(rho, {})
-        row[k - 1] = row.get(k - 1, 0) + w / math.factorial(k - 1)
-
-    for r in range(n_b - 1):
-        q = Fraction(2 + r, 2)
-        for n, beta in enumerate(_poly_power_exact(m, one, r)):
+    With x the weaker of the two, f_A(a) = n_b (n_b - 1) int_0^(a/2)
+    f(a - x) f(x) F(x)^(n_b-2) dx (David & Nagaraja, Order Statistics,
+    2003, sec. 2.2).  The terms w beta[n] x^n e^(-r x) of F^(n_b-2) and
+    C(m-1, t) a^(m-1-t) (-x)^t of (a - x)^(m-1) leave e^-a a^(m-1-t) times
+    int_0^(a/2) x^j e^(-r x) dx, j = m-1+n+t: (a/2)^(j+1)/(j+1) at r = 0,
+    else the _tail at 0 less the _tail at a/2, of rate 1 + r/2."""
+    pdf: dict[Fraction, dict[int, Fraction]] = defaultdict(lambda: defaultdict(Fraction))
+    scale = Fraction(n_b * (n_b - 1), math.factorial(m - 1) ** 2)
+    for r, w, beta in _order_powers(n_b - 2, 0, m):
+        for n, b in enumerate(beta):
             for t in range(m):
-                coef = (beta * n_b * (n_b - 1) * comb(n_b - 2, r) * (-1) ** r
-                        * math.factorial(m + n + t - 1)
-                        / (math.factorial(m - 1) * math.factorial(t) * 2 ** (t + n + m)))
+                c = scale * w * b * comb(m - 1, t) * (-1) ** t
+                j = m - 1 + n + t
                 if r == 0:
-                    add(one, n + 2 * m, coef)
+                    pdf[Fraction(1)][2 * m - 1] += c / ((j + 1) * 2 ** (j + 1))
                     continue
-                # in (s + a)^-i (s + b)^-o, (s + a)^-k has the coefficient
-                # (-1)^j C(o + j - 1, j) (b - a)^-(o + j), j = i - k
-                for a, i, b, o in ((one, m - t, q, t + n + m), (q, t + n + m, one, m - t)):
-                    for k in range(1, i + 1):
-                        j = i - k
-                        add(a, k, coef * (-1) ** j * comb(o + j - 1, j) / (b - a) ** (o + j))
+                tail = _tail(j, Fraction(r))
+                pdf[Fraction(1)][m - 1 - t] += c * tail[0]
+                for k, d in enumerate(tail):
+                    pdf[Fraction(2 + r, 2)][m - 1 - t + k] -= c * d / 2**k
     return _ExpPoly.of(pdf)
 
 
@@ -448,26 +455,17 @@ def first_hop_mixture(n_b: int, m: int) -> _ExpPoly:
 # Second-hop order statistics: B_l = l-th smallest of L i.i.d. Gamma(M) gains
 # --------------------------------------------------------------------------
 
-def _order_weights(l: int, n_users: int) -> list[tuple[int, int]]:
-    """(p, w_p) for each nonzero w_p: the l-th of L i.i.d. gains has pdf
-    f sum_p w_p S^p, f and S one gain's pdf and sf (David & Nagaraja, Order
-    Statistics, 2003, sec. 2.1); w_p is summed exactly over k."""
-    check_user(l, n_users)
-    q_l = math.factorial(n_users) // (math.factorial(n_users - l) * math.factorial(l - 1))
-    weights = ((p, q_l * sum((-1) ** (k + p) * comb(n_users - l, k) * comb(l + k - 1, p)
-                             for k in range(n_users - l + 1))) for p in range(n_users))
-    return [(p, w) for p, w in weights if w]
-
-
 @lru_cache(maxsize=64, typed=True)  # typed, so l = True misses l = 1's entry
 def ordered_gain_law(l: int, n_users: int, m_total: int) -> _ExpPoly:
-    """B_(l)'s law at unit rate: with f = y^(M-1) e^-y / (M-1)! and
-    S = e^-y sum_{k<M} y^k/k!, f S^p = e^(-(1+p) y) sum_k1 beta_p[k1]
-    y^(M-1+k1) / (M-1)!, beta_p the exact coefficients of the p-th power."""
-    return _ExpPoly.of({
-        Fraction(1 + p): {m_total - 1 + k1: w * b / math.factorial(m_total - 1)
-                          for k1, b in enumerate(_poly_power_exact(m_total, Fraction(1), p))}
-        for p, w in _order_weights(l, n_users)})
+    """B_(l)'s law at unit rate: f_(l) = q_l f F^(l-1) S^(L-l), q_l =
+    L!/((l-1)! (L-l)!) (David & Nagaraja, sec. 2.1).  With f = y^(M-1)
+    e^-y / (M-1)!, a term w S^p adds q_l w beta[k] y^(M-1+k) e^(-(1+p) y)
+    / (M-1)!."""
+    check_user(l, n_users)
+    q_l = Fraction(math.factorial(n_users), math.factorial(n_users - l) * math.factorial(l - 1)
+                   * math.factorial(m_total - 1))
+    return _ExpPoly.of({Fraction(1 + p): {m_total - 1 + k: q_l * w * b for k, b in enumerate(beta)}
+                        for p, w, beta in _order_powers(l - 1, n_users - l, m_total)})
 
 
 # --------------------------------------------------------------------------

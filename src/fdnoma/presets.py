@@ -121,6 +121,8 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep axis {self.axis!r}; choose from {tuple(AXES)}")
         if not self.grid:
             raise ConfigError("sweep grid is empty")
+        if not all(math.isfinite(x) for x in self.grid):
+            raise ConfigError(f"sweep grid values must be finite, got {self.grid}")
         if any(self.grid[i] >= self.grid[i + 1] for i in range(len(self.grid) - 1)):
             raise ConfigError("sweep grid must be strictly increasing")
         for m in self.methods:

@@ -2,6 +2,7 @@
 building blocks, exact/lower-bound/asymptotic outage behavior, and the
 printed-variant arbitration against the simulator."""
 
+import functools
 import itertools
 import json
 import math
@@ -36,7 +37,7 @@ from fdnoma.analytic import (
 from fdnoma.errors import ConfigError, NumericsError
 from fdnoma.mcsim import simulate_outage
 from fdnoma.presets import figure_preset
-from fdnoma.specfn import poly_power_coeffs
+from fdnoma.specfn import ln_bessel_k_int, poly_power_coeffs
 from fdnoma.sysmodel import (
     SystemConfig,
     compute_deltas,
@@ -349,6 +350,22 @@ class TestPhiIntegral:
             tracemalloc.stop()
         assert peak < 3e6
 
+    def test_no_bessel_call_without_a_live_node(self, monkeypatch):
+        # validate's 21 default-config exact calls: a slice with no node live
+        # for any series of the pass made 72 of their 264 Bessel calls on
+        # zero values
+        sizes = []
+
+        def counting(nu, x):
+            sizes.append(np.broadcast(nu, x).size)
+            return ln_bessel_k_int(nu, x)
+
+        monkeypatch.setattr(analytic, "ln_bessel_k_int", counting)
+        for snr_db in range(0, 31, 5):
+            for l in (1, 2, 3):
+                exact_outage(BASE, float(snr_db), l)
+        assert sizes and min(sizes) > 0
+
     def test_failed_row_leaves_the_others(self):
         bad = PhiTerm(z_power=0.0, pi_power=0.5, pi_shift=1.0, decay=1e40, bessel_coeff=1.0,
                       order=1)
@@ -465,10 +482,22 @@ class TestOrderedGainDistribution:
             )
 
 
-# the law tables checked exactly: A for n_b 2-4 and m 1-4, B_(l) for every
-# l of L = 3 and M 1-4
-A_STRUCTURES = [(n_b, m) for n_b in (2, 3, 4) for m in (1, 2, 3, 4)]
-B_STRUCTURES = [(l, M) for l in (1, 2, 3) for M in (1, 2, 3, 4)]
+# the law tables checked exactly, at every structure the closed-form engine
+# accepts: A at m n_b <= 16, B_(l) at every l of L users with M L <= 24 (the
+# config's own limits, n_b <= 64 and L <= 32, do not bind)
+A_STRUCTURES = [(n_b, m) for n_b in range(2, analytic._MAX_ORDER_A + 1)
+                for m in range(1, analytic._MAX_ORDER_A // n_b + 1)]
+B_STRUCTURES = [(l, L, M) for L in range(1, analytic._MAX_ORDER_B + 1)
+                for M in range(1, analytic._MAX_ORDER_B // L + 1) for l in range(1, L + 1)]
+
+
+def _exp_poly_power(m, r):
+    """Coefficients of (sum_{k<m} y^k/k!)^r, in exact rationals."""
+    beta = [Fraction(1)]
+    for _ in range(r):
+        beta = [sum(beta[i] / math.factorial(k - i) for i in range(len(beta)) if 0 <= k - i < m)
+                for k in range(len(beta) + m - 1)]
+    return beta
 
 
 def _recipe_mgf(n_b, m, s):
@@ -478,11 +507,7 @@ def _recipe_mgf(n_b, m, s):
     coef (s + 1)^-(n + 2m) when r = 0."""
     total = Fraction(0)
     for r in range(n_b - 1):
-        beta = [Fraction(1)]  # coefficients of (sum_{k<m} y^k/k!)^r
-        for _ in range(r):
-            beta = [sum(beta[i] / math.factorial(k - i) for i in range(len(beta)) if 0 <= k - i < m)
-                    for k in range(len(beta) + m - 1)]
-        for n, b in enumerate(beta):
+        for n, b in enumerate(_exp_poly_power(m, r)):
             for t in range(m):
                 coef = b * Fraction(
                     n_b * (n_b - 1) * comb(n_b - 2, r) * (-1) ** r * math.factorial(m + n + t - 1),
@@ -494,15 +519,52 @@ def _recipe_mgf(n_b, m, s):
     return total
 
 
+def _s_power_pdf(l, L, M):
+    """B_(l)'s pdf rows from its S^p weights, in exact rationals: with
+    S^(L-l) = (1 - F)^(L-l) and then F^(l-1+k) = (1 - S)^(l-1+k) expanded,
+    f_(l) = f sum_p w_p S^p, w_p = q_l sum_k (-1)^(k+p) C(L-l, k)
+    C(l+k-1, p), and f S^p = e^(-(1+p) y) sum_k1 beta_p[k1] y^(M-1+k1)
+    / (M-1)!."""
+    q_l = Fraction(math.factorial(L),
+                   math.factorial(L - l) * math.factorial(l - 1) * math.factorial(M - 1))
+    rows = []
+    for p in range(L):
+        w = sum((-1) ** (k + p) * comb(L - l, k) * comb(l + k - 1, p) for k in range(L - l + 1))
+        if w:
+            rows.append((Fraction(1 + p), (Fraction(0),) * (M - 1)
+                         + tuple(q_l * w * b for b in _exp_poly_power(M, p))))
+    return tuple(rows)
+
+
+def _lead_a(n_b, m):
+    """A's CDF lead constant at unit rate, exact: the log-gamma constant of
+    asymptotic_cdf_two_strongest_sum as a ratio of factorials."""
+    k = m * (n_b - 1)
+    return sum(Fraction(n_b * (n_b - 1) * math.factorial(k + t - 1),
+                        math.factorial(m - 1) * math.factorial(m) ** (n_b - 2) * math.factorial(t)
+                        * math.factorial(m * n_b) * 2 ** (k + t))
+               for t in range(m))
+
+
+@functools.cache
+def _all_laws():
+    """Every accepted structure's tables, built once per session."""
+    return ({s: first_hop_mixture(*s) for s in A_STRUCTURES},
+            {s: ordered_gain_law(*s) for s in B_STRUCTURES})
+
+
 class TestLawTables:
-    @staticmethod
-    def _laws():
-        return ([first_hop_mixture(n_b, m) for n_b, m in A_STRUCTURES]
-                + [ordered_gain_law(l, 3, M) for l, M in B_STRUCTURES])
+    def test_structures_are_every_accepted_one(self):
+        # the limits themselves are checked with the exact form's config
+        # errors (test_structure_beyond_the_table_limits_rejected)
+        assert (len(A_STRUCTURES), len(B_STRUCTURES)) == (34, 491)
+        assert {n_b * m for n_b, m in A_STRUCTURES} == set(range(2, 17))
+        assert {L * M for _, L, M in B_STRUCTURES} == set(range(1, 25))
 
     def test_exact_unit_mass_and_tail(self):
         # the pdf integrates to exactly 1, and -d/dy sf = pdf term by term
-        for law in self._laws():
+        laws_a, laws_b = _all_laws()
+        for law in [*laws_a.values(), *laws_b.values()]:
             assert sum(c * math.factorial(j) / r ** (j + 1)
                        for r, row in law.pdf for j, c in enumerate(row)) == 1
             assert [r for r, _ in law.sf] == [r for r, _ in law.pdf]
@@ -512,25 +574,34 @@ class TestLawTables:
                 assert deriv == list(pdf)
 
     def test_laplace_transform_is_the_recipe_product(self):
-        for n_b, m in A_STRUCTURES:
-            law = first_hop_mixture(n_b, m)
+        for (n_b, m), law in _all_laws()[0].items():
             for s in (Fraction(0), Fraction(1, 3), Fraction(2), Fraction(7, 2)):
                 table = sum(c * math.factorial(j) / (s + r) ** (j + 1)
                             for r, row in law.pdf for j, c in enumerate(row))
                 assert table == _recipe_mgf(n_b, m, s), (n_b, m, s)
 
+    def test_ordered_gain_pdf_is_the_s_power_expansion(self):
+        for (l, L, M), law in _all_laws()[1].items():
+            assert law.pdf == _s_power_pdf(l, L, M), (l, L, M)
+
     def test_cdf_starts_at_the_diversity_order(self):
         # Taylor coefficients of F_A = 1 - sf_A: exactly 0 below y^(m n_b),
         # the small-argument constant at y^(m n_b) (unit rate: omega = m)
-        for n_b, m in A_STRUCTURES:
+        for (n_b, m), law in _all_laws()[0].items():
             k = m * n_b
             taylor = [int(n == 0) - sum(d * (-r) ** (n - j) / math.factorial(n - j)
-                                        for r, row in first_hop_mixture(n_b, m).sf
-                                        for j, d in enumerate(row) if j <= n)
+                                        for r, row in law.sf for j, d in enumerate(row) if j <= n)
                       for n in range(k + 1)]
             assert taylor[:k] == [0] * k, (n_b, m)
-            assert float(taylor[k]) == pytest.approx(
-                float(asymptotic_cdf_two_strongest_sum(1.0, n_b, m, m)), rel=1e-13)
+            assert taylor[k] == _lead_a(n_b, m), (n_b, m)
+            assert law.lead == (k, taylor[k])
+        assert float(_lead_a(4, 3)) == pytest.approx(
+            float(asymptotic_cdf_two_strongest_sum(1.0, 4, 3, 3)), rel=1e-13)
+
+    def test_ordered_gain_lead_is_the_small_argument_law(self):
+        # F_(l) ~ C(L, l) F^l and F ~ y^M / M!
+        for (l, L, M), law in _all_laws()[1].items():
+            assert law.lead == (M * l, Fraction(comb(L, l), math.factorial(M) ** l)), (l, L, M)
 
     @pytest.mark.parametrize("n_b", [2, 3, 4])
     def test_leads_are_the_small_argument_laws(self, n_b):
@@ -555,7 +626,7 @@ class TestLawTables:
         mp = pytest.importorskip("mpmath")
         L = 3
         with mp.workdps(50):
-            for l, M in B_STRUCTURES:
+            for l, M in itertools.product((1, 2, 3), (1, 2, 3, 4)):
                 law = ordered_gain_law(l, L, M)
                 mean = float(sum(d * math.factorial(k) / r ** (k + 1)
                                  for r, row in law.sf for k, d in enumerate(row)))

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import sys
 import threading
 import time
@@ -268,6 +269,19 @@ class TestCsvRow:
 
 
 class TestSweepSpec:
+    @pytest.mark.parametrize("grid", [(0.0, math.nan, 10.0), (math.nan,), (0.0, math.inf),
+                                      (-math.inf, 0.0)], ids=["nan-inside", "nan", "inf", "-inf"])
+    def test_non_finite_grid_value_rejected(self, grid):
+        # a NaN passed the strictly-increasing check (every comparison with
+        # it is false), and the sweep printed error cells
+        with pytest.raises(ConfigError, match=r"^sweep grid values must be finite, got "):
+            SweepSpec(grid=grid)
+
+    @pytest.mark.parametrize("grid", [(10.0, 5.0), (5.0, 5.0)])
+    def test_grid_not_increasing_rejected(self, grid):
+        with pytest.raises(ConfigError, match=r"^sweep grid must be strictly increasing$"):
+            SweepSpec(grid=grid)
+
     def test_unknown_hd_rule_rejected(self):
         # it used to pass, and run_sweep wrote the header before a bare ValueError
         with pytest.raises(ConfigError, match=r"^unknown hd_rule 'Squared'; choose from "

@@ -1,7 +1,7 @@
 """Public surface of the package: every exported name resolves, the
 Monte Carlo engine stays independent of the closed forms, no module keeps
-an unused import or private name, each engine loads on its own, and the
-runtime needs no scipy."""
+an unused import or private name, every name the benchmark scripts read
+exists, each engine loads on its own, and the runtime needs no scipy."""
 
 import ast
 import importlib
@@ -130,6 +130,60 @@ def test_no_private_name_goes_unused():
     bench = [ast.parse(path.read_text(encoding="utf-8"))
              for path in (Path(__file__).resolve().parents[1] / "bench").glob("*.py")]
     assert bench and _unused_private_names(modules, bench) == {}
+
+
+def _fdnoma_reads(tree) -> list[tuple[int, str]]:
+    """(line, dotted name) of each fdnoma name a script reads directly:
+    each name it imports from fdnoma, and each attribute it takes of a name
+    so imported."""
+    bound, reads = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name, a.name) for a in node.names
+                         if a.name.split(".")[0] == "fdnoma")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fdnoma":
+            for a in node.names:
+                bound[a.asname or a.name] = f"{node.module}.{a.name}"
+                reads.append((node.lineno, f"{node.module}.{a.name}"))
+    reads += [(node.lineno, f"{bound[node.value.id]}.{node.attr}") for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in bound]
+    return reads
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether a dotted fdnoma name is there: a module, or an attribute of
+    one."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+            continue
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            return False
+    return True
+
+
+def test_bench_reads_only_names_that_exist():
+    # bench/ reads fdnoma's names directly (make_reference.py and
+    # workloads.py the per-point paths, tracing.py its hooks), so a change
+    # to src/ alone could break a benchmark script with no other test
+    # failing
+    planted = ast.parse("import fdnoma\nfrom fdnoma import cli as c, nothere\n"
+                        "from fdnoma.sysmodel import SystemConfig\n"
+                        "c.run_sweep, c.gone, fdnoma.__file__, fdnoma.analytic.exact_outage\n")
+    assert [name for _, name in _fdnoma_reads(planted) if not _resolves(name)] == \
+        ["fdnoma.nothere", "fdnoma.cli.gone"]
+    reads = {}
+    for path in sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py")):
+        for line, name in _fdnoma_reads(ast.parse(path.read_text(encoding="utf-8"))):
+            reads.setdefault(name, f"{path.name}:{line}")
+    assert {"fdnoma.cli._apply_axis", "fdnoma.analytic.exact_outage_for_lambda",
+            "fdnoma.mcsim.simulate_outage_all", "fdnoma.analytic.exact_outage"} <= reads.keys()
+    assert {name: where for name, where in reads.items() if not _resolves(name)} == {}
 
 
 def _fresh(code: str) -> str:
