@@ -66,7 +66,6 @@ log_ = logging.getLogger(__name__)
 
 __all__ = [
     "OutagePoint",
-    "PhiTerm",
     "phi_integral_log",
     "phi_integral_log_rows",
     "exact_outage",
@@ -101,27 +100,6 @@ _DE_NEGLIGIBLE = 750.0
 # is taken whole).  It is fixed, not derived from the row count, so that a
 # row adds the same slices in the same order in a batch of any size.
 _DE_SLICE = 64
-
-
-@dataclass(frozen=True)
-class PhiTerm:
-    """Parameters of one Phi integrand:
-
-        integral_0^inf z^z_power * (z + pi_shift)^pi_power * exp(-decay*z)
-                       * K_|order|(2*sqrt(bessel_coeff*(z + pi_shift))) dz
-    """
-
-    z_power: float
-    pi_power: float
-    pi_shift: float
-    decay: float
-    bessel_coeff: float
-    order: int
-    label: str = ""
-
-    def __post_init__(self):
-        if not (self.pi_shift > 0 and self.decay > 0 and self.bessel_coeff > 0):
-            raise ValueError(f"PhiTerm rate parameters must be positive: {self}")
 
 
 @lru_cache(maxsize=_DE_MAX_LEVEL + 1)
@@ -317,13 +295,24 @@ def phi_integral_log_rows(rows: np.ndarray) -> tuple[np.ndarray, dict[int, tuple
     return out, failed
 
 
-def phi_integral_log(term: PhiTerm) -> float:
-    """log of the Phi integral (-inf when the integrand underflows)."""
-    row = np.array([[term.z_power, term.pi_power, term.pi_shift, term.decay,
-                     term.bessel_coeff, term.order]], dtype=float)
-    (log_phi,), failed = phi_integral_log_rows(row)
+def phi_integral_log(*, z_power: float, pi_power: float, pi_shift: float, decay: float,
+                     bessel_coeff: float, order: int) -> float:
+    """log of one Phi integral, a one-row phi_integral_log_rows call (-inf
+    when the integrand underflows):
+
+        integral_0^inf z^z_power * (z + pi_shift)^pi_power * exp(-decay*z)
+                       * K_|order|(2*sqrt(bessel_coeff*(z + pi_shift))) dz
+
+    The rates pi_shift, decay and bessel_coeff must be positive.
+    """
+    row = dict(z_power=z_power, pi_power=pi_power, pi_shift=pi_shift, decay=decay,
+               bessel_coeff=bessel_coeff, order=order)
+    named = " ".join(f"{k}={v!r}" for k, v in row.items())
+    if not (pi_shift > 0 and decay > 0 and bessel_coeff > 0):
+        raise ValueError(f"Phi rate parameters must be positive: {named}")
+    (log_phi,), failed = phi_integral_log_rows(np.array([list(row.values())], dtype=float))
     if failed:
-        raise NumericsError(f"phi quadrature failed for term {term.label or term}: {failed[0][1]}")
+        raise NumericsError(f"phi quadrature failed for row {named}: {failed[0][1]}")
     return float(log_phi)
 
 
@@ -540,7 +529,7 @@ class _SumTable:
     F_a summing the first-hop entries of key a = (k2, rho, n1 - t3), S_b the
     second-hop entries of key b = (t4, p).  Entry i (key[i] = a, or
     len(log_g) + b) is sign[i] * exp(const[i] + powers[i] @ x), x the eight
-    scalars of exact_outage_for_lambda.  The Phi rows (k2, e_pi, nu, rho, p),
+    scalars of an _ExactPlan.  The Phi rows (k2, e_pi, nu, rho, p),
     rho the pole over lam_s, are the a x b grid, a-major, as is log G_ab."""
 
     sign: np.ndarray
@@ -713,36 +702,28 @@ def exact_outage_sweep(
     return [plan if isinstance(plan, FdnomaError) else next(results) for plan in plans]
 
 
-def _one_result(results: list[OutagePoint | FdnomaError]) -> OutagePoint:
-    (res,) = results
+def exact_outage(
+    cfg: SystemConfig,
+    snr_db: float,
+    l: int,
+    lam_dag: float | None = None,
+) -> OutagePoint:
+    """Exact outage probability of user l from the nested-sum closed form:
+    a one-entry exact_outage_sweep, raising the entry's error.
+
+    lam_dag is the SNR-normalized threshold Lambda+; None takes user l's
+    SIC threshold.  The joint SIC event reduces to one threshold per user;
+    supplying it directly also covers the single-user-per-resource
+    baseline, whose product-mapped threshold replaces the SIC maximum.
+    """
+    (res,) = exact_outage_sweep([(cfg, snr_db, l, lam_dag)])
     if isinstance(res, FdnomaError):
         raise res
     return res
 
 
-def exact_outage(
-    cfg: SystemConfig,
-    snr_db: float,
-    l: int,
-) -> OutagePoint:
-    """Exact outage probability of user l from the nested-sum closed form:
-    a one-entry exact_outage_sweep."""
-    return _one_result(exact_outage_sweep([(cfg, snr_db, l, None)]))
-
-
-def exact_outage_for_lambda(
-    cfg: SystemConfig,
-    snr_db: float,
-    l: int,
-    lam_dag: float,
-) -> OutagePoint:
-    """Exact outage with an explicit SNR-normalized threshold Lambda+.
-
-    The joint SIC event reduces to one threshold per user; supplying it
-    directly also covers the single-user-per-resource baseline, whose
-    product-mapped threshold replaces the SIC maximum.
-    """
-    return _one_result(exact_outage_sweep([(cfg, snr_db, l, lam_dag)]))
+# bench/make_reference.py reads this name for an explicit threshold
+exact_outage_for_lambda = exact_outage
 
 
 def _clamped_point(raw: float, l: int, snr_db: float, method: str, floor: bool = False) -> OutagePoint:

@@ -27,7 +27,8 @@ from typing import get_args
 
 from . import analytic, mcsim
 from .errors import ConfigError, FdnomaError, NumericsError
-from .presets import AXES, METHODS, PRESET_NAMES, SweepSpec, figure_preset, linear_grid, methods_of
+from .presets import (AXES, METHODS, PRESET_NAMES, SweepSpec, check_grid, figure_preset,
+                      linear_grid, methods_of)
 from .sysmodel import HdRule, SystemConfig, check_user, dump_config, load_config
 
 __all__ = ["CsvRow", "run_sweep", "validate", "main"]
@@ -221,9 +222,14 @@ def validate(
     order, so every value and every line is the same at any workers.  Once
     a point raises, no thread starts another, and validate raises the error
     of the first failing point in grid order on the calling thread.
+
+    snr_grid must be nonempty, finite and strictly increasing (check_grid,
+    as for a SweepSpec): a bad grid raises ConfigError before any point
+    runs.
     """
     if not snr_grid:
         raise ConfigError(f"validate needs at least one grid point, got {tuple(snr_grid)!r}")
+    check_grid(tuple(snr_grid), "validate grid")
     # the per-line level below is derived from conf; check the value given
     mcsim._check_conf(conf)
     workers = mcsim._integer_at_least(workers, 1, "workers")

@@ -115,6 +115,8 @@ def _check_conf(conf: float) -> None:
 
 def _integer_at_least(value, low: int, name: str) -> int:
     try:
+        if isinstance(value, bool):  # it would pass as 0 or 1
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer >= {low}, got {value!r}") from None

@@ -22,7 +22,7 @@ from .errors import ConfigError
 from .sysmodel import HdRule, SystemConfig
 
 __all__ = [
-    "Method", "METHODS", "methods_of", "AXES", "MAX_GRID_POINTS", "linear_grid",
+    "Method", "METHODS", "methods_of", "AXES", "MAX_GRID_POINTS", "linear_grid", "check_grid",
     "SweepSpec", "PresetVariant", "figure_preset", "PRESET_NAMES",
 ]
 
@@ -96,6 +96,16 @@ def linear_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
                  if start + k * step <= stop + 1e-9)
 
 
+def check_grid(grid: tuple[float, ...], name: str) -> None:
+    """Raise ConfigError unless every value of grid is finite and each
+    exceeds the one before; finiteness comes first, since every comparison
+    with a NaN is false."""
+    if not all(math.isfinite(x) for x in grid):
+        raise ConfigError(f"{name} values must be finite, got {grid}")
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"{name} must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Axis, grid and output protocol of one sweep.
@@ -121,10 +131,7 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep axis {self.axis!r}; choose from {tuple(AXES)}")
         if not self.grid:
             raise ConfigError("sweep grid is empty")
-        if not all(math.isfinite(x) for x in self.grid):
-            raise ConfigError(f"sweep grid values must be finite, got {self.grid}")
-        if any(self.grid[i] >= self.grid[i + 1] for i in range(len(self.grid) - 1)):
-            raise ConfigError("sweep grid must be strictly increasing")
+        check_grid(self.grid, "sweep grid")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")

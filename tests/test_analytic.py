@@ -20,7 +20,6 @@ from scipy.special import kv
 
 from fdnoma import analytic
 from fdnoma.analytic import (
-    PhiTerm,
     asymptotic_outage_ideal,
     asymptotic_outage_practical,
     array_gain,
@@ -113,11 +112,11 @@ def _nested_sum_raw(cfg, snr_db, l, printed):
                             else:
                                 log_k2 = (k2 * log(th.theta4 * g**2)
                                           + (t3 - k2) * log(th.theta2 * g))
-                            log_phi = phi_integral_log(PhiTerm(
+                            log_phi = phi_integral_log(
                                 z_power=k2 + m_rr - 1, pi_power=e_pi, pi_shift=c0 / c1,
                                 decay=2 * dd * th.theta4 * g * pole + rate_c,
                                 bessel_coeff=2 * dd * (1 + p) * lam_b * c1_b / g, order=nu,
-                            ))
+                            )
                             sign = math.copysign(1.0, kap) * sign_kp
                             terms.append(sign * exp(
                                 log_n1 + log_sh + log_t3 + log(comb(t3, k2)) + log_k2 + log_phi
@@ -168,25 +167,25 @@ def asymptotic_cdf_two_strongest_sum(x, n_b, m, omega):
 
 def _phi(term):
     """The Phi integral itself, from the log form the exact outage uses."""
-    return math.exp(phi_integral_log(term))
+    return math.exp(phi_integral_log(**term))
 
 
 class TestPhiIntegral:
-    TERM = PhiTerm(z_power=1.0, pi_power=1.5, pi_shift=0.8, decay=3.0, bessel_coeff=2.0, order=2)
+    TERM = dict(z_power=1.0, pi_power=1.5, pi_shift=0.8, decay=3.0, bessel_coeff=2.0, order=2)
 
     @staticmethod
     def _direct(term, z):
         return (
-            z**term.z_power
-            * (z + term.pi_shift) ** term.pi_power
-            * np.exp(-term.decay * z)
-            * kv(abs(term.order), 2.0 * np.sqrt(term.bessel_coeff * (z + term.pi_shift)))
+            z**term["z_power"]
+            * (z + term["pi_shift"]) ** term["pi_power"]
+            * np.exp(-term["decay"] * z)
+            * kv(abs(term["order"]), 2.0 * np.sqrt(term["bessel_coeff"] * (z + term["pi_shift"])))
         )
 
     def test_trapezoid_oracle(self):
         # brute-force trapezoid on [0, 40/decay] with 1e6 panels
         term = self.TERM
-        z = np.linspace(0.0, 40.0 / term.decay, 1_000_001)
+        z = np.linspace(0.0, 40.0 / term["decay"], 1_000_001)
         oracle = np.trapezoid(self._direct(term, z), z)
         assert _phi(term) == pytest.approx(oracle, rel=1e-8)
 
@@ -201,46 +200,41 @@ class TestPhiIntegral:
     def test_change_of_variables_identity(self):
         # z -> 2w: phi(zp, pp, z0, c, b) == 2^(zp+pp+1) phi(zp, pp, z0/2, 2c, 2b)
         term = self.TERM
-        half = PhiTerm(
-            z_power=term.z_power,
-            pi_power=term.pi_power,
-            pi_shift=term.pi_shift / 2.0,
-            decay=term.decay * 2.0,
-            bessel_coeff=term.bessel_coeff * 2.0,
-            order=term.order,
-        )
-        factor = 2.0 ** (term.z_power + term.pi_power + 1.0)
+        half = replace_term(term, pi_shift=term["pi_shift"] / 2.0, decay=term["decay"] * 2.0,
+                            bessel_coeff=term["bessel_coeff"] * 2.0)
+        factor = 2.0 ** (term["z_power"] + term["pi_power"] + 1.0)
         assert _phi(term) == pytest.approx(factor * _phi(half), rel=1e-9)
 
     def test_near_singular_shift(self):
         # tiny pi_shift with order 0 produces the log-edge behavior
-        term = PhiTerm(z_power=0.0, pi_power=0.5, pi_shift=1e-8, decay=1.0,
-                       bessel_coeff=1.0, order=0)
+        term = dict(z_power=0.0, pi_power=0.5, pi_shift=1e-8, decay=1.0, bessel_coeff=1.0,
+                    order=0)
         z = np.geomspace(1e-12, 40.0, 4_000_001)
         oracle = np.trapezoid(self._direct(term, z), z)
         assert _phi(term) == pytest.approx(oracle, rel=1e-6)
 
     def test_invalid_rates(self):
         with pytest.raises(ValueError):
-            PhiTerm(z_power=0, pi_power=1, pi_shift=0.0, decay=1.0, bessel_coeff=1.0, order=1)
+            phi_integral_log(z_power=0, pi_power=1, pi_shift=0.0, decay=1.0, bessel_coeff=1.0,
+                             order=1)
 
     # one term per regime: an m=1 fig11 term, a fig7 m=3 term, a
     # near-singular shift, order 7, a large Bessel coefficient, and TERM
     ORACLE_TERMS = [
-        PhiTerm(z_power=1.0, pi_power=0.5, pi_shift=0.031623, decay=15.585214,
-                bessel_coeff=0.329075, order=1),
-        PhiTerm(z_power=7.0, pi_power=2.5, pi_shift=1e-4, decay=3006.75,
-                bessel_coeff=0.0093656, order=5),
-        PhiTerm(z_power=0.0, pi_power=0.5, pi_shift=1e-8, decay=1.0, bessel_coeff=1.0, order=0),
-        PhiTerm(z_power=3.0, pi_power=4.0, pi_shift=0.2, decay=5.0, bessel_coeff=3.0, order=7),
-        PhiTerm(z_power=1.0, pi_power=1.5, pi_shift=0.8, decay=3.0, bessel_coeff=625.0, order=2),
+        dict(z_power=1.0, pi_power=0.5, pi_shift=0.031623, decay=15.585214,
+             bessel_coeff=0.329075, order=1),
+        dict(z_power=7.0, pi_power=2.5, pi_shift=1e-4, decay=3006.75,
+             bessel_coeff=0.0093656, order=5),
+        dict(z_power=0.0, pi_power=0.5, pi_shift=1e-8, decay=1.0, bessel_coeff=1.0, order=0),
+        dict(z_power=3.0, pi_power=4.0, pi_shift=0.2, decay=5.0, bessel_coeff=3.0, order=7),
+        dict(z_power=1.0, pi_power=1.5, pi_shift=0.8, decay=3.0, bessel_coeff=625.0, order=2),
         TERM,
     ]
 
     @staticmethod
     def _rows(terms):
-        return np.array([[t.z_power, t.pi_power, t.pi_shift, t.decay, t.bessel_coeff, t.order]
-                         for t in terms])
+        return np.array([[t[k] for k in ("z_power", "pi_power", "pi_shift", "decay",
+                                         "bessel_coeff", "order")] for t in terms])
 
     @staticmethod
     def _logs(rows) -> list:
@@ -253,11 +247,11 @@ class TestPhiIntegral:
     def test_mpmath_oracle(self, term):
         mp = pytest.importorskip("mpmath")
         with mp.workdps(30):
-            a, b, s, c, beta = (mp.mpf(x) for x in (term.z_power, term.pi_power, term.pi_shift,
-                                                    term.decay, term.bessel_coeff))
+            a, b, s, c, beta = (mp.mpf(term[k]) for k in ("z_power", "pi_power", "pi_shift",
+                                                          "decay", "bessel_coeff"))
 
             def f(z):
-                return z**a * (z + s) ** b * mp.exp(-c * z) * mp.besselk(term.order,
+                return z**a * (z + s) ** b * mp.exp(-c * z) * mp.besselk(term["order"],
                                                                           2 * mp.sqrt(beta * (z + s)))
 
             # tanh-sinh split at the shift and the decay scale; degree 4 agrees
@@ -265,14 +259,14 @@ class TestPhiIntegral:
             scale = max(1 / c, s)
             cuts = sorted({mp.mpf(0), s, scale, 30 * scale}) + [mp.inf]
             oracle = mp.log(mp.quad(f, cuts, maxdegree=4))
-            rel_err = abs(mp.expm1(mp.mpf(phi_integral_log(term)) - oracle))
+            rel_err = abs(mp.expm1(mp.mpf(phi_integral_log(**term)) - oracle))
         assert rel_err <= 1e-12
 
     def test_row_is_bitwise_the_same_in_any_batch(self):
         # the rows converge at different levels, so each batch below drops
         # rows at different points; no row may see that
         rows = self._rows(self.ORACLE_TERMS)
-        alone = [phi_integral_log(term) for term in self.ORACLE_TERMS]
+        alone = [phi_integral_log(**term) for term in self.ORACLE_TERMS]
         assert self._logs(rows) == alone
         bigger = self._logs(np.concatenate([rows[::-1], rows, rows[2:4]]))
         assert bigger[len(rows):2 * len(rows)] == alone
@@ -287,7 +281,7 @@ class TestPhiIntegral:
                  replace_term(other, order=1), replace_term(other, z_power=0.0),
                  # a heavy tail: nodes live for this row lie below the others' floors
                  replace_term(base, z_power=60.0)]
-        alone = [phi_integral_log(term) for term in terms]
+        alone = [phi_integral_log(**term) for term in terms]
         assert self._logs(self._rows(terms)) == alone
         assert self._logs(self._rows(terms[::-1])) == alone[::-1]
 
@@ -319,8 +313,8 @@ class TestPhiIntegral:
         # test_failed_row_leaves_the_others, which sorts into a later pass:
         # each row keeps its value, and the failure is keyed by the bad input row
         monkeypatch.setattr(analytic, "_PHI_ROW_CAP", 7)
-        bad = self._rows([PhiTerm(z_power=0.0, pi_power=0.5, pi_shift=1.0, decay=1e40,
-                                  bessel_coeff=1.0, order=1)])
+        bad = self._rows([dict(z_power=0.0, pi_power=0.5, pi_shift=1.0, decay=1e40,
+                               bessel_coeff=1.0, order=1)])
         shuffle = np.random.default_rng(6).permutation(len(rows) + 1)
         mixed = np.concatenate([rows, bad])[shuffle]
         where = int(np.flatnonzero(shuffle == len(rows))[0])
@@ -367,27 +361,26 @@ class TestPhiIntegral:
         assert sizes and min(sizes) > 0
 
     def test_failed_row_leaves_the_others(self):
-        bad = PhiTerm(z_power=0.0, pi_power=0.5, pi_shift=1.0, decay=1e40, bessel_coeff=1.0,
-                      order=1)
+        bad = dict(z_power=0.0, pi_power=0.5, pi_shift=1.0, decay=1e40, bessel_coeff=1.0,
+                   order=1)
         terms = [self.ORACLE_TERMS[0], bad, self.ORACLE_TERMS[1]]
         logs, failed = analytic.phi_integral_log_rows(self._rows(terms))
         assert failed == {1: (analytic._DE_MAX_LEVEL + 1,
                               "no two levels agreed to 1e-10 by step 0.00195312")}
         assert np.isnan(logs[1])
-        assert [logs[0], logs[2]] == [phi_integral_log(terms[0]), phi_integral_log(terms[2])]
+        assert [logs[0], logs[2]] == [phi_integral_log(**terms[0]), phi_integral_log(**terms[2])]
 
     def test_unresolvable_term_is_named(self):
         # a peak far below the node span's centre
-        term = PhiTerm(z_power=0.0, pi_power=0.5, pi_shift=1.0, decay=1e40, bessel_coeff=1.0,
-                       order=1, label="the probe term")
-        with pytest.raises(NumericsError, match="the probe term"):
-            phi_integral_log(term)
+        term = dict(z_power=0.0, pi_power=0.5, pi_shift=1.0, decay=1e40, bessel_coeff=1.0,
+                    order=1)
+        with pytest.raises(NumericsError, match=re.escape(
+                "row z_power=0.0 pi_power=0.5 pi_shift=1.0 decay=1e+40 bessel_coeff=1.0 order=1:")):
+            phi_integral_log(**term)
 
 
-def replace_term(term: PhiTerm, **kw) -> PhiTerm:
-    from dataclasses import replace as _r
-
-    return _r(term, **kw)
+def replace_term(term: dict, **kw) -> dict:
+    return {**term, **kw}
 
 
 class TestFirstHopDistribution:
@@ -1229,12 +1222,12 @@ class TestQuadratureFailureTexts:
 
     def test_phi_term_whose_levels_never_agree(self, monkeypatch):
         monkeypatch.setattr(analytic, "_DE_MAX_LEVEL", 1)
-        term = PhiTerm(z_power=1.0, pi_power=0.5, pi_shift=1.0, decay=1.0, bessel_coeff=1.0,
-                       order=1, label="the probe term")
         with pytest.raises(NumericsError) as exc:
-            phi_integral_log(term)
+            phi_integral_log(z_power=1.0, pi_power=0.5, pi_shift=1.0, decay=1.0,
+                             bessel_coeff=1.0, order=1)
         assert type(exc.value) is NumericsError
-        assert str(exc.value) == ("phi quadrature failed for term the probe term: "
+        assert str(exc.value) == ("phi quadrature failed for row z_power=1.0 pi_power=0.5 "
+                                  "pi_shift=1.0 decay=1.0 bessel_coeff=1.0 order=1: "
                                   "no two levels agreed to 1e-10 by step 0.25")
 
     @pytest.mark.parametrize("l", [1, 2, 3])

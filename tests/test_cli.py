@@ -56,7 +56,8 @@ class TestRunSweep:
         (("exact",), 0, ValueError),
         (("exact", "monte_carlo"), 0, ValueError),
         (("exact", "monte_carlo"), 2.5, TypeError),
-    ], ids=["exact-0", "monte_carlo-0", "monte_carlo-2.5"])
+        (("exact", "monte_carlo"), True, TypeError),
+    ], ids=["exact-0", "monte_carlo-0", "monte_carlo-2.5", "monte_carlo-True"])
     def test_bad_workers_is_rejected_before_anything_is_written(self, methods, workers, error,
                                                                 monkeypatch):
         # an exact-only sweep used to take workers=0, and a simulation sweep
@@ -294,7 +295,10 @@ class TestSweepSpec:
         ({"trials": mcsim.MIN_TRIALS - 1}, r"trials must be an integer >= 10000, got 9999"),
         ({"seed": -1}, r"seed must be an integer >= 0, got -1"),
         ({"seed": 1.5}, r"seed must be an integer >= 0, got 1.5"),
-    ], ids=["trials100", "trials10.5", "trials9999", "seed-1", "seed1.5"])
+        ({"trials": True}, r"trials must be an integer >= 10000, got True"),
+        ({"seed": True}, r"seed must be an integer >= 0, got True"),
+    ], ids=["trials100", "trials10.5", "trials9999", "seed-1", "seed1.5", "trialsTrue",
+            "seedTrue"])
     def test_bad_trials_or_seed_rejected(self, kwargs, message):
         # they used to pass, and run_sweep wrote the header before a bare
         # ValueError or TypeError
@@ -595,6 +599,50 @@ class TestValidate:
         with pytest.raises(ConfigError, match=r"at least one grid point, got \(\)"):
             validate(BASE, (), trials=10_000)
 
+    @pytest.mark.parametrize("grid,message", [
+        ((30.0, 30.0, 30.0), r"^validate grid must be strictly increasing$"),
+        ((10.0, 5.0), r"^validate grid must be strictly increasing$"),
+        ((0.0, math.nan, 10.0), r"^validate grid values must be finite, got \(0.0, nan, 10.0\)$"),
+        ((0.0, math.inf), r"^validate grid values must be finite, got \(0.0, inf\)$"),
+    ], ids=["repeated", "decreasing", "nan", "inf"])
+    def test_bad_grid_is_rejected_before_any_point(self, grid, message, monkeypatch):
+        # a repeated point ran every point's Monte Carlo, then the slope fit
+        # raised StatisticsError ("x is constant")
+        def no_point(*args, **kwargs):
+            raise AssertionError("a grid point was evaluated")
+
+        monkeypatch.setattr(mcsim, "simulate_outage_all", no_point)
+        with pytest.raises(ConfigError, match=message):
+            validate(BASE, grid, trials=10_000)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_engine_calls_per_point_and_user(self, workers, monkeypatch):
+        # the per-point calls the benchmark's validate workload reads its
+        # values through, each looked up on its module when it runs: one
+        # Monte Carlo call per point on stream 1000 * idx, and one exact
+        # and one lower-bound call per (point, user)
+        simulate, exact, bound = (mcsim.simulate_outage_all, analytic.exact_outage,
+                                  analytic.lower_bound_outage)
+        calls, lock = [], threading.Lock()
+
+        def recorder(name, fn):
+            def call(cfg, snr_db, *args, **kwargs):
+                with lock:
+                    calls.append((name, snr_db, args, kwargs.get("rng")))
+                return fn(cfg, snr_db, *args, **kwargs)
+            return call
+
+        monkeypatch.setattr(mcsim, "simulate_outage_all", recorder("mc", simulate))
+        monkeypatch.setattr(analytic, "exact_outage", recorder("exact", exact))
+        monkeypatch.setattr(analytic, "lower_bound_outage", recorder("bound", bound))
+        validate(BASE, (0.0, 10.0), trials=10_000, seed=7, workers=workers)
+        users = range(1, BASE.n_users + 1)
+        assert sorted(calls, key=repr) == sorted(
+            [("mc", snr, (10_000,), mcsim.RngStream(7, 1000 * idx))
+             for idx, snr in enumerate((0.0, 10.0))]
+            + [(name, snr, (l,), None) for name in ("exact", "bound") for snr in (0.0, 10.0)
+               for l in users], key=repr)
+
     @pytest.mark.parametrize("conf", [0.0, -1.0, 1.0, 1.5, float("nan")])
     def test_confidence_outside_the_unit_interval_is_rejected(self, conf, monkeypatch):
         # checked at entry, and named as given, not as the per-line level
@@ -612,8 +660,9 @@ class TestValidate:
         ({"tolerance": float("inf")}, ValueError, r"tolerance must be finite and > 0, got inf$"),
         ({"workers": 0}, ValueError, r"workers must be an integer >= 1, got 0$"),
         ({"workers": 2.5}, TypeError, r"workers must be an integer >= 1, got 2.5$"),
+        ({"workers": True}, TypeError, r"workers must be an integer >= 1, got True$"),
     ], ids=["tolerance-1", "tolerance0", "tolerance_nan", "tolerance_inf", "workers0",
-            "workers2.5"])
+            "workers2.5", "workersTrue"])
     def test_bad_tolerance_or_workers_is_rejected(self, kwargs, error, message, monkeypatch):
         # checked at entry, as conf is: no grid point runs
         def no_point(*args, **kwargs):

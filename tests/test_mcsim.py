@@ -345,7 +345,7 @@ class TestSimulateOutage:
         ]
         assert res[0] == res[1] == res[2]
 
-    @pytest.mark.parametrize("trials", [1e5, 100000.5])
+    @pytest.mark.parametrize("trials", [1e5, 100000.5, True])
     def test_float_trials_rejected(self, trials):
         with pytest.raises(TypeError, match="trials must be an integer >= 10000"):
             simulate_outage_all(BASE, 10.0, trials)
@@ -640,8 +640,12 @@ class TestSweep:
         (dict(workers=0), ValueError, "workers must be an integer >= 1, got 0"),
         (dict(workers=-5), ValueError, "workers must be an integer >= 1, got -5"),
         (dict(workers=1.5), TypeError, "workers must be an integer >= 1, got 1.5"),
+        (dict(rng=False), TypeError, "rng must be an integer >= 0, got False"),
+        (dict(rng=RngStream(True)), TypeError, "the rng seed must be an integer >= 0, got True"),
+        (dict(workers=True), TypeError, "workers must be an integer >= 1, got True"),
     ], ids=["float_rng", "negative_rng", "negative_stream_seed", "negative_stream_id",
-            "zero_workers", "negative_workers", "float_workers"])
+            "zero_workers", "negative_workers", "float_workers", "bool_rng", "bool_stream_seed",
+            "bool_workers"])
     def test_rng_and_workers_checked_before_any_chunk(self, monkeypatch, kwargs, error, message):
         def no_chunk(*args):
             raise AssertionError("a chunk was drawn")
