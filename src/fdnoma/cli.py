@@ -23,13 +23,12 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, fields, replace
-from typing import get_args
 
 from . import analytic, mcsim
 from .errors import ConfigError, FdnomaError, NumericsError
 from .presets import (AXES, METHODS, PRESET_NAMES, SweepSpec, check_grid, figure_preset,
                       linear_grid, methods_of)
-from .sysmodel import HdRule, SystemConfig, check_user, dump_config, load_config
+from .sysmodel import SystemConfig, check_user, dump_config, load_config
 
 __all__ = ["CsvRow", "run_sweep", "validate", "main"]
 
@@ -76,12 +75,12 @@ def run_sweep(
     """Evaluate every (axis point, user, method) cell and stream CSV rows.
 
     Per-point failures become rows with the error column set; the sweep
-    continues.  A cell shows only its own method's error: a simulation
-    method whose threshold mapping fails at a point fills only its own
-    cells there, and the exact cells come from every point the axis
-    accepts.  Row order is fixed: grid order, then user, then method in
-    canonical order.  The simulation methods run as one Monte Carlo sweep
-    over the grid, on common random numbers from RngStream(spec.seed).
+    continues.  A cell shows only its own method's error: the exact cells
+    come from every point the axis accepts, and a point whose simulation
+    fails fills only the simulation cells there.  Row order is fixed: grid
+    order, then user, then method in canonical order.  The simulation
+    methods run as one Monte Carlo sweep over the grid, on common random
+    numbers from RngStream(spec.seed).
     The exact cells of the grid run as one analytic.exact_outage_sweep,
     looked up when the sweep runs.  With timings, an exact cell records an
     equal share of that batch's wall time, another analytic cell its own
@@ -106,9 +105,8 @@ def run_sweep(
         except FdnomaError as exc:
             errors[idx] = str(exc)
 
-    # (point, simulation method) -> the users' OutagePoints, or the error of
-    # the point or of that method's threshold mapping
-    sim: dict[tuple[int, str], list[analytic.OutagePoint] | FdnomaError] = {}
+    # point -> each simulation method's OutagePoints, or the point's error
+    sim: dict[int, dict[str, list[analytic.OutagePoint]] | FdnomaError] = {}
     sim_ms = 0.0
     todo = [idx for idx in range(n) if not errors[idx]]
     if sim_methods and todo:
@@ -119,12 +117,9 @@ def run_sweep(
             rng=mcsim.RngStream(spec.seed),
             workers=workers,
             methods=sim_methods,
-            hd_rule=spec.hd_rule,
         )
-        live = [res for res in results if not isinstance(res, FdnomaError)]
-        for idx, res in zip(todo, results):
-            for method in sim_methods:
-                sim[idx, method] = res if isinstance(res, FdnomaError) else res[method]
+        sim = dict(zip(todo, results))
+        live = [res for res in results if isinstance(res, dict)]
         if live:
             sim_ms = (time.perf_counter() - t0) * 1000.0 / len(live)
 
@@ -149,9 +144,9 @@ def run_sweep(
                 elif method == "exact":
                     result = exact[idx, user]
                 elif method in sim_methods:
-                    result = sim[idx, method]
-                    if isinstance(result, list):
-                        result = result[user - 1]
+                    result = sim[idx]
+                    if isinstance(result, dict):
+                        result = result[method][user - 1]
                 else:
                     try:
                         result = METHODS[method].call(cfgs[idx], snrs[idx], user)
@@ -160,7 +155,7 @@ def run_sweep(
                 row = _cell(value, user, method, result, spec.trials)
                 if timings:
                     ms = (time.perf_counter() - t0) * 1000.0
-                    if isinstance(sim.get((idx, method)), list):
+                    if method in sim_methods and isinstance(sim.get(idx), dict):
                         ms += sim_ms
                     if method == "exact" and (idx, user) in exact:
                         ms += exact_ms
@@ -218,14 +213,17 @@ def validate(
     thread takes the next point in grid order, and each point's Monte Carlo
     trials run on the one thread that takes the point (numpy releases the
     GIL in the draws and the outage test).  Point idx draws from
-    RngStream(seed, idx * 1000) and the lines are built afterwards in grid
-    order, so every value and every line is the same at any workers.  Once
-    a point raises, no thread starts another, and validate raises the error
-    of the first failing point in grid order on the calling thread.
+    RngStream(seed, idx * stride), stride = max(1000, the chunks of
+    trials), so no two points read one chunk stream; the lines are built
+    afterwards in grid order, so every value and every line is the same at
+    any workers.  Once a point raises, no thread starts another, and
+    validate raises the error of the first failing point in grid order on
+    the calling thread.
 
     snr_grid must be nonempty, finite and strictly increasing (check_grid,
     as for a SweepSpec): a bad grid raises ConfigError before any point
-    runs.
+    runs, as trials other than an integer >= mcsim.MIN_TRIALS or a seed
+    other than an integer >= 0 raise TypeError or ValueError.
     """
     if not snr_grid:
         raise ConfigError(f"validate needs at least one grid point, got {tuple(snr_grid)!r}")
@@ -233,14 +231,17 @@ def validate(
     # the per-line level below is derived from conf; check the value given
     mcsim._check_conf(conf)
     workers = mcsim._integer_at_least(workers, 1, "workers")
+    trials = mcsim._integer_at_least(trials, mcsim.MIN_TRIALS, "trials")
+    seed = mcsim._integer_at_least(seed, 0, "seed")
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance!r}")
     users = range(1, cfg.n_users + 1)
     line_conf = 1.0 - (1.0 - conf) / (len(snr_grid) * cfg.n_users)
+    stride = max(1000, -(-trials // mcsim.CHUNK_TRIALS))
 
     def evaluate(idx: int, snr: float):
         sim = mcsim.simulate_outage_all(
-            cfg, snr, trials, rng=mcsim.RngStream(seed, idx * 1000), conf=line_conf,
+            cfg, snr, trials, rng=mcsim.RngStream(seed, idx * stride), conf=line_conf,
         )["monte_carlo"]
         return sim, [(analytic.exact_outage(cfg, snr, l).value,
                       analytic.lower_bound_outage(cfg, snr, l).value) for l in users]
@@ -455,7 +456,6 @@ def main(argv=None) -> int:
     _add_common(p, sim=True)
     p.add_argument("--grid", default="0:40:5")
     add_methods(p, "monte_carlo", methods_of("simulation"))
-    p.add_argument("--hd-rule", default="equal", choices=get_args(HdRule))
 
     p = sub.add_parser("sweep", help="general sweep over any supported axis")
     _add_common(p, sim=True)
@@ -463,7 +463,6 @@ def main(argv=None) -> int:
     p.add_argument("--grid", required=True)
     add_methods(p, "exact,monte_carlo", tuple(METHODS))
     p.add_argument("--snr", type=float, help="fixed SNR in dB for non-SNR axes")
-    p.add_argument("--hd-rule", default="equal", choices=get_args(HdRule))
 
     p = sub.add_parser("preset", help="run a figure preset (all variants)")
     p.add_argument("name", help=f"one of: {', '.join(PRESET_NAMES)}")
@@ -514,7 +513,6 @@ def _dispatch(parser, args) -> int:
             trials=getattr(args, "trials", 100_000),
             seed=getattr(args, "seed", 1),
             snr_db=getattr(args, "snr", None),
-            hd_rule=getattr(args, "hd_rule", "equal"),
         )
         _run_spec(args, spec, cfg)
         return 0

@@ -26,7 +26,7 @@ import operator
 import statistics
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import get_args
 
 import numpy as np
@@ -34,7 +34,6 @@ import numpy as np
 from .errors import ConfigError, FdnomaError, NumericsError
 from .sysmodel import (
     Baseline,
-    HdRule,
     LinkStats,
     OutagePoint,
     SystemConfig,
@@ -255,35 +254,22 @@ class _PointPlan:
     draws sort like the gains, so B is the standard order statistic and s_b
     that scale; otherwise (sorts) B is the gain, scaled and sorted per
     point, and s_b = 1.
-
-    failed: the methods whose threshold mapping raised, with the error.
-    Their rows of w and rhs stay zero: they keep the product's shape, so
-    the other methods' counts do not change, and their counts are discarded.
     """
 
     scale_ru: tuple[float, ...]
     w: np.ndarray
     rhs: np.ndarray
-    failed: dict[str, FdnomaError]
 
     @property
     def sorts(self) -> bool:
         return len(set(self.scale_ru)) > 1
 
 
-def _plan_point(
-    cfg: SystemConfig, snr_db: float, methods: tuple[str, ...], hd_rule: HdRule
-) -> _PointPlan:
+def _plan_point(cfg: SystemConfig, snr_db: float, methods: tuple[str, ...]) -> _PointPlan:
     snr_bar = snr_linear(snr_db)
     stats = derive_link_stats(cfg, snr_bar)
-    lam = {"monte_carlo": compute_deltas(cfg, snr_bar).lambda_dag}
-    failed: dict[str, FdnomaError] = {}
-    if "hd_noma" in methods:
-        thr = map_baseline_thresholds(cfg, "hd_noma", hd_rule)
-        try:
-            lam["hd_noma"] = compute_deltas(replace(cfg, gamma_th=thr), snr_bar).lambda_dag
-        except FdnomaError as exc:  # e.g. the squared rule's infeasible stage
-            failed["hd_noma"] = exc
+    lam_dag = compute_deltas(cfg, snr_bar).lambda_dag  # hd_noma keeps the FD thresholds
+    lam = {"monte_carlo": lam_dag, "hd_noma": lam_dag}
     if "fd_oma" in methods:
         lam["fd_oma"] = map_baseline_thresholds(cfg, "fd_oma")  # full power, empty interference sum
     g = snr_bar
@@ -299,8 +285,6 @@ def _plan_point(
             d = np.array([th.theta1 * g * s_sr, th.theta2 * g * s_b,
                           th.theta3 * g * s_rr, th.theta4 * g**2 * s_rr * s_b])
             for j, m in enumerate(methods):
-                if m in failed:
-                    continue
                 w[l, j] = (g**2 / 2 * s_sr * s_b, *(-lam[m][l] * d))
                 if m == "hd_noma":
                     w[l, j, 3:] = 0.0
@@ -312,7 +296,7 @@ def _plan_point(
     if not (np.isfinite(rhs).all() and (reach < np.inf).all()):
         raise NumericsError(f"Monte Carlo outage at {snr_db} dB: the outage test's weights "
                             "times the draws leave the float range")
-    return _PointPlan(scale_ru=scale_ru, w=w, rhs=rhs, failed=failed)
+    return _PointPlan(scale_ru=scale_ru, w=w, rhs=rhs)
 
 
 def _gamma_bound(shape: float) -> float:
@@ -407,9 +391,8 @@ def simulate_sweep(
     rng: RngStream | int = 0,
     workers: int = 1,
     methods: tuple[str, ...] = ("monte_carlo",),
-    hd_rule: HdRule = "equal",
     conf: float = 0.95,
-) -> list[dict[str, list[OutagePoint] | FdnomaError] | FdnomaError]:
+) -> list[dict[str, list[OutagePoint]] | FdnomaError]:
     """Estimated OP of every user at every (config, snr_db) point of a sweep.
 
     Common random numbers: chunk i of the trials draws its standard Gamma
@@ -426,12 +409,10 @@ def simulate_sweep(
     trial within a few ulps of the outage boundary.
 
     Returns one entry per point: a dict from each method to its users'
-    OutagePoints, or to the FdnomaError its threshold mapping raised there
-    (the point's other methods keep their counts on the same draws); or the
-    FdnomaError raised while deriving the point's common scalars.  trials
-    must be an integer >= MIN_TRIALS, workers >= 1, rng an RngStream or
-    seed of nonnegative integers and conf lie in (0, 1), and an unknown
-    hd_rule is a ConfigError; all are checked before any point is planned.
+    OutagePoints, or the FdnomaError raised while planning the point.
+    trials must be an integer >= MIN_TRIALS, workers >= 1, rng an RngStream
+    or seed of nonnegative integers and conf lie in (0, 1); all are checked
+    before any point is planned.
     """
     trials = _integer_at_least(trials, MIN_TRIALS, "trials")
     workers = _integer_at_least(workers, 1, "workers")
@@ -444,8 +425,6 @@ def simulate_sweep(
     for m in methods:
         if m not in SIM_METHODS:
             raise ValueError(f"unknown simulation method {m!r}")
-    if hd_rule not in get_args(HdRule):
-        raise ConfigError(f"unknown hd_rule {hd_rule!r}; choose from {get_args(HdRule)}")
     methods = tuple(methods)
     if not points:
         return []
@@ -459,7 +438,7 @@ def simulate_sweep(
     plans: list[_PointPlan | FdnomaError] = []
     for cfg_pt, snr_db in points:
         try:
-            plans.append(_plan_point(cfg_pt, snr_db, methods, hd_rule))
+            plans.append(_plan_point(cfg_pt, snr_db, methods))
         except FdnomaError as exc:
             plans.append(exc)
     live = [p for p in plans if isinstance(p, _PointPlan)]
@@ -477,7 +456,7 @@ def simulate_sweep(
             for job in jobs:
                 total += _sweep_chunk(*job)
 
-    out: list[dict[str, list[OutagePoint] | FdnomaError] | FdnomaError] = []
+    out: list[dict[str, list[OutagePoint]] | FdnomaError] = []
     live_counts = iter(total)
     for plan, (cfg_pt, snr_db) in zip(plans, points):
         if not isinstance(plan, _PointPlan):
@@ -485,7 +464,7 @@ def simulate_sweep(
             continue
         counts = next(live_counts)
         out.append({
-            m: plan.failed[m] if m in plan.failed else [
+            m: [
                 OutagePoint(
                     user=l,
                     snr_db=snr_db,
@@ -507,18 +486,13 @@ def simulate_outage_all(
     rng: RngStream | int = 0,
     workers: int = 1,
     methods: tuple[str, ...] = ("monte_carlo",),
-    hd_rule: HdRule = "equal",
     conf: float = 0.95,
 ) -> dict[str, list[OutagePoint]]:
     """Estimated OP for every user, for each requested simulation method:
-    a one-point simulate_sweep.  Raises the error of the point, or of the
-    first requested method whose threshold mapping failed."""
-    (res,) = simulate_sweep([(cfg, snr_db)], trials, rng, workers, methods, hd_rule, conf)
+    a one-point simulate_sweep.  Raises the error of the point."""
+    (res,) = simulate_sweep([(cfg, snr_db)], trials, rng, workers, methods, conf)
     if isinstance(res, FdnomaError):
         raise res
-    for value in res.values():
-        if isinstance(value, FdnomaError):
-            raise value
     return res
 
 
@@ -545,15 +519,12 @@ def simulate_baseline(
     trials: int,
     rng: RngStream | int = 0,
     workers: int = 1,
-    hd_rule: HdRule = "equal",
     conf: float = 0.95,
 ) -> OutagePoint:
-    """HD-NOMA (no SI, mapped thresholds) or FD-OMA (single-user, product
+    """HD-NOMA (no SI, the FD thresholds) or FD-OMA (single-user, product
     threshold) over the same TAS/Alamouti-MRC chain."""
     if baseline not in get_args(Baseline):
         raise ConfigError(f"unknown baseline {baseline!r}")
     check_user(l, cfg.n_users)
-    res = simulate_outage_all(
-        cfg, snr_db, trials, rng, workers, (baseline,), hd_rule=hd_rule, conf=conf
-    )
+    res = simulate_outage_all(cfg, snr_db, trials, rng, workers, (baseline,), conf=conf)
     return res[baseline][l - 1]

@@ -15,11 +15,10 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from typing import get_args
 
 from . import analytic, mcsim
 from .errors import ConfigError
-from .sysmodel import HdRule, SystemConfig
+from .sysmodel import SystemConfig
 
 __all__ = [
     "Method", "METHODS", "methods_of", "AXES", "MAX_GRID_POINTS", "linear_grid", "check_grid",
@@ -111,10 +110,9 @@ class SweepSpec:
     """Axis, grid and output protocol of one sweep.
 
     snr_db fixes the operating point when the axis is not snr_db, and must
-    be None on the snr_db axis; hd_rule picks the HD-NOMA threshold mapping
-    for the hd_noma method.  trials must be an integer >= mcsim.MIN_TRIALS
-    and seed an integer >= 0, even when no simulation method runs; a bad
-    value raises ConfigError when the spec is built.
+    be None on the snr_db axis.  trials must be an integer >=
+    mcsim.MIN_TRIALS and seed an integer >= 0, even when no simulation
+    method runs; a bad value raises ConfigError when the spec is built.
     """
 
     axis: str = "snr_db"
@@ -124,7 +122,6 @@ class SweepSpec:
     trials: int = 100_000
     seed: int = 1
     snr_db: float | None = None
-    hd_rule: HdRule = "equal"
 
     def __post_init__(self):
         if self.axis not in AXES:
@@ -135,8 +132,6 @@ class SweepSpec:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
-        if self.hd_rule not in get_args(HdRule):
-            raise ConfigError(f"unknown hd_rule {self.hd_rule!r}; choose from {get_args(HdRule)}")
         for name, low in (("trials", mcsim.MIN_TRIALS), ("seed", 0)):
             try:
                 mcsim._integer_at_least(getattr(self, name), low, name)
@@ -242,7 +237,6 @@ def _fig9():
         grid=linear_grid(0.0, 1.0, 0.1),
         methods=("monte_carlo", "hd_noma"),
         snr_db=15.0,
-        hd_rule="equal",
     )
     return [PresetVariant("nb2", sweep, _BASE)]
 

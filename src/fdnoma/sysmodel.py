@@ -391,21 +391,17 @@ def compute_deltas(cfg: SystemConfig, snr_bar: float) -> DeltaSet:
 
 
 Baseline = Literal["hd_noma", "fd_oma"]
-HdRule = Literal["equal", "squared"]
 
 
-def map_baseline_thresholds(
-    cfg: SystemConfig, baseline: Baseline, hd_rule: HdRule = "equal"
-) -> tuple[float, ...]:
+def map_baseline_thresholds(cfg: SystemConfig, baseline: Baseline) -> tuple[float, ...]:
     """SINR thresholds for the comparison baselines.
 
     fd_oma: one user per resource at the aggregate rate, so the single
     threshold is prod_l(1 + gamma_th_l) - 1 (returned for every user).
-    hd_noma with hd_rule="equal" (the default, as for sweeps and the CLI)
-    keeps the FD thresholds unchanged, so the two schemes are compared at
-    the same SINR target, where HD delivers half of FD's rate.
-    hd_rule="squared": rate-matched by the half-rate relation
-    gamma_hd = (1 + gamma_fd)^2 - 1; infeasible for the default power split
+    hd_noma keeps the FD thresholds, so the two schemes are compared at the
+    same SINR target, where HD delivers half of FD's rate.  A rate-matched
+    comparison is a config of its own: gamma_th_l replaced by (1 +
+    gamma_th_l)^2 - 1, which the default power split cannot support
     (stage-1 margin -0.805).
     """
     if baseline == "fd_oma":
@@ -414,11 +410,7 @@ def map_baseline_thresholds(
             prod *= 1.0 + g
         return tuple(prod - 1.0 for _ in cfg.gamma_th)
     if baseline == "hd_noma":
-        if hd_rule == "squared":
-            return tuple((1.0 + g) ** 2 - 1.0 for g in cfg.gamma_th)
-        if hd_rule == "equal":
-            return tuple(cfg.gamma_th)
-        raise ValueError(f"unknown hd_rule {hd_rule!r}")
+        return tuple(cfg.gamma_th)
     raise ValueError(f"unknown baseline {baseline!r}")
 
 

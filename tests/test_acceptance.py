@@ -207,7 +207,7 @@ def test_criterion_4_error_floors():
     assert report("4 error-floors", ok, "; ".join(details[:4]) + " ...")
 
 
-def _hd_noma_outage(cfg, snr_db, l, hd_rule):
+def _hd_noma_outage(cfg, snr_db, l):
     """No-SI HD-NOMA outage of user l by one quadrature over the first hop.
 
     Outage iff (g^2/2) A B_l <= Lambda (theta1 g A + theta2 g B_l + theta5):
@@ -215,7 +215,7 @@ def _hd_noma_outage(cfg, snr_db, l, hd_rule):
     B_l, so OP = F_A(x0) + int_x0^inf f_A(x) F_B(l)(limit(x)) dx.
     """
     g = 10.0 ** (snr_db / 10.0)
-    cfg_hd = replace(cfg, gamma_th=map_baseline_thresholds(cfg, "hd_noma", hd_rule))
+    cfg_hd = replace(cfg, gamma_th=map_baseline_thresholds(cfg, "hd_noma"))
     lam = compute_deltas(cfg_hd, g).lambda_dag[l - 1]
     stats = derive_link_stats(cfg, g)
     th = compute_theta(stats, g, l)
@@ -274,7 +274,7 @@ def test_criterion_5_baseline_crossovers():
         for l in spec.users:
             refs = (
                 ("fd", "monte_carlo", cells[mu, l, "exact"]),
-                ("hd", "hd_noma", _hd_noma_outage(cfg, snr, l, spec.hd_rule)),
+                ("hd", "hd_noma", _hd_noma_outage(cfg, snr, l)),
             )
             for key, method, ref in refs:
                 est = cells[mu, l, method]

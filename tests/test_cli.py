@@ -3,16 +3,19 @@
 import csv
 import io
 import math
+import shlex
 import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fdnoma.analytic as analytic
+import fdnoma.cli as cli
 import fdnoma.mcsim as mcsim
 import fdnoma.presets as presets
 from fdnoma.analytic import OutagePoint
@@ -173,22 +176,28 @@ class TestRunSweep:
         assert sweep_to_string(spec, cfg).splitlines()[1:] == alone
 
     def test_cell_shows_only_its_own_methods_error(self, tmp_path):
-        # the squared HD rule is infeasible for the default power split
-        def cells(*argv, hd_rule="squared"):
+        # the closed form takes only integer shapes; the simulator any real
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(dump_config(replace(BASE, m_sr=1.5)), encoding="utf-8")
+
+        def cells(methods):
             out = tmp_path / "out.csv"
             assert main(["sweep", "--grid", "10:10:5", "--trials", "10000", "--out", str(out),
-                         "--hd-rule", hd_rule, *argv]) == 0
+                         "--config", str(cfg), "--methods", methods]) == 0
             rows = out.read_text(encoding="utf-8").splitlines()[1:]
             return {m: [r for r in rows if r.split(",")[2] == m]
                     for m in ("exact", "monte_carlo", "hd_noma")}
 
-        mixed = cells("--methods", "exact,monte_carlo,hd_noma")
-        assert mixed["exact"] == cells("--methods", "exact")["exact"]
-        assert mixed["monte_carlo"] == cells("--methods", "exact,monte_carlo,hd_noma",
-                                             hd_rule="equal")["monte_carlo"]
-        assert len(mixed["hd_noma"]) == BASE.n_users
-        for row in mixed["hd_noma"]:
-            assert row.split(",")[3] == "" and "-0.805 <= 0" in row
+        mixed = cells("exact,monte_carlo,hd_noma")
+        assert mixed["exact"] == cells("exact")["exact"]
+        simulated = cells("monte_carlo,hd_noma")
+        assert mixed["monte_carlo"] == simulated["monte_carlo"]
+        assert mixed["hd_noma"] == simulated["hd_noma"]
+        assert len(mixed["exact"]) == BASE.n_users
+        for row in mixed["exact"]:
+            assert row.split(",")[3] == "" and "integer m_sr >= 1, got 1.5" in row
+        for row in mixed["monte_carlo"] + mixed["hd_noma"]:
+            assert row.split(",")[3] != "" and row.split(",")[8] == ""
 
     def test_one_pool_per_sweep(self, monkeypatch, recording_pool):
         monkeypatch.setattr(mcsim, "CHUNK_TRIALS", 20_000)
@@ -284,9 +293,9 @@ class TestSweepSpec:
             SweepSpec(grid=grid)
 
     def test_unknown_hd_rule_rejected(self):
-        # it used to pass, and run_sweep wrote the header before a bare ValueError
-        with pytest.raises(ConfigError, match=r"^unknown hd_rule 'Squared'; choose from "
-                                              r"\('equal', 'squared'\)$"):
+        # HD-NOMA keeps the config's own thresholds; a SweepSpec has no
+        # threshold rule to pick
+        with pytest.raises(TypeError, match=r"unexpected keyword argument 'hd_rule'"):
             SweepSpec(grid=(10.0,), methods=("hd_noma",), hd_rule="Squared")
 
     @pytest.mark.parametrize("kwargs,message", [
@@ -307,13 +316,13 @@ class TestSweepSpec:
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_unknown_hd_rule_is_exit_1(self, command, capsys):
+        # --hd-rule is gone: any value is an unrecognized argument
         with pytest.raises(SystemExit) as exc:
             main([command, "--grid", "10:10:5", "--methods", "hd_noma", "--hd-rule", "Squared"])
         assert exc.value.code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "argument --hd-rule: invalid choice: 'Squared' (choose from 'equal', 'squared')" \
-            in captured.err
+        assert "unrecognized arguments: --hd-rule Squared" in captured.err
 
 
 class TestPresets:
@@ -348,7 +357,7 @@ class TestPresets:
         (v,) = figure_preset("fig9")
         assert v.sweep.axis == "mu"
         assert v.sweep.snr_db == 15.0
-        assert v.sweep.hd_rule == "equal"
+        assert v.config.gamma_th == BASE.gamma_th  # HD-NOMA's thresholds too
         assert "hd_noma" in v.sweep.methods
 
     def test_fig10_impairment_on_examined_link(self):
@@ -661,16 +670,46 @@ class TestValidate:
         ({"workers": 0}, ValueError, r"workers must be an integer >= 1, got 0$"),
         ({"workers": 2.5}, TypeError, r"workers must be an integer >= 1, got 2.5$"),
         ({"workers": True}, TypeError, r"workers must be an integer >= 1, got True$"),
+        ({"trials": 5}, ValueError, r"trials must be an integer >= 10000, got 5$"),
+        ({"trials": True}, TypeError, r"trials must be an integer >= 10000, got True$"),
+        ({"trials": 1e5}, TypeError, r"trials must be an integer >= 10000, got 100000.0$"),
+        ({"seed": -1}, ValueError, r"seed must be an integer >= 0, got -1$"),
+        ({"seed": True}, TypeError, r"seed must be an integer >= 0, got True$"),
     ], ids=["tolerance-1", "tolerance0", "tolerance_nan", "tolerance_inf", "workers0",
-            "workers2.5", "workersTrue"])
+            "workers2.5", "workersTrue", "trials5", "trialsTrue", "trials1e5", "seed-1",
+            "seedTrue"])
     def test_bad_tolerance_or_workers_is_rejected(self, kwargs, error, message, monkeypatch):
-        # checked at entry, as conf is: no grid point runs
+        # checked at entry, as conf is: no grid point runs (trials and seed
+        # were checked only once the 0 dB point had started on its thread)
         def no_point(*args, **kwargs):
             raise AssertionError("a grid point was evaluated")
 
         monkeypatch.setattr(mcsim, "simulate_outage_all", no_point)
         with pytest.raises(error, match=message):
-            validate(BASE, (10.0, 20.0, 30.0), trials=10_000, **kwargs)
+            validate(BASE, (10.0, 20.0, 30.0), **{"trials": 10_000, **kwargs})
+
+    @pytest.mark.parametrize("chunk_trials, stride", [(1_000_000, 1000), (10, 2000)],
+                             ids=["one_chunk", "2000_chunks"])
+    def test_points_read_disjoint_chunk_streams(self, chunk_trials, stride, monkeypatch):
+        # point idx reads the streams idx * stride + i of its chunks i; at a
+        # fixed stride of 1000, 2000 chunks per point read into the next
+        # point's streams
+        monkeypatch.setattr(mcsim, "CHUNK_TRIALS", chunk_trials)
+        streams, lock = [], threading.Lock()
+
+        def recorder(cfg, snr_db, trials, rng, conf):
+            chunks = -(-trials // mcsim.CHUNK_TRIALS)
+            with lock:
+                streams.append(range(rng.stream_id, rng.stream_id + chunks))
+            return {"monte_carlo": [OutagePoint(user=l, snr_db=snr_db, value=0.5,
+                                                method="monte_carlo", ci=(0.4, 0.6))
+                                    for l in range(1, cfg.n_users + 1)]}
+
+        monkeypatch.setattr(mcsim, "simulate_outage_all", recorder)
+        validate(BASE, (0.0, 10.0, 20.0), trials=20_000, seed=3, workers=2)
+        assert sorted(r.start for r in streams) == [0, stride, 2 * stride]
+        read = [i for r in streams for i in r]
+        assert len(read) == len(set(read))
 
     def test_slope_check_runs_on_wide_ideal_grid(self):
         lines, ok = validate(BASE, (25.0, 30.0, 35.0), trials=50_000, seed=3)
@@ -678,6 +717,37 @@ class TestValidate:
         # one point within 10 dB of the top: no slope can be fitted
         lines, ok = validate(BASE, (0.0, 15.0, 30.0), trials=10_000, seed=3)
         assert not any(l.check == "high_snr_slope" for l in lines)
+
+
+def _readme_cli_examples() -> list[list[str]]:
+    """The arguments of each fdnoma command in the README's CLI block, its
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("fdnoma ")]
+
+
+class TestReadmeExamples:
+    def test_every_subcommand_has_an_example(self):
+        assert sorted(argv[0] for argv in _readme_cli_examples()) == \
+            ["analyze", "preset", "simulate", "sweep", "validate"]
+
+    @pytest.mark.parametrize("argv", _readme_cli_examples(), ids=lambda argv: argv[0])
+    def test_example_parses_and_uses_its_workers(self, argv, monkeypatch):
+        # --workers counts processes, one 1e6-trial chunk each at a time, so
+        # an example that runs fewer than two chunks on several workers runs
+        # on one core (validate's --workers counts threads instead)
+        parsed = []
+        monkeypatch.setattr(cli, "_dispatch", lambda parser, args: parsed.append(args) or 0)
+        assert main(argv) == 0
+        (args,) = parsed
+        if args.command == "validate" or getattr(args, "workers", 1) == 1:
+            return
+        trials = args.trials
+        if args.command == "preset" and trials is None:
+            trials = min(v.sweep.trials for v in figure_preset(args.name))
+        assert trials > mcsim.CHUNK_TRIALS, f"--workers {args.workers} runs {trials} trials"
 
 
 class TestMainExitCodes:

@@ -403,7 +403,7 @@ class TestBaselines:
         for mu in (0.0, 0.5, 1.0):
             res = simulate_outage_all(
                 replace(BASE, mu=mu), 15.0, 200_000, rng=19,
-                methods=("monte_carlo", "hd_noma"), hd_rule="equal",
+                methods=("monte_carlo", "hd_noma"),
             )
             for l in range(3):
                 assert res["hd_noma"][l].value <= res["monte_carlo"][l].value
@@ -438,12 +438,19 @@ class TestBaselines:
 
     def test_squared_rule_infeasible_for_default_allocation(self):
         # the half-rate mapping squares the thresholds, which the default
-        # power split cannot support; the equal mapping is the workable one
-        with pytest.raises(InfeasibleAllocationError):
-            simulate_baseline(BASE, 10.0, 1, "hd_noma", 50_000, hd_rule="squared")
+        # power split cannot support; the config's own thresholds are the
+        # workable ones
+        with pytest.raises(InfeasibleAllocationError) as exc:
+            _squared(BASE)
+        assert (exc.value.user, round(exc.value.margin, 3)) == (1, -0.805)
 
 
-def _reference_counts(cfg, snr_db, trials, stream, methods, hd_rule="equal"):
+def _squared(cfg):
+    """cfg at the rate-matched HD-NOMA thresholds, (1 + gamma_th)^2 - 1."""
+    return replace(cfg, gamma_th=tuple((1.0 + g) ** 2 - 1.0 for g in cfg.gamma_th))
+
+
+def _reference_counts(cfg, snr_db, trials, stream, methods):
     """Per-point reference: one chunk drawn with rng.gamma at this point's
     own scales and tested on whole arrays, with nothing shared or blocked.
     The chunk's variables come from the children of its seed sequence:
@@ -452,7 +459,7 @@ def _reference_counts(cfg, snr_db, trials, stream, methods, hd_rule="equal"):
     stats = derive_link_stats(cfg, g)
     lam = {"monte_carlo": compute_deltas(cfg, g).lambda_dag}
     if "hd_noma" in methods:
-        thr = map_baseline_thresholds(cfg, "hd_noma", hd_rule)
+        thr = map_baseline_thresholds(cfg, "hd_noma")
         lam["hd_noma"] = compute_deltas(replace(cfg, gamma_th=thr), g).lambda_dag
     if "fd_oma" in methods:
         lam["fd_oma"] = map_baseline_thresholds(cfg, "fd_oma")
@@ -537,17 +544,16 @@ class TestSweep:
         with pytest.raises(ImpairmentError):
             simulate_outage_all(*broken, 50_000, rng=31)
 
-    def test_failing_mapping_fails_only_its_method(self):
-        # the squared HD rule is infeasible for the default power split
-        methods = ("monte_carlo", "hd_noma", "fd_oma")
-        (squared,) = simulate_sweep([(BASE, 10.0)], 20_000, rng=7, methods=methods,
-                                    hd_rule="squared")
-        (equal,) = simulate_sweep([(BASE, 10.0)], 20_000, rng=7, methods=methods)
-        assert isinstance(squared["hd_noma"], InfeasibleAllocationError)
-        assert squared["monte_carlo"] == equal["monte_carlo"]
-        assert squared["fd_oma"] == equal["fd_oma"]
+    def test_squared_rule_is_a_mapped_config(self, small_chunks):
+        # the rate-matched HD-NOMA rule is a config of its own: its hd_noma
+        # counts are those the former hd_rule="squared" option gave on the
+        # same seed and methods, and the default power split rejects it
+        cfg = _squared(replace(BASE, a=(0.8, 0.17, 0.03)))
+        swept = simulate_sweep([(cfg, 10.0), (cfg, 20.0)], 50_000, rng=37, methods=ALL_METHODS)
+        assert [[round(p.value * 50_000) for p in res["hd_noma"]] for res in swept] == \
+            [[16639, 50_000, 50_000], [1730, 31602, 15098]]
         with pytest.raises(InfeasibleAllocationError):
-            simulate_outage_all(BASE, 10.0, 20_000, rng=7, methods=methods, hd_rule="squared")
+            _squared(BASE)
 
     @pytest.mark.parametrize("change", [
         dict(n_b=3), dict(n_r=2), dict(m_sr=2), dict(m_rr=2), dict(m_ru=(1, 1, 2)),
@@ -571,7 +577,7 @@ class TestSweep:
         # statistics give them (the sum of _reference_counts over the three
         # chunks); compare-exchange must reproduce them exactly
         points = _d_sr_points(cfg, grid=(0.35, 0.65))
-        plans = [mcsim._plan_point(c, snr, ALL_METHODS, "equal") for c, snr in points]
+        plans = [mcsim._plan_point(c, snr, ALL_METHODS) for c, snr in points]
         assert all(len(set(p.scale_ru)) == 1 for p in plans) == sort_once
         swept = simulate_sweep(points, 50_000, rng=RngStream(43, 2), methods=ALL_METHODS)
         counts = [[[round(p.value * 50_000) for p in res[m]] for m in ALL_METHODS]
@@ -589,13 +595,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("methods", [("hd_noma",), ("monte_carlo",)])
     def test_unknown_hd_rule_checked_before_any_point(self, monkeypatch, methods):
-        # it was a bare ValueError from the threshold mapping of the first
-        # hd_noma point, and went unnoticed without one
+        # HD-NOMA keeps the config's own thresholds: there is no threshold
+        # rule to pick, and no point is planned for one
         def no_plan(*args):
             raise AssertionError("a point was planned")
 
         monkeypatch.setattr(mcsim, "_plan_point", no_plan)
-        with pytest.raises(ConfigError, match=r"^unknown hd_rule 'Squared'; choose from "):
+        with pytest.raises(TypeError, match=r"unexpected keyword argument 'hd_rule'"):
             simulate_sweep([(SystemConfig(), 10.0)], 10_000, methods=methods, hd_rule="Squared")
 
     @pytest.mark.parametrize("cfg, methods", [
@@ -608,7 +614,7 @@ class TestSweep:
         # a whole-chunk array (its draws alone would take ~48 MB): it holds
         # x, the first hop's or the users' draws, wx and the mask, plus the
         # rescaled users when their scales differ, and one row to spare
-        sorts = mcsim._plan_point(cfg, 15.0, methods, "equal").sorts
+        sorts = mcsim._plan_point(cfg, 15.0, methods).sorts
         rows = 5 + max(cfg.n_b, cfg.n_users) + len(methods) + 1 + sorts * cfg.n_users
         tracemalloc.start()
         try:
@@ -678,7 +684,9 @@ _impairment = st.sampled_from([0.0, 0.01, 0.05])
 
 @st.composite
 def _kernel_cases(draw):
-    """A random system, grid point and method subset for the outage kernel."""
+    """A random system, grid point and method subset for the outage kernel;
+    the system's thresholds are squared (the rate-matched HD-NOMA rule) in
+    about half of the cases."""
     n_users = draw(st.integers(1, 3))
 
     def per_user(strategy):
@@ -709,19 +717,23 @@ def _kernel_cases(draw):
         assume(False)
     methods = tuple(draw(st.lists(st.sampled_from(ALL_METHODS), min_size=1, max_size=3,
                                   unique=True)))
-    return (cfg, draw(st.floats(-5.0, 60.0)), methods, draw(st.sampled_from(["equal", "squared"])),
-            draw(st.integers(0, 2**32)))
+    snr_db = draw(st.floats(-5.0, 60.0))
+    if draw(st.sampled_from([False, True])):
+        try:
+            cfg = _squared(cfg)
+        except FdnomaError:
+            assume(False)
+    return cfg, snr_db, methods, draw(st.integers(0, 2**32))
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(_kernel_cases())
 def test_outage_kernel_counts_equal_elementwise_reference(case):
-    cfg, snr_db, methods, hd_rule, seed = case
+    cfg, snr_db, methods, seed = case
     try:
-        res = simulate_outage_all(cfg, snr_db, 20_000, rng=seed, methods=methods,
-                                  hd_rule=hd_rule)
+        res = simulate_outage_all(cfg, snr_db, 20_000, rng=seed, methods=methods)
     except FdnomaError:
         assume(False)
-    ref = _reference_counts(cfg, snr_db, 20_000, RngStream(seed), methods, hd_rule)
+    ref = _reference_counts(cfg, snr_db, 20_000, RngStream(seed), methods)
     for m in methods:
         assert [round(p.value * 20_000) for p in res[m]] == ref[m]

@@ -322,15 +322,17 @@ class TestBaselineThresholds:
         assert len(set(thr)) == 1
 
     def test_hd_squared(self):
-        thr = map_baseline_thresholds(BASE, "hd_noma", "squared")
-        assert thr[0] == pytest.approx(1.9**2 - 1.0, rel=1e-14)
+        # the rate-matched rule is a config of its own thresholds, not an option
+        with pytest.raises(TypeError):
+            map_baseline_thresholds(BASE, "hd_noma", "squared")
 
     def test_hd_equal_mode(self):
-        assert map_baseline_thresholds(BASE, "hd_noma", "equal") == BASE.gamma_th
+        assert map_baseline_thresholds(BASE, "hd_noma") == BASE.gamma_th
 
     def test_hd_rule_defaults_to_equal(self):
-        # the same default as SweepSpec, simulate_sweep and the CLI
-        assert map_baseline_thresholds(BASE, "hd_noma") == BASE.gamma_th
+        # any config's own thresholds, the squared ones included
+        cfg = replace(BASE, a=(0.8, 0.17, 0.03), gamma_th=(1.9**2 - 1, 2.5**2 - 1, 3.0**2 - 1))
+        assert map_baseline_thresholds(cfg, "hd_noma") == cfg.gamma_th
 
     def test_unknown_baseline(self):
         with pytest.raises(ValueError):
