@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, replace
 from . import analytic, mcsim
 from .errors import ConfigError, FdnomaError, NumericsError
 from .presets import (AXES, METHODS, PRESET_NAMES, SweepSpec, check_grid, figure_preset,
-                      linear_grid, methods_of)
+                      linear_grid)
 from .sysmodel import SystemConfig, check_user, dump_config, load_config
 
 __all__ = ["CsvRow", "run_sweep", "validate", "main"]
@@ -75,19 +75,17 @@ def run_sweep(
     """Evaluate every (axis point, user, method) cell and stream CSV rows.
 
     Per-point failures become rows with the error column set; the sweep
-    continues.  A cell shows only its own method's error: the exact cells
-    come from every point the axis accepts, and a point whose simulation
-    fails fills only the simulation cells there.  Row order is fixed: grid
-    order, then user, then method in canonical order.  The simulation
-    methods run as one Monte Carlo sweep over the grid, on common random
-    numbers from RngStream(spec.seed).
-    The exact cells of the grid run as one analytic.exact_outage_sweep,
-    looked up when the sweep runs.  With timings, an exact cell records an
-    equal share of that batch's wall time, another analytic cell its own
-    call's, and a simulation cell its grid point's equal share of the
-    sweep's Monte Carlo time.  A user index outside 1..cfg.n_users raises
-    ConfigError, and workers other than an integer >= 1 TypeError or
-    ValueError, before anything is written.
+    continues.  A point the axis rejects carries its error in every cell;
+    otherwise a cell shows only its own method's error.  The requested
+    methods are grouped by their batch in presets.METHODS, and each batch
+    runs once over the points the axis accepts: every exact cell as one
+    analytic.exact_outage_sweep, the simulation methods as one Monte Carlo
+    sweep on common random numbers from RngStream(spec.seed), and each
+    other closed form cell by cell.  Row order is fixed: grid order, then
+    user, then method in METHODS order.  With timings, each cell records an
+    equal share of its batch's wall time.  A user index outside
+    1..cfg.n_users raises ConfigError, and workers other than an integer
+    >= 1 TypeError or ValueError, before anything is written.
     """
     for user in spec.users:
         check_user(user, cfg.n_users)
@@ -95,71 +93,34 @@ def run_sweep(
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     methods = tuple(m for m in METHODS if m in spec.methods)
-    sim_methods = tuple(m for m in methods if METHODS[m].kind == "simulation")
 
-    n = len(spec.grid)
-    cfgs, snrs, errors = [cfg] * n, [math.nan] * n, [""] * n
+    results: dict[tuple[int, int, str], analytic.OutagePoint | FdnomaError] = {}
+    points = {}
     for idx, value in enumerate(spec.grid):
         try:
-            cfgs[idx], snrs[idx] = spec.point(cfg, value)
+            points[idx] = spec.point(cfg, value)
         except FdnomaError as exc:
-            errors[idx] = str(exc)
+            results.update(dict.fromkeys(
+                ((idx, user, m) for user in spec.users for m in methods), exc))
 
-    # point -> each simulation method's OutagePoints, or the point's error
-    sim: dict[int, dict[str, list[analytic.OutagePoint]] | FdnomaError] = {}
-    sim_ms = 0.0
-    todo = [idx for idx in range(n) if not errors[idx]]
-    if sim_methods and todo:
+    batches: dict = {}  # each batch of the requested methods -> their names
+    for m in methods if points else ():
+        batches.setdefault(METHODS[m], []).append(m)
+    wall_ms: dict[tuple[int, int, str], float] = {}
+    for batch, names in batches.items():
         t0 = time.perf_counter()
-        results = mcsim.simulate_sweep(
-            [(cfgs[idx], snrs[idx]) for idx in todo],
-            spec.trials,
-            rng=mcsim.RngStream(spec.seed),
-            workers=workers,
-            methods=sim_methods,
-        )
-        sim = dict(zip(todo, results))
-        live = [res for res in results if isinstance(res, dict)]
-        if live:
-            sim_ms = (time.perf_counter() - t0) * 1000.0 / len(live)
-
-    exact: dict[tuple[int, int], analytic.OutagePoint | FdnomaError] = {}
-    exact_ms = 0.0
-    cells = [(idx, user) for idx in range(n) if not errors[idx] for user in spec.users]
-    if "exact" in methods and cells:
-        t0 = time.perf_counter()
-        results = analytic.exact_outage_sweep(
-            [(cfgs[idx], snrs[idx], user, None) for idx, user in cells]
-        )
-        exact = dict(zip(cells, results))
-        exact_ms = (time.perf_counter() - t0) * 1000.0 / len(cells)
+        cells = batch(points, spec.users, tuple(names), spec, workers)
+        share = (time.perf_counter() - t0) * 1000.0 / len(cells)
+        results.update(cells)
+        wall_ms.update(dict.fromkeys(cells, share))
 
     rows: list[CsvRow] = []
     for idx, value in enumerate(spec.grid):
         for user in spec.users:
             for method in methods:
-                t0 = time.perf_counter()
-                if errors[idx]:
-                    result = errors[idx]
-                elif method == "exact":
-                    result = exact[idx, user]
-                elif method in sim_methods:
-                    result = sim[idx]
-                    if isinstance(result, dict):
-                        result = result[method][user - 1]
-                else:
-                    try:
-                        result = METHODS[method].call(cfgs[idx], snrs[idx], user)
-                    except FdnomaError as exc:
-                        result = exc
-                row = _cell(value, user, method, result, spec.trials)
+                row = _cell(value, user, method, results[idx, user, method], spec.trials)
                 if timings:
-                    ms = (time.perf_counter() - t0) * 1000.0
-                    if method in sim_methods and isinstance(sim.get(idx), dict):
-                        ms += sim_ms
-                    if method == "exact" and (idx, user) in exact:
-                        ms += exact_ms
-                    row = replace(row, wall_ms=int(round(ms)))
+                    row = replace(row, wall_ms=int(round(wall_ms.get((idx, user, method), 0.0))))
                 rows.append(row)
                 writer.writerow(row.formatted())
     return rows
@@ -424,9 +385,11 @@ def _users(args, cfg) -> tuple[int, ...]:
 
 
 def _open_out(path):
-    if path:
-        return open(path, "w", encoding="utf-8", newline="")
-    return sys.stdout
+    """path opened for writing, or stdout for no path."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _run_spec(args, spec: SweepSpec, cfg: SystemConfig) -> None:
@@ -450,12 +413,12 @@ def main(argv=None) -> int:
     p = sub.add_parser("analyze", help="closed-form outage over an SNR grid")
     _add_common(p, sim=False)
     p.add_argument("--grid", default="0:40:5", help="SNR grid start:stop:step in dB")
-    add_methods(p, "exact,lower_bound", methods_of("analytic"))
+    add_methods(p, "exact,lower_bound", tuple(m for m in METHODS if m not in mcsim.SIM_METHODS))
 
     p = sub.add_parser("simulate", help="Monte Carlo outage over an SNR grid")
     _add_common(p, sim=True)
     p.add_argument("--grid", default="0:40:5")
-    add_methods(p, "monte_carlo", methods_of("simulation"))
+    add_methods(p, "monte_carlo", mcsim.SIM_METHODS)
 
     p = sub.add_parser("sweep", help="general sweep over any supported axis")
     _add_common(p, sim=True)
@@ -519,7 +482,10 @@ def _dispatch(parser, args) -> int:
 
     if args.command == "preset":
         variants = figure_preset(args.name)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create directory {args.out}: {exc.strerror}") from None
         for var in variants:
             spec = var.sweep
             if args.trials is not None:
@@ -527,25 +493,20 @@ def _dispatch(parser, args) -> int:
             if args.seed is not None:
                 spec = replace(spec, seed=args.seed)
             path = os.path.join(args.out, f"{args.name.split(':')[0]}_{var.label}.csv")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
+            with _open_out(path) as fh:
                 run_sweep(spec, var.config, fh, workers=args.workers, timings=args.timings)
             cfg_path = os.path.join(args.out, f"{args.name.split(':')[0]}_{var.label}.cfg")
-            with open(cfg_path, "w", encoding="utf-8", newline="") as fh:
+            with _open_out(cfg_path) as fh:
                 fh.write(dump_config(var.config))
         return 0
 
     if args.command == "validate":
         cfg = _load_cfg(args)
-        lines, ok = validate(
-            cfg,
-            _grid_arg(args.grid),
-            trials=args.trials,
-            tolerance=args.tolerance,
-            seed=args.seed,
-            workers=args.workers,
-        )
+        grid = _grid_arg(args.grid)
         out = _open_out(args.out)
         try:
+            lines, ok = validate(cfg, grid, trials=args.trials, tolerance=args.tolerance,
+                                 seed=args.seed, workers=args.workers)
             for line in lines:
                 print(
                     f"{line.check:16s} snr={line.snr_db:6.1f} user={line.user} "

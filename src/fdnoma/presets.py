@@ -17,47 +17,67 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from . import analytic, mcsim
-from .errors import ConfigError
+from .errors import ConfigError, FdnomaError
 from .sysmodel import SystemConfig
 
 __all__ = [
-    "Method", "METHODS", "methods_of", "AXES", "MAX_GRID_POINTS", "linear_grid", "check_grid",
+    "METHODS", "AXES", "MAX_GRID_POINTS", "linear_grid", "check_grid",
     "SweepSpec", "PresetVariant", "figure_preset", "PRESET_NAMES",
 ]
 
 
-@dataclass(frozen=True)
-class Method:
-    """kind is "analytic" or "simulation".  call(cfg, snr_db, user)
-    evaluates an analytic method per cell.  exact and the simulation
-    methods have none: a sweep runs every exact cell of its grid as one
-    analytic.exact_outage_sweep, and the simulation methods together as
-    one Monte Carlo sweep."""
-
-    kind: str
-    call: Callable[..., analytic.OutagePoint] | None = None
+def _exact_batch(points, users, methods, spec, workers):
+    """Every exact cell as one analytic.exact_outage_sweep."""
+    cells = [(idx, user, "exact") for idx in points for user in users]
+    results = analytic.exact_outage_sweep([(*points[idx], user, None) for idx, user, _ in cells])
+    return dict(zip(cells, results))
 
 
-# Every method, in CSV order.  Each call looks its analytic function up when
-# it runs, so a patched or traced module attribute takes effect.
+def _simulation_batch(points, users, methods, spec, workers):
+    """The simulation methods as one Monte Carlo sweep on common random
+    numbers from RngStream(spec.seed); a point that fails puts its error in
+    its own cells."""
+    results = mcsim.simulate_sweep(list(points.values()), spec.trials,
+                                   rng=mcsim.RngStream(spec.seed), workers=workers,
+                                   methods=methods)
+    return {(idx, user, m): res if isinstance(res, FdnomaError) else res[m][user - 1]
+            for idx, res in zip(points, results) for user in users for m in methods}
+
+
+def _per_cell(evaluate: Callable[..., analytic.OutagePoint]):
+    """The batch of a method evaluated cell by cell, evaluate(cfg, snr_db,
+    user); a cell's FdnomaError stays in that cell."""
+
+    def batch(points, users, methods, spec, workers):
+        (method,) = methods
+        out = {}
+        for idx, (cfg, snr_db) in points.items():
+            for user in users:
+                try:
+                    out[idx, user, method] = evaluate(cfg, snr_db, user)
+                except FdnomaError as exc:
+                    out[idx, user, method] = exc
+        return out
+
+    return batch
+
+
+# Every method, in CSV order, and the batch that evaluates its cells:
+# batch(points, users, methods, spec, workers) maps points {grid index:
+# (cfg, snr_db)} to {(grid index, user, method): OutagePoint or the
+# FdnomaError in its place} for every point, user and method given.  The
+# simulation methods share one batch, so they run on common draws.  Each
+# batch looks its analytic or mcsim function up when it runs, so a patched
+# or traced module attribute takes effect.
 METHODS = {
-    "exact": Method("analytic"),
-    "lower_bound": Method(
-        "analytic", lambda cfg, snr, l: analytic.lower_bound_outage(cfg, snr, l)
-    ),
-    "asymptotic_ideal": Method(
-        "analytic", lambda cfg, snr, l: analytic.asymptotic_outage_ideal(cfg, snr, l)
-    ),
-    "asymptotic_practical": Method(
-        "analytic", lambda cfg, snr, l: analytic.asymptotic_outage_practical(cfg, l)
-    ),
-    **{name: Method("simulation") for name in mcsim.SIM_METHODS},
+    "exact": _exact_batch,
+    "lower_bound": _per_cell(lambda cfg, snr, l: analytic.lower_bound_outage(cfg, snr, l)),
+    "asymptotic_ideal": _per_cell(
+        lambda cfg, snr, l: analytic.asymptotic_outage_ideal(cfg, snr, l)),
+    "asymptotic_practical": _per_cell(
+        lambda cfg, snr, l: analytic.asymptotic_outage_practical(cfg, l)),
+    **dict.fromkeys(mcsim.SIM_METHODS, _simulation_batch),
 }
-
-
-def methods_of(kind: str) -> tuple[str, ...]:
-    """Names of the methods of one kind, in CSV order."""
-    return tuple(name for name, m in METHODS.items() if m.kind == kind)
 
 
 # Sweep axis -> the config at one axis value.  The snr_db axis leaves the
@@ -143,6 +163,10 @@ class SweepSpec:
             raise ConfigError(f"the snr_db axis takes the SNR from its grid; got snr_db={self.snr_db}")
         if self.snr_db is not None and not math.isfinite(self.snr_db):
             raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
+        if not self.methods:
+            raise ConfigError("methods list is empty")
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"methods list repeats a method: {self.methods}")
         if not self.users:
             raise ConfigError("users list is empty")
         if len(set(self.users)) < len(self.users):

@@ -452,8 +452,11 @@ def loads_config(text: str, source: str = "<string>") -> SystemConfig:
 
 
 def load_config(path: str) -> SystemConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_config(fh.read(), source=path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return loads_config(fh.read(), source=path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
 
 
 def _fmt(x) -> str:

@@ -89,16 +89,27 @@ class TestRunSweep:
         assert first[0] == "10" and first[1] == "1" and first[2] == "exact"
         assert lines[2].split(",")[2] == "monte_carlo"
 
-    def test_rows_follow_the_method_table(self):
+    def test_rows_follow_the_method_table(self, monkeypatch):
+        # each batch runs once: one Monte Carlo sweep for the three
+        # simulation methods, one exact sweep, and one lower bound per cell
+        calls = {"simulate_sweep": 0, "exact_outage_sweep": 0, "lower_bound_outage": 0}
+        for module, name in ((mcsim, "simulate_sweep"), (analytic, "exact_outage_sweep"),
+                             (analytic, "lower_bound_outage")):
+            def counted(*args, _f=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
         scrambled = ("fd_oma", "asymptotic_practical", "monte_carlo", "exact", "hd_noma",
                      "asymptotic_ideal", "lower_bound")
-        spec = SweepSpec(grid=(15.0,), methods=scrambled, trials=20_000)
+        spec = SweepSpec(grid=(15.0, 20.0), methods=scrambled, trials=20_000)
         lines = sweep_to_string(spec, BASE).strip().splitlines()[1:]
         order = ("exact", "lower_bound", "asymptotic_ideal", "asymptotic_practical",
                  "monte_carlo", "hd_noma", "fd_oma")
-        assert [line.split(",")[1:3] for line in lines] == [
-            [str(user), method] for user in (1, 2, 3) for method in order
+        assert [line.split(",")[:3] for line in lines] == [
+            [x, str(user), method] for x in ("15", "20") for user in (1, 2, 3) for method in order
         ]
+        assert calls == {"simulate_sweep": 1, "exact_outage_sweep": 1, "lower_bound_outage": 6}
 
     def test_ci_fields_only_for_simulation(self):
         spec = SweepSpec(grid=(10.0,), methods=("exact", "monte_carlo"), trials=20_000)
@@ -137,17 +148,18 @@ class TestRunSweep:
         assert all(line.split(",")[7] != "" for line in lines)
 
     def test_wall_ms_times_each_cell(self, monkeypatch):
-        def slow_for_user_2(cfg, snr_db, l):
-            if l == 2:
-                time.sleep(0.05)
+        # lower_bound runs as one batch of per-cell calls, so each of its
+        # cells records an equal share of their summed time; the Monte
+        # Carlo batch is not charged for it
+        def slow(cfg, snr_db, l):
+            time.sleep(0.05)
             return analytic.OutagePoint(user=l, snr_db=snr_db, value=0.5, method="lower_bound")
 
-        monkeypatch.setattr(analytic, "lower_bound_outage", slow_for_user_2)
+        monkeypatch.setattr(analytic, "lower_bound_outage", slow)
         spec = SweepSpec(grid=(10.0,), methods=("lower_bound", "monte_carlo"), trials=20_000)
         for line in sweep_to_string(spec, BASE, timings=True).strip().splitlines()[1:]:
             cells = line.split(",")
-            slow = cells[1] == "2" and cells[2] == "lower_bound"
-            assert (int(cells[7]) >= 50) == slow, line
+            assert (int(cells[7]) >= 50) == (cells[2] == "lower_bound"), line
 
     def test_wall_ms_shares_the_exact_batch(self, monkeypatch):
         # every exact cell of the grid is one batch; each records an equal
@@ -176,28 +188,34 @@ class TestRunSweep:
         assert sweep_to_string(spec, cfg).splitlines()[1:] == alone
 
     def test_cell_shows_only_its_own_methods_error(self, tmp_path):
-        # the closed form takes only integer shapes; the simulator any real
+        # the closed form takes only integer shapes; the simulator any real.
+        # The mu axis rejects mu = 1.5, and that error fills every cell of
+        # its point
         cfg = tmp_path / "m.cfg"
         cfg.write_text(dump_config(replace(BASE, m_sr=1.5)), encoding="utf-8")
 
         def cells(methods):
             out = tmp_path / "out.csv"
-            assert main(["sweep", "--grid", "10:10:5", "--trials", "10000", "--out", str(out),
-                         "--config", str(cfg), "--methods", methods]) == 0
-            rows = out.read_text(encoding="utf-8").splitlines()[1:]
-            return {m: [r for r in rows if r.split(",")[2] == m]
-                    for m in ("exact", "monte_carlo", "hd_noma")}
+            assert main(["sweep", "--axis", "mu", "--snr", "10", "--grid", "0.5:1.5:1",
+                         "--trials", "10000", "--out", str(out), "--config", str(cfg),
+                         "--methods", methods]) == 0
+            with out.open(encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            return {m: [r for r in rows if r[2] == m] for m in ("exact", "monte_carlo", "hd_noma")}
 
         mixed = cells("exact,monte_carlo,hd_noma")
         assert mixed["exact"] == cells("exact")["exact"]
         simulated = cells("monte_carlo,hd_noma")
         assert mixed["monte_carlo"] == simulated["monte_carlo"]
         assert mixed["hd_noma"] == simulated["hd_noma"]
-        assert len(mixed["exact"]) == BASE.n_users
-        for row in mixed["exact"]:
-            assert row.split(",")[3] == "" and "integer m_sr >= 1, got 1.5" in row
-        for row in mixed["monte_carlo"] + mixed["hd_noma"]:
-            assert row.split(",")[3] != "" and row.split(",")[8] == ""
+        for rows in mixed.values():
+            assert [r[0] for r in rows] == ["0.5"] * BASE.n_users + ["1.5"] * BASE.n_users
+            for r in rows[BASE.n_users:]:
+                assert r[3] == "" and r[8] == "mu must lie in [0, 1], got 1.5"
+        for row in mixed["exact"][:BASE.n_users]:
+            assert row[3] == "" and "integer m_sr >= 1, got 1.5" in row[8]
+        for row in mixed["monte_carlo"][:BASE.n_users] + mixed["hd_noma"][:BASE.n_users]:
+            assert row[3] != "" and row[8] == ""
 
     def test_one_pool_per_sweep(self, monkeypatch, recording_pool):
         monkeypatch.setattr(mcsim, "CHUNK_TRIALS", 20_000)
@@ -313,6 +331,17 @@ class TestSweepSpec:
         # ValueError or TypeError
         with pytest.raises(ConfigError, match=rf"^{message}$"):
             SweepSpec(grid=(10.0,), methods=("exact", "monte_carlo"), **kwargs)
+
+    @pytest.mark.parametrize("methods,message", [
+        ((), r"^methods list is empty$"),
+        (("exact", "monte_carlo", "exact"),
+         r"^methods list repeats a method: \('exact', 'monte_carlo', 'exact'\)$"),
+    ], ids=["empty", "repeated"])
+    def test_empty_or_repeated_methods_rejected(self, methods, message):
+        # no methods gave a sweep that wrote only its header, and a repeated
+        # method was dropped without a word
+        with pytest.raises(ConfigError, match=message):
+            SweepSpec(grid=(10.0,), methods=methods)
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_unknown_hd_rule_is_exit_1(self, command, capsys):
@@ -1024,6 +1053,35 @@ class TestMainExitCodes:
         assert main(["analyze", "--users", "1,1", "--grid", "10:10:5"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "repeats a user" in captured.err
+
+    def test_repeated_methods_is_exit_2(self, capsys):
+        assert main(["analyze", "--methods", "exact,exact", "--grid", "10:10:5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "repeats a method" in captured.err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["analyze", "--config", "{tmp}/missing.cfg"],
+         "cannot read config file {tmp}/missing.cfg: No such file or directory"),
+        (["simulate", "--out", "{tmp}/missing/rows.csv"],
+         "cannot write {tmp}/missing/rows.csv: No such file or directory"),
+        (["sweep", "--grid", "10:10:5", "--out", "{tmp}/missing/rows.csv"],
+         "cannot write {tmp}/missing/rows.csv: No such file or directory"),
+        (["preset", "fig3", "--out", "{tmp}/file/dir"],
+         "cannot create directory {tmp}/file/dir: Not a directory"),
+        (["validate", "--out", "{tmp}/missing/lines.txt"],
+         "cannot write {tmp}/missing/lines.txt: No such file or directory"),
+    ], ids=["analyze", "simulate", "sweep", "preset", "validate"])
+    def test_unusable_path_is_exit_2_before_any_cell(self, argv, message, tmp_path, monkeypatch,
+                                                      capsys):
+        # each ended in a raw traceback (exit 1); validate opened its --out
+        # only after every point had run
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        monkeypatch.setattr(cli, "run_sweep", None)
+        monkeypatch.setattr(cli, "validate", None)
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"fdnoma: config error: {message.format(tmp=tmp_path)}\n"
 
     def test_non_integer_users_is_exit_2(self, capsys):
         assert main(["analyze", "--users", "x", "--grid", "10:10:5"]) == 2

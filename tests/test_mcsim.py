@@ -1,5 +1,7 @@
-"""Sampler marginals, SINR evaluation, reproducibility and baselines."""
+"""Sampler marginals, SINR evaluation, reproducibility, baselines and the
+order laws of the sweep rows."""
 
+import io
 import math
 import re
 import statistics
@@ -16,6 +18,7 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import kstest
 
 import fdnoma.mcsim as mcsim
+from fdnoma.cli import run_sweep
 from fdnoma.errors import ConfigError, FdnomaError, ImpairmentError, InfeasibleAllocationError
 from fdnoma.mcsim import (
     RngStream,
@@ -28,6 +31,7 @@ from fdnoma.mcsim import (
     simulate_sweep,
     wilson_interval,
 )
+from fdnoma.presets import SweepSpec, linear_grid
 from fdnoma.sysmodel import (
     SystemConfig,
     compute_deltas,
@@ -737,3 +741,73 @@ def test_outage_kernel_counts_equal_elementwise_reference(case):
     ref = _reference_counts(cfg, snr_db, 20_000, RngStream(seed), methods)
     for m in methods:
         assert [round(p.value * 20_000) for p in res[m]] == ref[m]
+
+
+ORDER_CONFIGS = {
+    "default": BASE,
+    "mu0": replace(BASE, mu=0.0),
+    "mu1": replace(BASE, mu=1.0),
+    "nb3_m3_nr2": replace(BASE, n_b=3, n_r=2, m_sr=3, m_rr=3, m_ru=(3, 3, 3)),
+}
+
+
+def _sweep_counts(cfg) -> dict[tuple[str, int], list[int]]:
+    """Outage counts of each (simulation method, user) along 0:60:2 dB, read
+    from the rows run_sweep prints for one sweep on seed 1.  At mu = 1 the
+    curves near their floor only past 40 dB; there a threshold that creeps
+    up with the SNR shows as a count that rises."""
+    spec = SweepSpec(grid=linear_grid(0, 60, 2), methods=mcsim.SIM_METHODS, trials=50_000)
+    counts: dict[tuple[str, int], list[int]] = {}
+    for row in run_sweep(spec, cfg, io.StringIO()):
+        assert not row.error, row
+        counts.setdefault((row.method, row.user), []).append(round(row.op * row.trials))
+    return counts
+
+
+@pytest.mark.parametrize("cfg", ORDER_CONFIGS.values(), ids=ORDER_CONFIGS.keys())
+def test_monte_carlo_order_laws_hold_count_for_count(cfg):
+    """OP falls with SNR and rises with the thresholds, trial by trial.
+
+    The law.  With a, b, c the scaled first-hop, second-hop and SI gains,
+    user l fails the SIC chain iff (gbar^2/2) a b <= Lambda+ D0, D0 =
+    theta1 gbar a + theta2 gbar b + theta3 gbar c + theta4 gbar^2 b c +
+    theta5 (README, Numerical notes); hd_noma drops the two c terms, and
+    fd_oma takes Lambda+ = prod(1 + gamma_th) - 1.  Divided by gbar^2 the
+    test reads a b / 2 <= Lambda+ R, R = theta1 a/gbar + theta2 b/gbar +
+    theta3 c/gbar + theta4 b c + theta5/gbar^2.
+    - SNR: a and b do not depend on gbar, and c does as gbar^(mu - 1), the
+      SI power alpha_si gbar^(mu - 1) (README, Configuration).  Lambda+ =
+      max over stages k <= l of gamma_th_k / margin_k does not depend on
+      gbar either.  theta1..3 are a constant plus gbar times a constant,
+      theta4 a constant and theta5 a quadratic in gbar, all coefficients
+      >= 0 (compute_theta), so theta1..3/gbar, theta5/gbar^2 and, for mu
+      <= 1, c/gbar and b c are nonincreasing in gbar.  R falls as gbar grows, so a
+      trial in outage at one SNR is in outage at every lower one.
+    - Thresholds: raising every gamma_th_k raises each gamma_th_k /
+      margin_k (the margin a_k - gamma_th_k sum_{t>k} a_t falls), hence
+      Lambda+ and prod(1 + gamma_th) - 1, while R >= 0 stays; a trial in
+      outage keeps its outage.
+    On common random numbers (every grid point rescales one set of draws,
+    and a sweep on the same seed and shapes draws the same set) the
+    counts must then keep both orders exactly.
+
+    No ulp move is allowed.  The outage test is a BLAS product, and
+    simulate_sweep says rounding may move a trial within a few ulps of its
+    boundary.  Such a move can break an order only if a trial's margin
+    shifts less than that rounding between two compared cells.  A 10%
+    raise of gamma_th moves Lambda+ by more than 10%.  A 2 dB step cuts the
+    1/gbar terms of R by 37%.  On these ideal configs (every theta 1) those
+    terms hold at least 1/(1 + gbar c) of R, with c below 202 (alpha_si = 1
+    and C0 below its draw bound, mcsim._gamma_bound): more than 1e-9 of R
+    up to 60 dB.  Both shifts exceed rounding (~1e-15 of R) by orders of
+    magnitude.
+    """
+    low = _sweep_counts(cfg)
+    high = _sweep_counts(replace(cfg, gamma_th=tuple(1.1 * g for g in cfg.gamma_th)))
+    for key, counts in low.items():
+        for series in (counts, high[key]):
+            assert all(a >= b for a, b in zip(series, series[1:])), (key, series)
+        assert all(h >= c for h, c in zip(high[key], counts)), (key, counts, high[key])
+    # the orders are not vacuous: some count moves along each axis
+    assert any(c[0] > c[-1] for c in low.values())
+    assert any(high[key] != counts for key, counts in low.items())
