@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, exp, fsum, lgamma, log
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -606,6 +607,8 @@ def _exact_plan(cfg: SystemConfig, snr_db: float, l: int, lam_dag: float | None)
     g = snr_linear(snr_db)
     if lam_dag is None:
         lam_dag = compute_deltas(cfg, g).lambda_dag[l - 1]
+    elif isinstance(lam_dag, bool) or not isinstance(lam_dag, Real) or not 0.0 < lam_dag < math.inf:
+        raise ConfigError(f"lam_dag must be a finite real > 0, got {lam_dag!r}")
     m_sr, m_rr, m_ru = _require_analytic_config(cfg)
     stats = derive_link_stats(cfg, g)
     theta = compute_theta(stats, g, l)

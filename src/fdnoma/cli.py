@@ -26,8 +26,7 @@ from dataclasses import dataclass, fields, replace
 
 from . import analytic, mcsim
 from .errors import ConfigError, FdnomaError, NumericsError
-from .presets import (AXES, METHODS, PRESET_NAMES, SweepSpec, check_grid, figure_preset,
-                      linear_grid)
+from .presets import AXES, METHODS, PRESET_NAMES, SweepSpec, figure_preset, linear_grid
 from .sysmodel import SystemConfig, check_user, dump_config, load_config
 
 __all__ = ["CsvRow", "run_sweep", "validate", "main"]
@@ -150,6 +149,10 @@ class ValidationLine:
     detail: str
 
 
+# Family-wise level of validate's mc_agreement lines
+_CONF = 0.99
+
+
 def validate(
     cfg: SystemConfig,
     snr_grid: tuple[float, ...],
@@ -157,52 +160,48 @@ def validate(
     tolerance: float = 0.10,
     seed: int = 1,
     workers: int = 1,
-    conf: float = 0.99,
 ) -> tuple[list[ValidationLine], bool]:
     """Exact-vs-MC agreement, bound ordering, and (ideal, mu<1) slope checks.
+
+    validate judges the rows of one sweep, SweepSpec(grid=snr_grid,
+    methods=("exact", "lower_bound", "monte_carlo"), users=all, trials,
+    seed): every exact, lower-bound and Monte Carlo value it reads is,
+    bitwise, the op of the row run_sweep prints for that spec, since each
+    point draws from RngStream(seed), the common random numbers of the
+    sweep.  A grid, trials or seed that the spec rejects raises its
+    ConfigError before any point runs; so do workers other than an integer
+    >= 1 (TypeError or ValueError) and a tolerance that is not finite and
+    > 0 (ValueError).
 
     A point whose expected count of outages, or of successes, is below
     ~25 in both the exact value and the estimate cannot falsify the closed
     form, so it is reported as "insufficient trials" rather than a
-    failure.  conf is the level of the whole set of mc_agreement lines:
-    each line's Wilson interval is taken at 1 - (1 - conf) / n_lines
-    (Bonferroni), so a correct program fails any of them with probability
-    at most 1 - conf.
+    failure.  Each mc_agreement line's Wilson interval is taken at 1 - (1 -
+    0.99) / n_lines (Bonferroni), so a correct program fails any of them
+    with probability at most 1%.
 
     The grid points run on the calling thread and min(workers,
     len(snr_grid)) - 1 helper threads, so workers=1 starts no thread.  Each
     thread takes the next point in grid order, and each point's Monte Carlo
     trials run on the one thread that takes the point (numpy releases the
-    GIL in the draws and the outage test).  Point idx draws from
-    RngStream(seed, idx * stride), stride = max(1000, the chunks of
-    trials), so no two points read one chunk stream; the lines are built
-    afterwards in grid order, so every value and every line is the same at
-    any workers.  Once a point raises, no thread starts another, and
-    validate raises the error of the first failing point in grid order on
-    the calling thread.
-
-    snr_grid must be nonempty, finite and strictly increasing (check_grid,
-    as for a SweepSpec): a bad grid raises ConfigError before any point
-    runs, as trials other than an integer >= mcsim.MIN_TRIALS or a seed
-    other than an integer >= 0 raise TypeError or ValueError.
+    GIL in the draws and the outage test).  The lines are built afterwards
+    in grid order, so every value and every line is the same at any
+    workers.  Once a point raises, no thread starts another, and validate
+    raises the error of the first failing point in grid order on the
+    calling thread.
     """
-    if not snr_grid:
-        raise ConfigError(f"validate needs at least one grid point, got {tuple(snr_grid)!r}")
-    check_grid(tuple(snr_grid), "validate grid")
-    # the per-line level below is derived from conf; check the value given
-    mcsim._check_conf(conf)
+    users = tuple(range(1, cfg.n_users + 1))
+    spec = SweepSpec(grid=tuple(snr_grid), methods=("exact", "lower_bound", "monte_carlo"),
+                     users=users, trials=trials, seed=seed)
     workers = mcsim._integer_at_least(workers, 1, "workers")
-    trials = mcsim._integer_at_least(trials, mcsim.MIN_TRIALS, "trials")
-    seed = mcsim._integer_at_least(seed, 0, "seed")
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance!r}")
-    users = range(1, cfg.n_users + 1)
-    line_conf = 1.0 - (1.0 - conf) / (len(snr_grid) * cfg.n_users)
-    stride = max(1000, -(-trials // mcsim.CHUNK_TRIALS))
+    grid, trials = spec.grid, spec.trials
+    line_conf = 1.0 - (1.0 - _CONF) / (len(grid) * len(users))
 
-    def evaluate(idx: int, snr: float):
+    def evaluate(snr: float):
         sim = mcsim.simulate_outage_all(
-            cfg, snr, trials, rng=mcsim.RngStream(seed, idx * stride), conf=line_conf,
+            cfg, snr, trials, rng=mcsim.RngStream(spec.seed), conf=line_conf,
         )["monte_carlo"]
         return sim, [(analytic.exact_outage(cfg, snr, l).value,
                       analytic.lower_bound_outage(cfg, snr, l).value) for l in users]
@@ -210,9 +209,9 @@ def validate(
     # Each thread takes the next point in grid order until the grid runs out
     # or a point has failed.  A point's error is kept, and raised on the
     # calling thread once every helper has stopped.
-    points: list = [None] * len(snr_grid)
+    points: list = [None] * len(grid)
     errors: dict[int, BaseException] = {}
-    cursor, lock = iter(enumerate(snr_grid)), threading.Lock()
+    cursor, lock = iter(enumerate(grid)), threading.Lock()
 
     def run_points():
         while True:
@@ -222,7 +221,7 @@ def validate(
                 return
             idx, snr = job
             try:
-                points[idx] = evaluate(idx, snr)
+                points[idx] = evaluate(snr)
             except BaseException as exc:
                 with lock:
                     errors[idx] = exc
@@ -230,7 +229,7 @@ def validate(
 
     helpers = []
     try:
-        for _ in range(min(workers, len(snr_grid)) - 1):
+        for _ in range(min(workers, len(grid)) - 1):
             helper = threading.Thread(target=run_points)
             helper.start()
             helpers.append(helper)
@@ -243,7 +242,7 @@ def validate(
 
     lines: list[ValidationLine] = []
     exact_vals: dict[tuple[float, int], float] = {}
-    for snr, (sim, values) in zip(snr_grid, points):
+    for snr, (sim, values) in zip(grid, points):
         for l, (exact, lb) in zip(users, values):
             exact_vals[(snr, l)] = exact
             mc = sim[l - 1].value
@@ -266,9 +265,9 @@ def validate(
                 f"lb={lb:.10g} {'<=' if ordered else '>'} exact={exact:.10g}",
             ))
     # the slope is fitted to the points within 10 dB of the top; it needs two
-    top = [s for s in snr_grid if s >= max(snr_grid) - 10.0]
-    if cfg.ideal and cfg.mu < 1.0 and len(snr_grid) >= 3 and max(snr_grid) >= 30.0 and len(top) >= 2:
-        for l in range(1, cfg.n_users + 1):
+    top = [s for s in grid if s >= grid[-1] - 10.0]
+    if cfg.ideal and cfg.mu < 1.0 and len(grid) >= 3 and grid[-1] >= 30.0 and len(top) >= 2:
+        for l in users:
             gdo = analytic.diversity_order(cfg, l)
             ys = [math.log10(max(exact_vals[(s, l)], 1e-300)) for s in top]
             slope = -statistics.linear_regression([s / 10.0 for s in top], ys).slope

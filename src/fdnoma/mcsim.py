@@ -177,22 +177,6 @@ def _top2(g: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _top2_standard(cfg: SystemConfig, rng: np.random.Generator, size: int) -> np.ndarray:
-    """The two largest of n_b i.i.d. standard Gamma(m_sr, 1) draws, (2, size).
-
-    A common positive scale does not change which two are largest, so the
-    reduction happens before any rescaling.  The (size, n_b) draw is made
-    row-major, one block of BLOCK_TRIALS rows at a time, and each block is
-    reduced while it is in cache.
-    """
-    top = np.empty((2, size))
-    g = np.empty((min(BLOCK_TRIALS, size), cfg.n_b))
-    for lo in range(0, size, BLOCK_TRIALS):
-        n = min(BLOCK_TRIALS, size - lo)
-        _top2(_standard_gamma(rng, cfg.m_sr, g[:n]), top[:, lo:lo + n])
-    return top
-
-
 def _sort_rows(x: np.ndarray, tmp: np.ndarray) -> None:
     """Sort the columns of x (n, k) in place, so that x[i] <= x[i + 1].
 
@@ -216,8 +200,13 @@ def _ru_scales(cfg: SystemConfig, stats: LinkStats) -> tuple[float, ...]:
 
 
 def sample_first_hop(cfg: SystemConfig, stats: LinkStats, rng: np.random.Generator, size: int = 1):
-    """Sum of the two largest of n_b i.i.d. Gamma(m_sr) estimated gains."""
-    top = _top2_standard(cfg, rng, size)
+    """Sum of the two largest of n_b i.i.d. Gamma(m_sr) estimated gains.
+
+    A common positive scale does not change which two are largest, so the
+    standard (size, n_b) draw, made row-major, is reduced before any
+    rescaling.
+    """
+    top = _top2(_standard_gamma(rng, cfg.m_sr, np.empty((size, cfg.n_b))), np.empty((2, size)))
     scale = stats.omega_hat_sr / cfg.m_sr
     return scale * top[0] + scale * top[1]
 

@@ -457,6 +457,9 @@ def load_config(path: str) -> SystemConfig:
             return loads_config(fh.read(), source=path)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file {path}: not UTF-8 "
+                          f"({exc.reason} at byte {exc.start})") from None
 
 
 def _fmt(x) -> str:

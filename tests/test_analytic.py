@@ -838,6 +838,21 @@ class TestExactOutage:
         _, i, reason = min((level, i, reason) for i, (level, reason) in failed.items())
         assert str(alone) == f"phi quadrature failed for term {plan.label(i)}: {reason}"
 
+    @pytest.mark.parametrize("lam_dag", [-1.0, 0.0, math.nan, math.inf, True, "2.0"],
+                             ids=["negative", "zero", "nan", "inf", "bool", "text"])
+    def test_bad_threshold_is_its_entrys_config_error(self, lam_dag):
+        # a negative threshold raised a bare ValueError from the plan's logs,
+        # taking every entry down; 0, NaN and inf gave a float-range
+        # NumericsError, and True passed as 1
+        entries = [(BASE, 10.0, 1, None), (BASE, 10.0, 2, lam_dag), (BASE, 15.0, 3, 18.0)]
+        first, bad, last = analytic.exact_outage_sweep(entries)
+        assert type(bad) is ConfigError
+        assert str(bad) == f"lam_dag must be a finite real > 0, got {lam_dag!r}"
+        assert first == exact_outage(BASE, 10.0, 1)
+        assert last == exact_outage(BASE, 15.0, 3, 18.0)
+        with pytest.raises(ConfigError, match="lam_dag must be a finite real > 0"):
+            exact_outage(BASE, 10.0, 2, lam_dag)
+
     def test_entry_error_is_its_first_failure_by_level_then_row(self, monkeypatch):
         # BASE at 15 dB, user 2, has more than five Phi rows; rows 2 and 4
         # fail at the earliest level, row 0 later

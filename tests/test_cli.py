@@ -471,8 +471,8 @@ class TestValidate:
             return simulate(*args, **kwargs)
 
         monkeypatch.setattr(mcsim, "simulate_outage_all", recording)
-        validate(BASE, (5.0, 10.0), trials=20_000, seed=1, conf=0.99)
-        assert levels == [1.0 - 0.01 / 6] * 2  # two points, three users
+        validate(BASE, (5.0, 10.0), trials=20_000, seed=1)
+        assert levels == [1.0 - 0.01 / 6] * 2  # level 0.99, two points, three users
 
     @staticmethod
     def _fake_simulation(monkeypatch, outages):
@@ -634,18 +634,18 @@ class TestValidate:
         assert unhandled == []
 
     def test_empty_grid_is_rejected(self):
-        with pytest.raises(ConfigError, match=r"at least one grid point, got \(\)"):
+        with pytest.raises(ConfigError, match=r"^sweep grid is empty$"):
             validate(BASE, (), trials=10_000)
 
     @pytest.mark.parametrize("grid,message", [
-        ((30.0, 30.0, 30.0), r"^validate grid must be strictly increasing$"),
-        ((10.0, 5.0), r"^validate grid must be strictly increasing$"),
-        ((0.0, math.nan, 10.0), r"^validate grid values must be finite, got \(0.0, nan, 10.0\)$"),
-        ((0.0, math.inf), r"^validate grid values must be finite, got \(0.0, inf\)$"),
+        ((30.0, 30.0, 30.0), r"^sweep grid must be strictly increasing$"),
+        ((10.0, 5.0), r"^sweep grid must be strictly increasing$"),
+        ((0.0, math.nan, 10.0), r"^sweep grid values must be finite, got \(0.0, nan, 10.0\)$"),
+        ((0.0, math.inf), r"^sweep grid values must be finite, got \(0.0, inf\)$"),
     ], ids=["repeated", "decreasing", "nan", "inf"])
     def test_bad_grid_is_rejected_before_any_point(self, grid, message, monkeypatch):
-        # a repeated point ran every point's Monte Carlo, then the slope fit
-        # raised StatisticsError ("x is constant")
+        # the sweep's own check (a repeated point ran every point's Monte
+        # Carlo, then the slope fit raised StatisticsError, "x is constant")
         def no_point(*args, **kwargs):
             raise AssertionError("a grid point was evaluated")
 
@@ -657,8 +657,8 @@ class TestValidate:
     def test_engine_calls_per_point_and_user(self, workers, monkeypatch):
         # the per-point calls the benchmark's validate workload reads its
         # values through, each looked up on its module when it runs: one
-        # Monte Carlo call per point on stream 1000 * idx, and one exact
-        # and one lower-bound call per (point, user)
+        # Monte Carlo call per point, every one on the sweep's RngStream(seed),
+        # and one exact and one lower-bound call per (point, user)
         simulate, exact, bound = (mcsim.simulate_outage_all, analytic.exact_outage,
                                   analytic.lower_bound_outage)
         calls, lock = [], threading.Lock()
@@ -676,20 +676,9 @@ class TestValidate:
         validate(BASE, (0.0, 10.0), trials=10_000, seed=7, workers=workers)
         users = range(1, BASE.n_users + 1)
         assert sorted(calls, key=repr) == sorted(
-            [("mc", snr, (10_000,), mcsim.RngStream(7, 1000 * idx))
-             for idx, snr in enumerate((0.0, 10.0))]
+            [("mc", snr, (10_000,), mcsim.RngStream(7)) for snr in (0.0, 10.0)]
             + [(name, snr, (l,), None) for name in ("exact", "bound") for snr in (0.0, 10.0)
                for l in users], key=repr)
-
-    @pytest.mark.parametrize("conf", [0.0, -1.0, 1.0, 1.5, float("nan")])
-    def test_confidence_outside_the_unit_interval_is_rejected(self, conf, monkeypatch):
-        # checked at entry, and named as given, not as the per-line level
-        def no_point(*args, **kwargs):
-            raise AssertionError("a grid point was evaluated")
-
-        monkeypatch.setattr(mcsim, "simulate_outage_all", no_point)
-        with pytest.raises(ValueError, match=rf"must lie in \(0, 1\), got {conf!r}$"):
-            validate(BASE, (10.0,), trials=10_000, conf=conf)
 
     @pytest.mark.parametrize("kwargs,error,message", [
         ({"tolerance": -1.0}, ValueError, r"tolerance must be finite and > 0, got -1.0$"),
@@ -699,17 +688,17 @@ class TestValidate:
         ({"workers": 0}, ValueError, r"workers must be an integer >= 1, got 0$"),
         ({"workers": 2.5}, TypeError, r"workers must be an integer >= 1, got 2.5$"),
         ({"workers": True}, TypeError, r"workers must be an integer >= 1, got True$"),
-        ({"trials": 5}, ValueError, r"trials must be an integer >= 10000, got 5$"),
-        ({"trials": True}, TypeError, r"trials must be an integer >= 10000, got True$"),
-        ({"trials": 1e5}, TypeError, r"trials must be an integer >= 10000, got 100000.0$"),
-        ({"seed": -1}, ValueError, r"seed must be an integer >= 0, got -1$"),
-        ({"seed": True}, TypeError, r"seed must be an integer >= 0, got True$"),
+        ({"trials": 5}, ConfigError, r"^trials must be an integer >= 10000, got 5$"),
+        ({"trials": True}, ConfigError, r"^trials must be an integer >= 10000, got True$"),
+        ({"trials": 1e5}, ConfigError, r"^trials must be an integer >= 10000, got 100000.0$"),
+        ({"seed": -1}, ConfigError, r"^seed must be an integer >= 0, got -1$"),
+        ({"seed": True}, ConfigError, r"^seed must be an integer >= 0, got True$"),
     ], ids=["tolerance-1", "tolerance0", "tolerance_nan", "tolerance_inf", "workers0",
             "workers2.5", "workersTrue", "trials5", "trialsTrue", "trials1e5", "seed-1",
             "seedTrue"])
     def test_bad_tolerance_or_workers_is_rejected(self, kwargs, error, message, monkeypatch):
-        # checked at entry, as conf is: no grid point runs (trials and seed
-        # were checked only once the 0 dB point had started on its thread)
+        # checked at entry: no grid point runs; trials and seed are the
+        # sweep spec's, so they raise its ConfigError
         def no_point(*args, **kwargs):
             raise AssertionError("a grid point was evaluated")
 
@@ -717,28 +706,38 @@ class TestValidate:
         with pytest.raises(error, match=message):
             validate(BASE, (10.0, 20.0, 30.0), **{"trials": 10_000, **kwargs})
 
-    @pytest.mark.parametrize("chunk_trials, stride", [(1_000_000, 1000), (10, 2000)],
-                             ids=["one_chunk", "2000_chunks"])
-    def test_points_read_disjoint_chunk_streams(self, chunk_trials, stride, monkeypatch):
-        # point idx reads the streams idx * stride + i of its chunks i; at a
-        # fixed stride of 1000, 2000 chunks per point read into the next
-        # point's streams
-        monkeypatch.setattr(mcsim, "CHUNK_TRIALS", chunk_trials)
-        streams, lock = [], threading.Lock()
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cfg", [BASE, replace(BASE, n_b=3, mu=0.0)], ids=["default", "nb3_mu0"])
+    def test_judged_values_are_the_sweeps_rows(self, cfg, workers, monkeypatch):
+        # every value validate judges, recorded where validate reads it, is
+        # bitwise the op of the row run_sweep prints for the same spec, at
+        # three chunks per point, the last one short
+        monkeypatch.setattr(mcsim, "CHUNK_TRIALS", 10_000)
+        grid, trials, seed = (0.0, 10.0, 20.0), 25_000, 7
+        spec = SweepSpec(grid=grid, methods=("exact", "lower_bound", "monte_carlo"),
+                         users=(1, 2, 3), trials=trials, seed=seed)
+        rows = list(csv.reader(io.StringIO(sweep_to_string(spec, cfg, workers=workers))))[1:]
+        printed = {(float(x), int(user), method): float(op).hex()
+                   for x, user, method, op, *_ in rows}
 
-        def recorder(cfg, snr_db, trials, rng, conf):
-            chunks = -(-trials // mcsim.CHUNK_TRIALS)
-            with lock:
-                streams.append(range(rng.stream_id, rng.stream_id + chunks))
-            return {"monte_carlo": [OutagePoint(user=l, snr_db=snr_db, value=0.5,
-                                                method="monte_carlo", ci=(0.4, 0.6))
-                                    for l in range(1, cfg.n_users + 1)]}
+        judged, lock = {}, threading.Lock()
 
-        monkeypatch.setattr(mcsim, "simulate_outage_all", recorder)
-        validate(BASE, (0.0, 10.0, 20.0), trials=20_000, seed=3, workers=2)
-        assert sorted(r.start for r in streams) == [0, stride, 2 * stride]
-        read = [i for r in streams for i in r]
-        assert len(read) == len(set(read))
+        def recorder(method, fn, points):
+            def call(cfg, snr_db, *args, **kwargs):
+                res = fn(cfg, snr_db, *args, **kwargs)
+                with lock:
+                    judged.update(((snr_db, pt.user, method), pt.value.hex()) for pt in points(res))
+                return res
+            return call
+
+        monkeypatch.setattr(mcsim, "simulate_outage_all", recorder(
+            "monte_carlo", mcsim.simulate_outage_all, lambda res: res["monte_carlo"]))
+        monkeypatch.setattr(analytic, "exact_outage", recorder(
+            "exact", analytic.exact_outage, lambda pt: [pt]))
+        monkeypatch.setattr(analytic, "lower_bound_outage", recorder(
+            "lower_bound", analytic.lower_bound_outage, lambda pt: [pt]))
+        validate(cfg, grid, trials=trials, seed=seed, workers=workers)
+        assert len(printed) == 27 and judged == printed
 
     def test_slope_check_runs_on_wide_ideal_grid(self):
         lines, ok = validate(BASE, (25.0, 30.0, 35.0), trials=50_000, seed=3)
@@ -1070,12 +1069,15 @@ class TestMainExitCodes:
          "cannot create directory {tmp}/file/dir: Not a directory"),
         (["validate", "--out", "{tmp}/missing/lines.txt"],
          "cannot write {tmp}/missing/lines.txt: No such file or directory"),
-    ], ids=["analyze", "simulate", "sweep", "preset", "validate"])
+        (["analyze", "--grid", "10:10:5", "--config", "{tmp}/latin1.cfg"],
+         "cannot read config file {tmp}/latin1.cfg: not UTF-8 (invalid start byte at byte 0)"),
+    ], ids=["analyze", "simulate", "sweep", "preset", "validate", "config_not_utf8"])
     def test_unusable_path_is_exit_2_before_any_cell(self, argv, message, tmp_path, monkeypatch,
                                                       capsys):
         # each ended in a raw traceback (exit 1); validate opened its --out
         # only after every point had run
         (tmp_path / "file").write_text("", encoding="utf-8")
+        (tmp_path / "latin1.cfg").write_bytes(b"\xffn_b = 2\n")
         monkeypatch.setattr(cli, "run_sweep", None)
         monkeypatch.setattr(cli, "validate", None)
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2

@@ -172,21 +172,21 @@ class TestOrderStatisticKernels:
     @pytest.mark.parametrize("m_sr", [0.5, 1, 2.5])
     @pytest.mark.parametrize("n_b", [2, 3, 4, 5, 6])
     def test_top2_equals_partition_reference(self, n_b, m_sr):
-        cfg = replace(BASE, n_b=n_b, m_sr=m_sr)
-        top = mcsim._top2_standard(cfg, RngStream(10, n_b).generator(), 20_000)
         g = RngStream(10, n_b).generator().standard_gamma(m_sr, size=(20_000, n_b))
+        top = mcsim._top2(g, np.empty((2, 20_000)))
         g.partition(n_b - 2, axis=1)
         assert top.shape == (2, 20_000)
         assert np.array_equal(top[0], g[:, -2]) and np.array_equal(top[1], g[:, -1])
 
-
     @pytest.mark.parametrize("n_b", [2, 3, 4, 6])
     def test_top2_equals_sorted_reference_across_blocks(self, n_b):
-        # the passes run per block of BLOCK_TRIALS rows; the last block is short
+        # views of BLOCK_TRIALS rows, as _sweep_chunk passes them; the last
+        # block is short
         size = 2 * mcsim.BLOCK_TRIALS + 123
-        cfg = replace(BASE, n_b=n_b, m_sr=2.5)
-        top = mcsim._top2_standard(cfg, RngStream(11, n_b).generator(), size)
         g = RngStream(11, n_b).generator().standard_gamma(2.5, size=(size, n_b))
+        top = np.empty((2, size))
+        for lo in range(0, size, mcsim.BLOCK_TRIALS):
+            mcsim._top2(g[lo:lo + mcsim.BLOCK_TRIALS], top[:, lo:lo + mcsim.BLOCK_TRIALS])
         assert np.array_equal(_bits(top), _bits(np.sort(g, axis=1)[:, -2:].T))
 
 
@@ -811,3 +811,61 @@ def test_monte_carlo_order_laws_hold_count_for_count(cfg):
     # the orders are not vacuous: some count moves along each axis
     assert any(c[0] > c[-1] for c in low.values())
     assert any(high[key] != counts for key, counts in low.items())
+
+
+# Family-wise level of the structure laws' one-sided z tests (Bonferroni)
+STRUCTURE_LEVEL = 1e-3
+
+
+def test_monte_carlo_structure_laws_hold_within_noise():
+    """OP does not rise with n_b (2 -> 3 -> 4, n_r = 1) nor with n_r (1 -> 2,
+    n_b = 2), for any user and SNR.
+
+    The law.  In _PointPlan's terms user l is in outage iff (gbar^2/2) a b
+    <= Lambda+ (theta1 gbar a + theta2 gbar b + theta3 gbar c + theta4
+    gbar^2 b c + theta5), a = s_sr A the scaled first-hop sum, b the user's
+    scaled gain B_(l) and c the SI gain.  Divided by a b it reads gbar^2/2
+    <= Lambda+ (theta1 gbar / b + theta2 gbar / a + theta3 gbar c / (a b) +
+    theta4 gbar^2 c / a + theta5 / (a b)), every coefficient >= 0, so the
+    right side cannot grow when a or b does: outage cannot become more
+    likely when A or B grows, draw for draw.  n_b and n_r enter nothing but
+    the draws (the scales, thetas and Lambda+ do not read them).  A, the sum
+    of the two largest of n_b i.i.d. Gamma(m_sr) draws, grows stochastically
+    with n_b: one more draw can only raise the top two.  B_(l), the l-th
+    smallest of n_users i.i.d. Gamma(M) gains, grows stochastically with M
+    = m_ru n_r, since Gamma(M) does and order statistics keep the usual
+    stochastic order (Shaked & Shanthikumar, Stochastic Orders, 2007, ch. 1).
+    A, B and C are independent, so OP is nonincreasing in n_b and n_r.
+
+    The check.  The sweeps do not share their draws (another n_b or n_r
+    draws another first hop or other gains), so each pair (p_s at the smaller
+    structure, p_t at the larger) is judged by the one-sided two-proportion
+    z = (p_s - p_t) / sqrt(2 pbar (1 - pbar) / trials), which fails below
+    -z* with z* the normal quantile at STRUCTURE_LEVEL over the 36 pairs.
+    z takes the two estimates as independent.  Each pair of sweeps shares
+    its SI draws, and B (the n_b pairs) or A (the n_r pair), draw for draw;
+    outage falls in each shared variable in both sweeps, so sharing them
+    correlates the estimates positively (Chebyshev's association
+    inequality) and only narrows the spread of p_s - p_t.
+    """
+    grid, trials = linear_grid(0, 30, 10), 100_000
+    spec = SweepSpec(grid=grid, methods=("monte_carlo",), trials=trials)
+
+    def ops(n_b, n_r):
+        rows = run_sweep(spec, replace(BASE, n_b=n_b, n_r=n_r), io.StringIO())
+        return {(row.axis_value, row.user): row.op for row in rows}
+
+    op = {(n_b, n_r): ops(n_b, n_r) for n_b, n_r in ((2, 1), (3, 1), (4, 1), (2, 2))}
+    pairs = [((2, 1), (3, 1)), ((3, 1), (4, 1)), ((2, 1), (2, 2))]
+    cells = [(s, t, key) for s, t in pairs for key in op[s]]
+    assert len(cells) == 36
+    z_star = statistics.NormalDist().inv_cdf(1.0 - STRUCTURE_LEVEL / len(cells))
+    z = {}
+    for s, t, key in cells:
+        p_s, p_t = op[s][key], op[t][key]
+        pbar = (p_s + p_t) / 2.0
+        z[s, t, key] = 0.0 if p_s == p_t else (p_s - p_t) / math.sqrt(2 * pbar * (1 - pbar) / trials)
+    low = {cell: round(v, 2) for cell, v in z.items() if v < -z_star}
+    assert not low, low
+    # the laws are not vacuous: each pair of structures moves some cell
+    assert all(any(z[s, t, key] > z_star for key in op[s]) for s, t in pairs)
