@@ -176,9 +176,10 @@ def validate(
     A point whose expected count of outages, or of successes, is below
     ~25 in both the exact value and the estimate cannot falsify the closed
     form, so it is reported as "insufficient trials" rather than a
-    failure.  Each mc_agreement line's Wilson interval is taken at 1 - (1 -
-    0.99) / n_lines (Bonferroni), so a correct program fails any of them
-    with probability at most 1%.
+    failure.  Each mc_agreement line's Wilson interval is that of the
+    row's count, round(mc * trials), at 1 - (1 - 0.99) / n_lines
+    (Bonferroni), so a correct program fails any of them with probability
+    at most 1%.
 
     The grid points run on the calling thread and min(workers,
     len(snr_grid)) - 1 helper threads, so workers=1 starts no thread.  Each
@@ -201,7 +202,7 @@ def validate(
 
     def evaluate(snr: float):
         sim = mcsim.simulate_outage_all(
-            cfg, snr, trials, rng=mcsim.RngStream(spec.seed), conf=line_conf,
+            cfg, snr, trials, rng=mcsim.RngStream(spec.seed),
         )["monte_carlo"]
         return sim, [(analytic.exact_outage(cfg, snr, l).value,
                       analytic.lower_bound_outage(cfg, snr, l).value) for l in users]
@@ -246,7 +247,7 @@ def validate(
         for l, (exact, lb) in zip(users, values):
             exact_vals[(snr, l)] = exact
             mc = sim[l - 1].value
-            lo, hi = sim[l - 1].ci
+            lo, hi = mcsim.wilson_interval(round(mc * trials), trials, line_conf)
             shown = f"exact={exact:.10g} mc={mc:.10g}"
             outages, successes = trials * max(exact, mc), trials * (1.0 - min(exact, mc))
             if min(outages, successes) < 25:

@@ -107,11 +107,6 @@ class RngStream:
         return [np.random.default_rng(child) for child in seq.spawn(n)]
 
 
-def _check_conf(conf: float) -> None:
-    if not 0.0 < conf < 1.0:
-        raise ValueError(f"confidence level must lie in (0, 1), got {conf!r}")
-
-
 def _integer_at_least(value, low: int, name: str) -> int:
     try:
         if isinstance(value, bool):  # it would pass as 0 or 1
@@ -128,13 +123,17 @@ def wilson_interval(successes: int, trials: int, conf: float = 0.95) -> tuple[fl
     """Wilson score interval; preferred over Wald for small-probability tails.
 
     Its ends are exactly 0 at no successes and exactly 1 at all trials, as
-    the score interval's are: rounding does not move them.
+    the score interval's are: rounding does not move them.  Both counts
+    must be integers (a bool or a float raises TypeError).
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must lie in 0..trials, got {successes} of {trials} trials")
-    _check_conf(conf)
+    _integer_at_least(successes, 0, "successes")
+    _integer_at_least(trials, 1, "trials")
+    if not 0.0 < conf < 1.0:
+        raise ValueError(f"confidence level must lie in (0, 1), got {conf!r}")
     z = statistics.NormalDist().inv_cdf(0.5 + conf / 2.0)
     phat = successes / trials
     denom = 1.0 + z * z / trials
@@ -380,7 +379,6 @@ def simulate_sweep(
     rng: RngStream | int = 0,
     workers: int = 1,
     methods: tuple[str, ...] = ("monte_carlo",),
-    conf: float = 0.95,
 ) -> list[dict[str, list[OutagePoint]] | FdnomaError]:
     """Estimated OP of every user at every (config, snr_db) point of a sweep.
 
@@ -400,8 +398,8 @@ def simulate_sweep(
     Returns one entry per point: a dict from each method to its users'
     OutagePoints, or the FdnomaError raised while planning the point.
     trials must be an integer >= MIN_TRIALS, workers >= 1, rng an RngStream
-    or seed of nonnegative integers and conf lie in (0, 1); all are checked
-    before any point is planned.
+    or seed of nonnegative integers; all are checked before any point is
+    planned.  Each OutagePoint's ci is the 95% Wilson interval of its count.
     """
     trials = _integer_at_least(trials, MIN_TRIALS, "trials")
     workers = _integer_at_least(workers, 1, "workers")
@@ -410,7 +408,6 @@ def simulate_sweep(
         _integer_at_least(rng.stream_id, 0, "the rng stream_id")
     else:
         rng = RngStream(_integer_at_least(rng, 0, "rng"))
-    _check_conf(conf)
     for m in methods:
         if m not in SIM_METHODS:
             raise ValueError(f"unknown simulation method {m!r}")
@@ -459,7 +456,7 @@ def simulate_sweep(
                     snr_db=snr_db,
                     value=int(counts[j, l - 1]) / trials,
                     method=m,
-                    ci=wilson_interval(int(counts[j, l - 1]), trials, conf),
+                    ci=wilson_interval(int(counts[j, l - 1]), trials),
                 )
                 for l in range(1, cfg_pt.n_users + 1)
             ]
@@ -475,11 +472,10 @@ def simulate_outage_all(
     rng: RngStream | int = 0,
     workers: int = 1,
     methods: tuple[str, ...] = ("monte_carlo",),
-    conf: float = 0.95,
 ) -> dict[str, list[OutagePoint]]:
     """Estimated OP for every user, for each requested simulation method:
     a one-point simulate_sweep.  Raises the error of the point."""
-    (res,) = simulate_sweep([(cfg, snr_db)], trials, rng, workers, methods, conf)
+    (res,) = simulate_sweep([(cfg, snr_db)], trials, rng, workers, methods)
     if isinstance(res, FdnomaError):
         raise res
     return res
@@ -492,11 +488,10 @@ def simulate_outage(
     trials: int,
     rng: RngStream | int = 0,
     workers: int = 1,
-    conf: float = 0.95,
 ) -> OutagePoint:
     """OP of user l by direct simulation, Wilson CI attached."""
     check_user(l, cfg.n_users)
-    res = simulate_outage_all(cfg, snr_db, trials, rng, workers, ("monte_carlo",), conf=conf)
+    res = simulate_outage_all(cfg, snr_db, trials, rng, workers, ("monte_carlo",))
     return res["monte_carlo"][l - 1]
 
 
@@ -508,12 +503,11 @@ def simulate_baseline(
     trials: int,
     rng: RngStream | int = 0,
     workers: int = 1,
-    conf: float = 0.95,
 ) -> OutagePoint:
     """HD-NOMA (no SI, the FD thresholds) or FD-OMA (single-user, product
     threshold) over the same TAS/Alamouti-MRC chain."""
     if baseline not in get_args(Baseline):
         raise ConfigError(f"unknown baseline {baseline!r}")
     check_user(l, cfg.n_users)
-    res = simulate_outage_all(cfg, snr_db, trials, rng, workers, (baseline,), conf=conf)
+    res = simulate_outage_all(cfg, snr_db, trials, rng, workers, (baseline,))
     return res[baseline][l - 1]

@@ -99,20 +99,22 @@ MAX_GRID_POINTS = 100_000
 
 
 def linear_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
-    """start, start + step, ... up to stop (with 1e-9 slack), each rounded
-    to 12 decimals; at most MAX_GRID_POINTS points, counted before any is
-    made."""
+    """start, start + step, ... up to stop, with a slack of 1e-9 steps plus
+    8 ulps of the larger bound (a point past stop by rounding alone still
+    counts), each rounded to 12 decimals; at most MAX_GRID_POINTS points,
+    counted before any is made."""
     if not all(math.isfinite(x) for x in (start, stop, step)):
         raise ConfigError(f"grid bounds must be finite, got {start}:{stop}:{step}")
     if step <= 0 or stop < start:
         raise ConfigError(f"grid must be an increasing range, got {start}:{stop}:{step}")
-    # the last index k with start + k step <= stop + 1e-9, to within rounding
-    last = (stop + 1e-9 - start) / step
+    end = stop + 1e-9 * step + 8 * math.ulp(max(abs(start), abs(stop)))
+    # the last index k with start + k step <= end, to within rounding
+    last = (end - start) / step
     if not last < MAX_GRID_POINTS:
         raise ConfigError(f"grid {start}:{stop}:{step} has {last + 1:.6g} points, "
                           f"more than the {MAX_GRID_POINTS} a sweep takes")
     return tuple(round(start + k * step, 12) for k in range(math.floor(last) + 2)
-                 if start + k * step <= stop + 1e-9)
+                 if start + k * step <= end)
 
 
 def check_grid(grid: tuple[float, ...], name: str) -> None:

@@ -112,13 +112,19 @@ class TestRunSweep:
         assert calls == {"simulate_sweep": 1, "exact_outage_sweep": 1, "lower_bound_outage": 6}
 
     def test_ci_fields_only_for_simulation(self):
-        spec = SweepSpec(grid=(10.0,), methods=("exact", "monte_carlo"), trials=20_000)
+        # a simulation row's interval is the 95% Wilson interval of its count
+        spec = SweepSpec(grid=(5.0, 10.0, 15.0), methods=("exact", *mcsim.SIM_METHODS),
+                         trials=20_000)
         for line in sweep_to_string(spec, BASE).strip().splitlines()[1:]:
             cells = line.split(",")
             if cells[2] == "exact":
                 assert cells[4] == "" and cells[5] == "" and cells[6] == ""
             else:
-                assert float(cells[4]) <= float(cells[3]) <= float(cells[5])
+                op, lo, hi = (float(c) for c in cells[3:6])
+                count = round(op * 20_000)
+                assert count / 20_000 == op
+                assert (lo, hi) == mcsim.wilson_interval(count, 20_000)
+                assert lo <= op <= hi
                 assert cells[6] == "20000"
 
     def test_float_round_trip_precision(self):
@@ -426,6 +432,22 @@ class TestPresets:
         with pytest.raises(ConfigError, match=f"more than the {MAX_GRID_POINTS} a sweep takes"):
             linear_grid(0.0, stop, step)
 
+    @pytest.mark.parametrize("start, stop, step, points", [
+        (0.0, 5e-10, 1e-10, 6), (0.0, 1e-11, 1e-12, 11), (1000.0, 1000.00001, 1e-6, 11),
+    ])
+    def test_grid_ends_at_stop_at_any_scale(self, start, stop, step, points):
+        grid = linear_grid(start, stop, step)
+        assert len(grid) == points and grid[-1] == stop
+
+    # the preset grids and the CLI's default --grid values
+    @pytest.mark.parametrize("start, stop, step", [
+        (0, 50, 5), (0, 40, 5), (0, 30, 5), (0.0, 1.0, 0.1), (0.0, 0.25, 0.025), (0.1, 0.9, 0.05),
+    ])
+    def test_grid_is_each_step_rounded_to_12_decimals(self, start, stop, step):
+        points = round((stop - start) / step) + 1
+        assert linear_grid(start, stop, step) == tuple(
+            round(start + k * step, 12) for k in range(points))
+
     def test_grid_of_the_maximum_size_is_built(self):
         grid = linear_grid(0.0, MAX_GRID_POINTS - 1.0, 1.0)
         assert len(grid) == MAX_GRID_POINTS and grid[-1] == MAX_GRID_POINTS - 1
@@ -462,27 +484,28 @@ class TestValidate:
         assert not ok
         assert any(l.check == "bound_ordering" and l.status == "fail" for l in lines)
 
-    def test_agreement_level_corrected_for_line_count(self, monkeypatch):
-        simulate = mcsim.simulate_outage_all
-        levels = []
-
-        def recording(*args, **kwargs):
-            levels.append(kwargs["conf"])
-            return simulate(*args, **kwargs)
-
-        monkeypatch.setattr(mcsim, "simulate_outage_all", recording)
-        validate(BASE, (5.0, 10.0), trials=20_000, seed=1)
-        assert levels == [1.0 - 0.01 / 6] * 2  # level 0.99, two points, three users
+    def test_agreement_level_corrected_for_line_count(self):
+        # level 0.99, two points, three users: each judged line prints the
+        # Wilson interval of its row's count at 1 - 0.01 / 6
+        trials = 20_000
+        lines, _ = validate(BASE, (5.0, 10.0), trials=trials, seed=1)
+        judged = [l for l in lines
+                  if l.check == "mc_agreement" and l.status != "insufficient trials"]
+        assert len(judged) == 6
+        for line in judged:
+            mc = float(line.detail.split(" mc=")[1].split()[0])
+            lo, hi = mcsim.wilson_interval(round(mc * trials), trials, 1.0 - 0.01 / 6)
+            assert line.detail.endswith(f" in [{lo:.10g}, {hi:.10g}]")
 
     @staticmethod
     def _fake_simulation(monkeypatch, outages):
         """Replace the Monte Carlo estimate of user l by outages[l] outages
         out of the trials validate asks for."""
 
-        def fake(cfg, snr_db, trials, rng=0, workers=1, conf=0.95, **kw):
+        def fake(cfg, snr_db, trials, rng=0, workers=1, **kw):
             return {"monte_carlo": [
                 OutagePoint(l, snr_db, k / trials, "monte_carlo",
-                            ci=mcsim.wilson_interval(k, trials, conf))
+                            ci=mcsim.wilson_interval(k, trials))
                 for l, k in sorted(outages.items())
             ]}
 

@@ -296,10 +296,15 @@ class TestWilson:
             assert wilson_interval(k, n, conf) == pytest.approx((centre - half, centre + half),
                                                                 rel=1e-13)
 
-    @pytest.mark.parametrize("successes, trials", [(5, 3), (-1, 10), (11, 10), (-1, 1)])
+    @pytest.mark.parametrize("successes, trials", [(5, 3), (-1, 10), (11, 10), (-1, 1),
+                                                   (5.5, 10), (True, 10), (1, True), (1, 10.0)])
     def test_impossible_counts_rejected(self, successes, trials):
-        with pytest.raises(ValueError, match=f"got {successes} of {trials} trials"):
-            wilson_interval(successes, trials)
+        if type(successes) is int and type(trials) is int:
+            with pytest.raises(ValueError, match=f"got {successes} of {trials} trials"):
+                wilson_interval(successes, trials)
+        else:  # a bool or a float is not a count
+            with pytest.raises(TypeError, match="must be an integer"):
+                wilson_interval(successes, trials)
 
     @pytest.mark.parametrize("conf", [1.0, 1.5, -1.0, 0.0, float("nan")])
     def test_confidence_outside_unit_interval_rejected(self, conf):
@@ -587,15 +592,6 @@ class TestSweep:
         counts = [[[round(p.value * 50_000) for p in res[m]] for m in ALL_METHODS]
                   for res in swept]
         assert counts == expected
-
-    @pytest.mark.parametrize("conf", [1.0, 1.5, -1.0, 0.0, float("nan")])
-    def test_confidence_checked_before_any_chunk(self, monkeypatch, conf):
-        def no_chunk(*args):
-            raise AssertionError("a chunk was drawn")
-
-        monkeypatch.setattr(mcsim, "_sweep_chunk", no_chunk)
-        with pytest.raises(ValueError, match="confidence level"):
-            simulate_sweep(_d_sr_points(BASE), 20_000, conf=conf)
 
     @pytest.mark.parametrize("methods", [("hd_noma",), ("monte_carlo",)])
     def test_unknown_hd_rule_checked_before_any_point(self, monkeypatch, methods):
