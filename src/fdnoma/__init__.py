@@ -23,7 +23,6 @@ __all__ = [
     "SystemConfig",
     "OutagePoint",
     "SweepSpec",
-    "RngStream",
     "exact_outage",
     "lower_bound_outage",
     "asymptotic_outage_ideal",
@@ -52,7 +51,6 @@ _HOMES = {
     "dump_config": "sysmodel",
     "SweepSpec": "presets",
     "figure_preset": "presets",
-    "RngStream": "mcsim",
     "simulate_outage": "mcsim",
     "simulate_baseline": "mcsim",
     "exact_outage": "analytic",

@@ -79,12 +79,12 @@ def run_sweep(
     methods are grouped by their batch in presets.METHODS, and each batch
     runs once over the points the axis accepts: every exact cell as one
     analytic.exact_outage_sweep, the simulation methods as one Monte Carlo
-    sweep on common random numbers from RngStream(spec.seed), and each
-    other closed form cell by cell.  Row order is fixed: grid order, then
-    user, then method in METHODS order.  With timings, each cell records an
-    equal share of its batch's wall time.  A user index outside
-    1..cfg.n_users raises ConfigError, and workers other than an integer
-    >= 1 TypeError or ValueError, before anything is written.
+    sweep on the common random numbers of spec.seed, and each other closed
+    form cell by cell.  Row order is fixed: grid order, then user, then
+    method in METHODS order.  With timings, each cell records an equal
+    share of its batch's wall time.  A user index outside 1..cfg.n_users
+    raises ConfigError, and workers other than an integer >= 1 TypeError
+    or ValueError, before anything is written.
     """
     for user in spec.users:
         check_user(user, cfg.n_users)
@@ -167,11 +167,11 @@ def validate(
     methods=("exact", "lower_bound", "monte_carlo"), users=all, trials,
     seed): every exact, lower-bound and Monte Carlo value it reads is,
     bitwise, the op of the row run_sweep prints for that spec, since each
-    point draws from RngStream(seed), the common random numbers of the
-    sweep.  A grid, trials or seed that the spec rejects raises its
-    ConfigError before any point runs; so do workers other than an integer
-    >= 1 (TypeError or ValueError) and a tolerance that is not finite and
-    > 0 (ValueError).
+    point draws from the common random numbers of the sweep's seed.  A
+    grid, trials or seed that the spec rejects raises its ConfigError
+    before any point runs; so do workers other than an integer >= 1
+    (TypeError or ValueError) and a tolerance that is not finite and > 0
+    (ValueError).
 
     A point whose expected count of outages, or of successes, is below
     ~25 in both the exact value and the estimate cannot falsify the closed
@@ -201,9 +201,7 @@ def validate(
     line_conf = 1.0 - (1.0 - _CONF) / (len(grid) * len(users))
 
     def evaluate(snr: float):
-        sim = mcsim.simulate_outage_all(
-            cfg, snr, trials, rng=mcsim.RngStream(spec.seed),
-        )["monte_carlo"]
+        sim = mcsim.simulate_outage_all(cfg, snr, trials, seed=spec.seed)["monte_carlo"]
         return sim, [(analytic.exact_outage(cfg, snr, l).value,
                       analytic.lower_bound_outage(cfg, snr, l).value) for l in users]
 

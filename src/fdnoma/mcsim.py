@@ -6,9 +6,10 @@ user's joint SIC stage event is tested from the SINR expression directly,
 as one linear inequality in five per-trial statistics (see _PointPlan).
 
 Reproducibility: trials are partitioned into fixed chunks of CHUNK_TRIALS;
-chunk i spawns n_users + 2 child streams of (seed, base_stream + i), one per
-variable: the first hop, users 1..L, then the SI gain.  Each child is read
-block after block, so a variable's draws do not depend on the block size.
+chunk i spawns n_users + 2 child streams of SeedSequence((seed, i)), one
+per variable: the first hop, users 1..L, then the SI gain.  Each child is
+read block after block, so a variable's draws do not depend on the block
+size.
 Chunk counts are integers and merge by addition, so the totals are
 identical for any worker count and any execution order.
 
@@ -50,7 +51,6 @@ __all__ = [
     "BLOCK_TRIALS",
     "MIN_TRIALS",
     "SIM_METHODS",
-    "RngStream",
     "wilson_interval",
     "sample_first_hop",
     "sample_second_hop",
@@ -86,25 +86,6 @@ def __getattr__(name: str):
         globals()[name] = ProcessPoolExecutor
         return ProcessPoolExecutor
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """Counter-style stream identity: (seed, stream_id) fixes all draws."""
-
-    seed: int
-    stream_id: int = 0
-
-    def generator(self) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence((self.seed, self.stream_id)))
-
-    def child(self, offset: int) -> "RngStream":
-        return RngStream(self.seed, self.stream_id + offset)
-
-    def spawn(self, n: int) -> list[np.random.Generator]:
-        """n independent generators, the children of this stream's seed."""
-        seq = np.random.SeedSequence((self.seed, self.stream_id))
-        return [np.random.default_rng(child) for child in seq.spawn(n)]
 
 
 def _integer_at_least(value, low: int, name: str) -> int:
@@ -306,19 +287,22 @@ def _sweep_chunk(
     cfg: SystemConfig,
     plans: list[_PointPlan],
     size: int,
-    stream: RngStream,
+    seed: int,
+    chunk: int,
 ) -> np.ndarray:
-    """Outage counts (point, method, user) of one chunk of trials.
+    """Outage counts (point, method, user) of the size trials of chunk
+    number chunk.
 
-    The chunk's variables come from stream.spawn(n_users + 2): child 0
-    draws the first hop row-major (size, n_b), children 1..L users 1..L
-    and child L+1 the SI gain.  Each block of BLOCK_TRIALS trials draws the
-    first hop into a scratch of max(n_b, n_users) rows, its top two into
-    x[0] and x[2] (free until the user loop) and their sum into x[1], then
-    the users into the same scratch.  The users' order statistics are taken
-    by compare-exchange (_sort_rows, carry x[4]): once per block for the
-    points that scale all users alike, and per point, rescaled into n_users
-    more rows, for the others.
+    The chunk's variables come from the n_users + 2 children of
+    SeedSequence((seed, chunk)): child 0 draws the first hop row-major
+    (size, n_b), children 1..L users 1..L and child L+1 the SI gain.  Each
+    block of BLOCK_TRIALS trials draws the first hop into a scratch of
+    max(n_b, n_users) rows, its top two into x[0] and x[2] (free until the
+    user loop) and their sum into x[1], then the users into the same
+    scratch.  The users' order statistics are taken by compare-exchange
+    (_sort_rows, carry x[4]): once per block for the points that scale all
+    users alike, and per point, rescaled into n_users more rows, for the
+    others.
     Each user's statistics x (see _PointPlan) are loaded once per block for
     the first kind of point and once per point for the second.  Each
     (point, user) pair is then one matrix product w x, (methods, 5) by
@@ -326,7 +310,8 @@ def _sweep_chunk(
     read in order, so the draws do not depend on the block size.
     """
     n_users = cfg.n_users
-    first, *user_rngs, si_rng = stream.spawn(n_users + 2)
+    first, *user_rngs, si_rng = map(np.random.default_rng,
+                                    np.random.SeedSequence((seed, chunk)).spawn(n_users + 2))
     user_shapes = [m * cfg.n_r for m in cfg.m_ru]
     # the points that share B rows: each point whose users' scales differ
     # alone, then the others together, last, as they sort the draws in place
@@ -369,45 +354,37 @@ def _sweep_chunk(
     return counts
 
 
-def _sweep_chunk_star(args):
-    return _sweep_chunk(*args)
-
-
 def simulate_sweep(
     points: Sequence[tuple[SystemConfig, float]],
     trials: int,
-    rng: RngStream | int = 0,
+    seed: int = 0,
     workers: int = 1,
     methods: tuple[str, ...] = ("monte_carlo",),
 ) -> list[dict[str, list[OutagePoint]] | FdnomaError]:
     """Estimated OP of every user at every (config, snr_db) point of a sweep.
 
     Common random numbers: chunk i of the trials draws its standard Gamma
-    variates once, from the children of rng.child(i), and every point
-    reweights the same draws, so each point's estimate equals, bitwise, a
-    one-point call on the same stream, and counts are bitwise the same at
-    any worker count.  The points may differ only in what rescales the
-    draws (SNR, distances, estimation and delay impairments, SI parameters,
-    power split, thresholds); antenna counts, user count and Nakagami shapes
-    must agree, or ValueError is raised.  All methods share the draws too,
-    so method differences at one point are paired.  The outage test is a
-    BLAS product, so another method set (gemv for one method, gemm for
-    more), block size or BLAS kernel may change a count, but only by a
-    trial within a few ulps of the outage boundary.
+    variates once, from the children of SeedSequence((seed, i)), and every
+    point reweights the same draws, so each point's estimate equals,
+    bitwise, a one-point call on the same seed, and counts are bitwise the
+    same at any worker count.  The points may differ only in what rescales
+    the draws (SNR, distances, estimation and delay impairments, SI
+    parameters, power split, thresholds); antenna counts, user count and
+    Nakagami shapes must agree, or ValueError is raised.  All methods share
+    the draws too, so method differences at one point are paired.  The
+    outage test is a BLAS product, so another method set (gemv for one
+    method, gemm for more), block size or BLAS kernel may change a count,
+    but only by a trial within a few ulps of the outage boundary.
 
     Returns one entry per point: a dict from each method to its users'
     OutagePoints, or the FdnomaError raised while planning the point.
-    trials must be an integer >= MIN_TRIALS, workers >= 1, rng an RngStream
-    or seed of nonnegative integers; all are checked before any point is
-    planned.  Each OutagePoint's ci is the 95% Wilson interval of its count.
+    trials must be an integer >= MIN_TRIALS, workers one >= 1 and seed one
+    >= 0; all are checked before any point is planned.  Each OutagePoint's
+    ci is the 95% Wilson interval of its count.
     """
     trials = _integer_at_least(trials, MIN_TRIALS, "trials")
     workers = _integer_at_least(workers, 1, "workers")
-    if isinstance(rng, RngStream):
-        _integer_at_least(rng.seed, 0, "the rng seed")
-        _integer_at_least(rng.stream_id, 0, "the rng stream_id")
-    else:
-        rng = RngStream(_integer_at_least(rng, 0, "rng"))
+    seed = _integer_at_least(seed, 0, "seed")
     for m in methods:
         if m not in SIM_METHODS:
             raise ValueError(f"unknown simulation method {m!r}")
@@ -432,11 +409,11 @@ def simulate_sweep(
     if live:
         n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
         sizes = [CHUNK_TRIALS] * (n_chunks - 1) + [trials - CHUNK_TRIALS * (n_chunks - 1)]
-        jobs = [(cfg, live, sizes[i], rng.child(i)) for i in range(n_chunks)]
+        jobs = [(cfg, live, sizes[i], seed, i) for i in range(n_chunks)]
         if workers > 1 and n_chunks > 1:
             pool_class = sys.modules[__name__].ProcessPoolExecutor
             with pool_class(max_workers=min(workers, n_chunks)) as pool:
-                for counts in pool.map(_sweep_chunk_star, jobs):
+                for counts in pool.map(_sweep_chunk, *zip(*jobs)):
                     total += counts
         else:
             for job in jobs:
@@ -469,13 +446,13 @@ def simulate_outage_all(
     cfg: SystemConfig,
     snr_db: float,
     trials: int,
-    rng: RngStream | int = 0,
+    seed: int = 0,
     workers: int = 1,
     methods: tuple[str, ...] = ("monte_carlo",),
 ) -> dict[str, list[OutagePoint]]:
     """Estimated OP for every user, for each requested simulation method:
     a one-point simulate_sweep.  Raises the error of the point."""
-    (res,) = simulate_sweep([(cfg, snr_db)], trials, rng, workers, methods)
+    (res,) = simulate_sweep([(cfg, snr_db)], trials, seed, workers, methods)
     if isinstance(res, FdnomaError):
         raise res
     return res
@@ -486,12 +463,12 @@ def simulate_outage(
     snr_db: float,
     l: int,
     trials: int,
-    rng: RngStream | int = 0,
+    seed: int = 0,
     workers: int = 1,
 ) -> OutagePoint:
     """OP of user l by direct simulation, Wilson CI attached."""
     check_user(l, cfg.n_users)
-    res = simulate_outage_all(cfg, snr_db, trials, rng, workers, ("monte_carlo",))
+    res = simulate_outage_all(cfg, snr_db, trials, seed, workers, ("monte_carlo",))
     return res["monte_carlo"][l - 1]
 
 
@@ -501,7 +478,7 @@ def simulate_baseline(
     l: int,
     baseline: Baseline,
     trials: int,
-    rng: RngStream | int = 0,
+    seed: int = 0,
     workers: int = 1,
 ) -> OutagePoint:
     """HD-NOMA (no SI, the FD thresholds) or FD-OMA (single-user, product
@@ -509,5 +486,5 @@ def simulate_baseline(
     if baseline not in get_args(Baseline):
         raise ConfigError(f"unknown baseline {baseline!r}")
     check_user(l, cfg.n_users)
-    res = simulate_outage_all(cfg, snr_db, trials, rng, workers, (baseline,))
+    res = simulate_outage_all(cfg, snr_db, trials, seed, workers, (baseline,))
     return res[baseline][l - 1]

@@ -34,12 +34,11 @@ def _exact_batch(points, users, methods, spec, workers):
 
 
 def _simulation_batch(points, users, methods, spec, workers):
-    """The simulation methods as one Monte Carlo sweep on common random
-    numbers from RngStream(spec.seed); a point that fails puts its error in
-    its own cells."""
-    results = mcsim.simulate_sweep(list(points.values()), spec.trials,
-                                   rng=mcsim.RngStream(spec.seed), workers=workers,
-                                   methods=methods)
+    """The simulation methods as one Monte Carlo sweep on the common random
+    numbers of spec.seed; a point that fails puts its error in its own
+    cells."""
+    results = mcsim.simulate_sweep(list(points.values()), spec.trials, seed=spec.seed,
+                                   workers=workers, methods=methods)
     return {(idx, user, m): res if isinstance(res, FdnomaError) else res[m][user - 1]
             for idx, res in zip(points, results) for user in users for m in methods}
 
@@ -100,21 +99,22 @@ MAX_GRID_POINTS = 100_000
 
 def linear_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     """start, start + step, ... up to stop, with a slack of 1e-9 steps plus
-    8 ulps of the larger bound (a point past stop by rounding alone still
-    counts), each rounded to 12 decimals; at most MAX_GRID_POINTS points,
-    counted before any is made."""
+    8 ulps of the larger bound, at most a quarter step (a point past stop by
+    rounding alone still counts), each rounded to 12 decimals, or to 12
+    digits past the step's leading one when the step is below 1; at most
+    MAX_GRID_POINTS points, counted before any is made."""
     if not all(math.isfinite(x) for x in (start, stop, step)):
         raise ConfigError(f"grid bounds must be finite, got {start}:{stop}:{step}")
     if step <= 0 or stop < start:
         raise ConfigError(f"grid must be an increasing range, got {start}:{stop}:{step}")
-    end = stop + 1e-9 * step + 8 * math.ulp(max(abs(start), abs(stop)))
-    # the last index k with start + k step <= end, to within rounding
-    last = (end - start) / step
+    # the last index k with start + k step <= stop, to within the slack
+    slack = min(1e-9 + 8 * math.ulp(max(abs(start), abs(stop))) / step, 0.25)
+    last = (stop - start) / step + slack
     if not last < MAX_GRID_POINTS:
         raise ConfigError(f"grid {start}:{stop}:{step} has {last + 1:.6g} points, "
                           f"more than the {MAX_GRID_POINTS} a sweep takes")
-    return tuple(round(start + k * step, 12) for k in range(math.floor(last) + 2)
-                 if start + k * step <= end)
+    digits = 12 - min(0, math.floor(math.log10(step)))
+    return tuple(round(start + k * step, digits) for k in range(math.floor(last) + 1))
 
 
 def check_grid(grid: tuple[float, ...], name: str) -> None:

@@ -21,8 +21,8 @@ def recording_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(mcsim, "ProcessPoolExecutor", RecordingPool)
     return created

@@ -10,13 +10,18 @@ Runs the CLI of the src/fdnoma next to this file, in process:
 - `fdnoma sweep --axis mu --snr 15` of all seven methods twice: on the
   default config over mu = 0..1.5, whose points past 1 the axis rejects,
   and at alpha_si = 1e-20 over mu = 0..1, where the exact form fails at
-  some points and asymptotic_practical at every one.
+  some points and asymptotic_practical at every one;
+- two Monte Carlo runs of several 1e6-trial chunks on a pool of 2:
+  `fdnoma sweep --grid 0:20:10 --trials 2100000 --workers 2` of the three
+  simulation methods (3 chunks, the last one partial) and
+  `fdnoma validate --grid 0:30:10 --trials 2500000 --workers 2`, so that
+  the streams of the chunks past the first, and the pool, are covered.
 
 Each command's stdout, stderr and exit code go to OUTDIR/NAME.out, .err
 and .code.  Snapshot two trees into two directories (copy this file into a
 checkout that lacks it); `diff -r` of the two is the check.  No --timings
 run is made, as wall_ms is the one column allowed to change.  pytest does
-not collect this file; a run takes a few seconds.
+not collect this file; a run takes several seconds.
 """
 
 import contextlib
@@ -63,6 +68,10 @@ def main(argv: list[str]) -> int:
              "--methods", ALL_METHODS]
     run(out, "sweep_mu", [*sweep, "--grid", "0:1.5:0.25"])
     run(out, "sweep_mu_alpha_si", [*sweep, "--grid", "0:1:0.25", "--config", str(cfg)])
+    run(out, "sweep_chunks", ["sweep", "--grid", "0:20:10", "--trials", "2100000",
+                              "--workers", "2", "--methods", "monte_carlo,hd_noma,fd_oma"])
+    run(out, "validate_chunks", ["validate", "--grid", "0:30:10", "--trials", "2500000",
+                                 "--workers", "2"])
     return 0
 
 

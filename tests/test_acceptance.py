@@ -46,7 +46,7 @@ from fdnoma.analytic import (
     ordered_gain_law,
 )
 from fdnoma.cli import run_sweep
-from fdnoma.mcsim import RngStream, wilson_interval
+from fdnoma.mcsim import wilson_interval
 from fdnoma.presets import figure_preset
 from fdnoma.specfn import ln_bessel_k_int
 from fdnoma.sysmodel import (
@@ -81,9 +81,9 @@ def test_criterion_1_cross_engine_agreement():
     for every Fig. 4 / Fig. 5 curve, SNR in {0,5,...,30}, every user.
 
     Both values are the rows run_sweep prints for the curve, one sweep per
-    curve on the stream RngStream(SEED): the CSV rows of the fig4/fig5
-    presets at this trial count and seed, since a sub-grid prints the same
-    Monte Carlo rows as the full grid (tests/test_cli.py).
+    curve on seed SEED: the CSV rows of the fig4/fig5 presets at this trial
+    count and seed, since a sub-grid prints the same Monte Carlo rows as the
+    full grid (tests/test_cli.py).
     """
     misses = []
     worst = (0.0, "")
@@ -250,11 +250,11 @@ def test_criterion_5_baseline_crossovers():
     baseline over mu at 15 dB, common draws.
 
     One run_sweep call over the fig9 grid gives the exact, Monte Carlo FD
-    and Monte Carlo HD rows, on the stream RngStream(SEED).  For each user,
-    whether the Monte Carlo FD and HD curves cross in mu, and where, must
-    match the closed-form prediction (FD: the exact row; HD:
-    _hd_noma_outage) to within 0.1 in mu, and every Monte Carlo value must
-    lie within 4.5 standard errors of its closed form.  HD has no SI term,
+    and Monte Carlo HD rows, on seed SEED.  For each user, whether the
+    Monte Carlo FD and HD curves cross in mu, and where, must match the
+    closed-form prediction (FD: the exact row; HD: _hd_noma_outage) to
+    within 0.1 in mu, and every Monte Carlo value must lie within 4.5
+    standard errors of its closed form.  HD has no SI term,
     and the mu axis changes only the SI power, so on common draws the HD
     estimate is the same at every mu.  The paper's crossover claims are
     reported but not asserted: the module docstring shows why this SIC
@@ -359,7 +359,7 @@ def test_criterion_7_distributional_correctness():
     ok = ok and abs(mass - 1.0) < 1e-8
     details.append(f"selection-sum mass err {abs(mass-1.0):.1e}")
 
-    rng = RngStream(SEED, 777).generator()
+    rng = np.random.default_rng((SEED, 777))
     samples = np.ascontiguousarray(sample_first_hop(cfg, stats, rng, draws))
     hist, edges = np.histogram(samples, bins=100, range=(0.0, float(np.quantile(samples, 0.999))),
                                density=True)

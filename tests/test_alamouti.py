@@ -37,7 +37,7 @@ class TestLoopback:
             sigma2_est_ru=(0.0,), fd_tau_ru=(0.0,),
         )
         ch = FixedChannels(h_sr=(0.8 + 0.3j, -0.4 + 1.1j), h_ru=((1.2 - 0.7j,),), si_gain=0.0)
-        out = run_symbol_chain(cfg, ch, snr_db=None, blocks=500, rng=0)
+        out = run_symbol_chain(cfg, ch, snr_db=None, blocks=500, seed=0)
         decoded = out.combined[0] / (out.mean_gain[0] * np.sqrt(cfg.a[0] / 2.0))
         # hard decisions against the constellation
         idx = np.argmin(np.abs(decoded[..., None] - QPSK[None, None, :]), axis=-1)
@@ -53,7 +53,7 @@ class TestMeasuredSinr:
         worst = 0.0
         for trial in range(10):
             ch = random_channels(PRACTICAL, rng, si=float(rng.uniform(0.05, 1.5)))
-            meas = symbol_level_validate(PRACTICAL, ch, 15.0, 1_000_000, rng=trial)
+            meas = symbol_level_validate(PRACTICAL, ch, 15.0, 1_000_000, seed=trial)
             for l in (1, 2, 3):
                 pred = predicted_sinr(PRACTICAL, ch, 15.0, l)
                 for k in range(l):
@@ -65,7 +65,7 @@ class TestMeasuredSinr:
         cfg = SystemConfig(n_b=2, n_r=1, mu=1.0)
         rng = np.random.default_rng(7)
         ch = random_channels(cfg, rng, si=1.0)
-        meas = symbol_level_validate(cfg, ch, 10.0, 400_000, rng=1)
+        meas = symbol_level_validate(cfg, ch, 10.0, 400_000, seed=1)
         for l in (1, 2, 3):
             pred = predicted_sinr(cfg, ch, 10.0, l)
             for k in range(l):
@@ -85,7 +85,7 @@ class TestMeasuredSinr:
         )
         rng = np.random.default_rng(11)
         ch = random_channels(cfg, rng, si=0.0001)
-        meas = symbol_level_validate(cfg, ch, 25.0, 200_000, rng=3)
+        meas = symbol_level_validate(cfg, ch, 25.0, 200_000, seed=3)
         pred = [predicted_sinr(cfg, ch, 25.0, l) for l in (1, 2, 3)]
         for m, p in zip(meas, pred):
             for got, want in zip(m, p, strict=True):

@@ -744,7 +744,7 @@ class TestExactOutage:
     )
     def test_agrees_with_simulator(self, cfg, snr):
         for l in (1, 2, 3):
-            mc = simulate_outage(cfg, snr, l, 400_000, rng=3)
+            mc = simulate_outage(cfg, snr, l, 400_000, seed=3)
             exact = exact_outage(cfg, snr, l).value
             sd = math.sqrt(max(mc.value * (1 - mc.value), 1e-12) / 400_000)
             assert abs(exact - mc.value) < 4.5 * sd + 1e-6
@@ -755,7 +755,7 @@ class TestExactOutage:
         # not even a probability), the consistent variant sits inside the
         # Monte Carlo uncertainty
         cfg, snr, l = replace(BASE, n_b=3), 10.0, 2
-        mc = simulate_outage(cfg, snr, l, 200_000, rng=5)
+        mc = simulate_outage(cfg, snr, l, 200_000, seed=5)
         consistent = exact_outage(cfg, snr, l).value
         sd = math.sqrt(mc.value * (1 - mc.value) / 200_000)
         assert abs(consistent - mc.value) < 5 * sd

@@ -434,10 +434,14 @@ class TestPresets:
 
     @pytest.mark.parametrize("start, stop, step, points", [
         (0.0, 5e-10, 1e-10, 6), (0.0, 1e-11, 1e-12, 11), (1000.0, 1000.00001, 1e-6, 11),
+        # steps below 1e-12, and steps of a few ulps of the bounds
+        (0.0, 1e-12, 1e-13, 11), (0.0, 6e-12, 1.5e-12, 5), (5e15, 5e15 + 4, 1.0, 5),
+        (1e20, 1e20, 1.0, 1),
     ])
     def test_grid_ends_at_stop_at_any_scale(self, start, stop, step, points):
         grid = linear_grid(start, stop, step)
         assert len(grid) == points and grid[-1] == stop
+        assert all(abs(x - (start + k * step)) <= 1e-9 * step for k, x in enumerate(grid))
 
     # the preset grids and the CLI's default --grid values
     @pytest.mark.parametrize("start, stop, step", [
@@ -502,7 +506,7 @@ class TestValidate:
         """Replace the Monte Carlo estimate of user l by outages[l] outages
         out of the trials validate asks for."""
 
-        def fake(cfg, snr_db, trials, rng=0, workers=1, **kw):
+        def fake(cfg, snr_db, trials, seed=0, workers=1, **kw):
             return {"monte_carlo": [
                 OutagePoint(l, snr_db, k / trials, "monte_carlo",
                             ci=mcsim.wilson_interval(k, trials))
@@ -680,7 +684,7 @@ class TestValidate:
     def test_engine_calls_per_point_and_user(self, workers, monkeypatch):
         # the per-point calls the benchmark's validate workload reads its
         # values through, each looked up on its module when it runs: one
-        # Monte Carlo call per point, every one on the sweep's RngStream(seed),
+        # Monte Carlo call per point, every one on the sweep's seed,
         # and one exact and one lower-bound call per (point, user)
         simulate, exact, bound = (mcsim.simulate_outage_all, analytic.exact_outage,
                                   analytic.lower_bound_outage)
@@ -689,7 +693,7 @@ class TestValidate:
         def recorder(name, fn):
             def call(cfg, snr_db, *args, **kwargs):
                 with lock:
-                    calls.append((name, snr_db, args, kwargs.get("rng")))
+                    calls.append((name, snr_db, args, kwargs.get("seed")))
                 return fn(cfg, snr_db, *args, **kwargs)
             return call
 
@@ -699,7 +703,7 @@ class TestValidate:
         validate(BASE, (0.0, 10.0), trials=10_000, seed=7, workers=workers)
         users = range(1, BASE.n_users + 1)
         assert sorted(calls, key=repr) == sorted(
-            [("mc", snr, (10_000,), mcsim.RngStream(7)) for snr in (0.0, 10.0)]
+            [("mc", snr, (10_000,), 7) for snr in (0.0, 10.0)]
             + [(name, snr, (l,), None) for name in ("exact", "bound") for snr in (0.0, 10.0)
                for l in users], key=repr)
 

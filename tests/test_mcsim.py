@@ -21,7 +21,6 @@ import fdnoma.mcsim as mcsim
 from fdnoma.cli import run_sweep
 from fdnoma.errors import ConfigError, FdnomaError, ImpairmentError, InfeasibleAllocationError
 from fdnoma.mcsim import (
-    RngStream,
     sample_first_hop,
     sample_second_hop,
     sample_si_gain,
@@ -45,24 +44,12 @@ BASE = SystemConfig()
 STATS = derive_link_stats(BASE, 10.0)
 
 
-class TestRngStream:
-    def test_reproducible(self):
-        a = RngStream(7, 3).generator().standard_normal(5)
-        b = RngStream(7, 3).generator().standard_normal(5)
-        assert np.array_equal(a, b)
-
-    def test_streams_differ(self):
-        a = RngStream(7, 3).generator().standard_normal(5)
-        b = RngStream(7, 4).generator().standard_normal(5)
-        assert not np.array_equal(a, b)
-
-
 class TestStandardGamma:
     @pytest.mark.parametrize("shape", [1, 1.0, 0.5, 2.5])
     def test_draws_and_state_equal_standard_gamma(self, shape):
         # at shape 1 the helper calls standard_exponential(out=), which
         # numpy's standard_gamma(1.0) calls per element
-        ours, ref = RngStream(12).generator(), RngStream(12).generator()
+        ours, ref = np.random.default_rng(12), np.random.default_rng(12)
         x = mcsim._standard_gamma(ours, shape, np.empty(10_001))
         y = ref.standard_gamma(shape, size=10_001)
         assert np.array_equal(_bits(x), _bits(y))
@@ -71,17 +58,17 @@ class TestStandardGamma:
 
 class TestSamplers:
     def test_two_antenna_sum_mean(self):
-        rng = RngStream(1).generator()
+        rng = np.random.default_rng(1)
         a = sample_first_hop(BASE, STATS, rng, 1_000_000)
         se = a.std() / math.sqrt(a.size)
         assert abs(a.mean() - 2 * STATS.omega_hat_sr) < 3 * se
 
     def test_selection_against_full_sort_oracle(self):
         cfg3 = replace(BASE, n_b=3)
-        rng = RngStream(2).generator()
+        rng = np.random.default_rng(2)
         a = sample_first_hop(cfg3, STATS, rng, 200_000)
         # identical draws through the naive full-sort oracle
-        oracle_rng = RngStream(2).generator()
+        oracle_rng = np.random.default_rng(2)
         g = oracle_rng.gamma(cfg3.m_sr, STATS.omega_hat_sr / cfg3.m_sr, size=(200_000, 3))
         g.sort(axis=1)
         assert np.allclose(a, g[:, -1] + g[:, -2])
@@ -91,10 +78,10 @@ class TestSamplers:
         assert abs(a.mean() - expect) < 3.5 * se
 
     def test_mean_scales_with_power(self):
-        rng = RngStream(3).generator()
+        rng = np.random.default_rng(3)
         a1 = sample_first_hop(BASE, STATS, rng, 400_000).mean()
         boosted = derive_link_stats(replace(BASE, d_sr=0.5 / 2**0.25), 10.0)  # doubles omega
-        rng = RngStream(3).generator()
+        rng = np.random.default_rng(3)
         a2 = sample_first_hop(BASE, boosted, rng, 400_000).mean()
         assert a2 / a1 == pytest.approx(2.0, rel=2e-3)
 
@@ -102,7 +89,7 @@ class TestSamplers:
         cfg = replace(BASE, n_users=1, m_ru=(2,), d_ru=(0.5,), a=(1.0,), gamma_th=(0.9,),
                       sigma2_est_ru=(0.0,), fd_tau_ru=(0.0,), n_r=2)
         st = derive_link_stats(cfg, 10.0)
-        rng = RngStream(4).generator()
+        rng = np.random.default_rng(4)
         b = sample_second_hop(cfg, st, rng, 400_000)[:, 0]
         shape = cfg.m_ru[0] * cfg.n_r
         scale = st.omega_hat_ru[0] / cfg.m_ru[0]
@@ -110,21 +97,21 @@ class TestSamplers:
         assert res.pvalue > 0.01
 
     def test_min_of_three_exponentials_mean(self):
-        rng = RngStream(5).generator()
+        rng = np.random.default_rng(5)
         b = sample_second_hop(BASE, STATS, rng, 1_000_000)
         se = b[:, 0].std() / 1000.0
         assert abs(b[:, 0].mean() - STATS.omega_hat_ru[0] / 3.0) < 3 * se
 
     def test_ordering(self):
-        rng = RngStream(6).generator()
+        rng = np.random.default_rng(6)
         b = sample_second_hop(BASE, STATS, rng, 1000)
         assert np.all(b[:, 0] <= b[:, 1]) and np.all(b[:, 1] <= b[:, 2])
 
     def test_second_hop_equals_scaled_full_sort(self):
         cfg = replace(BASE, m_ru=(1, 2, 3), sigma2_est_ru=(0.01, 0.02, 0.03))
         stats = derive_link_stats(cfg, 10.0)
-        b = sample_second_hop(cfg, stats, RngStream(8).generator(), 50_000)
-        rng = RngStream(8).generator()
+        b = sample_second_hop(cfg, stats, np.random.default_rng(8), 50_000)
+        rng = np.random.default_rng(8)
         ref = np.stack([rng.standard_gamma(m * cfg.n_r, size=50_000) for m in cfg.m_ru], axis=1)
         ref = ref * np.array([om / m for om, m in zip(stats.omega_hat_ru, cfg.m_ru)])
         ref.sort(axis=1)
@@ -132,7 +119,7 @@ class TestSamplers:
         assert np.array_equal(b, ref)
 
     def test_si_gain_marginal(self):
-        rng = RngStream(7).generator()
+        rng = np.random.default_rng(7)
         c = sample_si_gain(BASE, STATS, rng, 400_000)
         res = kstest(c, gamma_dist(a=BASE.m_rr, scale=STATS.omega_rr / BASE.m_rr).cdf)
         assert res.pvalue > 0.01
@@ -161,7 +148,7 @@ class TestOrderStatisticKernels:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_sort_rows_on_block_views(self, n):
         block = mcsim.BLOCK_TRIALS
-        x = np.round(RngStream(9).generator().standard_gamma(1.0, size=(n, 2 * block + 123)), 2)
+        x = np.round(np.random.default_rng(9).standard_gamma(1.0, size=(n, 2 * block + 123)), 2)
         ref = np.sort(x, axis=0)
         tmp = np.empty(block)
         for lo in range(0, x.shape[1], block):
@@ -172,7 +159,7 @@ class TestOrderStatisticKernels:
     @pytest.mark.parametrize("m_sr", [0.5, 1, 2.5])
     @pytest.mark.parametrize("n_b", [2, 3, 4, 5, 6])
     def test_top2_equals_partition_reference(self, n_b, m_sr):
-        g = RngStream(10, n_b).generator().standard_gamma(m_sr, size=(20_000, n_b))
+        g = np.random.default_rng((10, n_b)).standard_gamma(m_sr, size=(20_000, n_b))
         top = mcsim._top2(g, np.empty((2, 20_000)))
         g.partition(n_b - 2, axis=1)
         assert top.shape == (2, 20_000)
@@ -183,7 +170,7 @@ class TestOrderStatisticKernels:
         # views of BLOCK_TRIALS rows, as _sweep_chunk passes them; the last
         # block is short
         size = 2 * mcsim.BLOCK_TRIALS + 123
-        g = RngStream(11, n_b).generator().standard_gamma(2.5, size=(size, n_b))
+        g = np.random.default_rng((11, n_b)).standard_gamma(2.5, size=(size, n_b))
         top = np.empty((2, size))
         for lo in range(0, size, mcsim.BLOCK_TRIALS):
             mcsim._top2(g[lo:lo + mcsim.BLOCK_TRIALS], top[:, lo:lo + mcsim.BLOCK_TRIALS])
@@ -322,7 +309,7 @@ class TestWilson:
         covered = 0
         runs = 200
         for seed in range(1000, 1000 + runs):
-            pt = simulate_outage(BASE, 10.0, 2, 20_000, rng=seed)
+            pt = simulate_outage(BASE, 10.0, 2, 20_000, seed=seed)
             lo, hi = pt.ci
             covered += lo <= truth <= hi
         assert 0.93 * runs <= covered <= 0.97 * runs
@@ -331,7 +318,7 @@ class TestWilson:
 class TestSimulateOutage:
     def test_zero_thresholds_never_fail(self):
         cfg = replace(BASE, gamma_th=(1e-12, 1e-12, 1e-12))
-        pt = simulate_outage(cfg, 10.0, 1, 50_000, rng=1)
+        pt = simulate_outage(cfg, 10.0, 1, 50_000, seed=1)
         assert pt.value == 0.0
 
     @pytest.mark.parametrize("l", [0, -1, 4, 1.0, True])
@@ -345,11 +332,11 @@ class TestSimulateOutage:
 
     def test_trials_floor(self):
         with pytest.raises(ValueError):
-            simulate_outage(BASE, 10.0, 1, 100, rng=1)
+            simulate_outage(BASE, 10.0, 1, 100, seed=1)
 
     def test_deterministic_across_worker_counts(self):
         res = [
-            simulate_outage(BASE, 10.0, 2, 2_500_000, rng=9, workers=w).value
+            simulate_outage(BASE, 10.0, 2, 2_500_000, seed=9, workers=w).value
             for w in (1, 2, 4)
         ]
         assert res[0] == res[1] == res[2]
@@ -360,12 +347,12 @@ class TestSimulateOutage:
             simulate_outage_all(BASE, 10.0, trials)
 
     def test_numpy_integer_trials_accepted(self):
-        a = simulate_outage_all(BASE, 10.0, np.int64(20_000), rng=11)
-        assert a == simulate_outage_all(BASE, 10.0, 20_000, rng=11)
+        a = simulate_outage_all(BASE, 10.0, np.int64(20_000), seed=11)
+        assert a == simulate_outage_all(BASE, 10.0, 20_000, seed=11)
 
     def test_repeatable(self):
-        a = simulate_outage(BASE, 10.0, 2, 50_000, rng=11)
-        b = simulate_outage(BASE, 10.0, 2, 50_000, rng=11)
+        a = simulate_outage(BASE, 10.0, 2, 50_000, seed=11)
+        b = simulate_outage(BASE, 10.0, 2, 50_000, seed=11)
         assert a.value == b.value and a.ci == b.ci
 
     def test_stochastic_dominance_threshold_dominated(self):
@@ -378,18 +365,18 @@ class TestSimulateOutage:
             gamma_th=(2.0, 2.5, 3.0),
             mu=0.0,
         )
-        res = simulate_outage_all(cfg, 15.0, 500_000, rng=13)["monte_carlo"]
+        res = simulate_outage_all(cfg, 15.0, 500_000, seed=13)["monte_carlo"]
         assert res[0].value <= res[1].value <= res[2].value
 
     def test_order_statistics_dominate_with_tied_thresholds(self):
         # the baseline allocation ties Lambda+ at 18 for every user, so the
         # ordering is driven purely by the sorted second-hop gains and the
         # strongest-ordered user (l = 3) fails least
-        res = simulate_outage_all(BASE, 15.0, 500_000, rng=13)["monte_carlo"]
+        res = simulate_outage_all(BASE, 15.0, 500_000, seed=13)["monte_carlo"]
         assert res[0].value >= res[1].value >= res[2].value
 
     def test_ci_attached_and_brackets(self):
-        pt = simulate_outage(BASE, 15.0, 2, 50_000, rng=15)
+        pt = simulate_outage(BASE, 15.0, 2, 50_000, seed=15)
         assert pt.ci is not None and pt.ci[0] <= pt.value <= pt.ci[1]
         assert pt.method == "monte_carlo"
 
@@ -401,8 +388,8 @@ class TestSimulateOutage:
 
 class TestBaselines:
     def test_hd_independent_of_si_quality(self):
-        a = simulate_baseline(replace(BASE, mu=0.2), 15.0, 2, "hd_noma", 50_000, rng=17)
-        b = simulate_baseline(replace(BASE, mu=0.9), 15.0, 2, "hd_noma", 50_000, rng=17)
+        a = simulate_baseline(replace(BASE, mu=0.2), 15.0, 2, "hd_noma", 50_000, seed=17)
+        b = simulate_baseline(replace(BASE, mu=0.9), 15.0, 2, "hd_noma", 50_000, seed=17)
         assert a.value == b.value
 
     def test_hd_dominates_fd_pointwise_with_equal_thresholds(self):
@@ -411,7 +398,7 @@ class TestBaselines:
         # event is a subset of the full-duplex one at every mu
         for mu in (0.0, 0.5, 1.0):
             res = simulate_outage_all(
-                replace(BASE, mu=mu), 15.0, 200_000, rng=19,
+                replace(BASE, mu=mu), 15.0, 200_000, seed=19,
                 methods=("monte_carlo", "hd_noma"),
             )
             for l in range(3):
@@ -424,7 +411,7 @@ class TestBaselines:
         from fdnoma.sysmodel import map_baseline_thresholds
 
         lam = map_baseline_thresholds(BASE, "fd_oma")[0]
-        res = simulate_outage_all(BASE, 10.0, 400_000, rng=21, methods=("fd_oma",))["fd_oma"]
+        res = simulate_outage_all(BASE, 10.0, 400_000, seed=21, methods=("fd_oma",))["fd_oma"]
         for l in (1, 2, 3):
             exact = exact_outage_for_lambda(BASE, 10.0, l, lam).value
             sd = math.sqrt(max(res[l - 1].value * (1 - res[l - 1].value), 1e-9) / 400_000)
@@ -434,7 +421,7 @@ class TestBaselines:
         # baseline thresholds: the product map gives 13.25, below the tied
         # SIC maximum of 18, so here the single-user service wins for every
         # user (the aggregate-rate mapping is generous at these targets)
-        res = simulate_outage_all(BASE, 15.0, 200_000, rng=23,
+        res = simulate_outage_all(BASE, 15.0, 200_000, seed=23,
                                   methods=("monte_carlo", "fd_oma"))
         for l in range(3):
             assert res["fd_oma"][l].value <= res["monte_carlo"][l].value
@@ -459,11 +446,11 @@ def _squared(cfg):
     return replace(cfg, gamma_th=tuple((1.0 + g) ** 2 - 1.0 for g in cfg.gamma_th))
 
 
-def _reference_counts(cfg, snr_db, trials, stream, methods):
+def _reference_counts(cfg, snr_db, trials, seed, methods, chunk=0):
     """Per-point reference: one chunk drawn with rng.gamma at this point's
     own scales and tested on whole arrays, with nothing shared or blocked.
-    The chunk's variables come from the children of its seed sequence:
-    the first hop, users 1..L, then the SI gain."""
+    The chunk's variables come from the children of SeedSequence((seed,
+    chunk)): the first hop, users 1..L, then the SI gain."""
     g = 10.0 ** (snr_db / 10.0)
     stats = derive_link_stats(cfg, g)
     lam = {"monte_carlo": compute_deltas(cfg, g).lambda_dag}
@@ -472,7 +459,7 @@ def _reference_counts(cfg, snr_db, trials, stream, methods):
         lam["hd_noma"] = compute_deltas(replace(cfg, gamma_th=thr), g).lambda_dag
     if "fd_oma" in methods:
         lam["fd_oma"] = map_baseline_thresholds(cfg, "fd_oma")
-    seq = np.random.SeedSequence((stream.seed, stream.stream_id))
+    seq = np.random.SeedSequence((seed, chunk))
     first, *users, si = (np.random.default_rng(s) for s in seq.spawn(cfg.n_users + 2))
     a = first.gamma(cfg.m_sr, stats.omega_hat_sr / cfg.m_sr, size=(trials, cfg.n_b))
     a = np.partition(a, cfg.n_b - 2, axis=1)[:, -2:].sum(axis=1)
@@ -521,8 +508,8 @@ class TestSweep:
          23, 200_000, ALL_METHODS),
     ])
     def test_one_point_counts_match_per_point_reference(self, cfg, seed, trials, methods):
-        res = simulate_outage_all(cfg, 15.0, trials, rng=seed, methods=methods)
-        ref = _reference_counts(cfg, 15.0, trials, RngStream(seed), methods)
+        res = simulate_outage_all(cfg, 15.0, trials, seed=seed, methods=methods)
+        ref = _reference_counts(cfg, 15.0, trials, seed, methods)
         for m in methods:
             assert [round(p.value * trials) for p in res[m]] == ref[m]
 
@@ -536,29 +523,27 @@ class TestSweep:
         + _d_sr_points(replace(BASE, n_b=4), grid=(0.8,)),
     ], ids=["common_scales", "unequal_scales", "mixed_scales"])
     def test_each_point_equals_one_point_call(self, small_chunks, points):
-        stream = RngStream(29, 5)
-        swept = simulate_sweep(points, 50_000, rng=stream, methods=ALL_METHODS)
+        swept = simulate_sweep(points, 50_000, seed=29, methods=ALL_METHODS)
         for (cfg_pt, snr), res in zip(points, swept):
-            assert res == simulate_outage_all(cfg_pt, snr, 50_000, rng=stream,
-                                              methods=ALL_METHODS)
+            assert res == simulate_outage_all(cfg_pt, snr, 50_000, seed=29, methods=ALL_METHODS)
 
     def test_failing_point_does_not_stop_the_others(self, small_chunks):
         points = _d_sr_points(BASE, grid=(0.3, 0.5, 0.7))
         broken = (replace(points[1][0], sigma2_est_ru=(1e6,) * 3), 15.0)
         points = [points[0], broken, points[2]]
-        swept = simulate_sweep(points, 50_000, rng=31)
+        swept = simulate_sweep(points, 50_000, seed=31)
         assert isinstance(swept[1], ImpairmentError)
         for i in (0, 2):
-            assert swept[i] == simulate_outage_all(*points[i], 50_000, rng=31)
+            assert swept[i] == simulate_outage_all(*points[i], 50_000, seed=31)
         with pytest.raises(ImpairmentError):
-            simulate_outage_all(*broken, 50_000, rng=31)
+            simulate_outage_all(*broken, 50_000, seed=31)
 
     def test_squared_rule_is_a_mapped_config(self, small_chunks):
         # the rate-matched HD-NOMA rule is a config of its own: its hd_noma
         # counts are those the former hd_rule="squared" option gave on the
         # same seed and methods, and the default power split rejects it
         cfg = _squared(replace(BASE, a=(0.8, 0.17, 0.03)))
-        swept = simulate_sweep([(cfg, 10.0), (cfg, 20.0)], 50_000, rng=37, methods=ALL_METHODS)
+        swept = simulate_sweep([(cfg, 10.0), (cfg, 20.0)], 50_000, seed=37, methods=ALL_METHODS)
         assert [[round(p.value * 50_000) for p in res["hd_noma"]] for res in swept] == \
             [[16639, 50_000, 50_000], [1730, 31602, 15098]]
         with pytest.raises(InfeasibleAllocationError):
@@ -575,20 +560,20 @@ class TestSweep:
 
     @pytest.mark.parametrize("cfg, sort_once, expected", [
         (replace(BASE, n_b=4, m_sr=2), True,
-         [[[23254, 4669, 323], [22969, 4528, 309], [18352, 2773, 121]],
-          [[4684, 1134, 943], [2677, 43, 0], [2772, 372, 299]]]),
+         [[[22896, 4477, 352], [22583, 4367, 340], [18065, 2682, 160]],
+          [[4689, 1208, 1022], [2668, 48, 0], [2796, 376, 305]]]),
         (replace(BASE, n_b=4, m_sr=2, m_ru=(1, 2, 3), sigma2_est_ru=(0.01, 0.02, 0.03)), False,
-         [[[15513, 2064, 119], [15216, 1957, 109], [10983, 821, 21]],
-          [[2611, 1017, 961], [1098, 2, 0], [1368, 323, 301]]]),
+         [[[15506, 2061, 106], [15187, 1954, 88], [10885, 816, 18]],
+          [[2683, 1090, 1041], [1085, 0, 0], [1351, 324, 312]]]),
     ], ids=["sort_once", "unequal_scales"])
     def test_pinned_counts(self, small_chunks, cfg, sort_once, expected):
         # integer counts (point, method, user) as np.sort/np.partition order
-        # statistics give them (the sum of _reference_counts over the three
-        # chunks); compare-exchange must reproduce them exactly
+        # statistics give them (the sum of _reference_counts over chunks 0, 1
+        # and 2 of seed 43); compare-exchange must reproduce them exactly
         points = _d_sr_points(cfg, grid=(0.35, 0.65))
         plans = [mcsim._plan_point(c, snr, ALL_METHODS) for c, snr in points]
         assert all(len(set(p.scale_ru)) == 1 for p in plans) == sort_once
-        swept = simulate_sweep(points, 50_000, rng=RngStream(43, 2), methods=ALL_METHODS)
+        swept = simulate_sweep(points, 50_000, seed=43, methods=ALL_METHODS)
         counts = [[[round(p.value * 50_000) for p in res[m]] for m in ALL_METHODS]
                   for res in swept]
         assert counts == expected
@@ -618,7 +603,7 @@ class TestSweep:
         rows = 5 + max(cfg.n_b, cfg.n_users) + len(methods) + 1 + sorts * cfg.n_users
         tracemalloc.start()
         try:
-            simulate_outage_all(cfg, 15.0, 1_000_000, rng=47, methods=methods)
+            simulate_outage_all(cfg, 15.0, 1_000_000, seed=47, methods=methods)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -626,32 +611,27 @@ class TestSweep:
 
     def test_block_size_does_not_change_counts(self, monkeypatch):
         points = _d_sr_points(replace(BASE, sigma2_est_ru=(0.01, 0.02, 0.03)), grid=(0.4, 0.6))
-        full = simulate_sweep(points, 50_000, rng=37, methods=ALL_METHODS)
+        full = simulate_sweep(points, 50_000, seed=37, methods=ALL_METHODS)
         monkeypatch.setattr(mcsim, "BLOCK_TRIALS", 999)
-        assert simulate_sweep(points, 50_000, rng=37, methods=ALL_METHODS) == full
+        assert simulate_sweep(points, 50_000, seed=37, methods=ALL_METHODS) == full
 
     def test_one_pool_per_sweep_sized_to_the_chunks(self, small_chunks, recording_pool):
-        serial = simulate_sweep(_d_sr_points(BASE), 50_000, rng=41)
+        serial = simulate_sweep(_d_sr_points(BASE), 50_000, seed=41)
         assert recording_pool == []
-        pooled = simulate_sweep(_d_sr_points(BASE), 50_000, rng=41, workers=16)
+        pooled = simulate_sweep(_d_sr_points(BASE), 50_000, seed=41, workers=16)
         assert recording_pool == [3]  # one pool, three chunks
         assert pooled == serial
 
     @pytest.mark.parametrize("kwargs, error, message", [
-        (dict(rng=1.7), TypeError, "rng must be an integer >= 0, got 1.7"),
-        (dict(rng=-3), ValueError, "rng must be an integer >= 0, got -3"),
-        (dict(rng=RngStream(-3)), ValueError, "the rng seed must be an integer >= 0, got -3"),
-        (dict(rng=RngStream(3, -1)), ValueError,
-         "the rng stream_id must be an integer >= 0, got -1"),
+        (dict(seed=1.7), TypeError, "seed must be an integer >= 0, got 1.7"),
+        (dict(seed=-3), ValueError, "seed must be an integer >= 0, got -3"),
         (dict(workers=0), ValueError, "workers must be an integer >= 1, got 0"),
         (dict(workers=-5), ValueError, "workers must be an integer >= 1, got -5"),
         (dict(workers=1.5), TypeError, "workers must be an integer >= 1, got 1.5"),
-        (dict(rng=False), TypeError, "rng must be an integer >= 0, got False"),
-        (dict(rng=RngStream(True)), TypeError, "the rng seed must be an integer >= 0, got True"),
+        (dict(seed=False), TypeError, "seed must be an integer >= 0, got False"),
         (dict(workers=True), TypeError, "workers must be an integer >= 1, got True"),
-    ], ids=["float_rng", "negative_rng", "negative_stream_seed", "negative_stream_id",
-            "zero_workers", "negative_workers", "float_workers", "bool_rng", "bool_stream_seed",
-            "bool_workers"])
+    ], ids=["float_seed", "negative_seed", "zero_workers", "negative_workers", "float_workers",
+            "bool_seed", "bool_workers"])
     def test_rng_and_workers_checked_before_any_chunk(self, monkeypatch, kwargs, error, message):
         def no_chunk(*args):
             raise AssertionError("a chunk was drawn")
@@ -661,8 +641,8 @@ class TestSweep:
             simulate_sweep(_d_sr_points(BASE), 20_000, **kwargs)
 
     def test_numpy_integer_rng_and_workers_accepted(self):
-        a = simulate_outage_all(BASE, 10.0, 20_000, rng=np.int64(11), workers=np.int64(2))
-        assert a == simulate_outage_all(BASE, 10.0, 20_000, rng=11)
+        a = simulate_outage_all(BASE, 10.0, 20_000, seed=np.int64(11), workers=np.int64(2))
+        assert a == simulate_outage_all(BASE, 10.0, 20_000, seed=11)
 
     @pytest.mark.parametrize("snr_db", [0.0, 30.0, 45.0, 60.0])
     @pytest.mark.parametrize("cfg", [
@@ -672,8 +652,8 @@ class TestSweep:
                 fd_tau_ru=(0.03,) * 3),
     ], ids=["base", "unequal_scales", "practical_mu1"])
     def test_one_point_counts_match_reference_across_snr(self, cfg, snr_db):
-        res = simulate_outage_all(cfg, snr_db, 300_000, rng=59, methods=ALL_METHODS)
-        ref = _reference_counts(cfg, snr_db, 300_000, RngStream(59), ALL_METHODS)
+        res = simulate_outage_all(cfg, snr_db, 300_000, seed=59, methods=ALL_METHODS)
+        ref = _reference_counts(cfg, snr_db, 300_000, 59, ALL_METHODS)
         for m in ALL_METHODS:
             assert [round(p.value * 300_000) for p in res[m]] == ref[m]
 
@@ -731,10 +711,10 @@ def _kernel_cases(draw):
 def test_outage_kernel_counts_equal_elementwise_reference(case):
     cfg, snr_db, methods, seed = case
     try:
-        res = simulate_outage_all(cfg, snr_db, 20_000, rng=seed, methods=methods)
+        res = simulate_outage_all(cfg, snr_db, 20_000, seed=seed, methods=methods)
     except FdnomaError:
         assume(False)
-    ref = _reference_counts(cfg, snr_db, 20_000, RngStream(seed), methods)
+    ref = _reference_counts(cfg, snr_db, 20_000, seed, methods)
     for m in methods:
         assert [round(p.value * 20_000) for p in res[m]] == ref[m]
 

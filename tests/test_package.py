@@ -1,8 +1,7 @@
 """Public surface of the package: every exported name resolves, the
 Monte Carlo engine stays independent of the closed forms, no module keeps
-an unused import or private name, only mcsim picks Monte Carlo stream ids,
-every name the benchmark scripts read exists, each engine loads on its
-own, and the runtime needs no scipy."""
+an unused import or private name, every name the benchmark scripts read
+exists, each engine loads on its own, and the runtime needs no scipy."""
 
 import ast
 import importlib
@@ -131,32 +130,6 @@ def test_no_private_name_goes_unused():
     bench = [ast.parse(path.read_text(encoding="utf-8"))
              for path in (Path(__file__).resolve().parents[1] / "bench").glob("*.py")]
     assert bench and _unused_private_names(modules, bench) == {}
-
-
-def _stream_ids(tree) -> list[int]:
-    """The lines where a module builds an RngStream with a stream id: a
-    second positional argument, a stream_id keyword, or unpacked arguments
-    that may hold either."""
-    return sorted(
-        node.lineno for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "RngStream"
-        and (len(node.args) > 1 or any(isinstance(a, ast.Starred) for a in node.args)
-             or any(k.arg in ("stream_id", None) for k in node.keywords)))
-
-
-def test_only_mcsim_picks_stream_ids():
-    # the map from chunks to streams is mcsim's own; a caller that picked
-    # stream ids had to know it, and could make two points read one chunk
-    planted = ast.parse("mcsim.RngStream(seed, idx * stride)\nRngStream(seed, stream_id=3)\n"
-                        "RngStream(*args)\nRngStream(**kw)\nmcsim.RngStream(spec.seed)\n"
-                        "RngStream(seed=1)\n")
-    assert _stream_ids(planted) == [1, 2, 3, 4]
-    package = Path(importlib.import_module("fdnoma").__file__).parent
-    found = {path.name: lines for path in sorted(package.glob("*.py"))
-             if path.name != "mcsim.py"
-             and (lines := _stream_ids(ast.parse(path.read_text(encoding="utf-8"))))}
-    assert found == {}
 
 
 def _fdnoma_reads(tree) -> list[tuple[int, str]]:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from fdnoma.errors import ConfigError
-from fdnoma.mcsim import RngStream
 from fdnoma.sysmodel import SystemConfig, compute_theta, derive_link_stats
 
 QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
@@ -69,7 +68,7 @@ def run_symbol_chain(
     channels: FixedChannels,
     snr_db: float | None,
     blocks: int,
-    rng: RngStream | int = 0,
+    seed: int = 0,
 ) -> ChainOutput:
     """Run the encode -> relay -> combine chain for a number of Alamouti
     blocks of QPSK symbols.
@@ -83,7 +82,7 @@ def run_symbol_chain(
     power = 10.0 ** (snr_db / 10.0) if snr_db is not None else 1.0
     noise_var = 1.0 if snr_db is not None else 0.0
     stats = derive_link_stats(cfg, power)
-    gen = (rng if isinstance(rng, RngStream) else RngStream(int(rng))).generator()
+    gen = np.random.default_rng(seed)
 
     h = np.asarray(channels.h_sr, dtype=complex)
     a_gain = float(np.sum(np.abs(h) ** 2))
@@ -134,7 +133,7 @@ def symbol_level_validate(
     channels: FixedChannels,
     snr_db: float,
     symbols: int,
-    rng: RngStream | int = 0,
+    seed: int = 0,
 ) -> list[tuple[float, ...]]:
     """Measured per-stage SINRs of the waveform chain: per user l, the
     SINRs of stages k = 1..l.
@@ -145,7 +144,7 @@ def symbol_level_validate(
     stream, everything else counts as interference plus noise.
     """
     blocks = max(symbols // 2, 1)
-    out = run_symbol_chain(cfg, channels, snr_db, blocks, rng)
+    out = run_symbol_chain(cfg, channels, snr_db, blocks, seed)
     power = 10.0 ** (snr_db / 10.0)
     amps = np.sqrt(np.array(cfg.a) * power / 2.0)
     results = []
