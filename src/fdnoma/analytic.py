@@ -729,7 +729,7 @@ def exact_outage(
 exact_outage_for_lambda = exact_outage
 
 
-def _clamped_point(raw: float, l: int, snr_db: float, method: str, floor: bool = False) -> OutagePoint:
+def _clamped_point(raw: float, l: int, snr_db: float, method: str) -> OutagePoint:
     """raw clamped to the unit interval; an overshoot beyond _CLAMP_TOL or a
     NaN (a form whose terms left the float range) raises."""
     if math.isnan(raw):
@@ -741,7 +741,7 @@ def _clamped_point(raw: float, l: int, snr_db: float, method: str, floor: bool =
     if residual:
         log_.debug("%s outage clamped to [0, 1] (residual %.3e)", method, residual)
     return OutagePoint(user=l, snr_db=snr_db, value=min(max(raw, 0.0), 1.0), method=method,
-                       residual=residual, floor=floor)
+                       residual=residual)
 
 
 # --------------------------------------------------------------------------
@@ -853,7 +853,7 @@ def asymptotic_outage_ideal(cfg: SystemConfig, snr_db: float, l: int) -> OutageP
         stats = derive_link_stats(cfg, snr_bar)
         sf_w = sf_relay_ratio(2.0 * lam_dag, n_b=cfg.n_b, m_sr=m_sr, m_rr=m_rr, offset=0.0,
                               lam_sr=m_sr / stats.omega_hat_sr, omega_rr=stats.omega_rr)
-        return _clamped_point(1.0 - sf_w, l, snr_db, "asymptotic_ideal", floor=True)
+        return _clamped_point(1.0 - sf_w, l, snr_db, "asymptotic_ideal")
     try:
         val = sum(c * snr_bar**-e for c, e in _ideal_high_snr_terms(cfg, l))
     except OverflowError:
@@ -918,4 +918,4 @@ def asymptotic_outage_practical(cfg: SystemConfig, l: int) -> OutagePoint:
     (log_survive,), failed = _de_log_integrals(1, lambda idx: log_integrand)
     if failed:
         raise NumericsError(f"floor quadrature failed: {failed[0][1]}")
-    return _clamped_point(1.0 - exp(log_survive), l, math.inf, "asymptotic_practical", floor=True)
+    return _clamped_point(1.0 - exp(log_survive), l, math.inf, "asymptotic_practical")

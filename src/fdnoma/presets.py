@@ -15,14 +15,15 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from . import analytic, mcsim
 from .errors import ConfigError, FdnomaError
-from .sysmodel import SystemConfig
+from .sysmodel import SystemConfig, _shown
 
 __all__ = [
-    "METHODS", "AXES", "MAX_GRID_POINTS", "linear_grid", "check_grid",
-    "SweepSpec", "PresetVariant", "figure_preset", "PRESET_NAMES",
+    "METHODS", "AXES", "MAX_GRID_POINTS", "linear_grid", "SweepSpec", "PresetVariant",
+    "figure_preset", "PRESET_NAMES",
 ]
 
 
@@ -98,33 +99,31 @@ MAX_GRID_POINTS = 100_000
 
 
 def linear_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
-    """start, start + step, ... up to stop, with a slack of 1e-9 steps plus
-    8 ulps of the larger bound, at most a quarter step (a point past stop by
-    rounding alone still counts), each rounded to 12 decimals, or to 12
-    digits past the step's leading one when the step is below 1; at most
-    MAX_GRID_POINTS points, counted before any is made."""
-    if not all(math.isfinite(x) for x in (start, stop, step)):
-        raise ConfigError(f"grid bounds must be finite, got {start}:{stop}:{step}")
+    """start + k step for k = 0, 1, ... up to stop, counted and made
+    exactly from the decimals str() gives the bounds: each point is the
+    float nearest its value (never -0.0), or an int when start and step
+    are ints; at most MAX_GRID_POINTS points, counted before any is made."""
+    _check_finite("grid bounds", (start, stop, step), ":".join(map(_shown, (start, stop, step))))
     if step <= 0 or stop < start:
         raise ConfigError(f"grid must be an increasing range, got {start}:{stop}:{step}")
-    # the last index k with start + k step <= stop, to within the slack
-    slack = min(1e-9 + 8 * math.ulp(max(abs(start), abs(stop))) / step, 0.25)
-    last = (stop - start) / step + slack
-    if not last < MAX_GRID_POINTS:
-        raise ConfigError(f"grid {start}:{stop}:{step} has {last + 1:.6g} points, "
-                          f"more than the {MAX_GRID_POINTS} a sweep takes")
-    digits = 12 - min(0, math.floor(math.log10(step)))
-    return tuple(round(start + k * step, digits) for k in range(math.floor(last) + 1))
+    a, b, h = (Fraction(str(x)) for x in (start, stop, step))
+    last = (b - a) // h
+    if not last < MAX_GRID_POINTS:  # shown as a float, which prints any count
+        raise ConfigError(f"grid {start}:{stop}:{step} has {(float(stop) - start) / step + 1:.6g} "
+                          f"points, more than the {MAX_GRID_POINTS} a sweep takes")
+    kind = type(start + step)
+    return tuple(kind(a + k * h) for k in range(last + 1))
 
 
-def check_grid(grid: tuple[float, ...], name: str) -> None:
-    """Raise ConfigError unless every value of grid is finite and each
-    exceeds the one before; finiteness comes first, since every comparison
-    with a NaN is false."""
-    if not all(math.isfinite(x) for x in grid):
-        raise ConfigError(f"{name} values must be finite, got {grid}")
-    if any(a >= b for a, b in zip(grid, grid[1:])):
-        raise ConfigError(f"{name} must be strictly increasing")
+def _check_finite(name: str, values, shown) -> None:
+    """Raise ConfigError, quoting shown, unless every one of values is finite:
+    NaN passes every comparison; an int past the float range overflows isfinite."""
+    try:
+        finite = all(map(math.isfinite, values))
+    except OverflowError:
+        raise ConfigError(f"{name} must lie within the float range, got {_shown(shown)}") from None
+    if not finite:
+        raise ConfigError(f"{name} must be finite, got {_shown(shown)}")
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,9 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep axis {self.axis!r}; choose from {tuple(AXES)}")
         if not self.grid:
             raise ConfigError("sweep grid is empty")
-        check_grid(self.grid, "sweep grid")
+        _check_finite("sweep grid values", self.grid, self.grid)
+        if any(a >= b for a, b in zip(self.grid, self.grid[1:])):
+            raise ConfigError("sweep grid must be strictly increasing")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
@@ -163,8 +164,8 @@ class SweepSpec:
             raise ConfigError(f"axis {self.axis!r} needs a fixed snr_db")
         if self.axis == "snr_db" and self.snr_db is not None:
             raise ConfigError(f"the snr_db axis takes the SNR from its grid; got snr_db={self.snr_db}")
-        if self.snr_db is not None and not math.isfinite(self.snr_db):
-            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
+        if self.snr_db is not None:
+            _check_finite("snr_db", (self.snr_db,), self.snr_db)
         if not self.methods:
             raise ConfigError("methods list is empty")
         if len(set(self.methods)) < len(self.methods):

@@ -171,8 +171,7 @@ class OutagePoint:
     """One outage-probability evaluation, by either engine.
 
     ci is populated only by the Monte Carlo methods.  residual records the
-    pre-clamp overshoot of the closed-form sums (diagnostics only); floor
-    marks values that are SNR-independent by construction.
+    pre-clamp overshoot of the closed-form sums (diagnostics only).
     """
 
     user: int
@@ -181,7 +180,6 @@ class OutagePoint:
     method: str
     ci: tuple[float, float] | None = None
     residual: float = 0.0
-    floor: bool = False
 
 
 @dataclass(frozen=True)

@@ -1067,7 +1067,6 @@ class TestAsymptotics:
         cfg = replace(BASE, mu=1.0)
         vals = [asymptotic_outage_ideal(cfg, snr, 2).value for snr in (20.0, 35.0, 50.0)]
         assert max(vals) == pytest.approx(min(vals), rel=1e-12)
-        assert asymptotic_outage_ideal(cfg, 40.0, 2).floor
 
     def test_mu_one_exact_matches_floor(self):
         cfg = replace(BASE, mu=1.0)
@@ -1255,12 +1254,13 @@ class TestQuadratureFailureTexts:
                                   "by step 0.25")
 
 
+_BENCH_REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+
+
 def test_benchmark_reference_values():
     """Every exact and fd_oma value pinned in bench/reference.json (read
     only), recomputed: the benchmark judges its cells against these."""
-    pinned = json.loads(
-        (Path(__file__).resolve().parent.parent / "bench" / "reference.json").read_text()
-    )["values"]
+    pinned = json.loads(_BENCH_REFERENCE.read_text())["values"]
     # (workload, variant label) -> the config and SNR at one axis value
     points = {("validate_par", "default"): lambda x: (SystemConfig(), x)}
     for workload, preset in (("fig7_exact", "fig7"), ("fig11_mc", "fig11")):
@@ -1277,3 +1277,14 @@ def test_benchmark_reference_values():
                 lam = map_baseline_thresholds(cfg, event)[l - 1]
                 got = analytic.exact_outage_for_lambda(cfg, snr, l, lam).value
             assert abs(got - ref) <= 1e-12, (workload, key, got, ref)
+
+
+def test_benchmark_reference_keys_are_the_preset_grids():
+    """bench/ looks each cell's reference value up by the repr of its preset
+    grid point (fig7's "0", not "0.0"), so every point of each variant's
+    grid, and no other, keys bench/reference.json (read only)."""
+    pinned = json.loads(_BENCH_REFERENCE.read_text())["values"]
+    for workload, preset in (("fig7_exact", "fig7"), ("fig11_mc", "fig11")):
+        for v in figure_preset(preset):
+            tokens = {x for label, x, *_ in map(str.split, pinned[workload]) if label == v.label}
+            assert tokens == {repr(x) for x in v.sweep.grid}, (workload, v.label)

@@ -8,10 +8,11 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fdnoma.analytic as analytic
@@ -303,13 +304,25 @@ class TestCsvRow:
 
 
 class TestSweepSpec:
-    @pytest.mark.parametrize("grid", [(0.0, math.nan, 10.0), (math.nan,), (0.0, math.inf),
-                                      (-math.inf, 0.0)], ids=["nan-inside", "nan", "inf", "-inf"])
-    def test_non_finite_grid_value_rejected(self, grid):
+    @pytest.mark.parametrize("grid,message", [
+        ((0.0, math.nan, 10.0), "be finite"), ((math.nan,), "be finite"),
+        ((0.0, math.inf), "be finite"), ((-math.inf, 0.0), "be finite"),
+        ((0, 10**400), "lie within the float range"),
+    ], ids=["nan-inside", "nan", "inf", "-inf", "beyond-float"])
+    def test_non_finite_grid_value_rejected(self, grid, message):
         # a NaN passed the strictly-increasing check (every comparison with
-        # it is false), and the sweep printed error cells
-        with pytest.raises(ConfigError, match=r"^sweep grid values must be finite, got "):
+        # it is false), and the sweep printed error cells; an int beyond the
+        # float range overflowed isfinite with a traceback
+        with pytest.raises(ConfigError, match=rf"^sweep grid values must {message}, got "):
             SweepSpec(grid=grid)
+
+    @pytest.mark.parametrize("snr_db,message", [
+        (math.nan, r"be finite, got nan"),
+        (10**400, rf"lie within the float range, got {10**400}"),
+    ], ids=["nan", "beyond-float"])
+    def test_bad_fixed_snr_rejected(self, snr_db, message):
+        with pytest.raises(ConfigError, match=rf"^snr_db must {message}$"):
+            SweepSpec(axis="mu", grid=(0.0,), snr_db=snr_db)
 
     @pytest.mark.parametrize("grid", [(10.0, 5.0), (5.0, 5.0)])
     def test_grid_not_increasing_rejected(self, grid):
@@ -428,9 +441,25 @@ class TestPresets:
         def no_point(*args):
             raise AssertionError("a grid point was made")
 
-        monkeypatch.setattr(presets, "round", no_point, raising=False)
+        monkeypatch.setattr(presets, "range", no_point, raising=False)
         with pytest.raises(ConfigError, match=f"more than the {MAX_GRID_POINTS} a sweep takes"):
             linear_grid(0.0, stop, step)
+
+    @pytest.mark.parametrize("start, stop, step, message", [
+        (0.0, math.inf, 1.0, r"^grid bounds must be finite, got 0.0:inf:1.0$"),
+        (0, 10**400, 1, rf"^grid bounds must lie within the float range, got 0:{10**400}:1$"),
+    ], ids=["inf", "beyond-float"])
+    def test_bad_grid_bounds_rejected(self, start, stop, step, message):
+        # an int beyond the float range overflowed isfinite with a traceback
+        with pytest.raises(ConfigError, match=message):
+            linear_grid(start, stop, step)
+
+    def test_int_start_and_step_give_int_points(self):
+        # the benchmark keys fig7's points by repr ("0", not "0.0"), and an
+        # SNR of 3100 prints as "snr_db=3100"
+        assert linear_grid(0, 50.5, 5) == (0, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
+        assert all(type(x) is int for x in linear_grid(0, 50.5, 5))
+        assert all(type(x) is float for x in linear_grid(0, 50, 5.0) + linear_grid(0.0, 50, 5))
 
     @pytest.mark.parametrize("start, stop, step, points", [
         (0.0, 5e-10, 1e-10, 6), (0.0, 1e-11, 1e-12, 11), (1000.0, 1000.00001, 1e-6, 11),
@@ -451,6 +480,23 @@ class TestPresets:
         points = round((stop - start) / step) + 1
         assert linear_grid(start, stop, step) == tuple(
             round(start + k * step, 12) for k in range(points))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.integers(-10**6, 10**6), st.integers(1, 10**4), st.integers(0, 4),
+           st.integers(0, 300), st.integers(0, 9))
+    @example(10_000, 1, 3, 1000, 0)  # 10:11:0.001, whose 10.274 printed as 10.274000000000001
+    @example(4_001, 1, 3, 199, 0)  # 4.001:4.2:0.001, whose 4.002 printed as 4.002000000000001
+    @example(42_800, 40, 3, 30, 0)  # 42.8:44:0.04, whose 42.92 printed as 42.919999999999987
+    @example(-900, 300, 3, 6, 0)  # -0.9:0.9:0.3, whose 0 printed as -0
+    def test_grid_point_k_is_the_float_nearest_start_plus_k_steps(self, start, step, digits,
+                                                                  n, past):
+        # decimal start and step in units of 10**-digits, and a stop `past`
+        # tenths of a step beyond point n
+        start, step = Fraction(start, 10**digits), Fraction(step, 10**digits)
+        stop = start + (n + Fraction(past, 10)) * step
+        grid = linear_grid(float(start), float(stop), float(step))
+        assert grid == tuple(float(start + k * step) for k in range(n + 1))
+        assert "-0.0" not in map(repr, grid)
 
     def test_grid_of_the_maximum_size_is_built(self):
         grid = linear_grid(0.0, MAX_GRID_POINTS - 1.0, 1.0)
