@@ -56,6 +56,8 @@ from .specfn import _poly_power_exact, ln_bessel_k_int
 from .sysmodel import (
     OutagePoint,
     SystemConfig,
+    _check_finite,
+    _shown,
     check_user,
     compute_deltas,
     compute_theta,
@@ -608,7 +610,9 @@ def _exact_plan(cfg: SystemConfig, snr_db: float, l: int, lam_dag: float | None)
     if lam_dag is None:
         lam_dag = compute_deltas(cfg, g).lambda_dag[l - 1]
     elif isinstance(lam_dag, bool) or not isinstance(lam_dag, Real) or not 0.0 < lam_dag < math.inf:
-        raise ConfigError(f"lam_dag must be a finite real > 0, got {lam_dag!r}")
+        raise ConfigError(f"lam_dag must be a finite real > 0, got {_shown(lam_dag)}")
+    else:  # an int beyond the float range
+        _check_finite("lam_dag", lam_dag)
     m_sr, m_rr, m_ru = _require_analytic_config(cfg)
     stats = derive_link_stats(cfg, g)
     theta = compute_theta(stats, g, l)

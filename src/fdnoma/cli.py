@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, replace
 from . import analytic, mcsim
 from .errors import ConfigError, FdnomaError, NumericsError
 from .presets import AXES, METHODS, PRESET_NAMES, SweepSpec, figure_preset, linear_grid
-from .sysmodel import SystemConfig, check_user, dump_config, load_config
+from .sysmodel import SystemConfig, _integer_at_least, check_user, dump_config, load_config
 
 __all__ = ["CsvRow", "run_sweep", "validate", "main"]
 
@@ -88,7 +88,7 @@ def run_sweep(
     """
     for user in spec.users:
         check_user(user, cfg.n_users)
-    workers = mcsim._integer_at_least(workers, 1, "workers")
+    workers = _integer_at_least(workers, 1, "workers")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     methods = tuple(m for m in METHODS if m in spec.methods)
@@ -151,13 +151,14 @@ class ValidationLine:
 
 # Family-wise level of validate's mc_agreement lines
 _CONF = 0.99
+# Largest relative distance of a fitted high-SNR slope from the diversity order
+_SLOPE_TOL = 0.10
 
 
 def validate(
     cfg: SystemConfig,
     snr_grid: tuple[float, ...],
     trials: int,
-    tolerance: float = 0.10,
     seed: int = 1,
     workers: int = 1,
 ) -> tuple[list[ValidationLine], bool]:
@@ -170,8 +171,7 @@ def validate(
     point draws from the common random numbers of the sweep's seed.  A
     grid, trials or seed that the spec rejects raises its ConfigError
     before any point runs; so do workers other than an integer >= 1
-    (TypeError or ValueError) and a tolerance that is not finite and > 0
-    (ValueError).
+    (TypeError or ValueError).
 
     A point whose expected count of outages, or of successes, is below
     ~25 in both the exact value and the estimate cannot falsify the closed
@@ -194,9 +194,7 @@ def validate(
     users = tuple(range(1, cfg.n_users + 1))
     spec = SweepSpec(grid=tuple(snr_grid), methods=("exact", "lower_bound", "monte_carlo"),
                      users=users, trials=trials, seed=seed)
-    workers = mcsim._integer_at_least(workers, 1, "workers")
-    if not 0.0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be finite and > 0, got {tolerance!r}")
+    workers = _integer_at_least(workers, 1, "workers")
     grid, trials = spec.grid, spec.trials
     line_conf = 1.0 - (1.0 - _CONF) / (len(grid) * len(users))
 
@@ -270,7 +268,7 @@ def validate(
             gdo = analytic.diversity_order(cfg, l)
             ys = [math.log10(max(exact_vals[(s, l)], 1e-300)) for s in top]
             slope = -statistics.linear_regression([s / 10.0 for s in top], ys).slope
-            ok = abs(slope - gdo) <= tolerance * gdo
+            ok = abs(slope - gdo) <= _SLOPE_TOL * gdo
             lines.append(
                 ValidationLine(
                     max(top),
@@ -326,17 +324,6 @@ _WORKERS_HELP = (
     f"{mcsim.CHUNK_TRIALS:,}, one chunk per process at a time, so a run of fewer than "
     f"{2 * mcsim.CHUNK_TRIALS:,} trials uses one core"
 )
-
-
-def _tolerance(text: str) -> float:
-    """argparse type of validate's --tolerance: a finite value > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects a number, got {text!r}") from None
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
-    return value
 
 
 def _load_cfg(args) -> SystemConfig:
@@ -439,8 +426,6 @@ def main(argv=None) -> int:
                 workers="grid points run on that many threads (default: 1); each point's "
                         "Monte Carlo trials run on one thread")
     p.add_argument("--grid", default="0:30:5")
-    p.add_argument("--tolerance", type=_tolerance, default=0.10,
-                   help="relative slope tolerance (finite, > 0)")
 
     args = parser.parse_args(argv)
     try:
@@ -503,8 +488,8 @@ def _dispatch(parser, args) -> int:
         grid = _grid_arg(args.grid)
         out = _open_out(args.out)
         try:
-            lines, ok = validate(cfg, grid, trials=args.trials, tolerance=args.tolerance,
-                                 seed=args.seed, workers=args.workers)
+            lines, ok = validate(cfg, grid, trials=args.trials, seed=args.seed,
+                                 workers=args.workers)
             for line in lines:
                 print(
                     f"{line.check:16s} snr={line.snr_db:6.1f} user={line.user} "

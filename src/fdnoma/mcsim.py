@@ -23,7 +23,6 @@ tests them, by one (methods, 5) by (5, block) matrix product.
 from __future__ import annotations
 
 import math
-import operator
 import statistics
 import sys
 from collections.abc import Sequence
@@ -38,6 +37,8 @@ from .sysmodel import (
     LinkStats,
     OutagePoint,
     SystemConfig,
+    _integer_at_least,
+    _shown,
     check_user,
     compute_deltas,
     compute_theta,
@@ -88,18 +89,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _integer_at_least(value, low: int, name: str) -> int:
-    try:
-        if isinstance(value, bool):  # it would pass as 0 or 1
-            raise TypeError
-        value = operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer >= {low}, got {value!r}") from None
-    if value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value}")
-    return value
-
-
 def wilson_interval(successes: int, trials: int, conf: float = 0.95) -> tuple[float, float]:
     """Wilson score interval; preferred over Wald for small-probability tails.
 
@@ -110,7 +99,8 @@ def wilson_interval(successes: int, trials: int, conf: float = 0.95) -> tuple[fl
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
-        raise ValueError(f"successes must lie in 0..trials, got {successes} of {trials} trials")
+        raise ValueError(f"successes must lie in 0..trials, got {_shown(successes)} of "
+                         f"{_shown(trials)} trials")
     _integer_at_least(successes, 0, "successes")
     _integer_at_least(trials, 1, "trials")
     if not 0.0 < conf < 1.0:

@@ -12,14 +12,13 @@ and grids of a sweep; the CLI and every sweep read them from here.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import analytic, mcsim
 from .errors import ConfigError, FdnomaError
-from .sysmodel import SystemConfig, _shown
+from .sysmodel import SystemConfig, _check_finite, _integer_at_least, _shown
 
 __all__ = [
     "METHODS", "AXES", "MAX_GRID_POINTS", "linear_grid", "SweepSpec", "PresetVariant",
@@ -115,17 +114,6 @@ def linear_grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     return tuple(kind(a + k * h) for k in range(last + 1))
 
 
-def _check_finite(name: str, values, shown) -> None:
-    """Raise ConfigError, quoting shown, unless every one of values is finite:
-    NaN passes every comparison; an int past the float range overflows isfinite."""
-    try:
-        finite = all(map(math.isfinite, values))
-    except OverflowError:
-        raise ConfigError(f"{name} must lie within the float range, got {_shown(shown)}") from None
-    if not finite:
-        raise ConfigError(f"{name} must be finite, got {_shown(shown)}")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Axis, grid and output protocol of one sweep.
@@ -149,7 +137,7 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep axis {self.axis!r}; choose from {tuple(AXES)}")
         if not self.grid:
             raise ConfigError("sweep grid is empty")
-        _check_finite("sweep grid values", self.grid, self.grid)
+        _check_finite("sweep grid values", self.grid)
         if any(a >= b for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError("sweep grid must be strictly increasing")
         for m in self.methods:
@@ -157,15 +145,16 @@ class SweepSpec:
                 raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
         for name, low in (("trials", mcsim.MIN_TRIALS), ("seed", 0)):
             try:
-                mcsim._integer_at_least(getattr(self, name), low, name)
+                _integer_at_least(getattr(self, name), low, name)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(str(exc)) from None
         if self.axis != "snr_db" and self.snr_db is None:
             raise ConfigError(f"axis {self.axis!r} needs a fixed snr_db")
         if self.axis == "snr_db" and self.snr_db is not None:
-            raise ConfigError(f"the snr_db axis takes the SNR from its grid; got snr_db={self.snr_db}")
+            raise ConfigError("the snr_db axis takes the SNR from its grid; "
+                              f"got snr_db={_shown(self.snr_db)}")
         if self.snr_db is not None:
-            _check_finite("snr_db", (self.snr_db,), self.snr_db)
+            _check_finite("snr_db", self.snr_db)
         if not self.methods:
             raise ConfigError("methods list is empty")
         if len(set(self.methods)) < len(self.methods):
@@ -173,7 +162,7 @@ class SweepSpec:
         if not self.users:
             raise ConfigError("users list is empty")
         if len(set(self.users)) < len(self.users):
-            raise ConfigError(f"users list repeats a user: {self.users}")
+            raise ConfigError(f"users list repeats a user: {_shown(self.users)}")
 
     def point(self, cfg: SystemConfig, value: float) -> tuple[SystemConfig, float]:
         """The config and the SNR in dB at one axis value."""

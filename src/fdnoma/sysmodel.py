@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -85,7 +86,7 @@ class SystemConfig:
         for name in _SCALAR_INT:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+                raise ConfigError(f"{name} must be an integer, got {_shown(value)}")
         # two antennas are selected; Monte Carlo draws any n_r at one cost,
         # it only has to convert to a float
         for name, low, high in (("n_b", 2, _MAX_N_B), ("n_r", 1, sys.float_info.max),
@@ -94,18 +95,9 @@ class SystemConfig:
             if not low <= value <= high:
                 bound = f">= {low}" if value < low else f"<= {high}"
                 raise ConfigError(f"{name} must be {bound}, got {_shown(value)}")
-        # NaN passes every comparison below, and inf most of them; an int
-        # beyond the float range overflows isfinite
+        # NaN passes every comparison below, and inf most of them
         for name in _SCALAR_FLOAT + _ARRAY_FLOAT:
-            value = getattr(self, name)
-            try:
-                finite = all(map(math.isfinite,
-                                 (value,) if isinstance(value, numbers.Real) else value))
-            except OverflowError:
-                raise ConfigError(f"{name} must lie within the float range, "
-                                  f"got {_shown(value)}") from None
-            if not finite:
-                raise ConfigError(f"{name} must be finite, got {_shown(value)}")
+            _check_finite(name, getattr(self, name))
         L = self.n_users
         for name in _ARRAY_FLOAT:
             val = getattr(self, name)
@@ -239,20 +231,59 @@ def snr_linear(snr_db: float) -> float:
     """gamma_bar = 10^(snr_db/10); NumericsError outside _SNR_DB_RANGE."""
     lo, hi = _SNR_DB_RANGE
     if not lo < snr_db < hi:
-        raise NumericsError(f"snr_db={snr_db} is outside {lo:.1f}..{hi:.1f} dB, where the "
-                            "squared linear SNR is a normal float")
+        raise NumericsError(f"snr_db={_shown(snr_db)} is outside {lo:.1f}..{hi:.1f} dB, where "
+                            "the squared linear SNR is a normal float")
     return 10.0 ** (snr_db / 10.0)
 
 
+# The input rules of the entry points.  Each rejection message, snr_linear's
+# too, shows the rejected value through _shown.
+
 def _shown(value) -> str:
-    """A field's value as a message shows it; an int too long for Python's
-    int-to-str limit, alone or in a tuple, shows as its bit length."""
+    """A value as a message shows it, its repr(); an int too long for
+    Python's int-to-str limit, alone or in a tuple, shows as its bit
+    length."""
     try:
-        return str(value)
+        return repr(value)
     except ValueError:
         if isinstance(value, tuple):
             return f"({', '.join(map(_shown, value))})"
         return f"an integer of {value.bit_length()} bits"
+
+
+def _integer_at_least(value, low: int, name: str) -> int:
+    """value as an int; TypeError unless it is an integer (a bool is not),
+    ValueError if it is below low."""
+    try:
+        if isinstance(value, bool):  # it would pass as 0 or 1
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer >= {low}, got {_shown(value)}") from None
+    if value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {_shown(value)}")
+    return value
+
+
+def _check_finite(name: str, value, shown: str | None = None) -> None:
+    """Raise ConfigError unless value, a real or a sequence of reals, is
+    finite; the message quotes shown, by default _shown(value).  NaN passes
+    every comparison, and an int beyond the float range overflows isfinite."""
+    try:
+        if all(map(math.isfinite, (value,) if isinstance(value, numbers.Real) else value)):
+            return
+        rule = "be finite"
+    except OverflowError:
+        rule = "lie within the float range"
+    raise ConfigError(f"{name} must {rule}, got {_shown(value) if shown is None else shown}")
+
+
+def check_user(l, n_users: int) -> None:
+    """Raise ConfigError unless l is a user index, an integer in 1..n_users
+    (0 or -1 would read another user's entry of every per-user tuple, and
+    True would pass as user 1)."""
+    if isinstance(l, bool) or not (isinstance(l, numbers.Integral) and 1 <= l <= n_users):
+        raise ConfigError(f"user index {_shown(l)} out of range 1..{n_users}")
 
 
 def _mean_power(d: float, eta: float) -> float:
@@ -340,14 +371,6 @@ def _correlation(fd_tau: float, name: str) -> float:
     if rho <= 0:
         raise ImpairmentError(f"{name}={fd_tau} gives correlation {rho} <= 0; must stay in (0, 1]")
     return rho
-
-
-def check_user(l, n_users: int) -> None:
-    """Raise ConfigError unless l is a user index, an integer in 1..n_users
-    (0 or -1 would read another user's entry of every per-user tuple, and
-    True would pass as user 1)."""
-    if isinstance(l, bool) or not (isinstance(l, numbers.Integral) and 1 <= l <= n_users):
-        raise ConfigError(f"user index {l!r} out of range 1..{n_users}")
 
 
 def compute_theta(stats: LinkStats, snr_bar: float, l: int) -> ThetaSet:

@@ -15,7 +15,13 @@ Runs the CLI of the src/fdnoma next to this file, in process:
   `fdnoma sweep --grid 0:20:10 --trials 2100000 --workers 2` of the three
   simulation methods (3 chunks, the last one partial) and
   `fdnoma validate --grid 0:30:10 --trials 2500000 --workers 2`, so that
-  the streams of the chunks past the first, and the pool, are covered.
+  the streams of the chunks past the first, and the pool, are covered;
+- four rejected inputs, each the exit code 2 and the message of one input
+  rule: `fdnoma sweep --grid 0:inf:5` (grid bounds),
+  `fdnoma sweep --axis mu --snr nan --grid 0:1:0.5` (a fixed SNR),
+  `fdnoma sweep --grid 0:10:5 --users 4` (a user index) and
+  `fdnoma analyze --config F` of a file F that sets `mu = nan` (a config
+  field).
 
 Each command's stdout, stderr and exit code go to OUTDIR/NAME.out, .err
 and .code.  Snapshot two trees into two directories (copy this file into a
@@ -72,6 +78,12 @@ def main(argv: list[str]) -> int:
                               "--workers", "2", "--methods", "monte_carlo,hd_noma,fd_oma"])
     run(out, "validate_chunks", ["validate", "--grid", "0:30:10", "--trials", "2500000",
                                  "--workers", "2"])
+    run(out, "reject_grid", ["sweep", "--grid", "0:inf:5"])
+    run(out, "reject_snr", ["sweep", "--axis", "mu", "--snr", "nan", "--grid", "0:1:0.5"])
+    run(out, "reject_user", ["sweep", "--grid", "0:10:5", "--users", "4"])
+    nan_cfg = out / "mu_nan.cfg"
+    nan_cfg.write_text("mu = nan\n", encoding="utf-8")
+    run(out, "reject_config", ["analyze", "--config", str(nan_cfg)])
     return 0
 
 

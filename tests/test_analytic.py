@@ -853,6 +853,16 @@ class TestExactOutage:
         with pytest.raises(ConfigError, match="lam_dag must be a finite real > 0"):
             exact_outage(BASE, 10.0, 2, lam_dag)
 
+    def test_threshold_beyond_the_float_range_is_its_entrys_config_error(self):
+        # an int past the float range passed the > 0 check, and its
+        # division by the SNR raised a bare OverflowError out of the sweep
+        entries = [(BASE, 10.0, 1, None), (BASE, 10.0, 2, 10**400), (BASE, 15.0, 3, 18.0)]
+        first, bad, last = analytic.exact_outage_sweep(entries)
+        assert type(bad) is ConfigError
+        assert str(bad) == f"lam_dag must lie within the float range, got {10**400}"
+        assert first == exact_outage(BASE, 10.0, 1)
+        assert last == exact_outage(BASE, 15.0, 3, 18.0)
+
     def test_entry_error_is_its_first_failure_by_level_then_row(self, monkeypatch):
         # BASE at 15 dB, user 2, has more than five Phi rows; rows 2 and 4
         # fail at the earliest level, row 0 later
