@@ -15,6 +15,7 @@ item 12).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import os
@@ -300,25 +301,26 @@ def _grid_arg(text: str) -> tuple[float, ...]:
     return linear_grid(start, stop, step)
 
 
-def _int_at_least(low: int):
-    """argparse type of an integer flag with a lower bound."""
+def _int_at_least(name: str, low: int, high: float = math.inf):
+    """argparse type of an integer flag: the text as an int, then the count rule."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
+        try:
+            return _integer_at_least(value, low, name, high)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
 
 # argparse types of every --trials, --seed and --workers flag
-_trials = _int_at_least(mcsim.MIN_TRIALS)
-_seed = _int_at_least(0)
-_workers = _int_at_least(1)
+_trials = _int_at_least("trials", mcsim.MIN_TRIALS, mcsim.MAX_TRIALS)
+_seed = _int_at_least("seed", 0)
+_workers = _int_at_least("workers", 1)
 _WORKERS_HELP = (
     f"processes for the Monte Carlo trials (default: 1); the trials run in chunks of "
     f"{mcsim.CHUNK_TRIALS:,}, one chunk per process at a time, so a run of fewer than "
@@ -369,22 +371,18 @@ def _users(args, cfg) -> tuple[int, ...]:
     return users
 
 
-def _open_out(path):
-    """path opened for writing, or stdout for no path."""
+@contextlib.contextmanager
+def _output(path):
+    """path opened for writing and closed on exit, or stdout for no path."""
+    if not path:
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
+        fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
-
-
-def _run_spec(args, spec: SweepSpec, cfg: SystemConfig) -> None:
-    out = _open_out(args.out)
-    try:
-        run_sweep(spec, cfg, out, workers=getattr(args, "workers", 1),
-                  timings=args.timings)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    with fh:
+        yield fh
 
 
 def main(argv=None) -> int:
@@ -460,7 +458,8 @@ def _dispatch(parser, args) -> int:
             seed=getattr(args, "seed", 1),
             snr_db=getattr(args, "snr", None),
         )
-        _run_spec(args, spec, cfg)
+        with _output(args.out) as out:
+            run_sweep(spec, cfg, out, workers=getattr(args, "workers", 1), timings=args.timings)
         return 0
 
     if args.command == "preset":
@@ -476,30 +475,23 @@ def _dispatch(parser, args) -> int:
             if args.seed is not None:
                 spec = replace(spec, seed=args.seed)
             path = os.path.join(args.out, f"{args.name.split(':')[0]}_{var.label}.csv")
-            with _open_out(path) as fh:
+            with _output(path) as fh:
                 run_sweep(spec, var.config, fh, workers=args.workers, timings=args.timings)
             cfg_path = os.path.join(args.out, f"{args.name.split(':')[0]}_{var.label}.cfg")
-            with _open_out(cfg_path) as fh:
+            with _output(cfg_path) as fh:
                 fh.write(dump_config(var.config))
         return 0
 
     if args.command == "validate":
         cfg = _load_cfg(args)
         grid = _grid_arg(args.grid)
-        out = _open_out(args.out)
-        try:
+        with _output(args.out) as out:
             lines, ok = validate(cfg, grid, trials=args.trials, seed=args.seed,
                                  workers=args.workers)
             for line in lines:
-                print(
-                    f"{line.check:16s} snr={line.snr_db:6.1f} user={line.user} "
-                    f"{line.status:20s} {line.detail}",
-                    file=out,
-                )
+                print(f"{line.check:16s} snr={line.snr_db:6.1f} user={line.user} "
+                      f"{line.status:20s} {line.detail}", file=out)
             print("PASS" if ok else "FAIL", file=out)
-        finally:
-            if out is not sys.stdout:
-                out.close()
         return 0 if ok else 4
 
     parser.error(f"unknown command {args.command!r}")

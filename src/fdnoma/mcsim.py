@@ -51,6 +51,7 @@ __all__ = [
     "CHUNK_TRIALS",
     "BLOCK_TRIALS",
     "MIN_TRIALS",
+    "MAX_TRIALS",
     "SIM_METHODS",
     "wilson_interval",
     "sample_first_hop",
@@ -73,6 +74,9 @@ CHUNK_TRIALS = 1_000_000
 # Counts do not depend on it, but for the rounding noted in simulate_sweep.
 BLOCK_TRIALS = 1 << 14
 MIN_TRIALS = 10_000
+# Most trials of one run, 10**4 times the acceptance suite's 10**7.  A run
+# lists its chunks before the first one runs: 10**5 entries (12 MB) here.
+MAX_TRIALS = 10**11
 
 SIM_METHODS = ("monte_carlo", *get_args(Baseline))
 
@@ -93,16 +97,15 @@ def wilson_interval(successes: int, trials: int, conf: float = 0.95) -> tuple[fl
     """Wilson score interval; preferred over Wald for small-probability tails.
 
     Its ends are exactly 0 at no successes and exactly 1 at all trials, as
-    the score interval's are: rounding does not move them.  Both counts
-    must be integers (a bool or a float raises TypeError).
+    the score interval's are: rounding does not move them.  The counts must
+    be integers, trials >= 1 and successes in 0..trials (TypeError for a
+    bool or a float, ValueError out of range).
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
+    _integer_at_least(trials, 1, "trials")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must lie in 0..trials, got {_shown(successes)} of "
                          f"{_shown(trials)} trials")
     _integer_at_least(successes, 0, "successes")
-    _integer_at_least(trials, 1, "trials")
     if not 0.0 < conf < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {conf!r}")
     z = statistics.NormalDist().inv_cdf(0.5 + conf / 2.0)
@@ -368,11 +371,11 @@ def simulate_sweep(
 
     Returns one entry per point: a dict from each method to its users'
     OutagePoints, or the FdnomaError raised while planning the point.
-    trials must be an integer >= MIN_TRIALS, workers one >= 1 and seed one
-    >= 0; all are checked before any point is planned.  Each OutagePoint's
-    ci is the 95% Wilson interval of its count.
+    trials must be an integer in MIN_TRIALS..MAX_TRIALS, workers one >= 1
+    and seed one >= 0; all are checked before any point is planned.  Each
+    OutagePoint's ci is the 95% Wilson interval of its count.
     """
-    trials = _integer_at_least(trials, MIN_TRIALS, "trials")
+    trials = _integer_at_least(trials, MIN_TRIALS, "trials", MAX_TRIALS)
     workers = _integer_at_least(workers, 1, "workers")
     seed = _integer_at_least(seed, 0, "seed")
     for m in methods:

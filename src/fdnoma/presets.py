@@ -119,9 +119,9 @@ class SweepSpec:
     """Axis, grid and output protocol of one sweep.
 
     snr_db fixes the operating point when the axis is not snr_db, and must
-    be None on the snr_db axis.  trials must be an integer >=
-    mcsim.MIN_TRIALS and seed an integer >= 0, even when no simulation
-    method runs; a bad value raises ConfigError when the spec is built.
+    be None on the snr_db axis.  trials must be an integer in mcsim's
+    MIN_TRIALS..MAX_TRIALS and seed one >= 0, even when no simulation method
+    runs; a bad value raises ConfigError when the spec is built.
     """
 
     axis: str = "snr_db"
@@ -143,11 +143,11 @@ class SweepSpec:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
-        for name, low in (("trials", mcsim.MIN_TRIALS), ("seed", 0)):
-            try:
-                _integer_at_least(getattr(self, name), low, name)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(str(exc)) from None
+        try:
+            _integer_at_least(self.trials, mcsim.MIN_TRIALS, "trials", mcsim.MAX_TRIALS)
+            _integer_at_least(self.seed, 0, "seed")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
         if self.axis != "snr_db" and self.snr_db is None:
             raise ConfigError(f"axis {self.axis!r} needs a fixed snr_db")
         if self.axis == "snr_db" and self.snr_db is not None:

@@ -81,20 +81,14 @@ class SystemConfig:
     fd_tau_ru: tuple[float, ...] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        # a float count or a bool would pass the checks below and give a
-        # meaningless Gamma shape or a wrong tuple length
-        for name in _SCALAR_INT:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {_shown(value)}")
-        # two antennas are selected; Monte Carlo draws any n_r at one cost,
-        # it only has to convert to a float
+        # a float or bool count would give a meaningless Gamma shape or tuple
+        # length; two antennas are selected, and Monte Carlo draws any float n_r
         for name, low, high in (("n_b", 2, _MAX_N_B), ("n_r", 1, sys.float_info.max),
                                 ("n_users", 1, _MAX_N_USERS)):
-            value = getattr(self, name)
-            if not low <= value <= high:
-                bound = f">= {low}" if value < low else f"<= {high}"
-                raise ConfigError(f"{name} must be {bound}, got {_shown(value)}")
+            try:
+                _integer_at_least(getattr(self, name), low, name, high)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(str(exc)) from None
         # NaN passes every comparison below, and inf most of them
         for name in _SCALAR_FLOAT + _ARRAY_FLOAT:
             _check_finite(name, getattr(self, name))
@@ -240,39 +234,45 @@ def snr_linear(snr_db: float) -> float:
 # too, shows the rejected value through _shown.
 
 def _shown(value) -> str:
-    """A value as a message shows it, its repr(); an int too long for
-    Python's int-to-str limit, alone or in a tuple, shows as its bit
-    length."""
+    """A value as a message shows it, its repr(); a value whose repr() hits
+    Python's int-to-str limit, alone or in a tuple, shows as its bit length
+    if it is an int, else as its type."""
     try:
         return repr(value)
     except ValueError:
         if isinstance(value, tuple):
             return f"({', '.join(map(_shown, value))})"
-        return f"an integer of {value.bit_length()} bits"
+        if isinstance(value, int):
+            return f"an integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} too long to print"
 
 
-def _integer_at_least(value, low: int, name: str) -> int:
-    """value as an int; TypeError unless it is an integer (a bool is not),
-    ValueError if it is below low."""
+def _integer_at_least(value, low: int, name: str, high: float = math.inf) -> int:
+    """value as an int: the one rule of a count.  TypeError unless it is an
+    integer (a bool is not), ValueError unless it lies in low..high."""
     try:
         if isinstance(value, bool):  # it would pass as 0 or 1
             raise TypeError
         value = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer >= {low}, got {_shown(value)}") from None
-    if value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {_shown(value)}")
+    if not low <= value <= high:
+        bound = f"an integer >= {low}" if value < low else f"<= {high}"
+        raise ValueError(f"{name} must be {bound}, got {_shown(value)}")
     return value
 
 
 def _check_finite(name: str, value, shown: str | None = None) -> None:
     """Raise ConfigError unless value, a real or a sequence of reals, is
-    finite; the message quotes shown, by default _shown(value).  NaN passes
-    every comparison, and an int beyond the float range overflows isfinite."""
+    finite and no bool (True would pass as 1); the message quotes shown, by
+    default _shown(value).  NaN passes every comparison, and an int beyond
+    the float range overflows isfinite."""
+    values = (value,) if isinstance(value, numbers.Real) else value
     try:
-        if all(map(math.isfinite, (value,) if isinstance(value, numbers.Real) else value)):
+        bools = any(isinstance(v, bool) for v in values)
+        if not bools and all(map(math.isfinite, values)):
             return
-        rule = "be finite"
+        rule = "be real, not bool" if bools else "be finite"
     except OverflowError:
         rule = "lie within the float range"
     raise ConfigError(f"{name} must {rule}, got {_shown(value) if shown is None else shown}")

@@ -16,22 +16,27 @@ Runs the CLI of the src/fdnoma next to this file, in process:
   simulation methods (3 chunks, the last one partial) and
   `fdnoma validate --grid 0:30:10 --trials 2500000 --workers 2`, so that
   the streams of the chunks past the first, and the pool, are covered;
-- four rejected inputs, each the exit code 2 and the message of one input
-  rule: `fdnoma sweep --grid 0:inf:5` (grid bounds),
+- `fdnoma validate --grid 0:10:10 --trials 10000 --out validate_file.txt`,
+  the check lines written to a file;
+- rejected inputs, each the exit code and the message of one input rule:
+  `fdnoma sweep --grid 0:inf:5` (grid bounds),
   `fdnoma sweep --axis mu --snr nan --grid 0:1:0.5` (a fixed SNR),
   `fdnoma sweep --grid 0:10:5 --users 4` (a user index) and
-  `fdnoma analyze --config F` of a file F that sets `mu = nan` (a config
-  field).
+  `fdnoma analyze --config F` of a file F that sets `mu = nan`, `n_b = 1` or
+  `n_b = 100` (config fields), each exit 2, and
+  `fdnoma simulate --grid 0:0:5 --trials 5` (a count flag), exit 1.
 
-Each command's stdout, stderr and exit code go to OUTDIR/NAME.out, .err
-and .code.  Snapshot two trees into two directories (copy this file into a
-checkout that lacks it); `diff -r` of the two is the check.  No --timings
-run is made, as wall_ms is the one column allowed to change.  pytest does
-not collect this file; a run takes several seconds.
+The commands run in OUTDIR, on paths relative to it, so no output holds
+the path of OUTDIR.  Each command's stdout, stderr and exit code go to
+OUTDIR/NAME.out, .err and .code.  Snapshot two trees into two directories
+(copy this file into a checkout that lacks it); `diff -r` of the two is the
+check.  No --timings run is made, as wall_ms is the one column allowed to
+change.  pytest does not collect this file; a run takes several seconds.
 """
 
 import contextlib
 import io
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -45,7 +50,7 @@ from fdnoma.sysmodel import SystemConfig, dump_config  # noqa: E402
 ALL_METHODS = "exact,lower_bound,asymptotic_ideal,asymptotic_practical,monte_carlo,hd_noma,fd_oma"
 
 
-def run(out: Path, name: str, argv: list[str]) -> None:
+def run(name: str, argv: list[str]) -> None:
     """Run one CLI command and write its stdout, stderr and exit code."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -55,35 +60,38 @@ def run(out: Path, name: str, argv: list[str]) -> None:
             code = exc.code
     for suffix, text in (("out", stdout.getvalue()), ("err", stderr.getvalue()),
                          ("code", f"{code}\n")):
-        (out / f"{name}.{suffix}").write_text(text, encoding="utf-8")
+        Path(f"{name}.{suffix}").write_text(text, encoding="utf-8")
 
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 1
-    out = Path(argv[0])
-    out.mkdir(parents=True, exist_ok=True)
+    Path(argv[0]).mkdir(parents=True, exist_ok=True)
+    os.chdir(argv[0])
     for name in PRESET_NAMES:
-        run(out, name, ["preset", name, "--out", str(out / "presets"),
-                        "--trials", "20000", "--seed", "1"])
-    run(out, "validate", ["validate", "--grid", "0:30:5", "--trials", "100000"])
-    cfg = out / "alpha_si_1e-20.cfg"
-    cfg.write_text(dump_config(replace(SystemConfig(), alpha_si=1e-20)), encoding="utf-8")
+        run(name, ["preset", name, "--out", "presets", "--trials", "20000", "--seed", "1"])
+    run("validate", ["validate", "--grid", "0:30:5", "--trials", "100000"])
+    cfg = "alpha_si_1e-20.cfg"
+    Path(cfg).write_text(dump_config(replace(SystemConfig(), alpha_si=1e-20)), encoding="utf-8")
     sweep = ["sweep", "--axis", "mu", "--snr", "15", "--trials", "20000",
              "--methods", ALL_METHODS]
-    run(out, "sweep_mu", [*sweep, "--grid", "0:1.5:0.25"])
-    run(out, "sweep_mu_alpha_si", [*sweep, "--grid", "0:1:0.25", "--config", str(cfg)])
-    run(out, "sweep_chunks", ["sweep", "--grid", "0:20:10", "--trials", "2100000",
-                              "--workers", "2", "--methods", "monte_carlo,hd_noma,fd_oma"])
-    run(out, "validate_chunks", ["validate", "--grid", "0:30:10", "--trials", "2500000",
-                                 "--workers", "2"])
-    run(out, "reject_grid", ["sweep", "--grid", "0:inf:5"])
-    run(out, "reject_snr", ["sweep", "--axis", "mu", "--snr", "nan", "--grid", "0:1:0.5"])
-    run(out, "reject_user", ["sweep", "--grid", "0:10:5", "--users", "4"])
-    nan_cfg = out / "mu_nan.cfg"
-    nan_cfg.write_text("mu = nan\n", encoding="utf-8")
-    run(out, "reject_config", ["analyze", "--config", str(nan_cfg)])
+    run("sweep_mu", [*sweep, "--grid", "0:1.5:0.25"])
+    run("sweep_mu_alpha_si", [*sweep, "--grid", "0:1:0.25", "--config", cfg])
+    run("sweep_chunks", ["sweep", "--grid", "0:20:10", "--trials", "2100000",
+                         "--workers", "2", "--methods", "monte_carlo,hd_noma,fd_oma"])
+    run("validate_chunks", ["validate", "--grid", "0:30:10", "--trials", "2500000",
+                            "--workers", "2"])
+    run("validate_file", ["validate", "--grid", "0:10:10", "--trials", "10000",
+                          "--out", "validate_file.txt"])
+    run("reject_grid", ["sweep", "--grid", "0:inf:5"])
+    run("reject_snr", ["sweep", "--axis", "mu", "--snr", "nan", "--grid", "0:1:0.5"])
+    run("reject_user", ["sweep", "--grid", "0:10:5", "--users", "4"])
+    for name, text in (("reject_config", "mu = nan"), ("reject_n_b_low", "n_b = 1"),
+                       ("reject_n_b_high", "n_b = 100")):
+        Path(f"{name}.cfg").write_text(text + "\n", encoding="utf-8")
+        run(name, ["analyze", "--config", f"{name}.cfg"])
+    run("reject_trials", ["simulate", "--grid", "0:0:5", "--trials", "5"])
     return 0
 
 

@@ -316,6 +316,15 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match=rf"^sweep grid values must {message}, got "):
             SweepSpec(grid=grid)
 
+    @pytest.mark.parametrize("grid,snr_db,message", [
+        ((False, True), 10.0, r"^sweep grid values must be real, not bool, got \(False, True\)$"),
+        ((0.0,), True, r"^snr_db must be real, not bool, got True$"),
+    ], ids=["grid", "snr_db"])
+    def test_bool_value_rejected(self, grid, snr_db, message):
+        # the mu axis printed the axis values False and True
+        with pytest.raises(ConfigError, match=message):
+            SweepSpec(axis="mu", grid=grid, snr_db=snr_db)
+
     @pytest.mark.parametrize("snr_db,message", [
         (math.nan, r"be finite, got nan"),
         (10**400, rf"lie within the float range, got {10**400}"),
@@ -448,9 +457,11 @@ class TestPresets:
     @pytest.mark.parametrize("start, stop, step, message", [
         (0.0, math.inf, 1.0, r"^grid bounds must be finite, got 0.0:inf:1.0$"),
         (0, 10**400, 1, rf"^grid bounds must lie within the float range, got 0:{10**400}:1$"),
-    ], ids=["inf", "beyond-float"])
+        (True, 3, 1, r"^grid bounds must be real, not bool, got True:3:1$"),
+    ], ids=["inf", "beyond-float", "bool"])
     def test_bad_grid_bounds_rejected(self, start, stop, step, message):
-        # an int beyond the float range overflowed isfinite with a traceback
+        # an int beyond the float range overflowed isfinite with a traceback,
+        # and a bool raised Fraction's ValueError
         with pytest.raises(ConfigError, match=message):
             linear_grid(start, stop, step)
 
@@ -1169,12 +1180,16 @@ class TestMainExitCodes:
         ["validate", "--trials", "100"],
         ["preset", "fig4", "--out", "unused", "--trials", "0"],
         ["simulate", "--trials", "many"],
+        ["simulate", "--trials", "1" + "0" * 5000],
     ])
     def test_bad_trials_value_is_exit_1(self, argv, capsys):
+        # Python reads no int from 5,001 digits of text: the flag's type
+        # says so, without the int-to-str limit's own message
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
-        assert "--trials" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--trials" in err and "Exceeds the limit" not in err
 
     @pytest.mark.parametrize("value", ["-1", "one"])
     @pytest.mark.parametrize("argv", [
@@ -1341,17 +1356,24 @@ def _simulation_batch(point):
      "a normal float"),
     (lambda: _exact_batch((BASE, 10.0, 1, _LONG)), ConfigError,
      f"lam_dag must lie within the float range, got {_LONG_SHOWN}"),
-    (lambda: replace(BASE, n_b=-_LONG), ConfigError, f"n_b must be >= 2, got {_LONG_SHOWN}"),
+    (lambda: replace(BASE, n_b=-_LONG), ConfigError,
+     f"n_b must be an integer >= 2, got {_LONG_SHOWN}"),
     (lambda: replace(BASE, eta=_LONG), ConfigError,
      f"eta must lie within the float range, got {_LONG_SHOWN}"),
     (lambda: linear_grid(0, _LONG, 1), ConfigError,
      f"grid bounds must lie within the float range, got 0:{_LONG_SHOWN}:1"),
+    (lambda: replace(BASE, mu=Fraction(_LONG)), ConfigError,
+     "mu must lie within the float range, got a Fraction too long to print"),
+    (lambda: check_user(Fraction(_LONG), 3), ConfigError,
+     "user index a Fraction too long to print out of range 1..3"),
 ], ids=["spec_snr_db", "spec_seed", "spec_trials", "spec_users", "check_user", "run_sweep_user",
         "validate_workers", "simulate_sweep_trials", "simulate_sweep_point", "exact_sweep_snr",
-        "exact_sweep_lam_dag", "config_count", "config_float", "linear_grid"])
+        "exact_sweep_lam_dag", "config_count", "config_float", "linear_grid", "config_fraction",
+        "check_user_fraction"])
 def test_an_int_too_long_to_print_gets_its_rules_message(call, error, message):
     # formatting such an int raised Python's int-to-str limit error in
-    # place of the rule's own, and in a batch lost the other entries' values
+    # place of the rule's own, and in a batch lost the other entries' values;
+    # a Fraction holding one raised AttributeError from the message
     try:
         result = call()
     except Exception as exc:
@@ -1359,3 +1381,43 @@ def test_an_int_too_long_to_print_gets_its_rules_message(call, error, message):
     assert type(result) is error, repr(result)
     assert str(result) == message
     assert "Exceeds the limit" not in str(result)
+
+
+# The trial counts above mcsim.MAX_TRIALS, and how the count rule shows them
+_ABOVE_THE_BOUND = [(mcsim.MAX_TRIALS + 1, "100000000001"), (_LONG, _LONG_SHOWN)]
+_TRIALS_COMMANDS = [["simulate"], ["sweep", "--grid", "10:10:5"], ["validate"],
+                    ["preset", "fig4", "--out", "unused"]]
+
+
+class TestTrialBound:
+    """SweepSpec and every --trials flag take up to mcsim.MAX_TRIALS trials
+    (simulate_sweep's own check is in test_mcsim.py)."""
+
+    def test_spec_takes_the_bound(self):
+        assert SweepSpec(grid=(0.0,), trials=mcsim.MAX_TRIALS).trials == 10**11
+
+    @pytest.mark.parametrize("trials,shown", _ABOVE_THE_BOUND, ids=["bound+1", "too_long_to_print"])
+    def test_spec_rejects_more(self, trials, shown):
+        # both were built, and the second one's repr() raised Python's
+        # int-to-str limit error
+        with pytest.raises(ConfigError) as exc:
+            SweepSpec(grid=(0.0,), trials=trials)
+        assert str(exc.value) == f"trials must be <= 100000000000, got {shown}"
+
+    @pytest.mark.parametrize("argv", _TRIALS_COMMANDS, ids=lambda argv: argv[0])
+    def test_flag_takes_the_bound(self, argv, monkeypatch):
+        parsed = []
+        monkeypatch.setattr(cli, "_dispatch", lambda parser, args: parsed.append(args) or 0)
+        assert main([*argv, "--trials", str(mcsim.MAX_TRIALS)]) == 0
+        assert [args.trials for args in parsed] == [mcsim.MAX_TRIALS]
+
+    @pytest.mark.parametrize("argv", _TRIALS_COMMANDS, ids=lambda argv: argv[0])
+    def test_flag_rejects_more(self, argv, monkeypatch, capsys):
+        # any count was accepted: 10**13 trials started a run of 10**7 chunks
+        parsed = []
+        monkeypatch.setattr(cli, "_dispatch", lambda parser, args: parsed.append(args) or 0)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--trials", str(mcsim.MAX_TRIALS + 1)])
+        assert exc.value.code == 1 and parsed == []
+        assert capsys.readouterr().err.endswith(
+            "error: argument --trials: trials must be <= 100000000000, got 100000000001\n")

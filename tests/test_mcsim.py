@@ -640,6 +640,34 @@ class TestSweep:
         with pytest.raises(error, match=re.escape(message)):
             simulate_sweep(_d_sr_points(BASE), 20_000, **kwargs)
 
+    def test_trials_up_to_the_bound_run(self, monkeypatch):
+        # a stub chunk that counts no outage: no draw is made
+        sizes = []
+
+        def no_outage(cfg, plans, size, seed, chunk):
+            sizes.append(size)
+            return np.zeros((len(plans), 1, cfg.n_users), dtype=np.int64)
+
+        monkeypatch.setattr(mcsim, "_sweep_chunk", no_outage)
+        (res,) = simulate_sweep([(BASE, 10.0)], mcsim.MAX_TRIALS)
+        assert sizes == [mcsim.CHUNK_TRIALS] * 10**5
+        assert [p.value for p in res["monte_carlo"]] == [0.0] * 3
+
+    @pytest.mark.parametrize("trials, shown", [
+        (mcsim.MAX_TRIALS + 1, "100000000001"),
+        (10**5000, "an integer of 16610 bits"),
+    ], ids=["bound+1", "too_long_to_print"])
+    def test_trials_above_the_bound_rejected_before_any_chunk(self, monkeypatch, trials, shown):
+        # the first ran 10**5 chunks; the second raised a raw OverflowError
+        # from the list of chunk sizes
+        def no_chunk(*args):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(mcsim, "_sweep_chunk", no_chunk)
+        with pytest.raises(ValueError) as exc:
+            simulate_sweep([(BASE, 10.0)], trials)
+        assert str(exc.value) == f"trials must be <= 100000000000, got {shown}"
+
     def test_numpy_integer_rng_and_workers_accepted(self):
         a = simulate_outage_all(BASE, 10.0, 20_000, seed=np.int64(11), workers=np.int64(2))
         assert a == simulate_outage_all(BASE, 10.0, 20_000, seed=11)

@@ -76,12 +76,24 @@ class TestSystemConfig:
         with pytest.raises(ConfigError, match=f"^{name} must be finite, got "):
             replace(BASE, **{name: value})
 
+    @pytest.mark.parametrize("name", _SCALAR_FLOAT + _ARRAY_FLOAT)
+    def test_bool_in_a_float_field_rejected(self, name):
+        # mu=True passed as 1, and dump_config wrote "mu = True", which
+        # loads_config rejects: the config no longer round-tripped
+        value = True
+        if name in _ARRAY_FLOAT:
+            value = (getattr(BASE, name)[0], True, *getattr(BASE, name)[2:])
+        message = f"^{name} must be real, not bool, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            replace(BASE, **{name: value})
+
     @pytest.mark.parametrize("bad", [1.5, 2.0, True], ids=["1.5", "2.0", "True"])
     @pytest.mark.parametrize("name", _SCALAR_INT)
     def test_count_must_be_an_integer(self, name, bad):
         # n_r=1.5 gave Monte Carlo a meaningless Gamma shape and the exact
         # form a bare TypeError; n_users=True asked for True tuple entries
-        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {bad!r}$"):
+        low = {"n_b": 2, "n_r": 1, "n_users": 1}[name]
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer >= {low}, got {bad!r}$"):
             replace(BASE, **{name: bad})
 
     @pytest.mark.parametrize("name,limit", [("n_b", _MAX_N_B), ("n_users", _MAX_N_USERS)])
@@ -114,7 +126,8 @@ class TestSystemConfig:
         message = r"^n_r must be <= 1\.7976931348623157e\+308, got an integer of 16610 bits$"
         with pytest.raises(ConfigError, match=message):
             replace(BASE, n_r=10**5000)
-        with pytest.raises(ConfigError, match="^n_b must be >= 2, got an integer of 16610 bits$"):
+        message = "^n_b must be an integer >= 2, got an integer of 16610 bits$"
+        with pytest.raises(ConfigError, match=message):
             replace(BASE, n_b=-10**5000)
 
     def test_counts_at_their_limits_accepted(self):
